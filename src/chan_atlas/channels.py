@@ -104,6 +104,7 @@ class Channel:
         self._natural = None
         self._choi = None
         self._kraus = None
+        self._decompositions = {}  # polytopic_decompose results by arguments
 
     def __repr__(self):
         return f"Channel({type(self.form).__name__}, {self.d_in}->{self.d_out})"
@@ -163,18 +164,13 @@ class Channel:
         n = self.natural_matrix()
         return unvec(dag(n) @ vec(h), self.d_in)
 
-    def dual(self):
-        return DualMap(self)
-
     # -- representation changes ----------------------------------------
 
     def to_choi(self):
         """Trace-normalized Choi matrix on C^{d_out} (x) C^{d_in}."""
         if self._choi is None:
-            n = self.natural_matrix()
-            m, d = self.d_out, self.d_in
-            j = n.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
-            self._choi = herm(j / d) if is_hermitian(j / d, tol=1e-9) else j / d
+            j = _choi_from_natural(self.natural_matrix(), self.d_in, self.d_out)
+            self._choi = herm(j) if is_hermitian(j, tol=1e-9) else j
         return self._choi
 
     def kraus_operators(self, tol=1e-9):
@@ -254,21 +250,6 @@ class NotCptpError(ValueError):
         )
 
 
-class DualMap:
-    """The adjoint ``T*`` acting on output observables."""
-
-    def __init__(self, channel):
-        self.channel = channel
-        self.d_in = channel.d_out
-        self.d_out = channel.d_in
-
-    def apply(self, h):
-        return self.channel.dual_apply(h)
-
-    def natural_matrix(self):
-        return dag(self.channel.natural_matrix())
-
-
 # -- constructors -------------------------------------------------------
 
 
@@ -303,10 +284,7 @@ def linear_map_channel(apply_fn, d_in, d_out):
     n = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
     for (i, j), e in matrix_units(d_in):
         n[:, i * d_in + j] = vec(np.asarray(apply_fn(e), dtype=complex))
-    j_mat = n.reshape(d_out, d_out, d_in, d_in).transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in) / d_in
-    ch = Channel(ChoiForm(j_mat, d_in, d_out), d_in=d_in, d_out=d_out)
-    ch._natural = n
-    return ch
+    return _natural_channel(n, d_in, d_out)
 
 
 def povm_channel(effects, states, validate=True):
@@ -449,14 +427,7 @@ def tensor(t1, t2):
     n = _tensor_natural(
         t1.natural_matrix(), (t1.d_out, t1.d_in), t2.natural_matrix(), (t2.d_out, t2.d_in)
     )
-    ch = Channel(
-        ChoiForm(_choi_from_natural(n, t1.d_in * t2.d_in, t1.d_out * t2.d_out),
-                 t1.d_in * t2.d_in, t1.d_out * t2.d_out),
-        d_in=t1.d_in * t2.d_in,
-        d_out=t1.d_out * t2.d_out,
-    )
-    ch._natural = n
-    return ch
+    return _natural_channel(n, t1.d_in * t2.d_in, t1.d_out * t2.d_out)
 
 
 def compose(t1, t2):
@@ -466,11 +437,7 @@ def compose(t1, t2):
     f1, f2 = t1.form, t2.form
     if isinstance(f1, KrausForm) and isinstance(f2, KrausForm):
         return kraus_channel([b @ a for a in f1.operators for b in f2.operators])
-    n = t2.natural_matrix() @ t1.natural_matrix()
-    ch = Channel(ChoiForm(_choi_from_natural(n, t1.d_in, t2.d_out), t1.d_in, t2.d_out),
-                 d_in=t1.d_in, d_out=t2.d_out)
-    ch._natural = n
-    return ch
+    return _natural_channel(t2.natural_matrix() @ t1.natural_matrix(), t1.d_in, t2.d_out)
 
 
 def conjugate(t, u):
@@ -480,9 +447,13 @@ def conjugate(t, u):
         raise ValueError("unitary dimension does not match the output space")
     if isinstance(t.form, KrausForm):
         return kraus_channel([u @ k for k in t.form.operators])
-    n = np.kron(u, np.conj(u)) @ t.natural_matrix()
-    ch = Channel(ChoiForm(_choi_from_natural(n, t.d_in, t.d_out), t.d_in, t.d_out),
-                 d_in=t.d_in, d_out=t.d_out)
+    return _natural_channel(np.kron(u, np.conj(u)) @ t.natural_matrix(), t.d_in, t.d_out)
+
+
+def _natural_channel(n, d_in, d_out):
+    """Channel stored by the Choi matrix of the natural matrix ``n``, which it keeps."""
+    ch = Channel(ChoiForm(_choi_from_natural(n, d_in, d_out), d_in, d_out),
+                 d_in=d_in, d_out=d_out)
     ch._natural = n
     return ch
 

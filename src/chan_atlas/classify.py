@@ -26,7 +26,7 @@ from .channels import (
     map_distance,
     povm_channel,
 )
-from .geometry import polytopic_decompose
+from .geometry import hull_excess, polytopic_decompose
 from .linalg import (
     canonical_phase,
     herm,
@@ -235,12 +235,8 @@ def _dilation_obstruction(t, sigmas, tol, n_directions=64, seed=0):
     cap = n * lam / head if head > 1e-12 else 1.0
     eps = min(0.999 * cap, 1.0)
     rng = np.random.default_rng(seed)
-    for _ in range(n_directions):
-        h = random_direction(rng, n)
-        sup_im = float(np.linalg.eigvalsh(herm(t.dual_apply(h)))[-1])
-        sup_hull = max(float(np.real(np.trace(s @ h))) for s in sigmas)
-        if sup_im > sup_hull + 1e-7:
-            return None
+    if hull_excess(t, sigmas, [random_direction(rng, n) for _ in range(n_directions)])[0] > 1e-7:
+        return None
     eye = np.eye(n, dtype=complex)
     dilated = linear_map_channel(
         lambda x: (1.0 + eps) * t.apply(x) - eps * np.trace(x) * eye / n, d, n)
@@ -317,19 +313,26 @@ def _cq_recurse(t, seed, n_directions):
         for col in r.preimage_basis.T:
             basis.append(col)
             states.append(r.state)
-    if dec.w_basis.shape[1] == 0:
-        return basis, states
-    sub = _cq_recurse(dec.t2, seed + 1, n_directions)
-    if isinstance(sub, ClassVerdict):
-        if sub.status == NO:
-            return ClassVerdict(status=NO, tolerance=1e-9,
-                                witness={"stage_d_in": d, "residual": sub.witness},
-                                reason="residual block is not CQ: " + sub.reason)
-        return sub
-    sub_basis, sub_states = sub
-    for v, s in zip(sub_basis, sub_states):
-        basis.append(dec.w_basis @ v)
-        states.append(s)
+    if dec.w_basis.shape[1]:
+        sub = _cq_recurse(dec.t2, seed + 1, n_directions)
+        if isinstance(sub, ClassVerdict):
+            if sub.status == NO:
+                return ClassVerdict(status=NO, tolerance=1e-9,
+                                    witness={"stage_d_in": d, "residual": sub.witness},
+                                    reason="residual block is not CQ: " + sub.reason)
+            return sub
+        sub_basis, sub_states = sub
+        for v, s in zip(sub_basis, sub_states):
+            basis.append(dec.w_basis @ v)
+            states.append(s)
+    if len(basis) != d:
+        # overlapping preimages; the clusters may be spurious, so no "no"
+        return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
+                            witness={"stage_d_in": d, "n_vectors": len(basis),
+                                     "orthogonality_deviation":
+                                         dec.witness["orthogonality_deviation"]},
+                            reason="vertex preimages of a stage overlap and give "
+                                   f"{len(basis)} basis vectors for dimension {d}")
     return basis, states
 
 
@@ -352,6 +355,8 @@ def is_universally_image_additive(t, seed=0, n_directions=400):
     Certified through the structure theorem: the channel is universally image
     additive iff it is eCQ, and a "yes" comes with the retraction ``S``
     (a CQ map with ``T o S = T``) that realizes additivity constructively.
+    Once the image is polytopic the witness holds the eCQ reconstruction
+    under ``"reconstruction"``; otherwise it names the decomposition verdict.
     """
     t.require_cptp()
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
@@ -365,19 +370,20 @@ def is_universally_image_additive(t, seed=0, n_directions=400):
     rec = reconstruct_ecq(t, [r.state for r in dec.vertices],
                           preimages=[r.preimage_basis for r in dec.vertices])
     if rec.status == NO:
-        return ClassVerdict(status=NO, tolerance=rec.tolerance, witness=rec.witness,
+        return ClassVerdict(status=NO, tolerance=rec.tolerance,
+                            witness={**rec.witness, "reconstruction": rec},
                             reason="vertices admit no unit-norm POVM: " + rec.reason)
     if rec.status != YES:
-        return ClassVerdict(status=INDETERMINATE, tolerance=rec.tolerance, witness=rec.witness,
-                            reason=rec.reason)
+        return ClassVerdict(status=INDETERMINATE, tolerance=rec.tolerance,
+                            witness={**rec.witness, "reconstruction": rec}, reason=rec.reason)
     s = retraction_channel(rec.certificate, t.d_in)
     dev = map_distance(compose(s, t), t)
     if dev <= 1e-9:
         return ClassVerdict(status=YES, tolerance=1e-9,
                             witness={"certificate": rec.certificate, "retraction": s,
-                                     "retraction_deviation": dev})
+                                     "retraction_deviation": dev, "reconstruction": rec})
     return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
-                        witness={"retraction_deviation": dev},
+                        witness={"retraction_deviation": dev, "reconstruction": rec},
                         reason="retraction failed to reproduce the channel")
 
 

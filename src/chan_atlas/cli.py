@@ -49,7 +49,8 @@ def _build_parser():
     p.add_argument("--seed", type=_u64, default=None,
                    help=f"RNG seed (default: ${ENV_SEED} or 0)")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="tolerance for classification verdicts (default 1e-9)")
+                   help="tolerance of the entanglement-breaking check in classify "
+                        "(default 1e-9); the other verdicts use fixed tolerances")
     p.add_argument("--format", choices=("json", "text"), default="text",
                    help="output rendering (default text)")
     p.add_argument("--bits", action="store_true",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import linear_map_channel, tensor
+from .geometry import hull_excess
 from .linalg import (
     check_density_matrix,
     herm,
@@ -347,12 +348,9 @@ def build_hiding_channel(vertex_states, inner, n_directions=200, seed=0, tol=1e-
         raise ValueError("inner channel must share the vertex output space")
     inner.require_cptp()
     rng = np.random.default_rng(seed)
-    for _ in range(n_directions):
-        h = random_direction(rng, n)
-        hull_sup = max(float(np.real(np.trace(h @ s))) for s in states)
-        inner_sup = float(np.linalg.eigvalsh(herm(inner.dual_apply(h)))[-1])
-        if inner_sup > hull_sup + tol:
-            raise ContainmentError(h, inner_sup - hull_sup)
+    excess, h = hull_excess(inner, states, [random_direction(rng, n) for _ in range(n_directions)])
+    if excess > tol:
+        raise ContainmentError(h, excess)
     k = len(states)
     d = k + inner.d_in
 

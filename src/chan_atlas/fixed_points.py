@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, compose, linear_map_channel, map_distance
+from .channels import Channel, _natural_channel, compose, map_distance
 from .classify import (
     INDETERMINATE,
     YES,
@@ -35,7 +35,6 @@ from .linalg import (
     spectral_radius,
     unhvec,
     unvec,
-    vec,
 )
 
 
@@ -76,7 +75,7 @@ def cesaro_projection(t, tol=1e-8):
         if np.linalg.cond(gram) < 1e10:
             p = k @ np.linalg.solve(gram, w.conj().T)
     if p is not None:
-        tinf = _channel_from_natural(p, t.d_in)
+        tinf = _natural_channel(p, t.d_in, t.d_in)
         dev = _projection_deviations(t, tinf)
         if dev <= tol:
             return tinf
@@ -90,15 +89,11 @@ def cesaro_projection(t, tol=1e-8):
             s = s_next
             break
         s = s_next
-    tinf = _channel_from_natural(s, t.d_in)
+    tinf = _natural_channel(s, t.d_in, t.d_in)
     dev = _projection_deviations(t, tinf)
     if dev > tol:
         raise FixedPointError(f"Cesaro projection failed verification (residual {dev:.3e})")
     return tinf
-
-
-def _channel_from_natural(nat, d):
-    return linear_map_channel(lambda rho, nat=nat: unvec(nat @ vec(rho), d), d, d)
 
 
 def _projection_deviations(t, tinf):

@@ -14,6 +14,7 @@ parse but fail complete positivity or trace preservation raise
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 import numpy as np
@@ -44,20 +45,30 @@ class SpecFormatError(ValueError):
     pass
 
 
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _finite(x, where):
+    """``x`` itself; JSON's NaN and Infinity are rejected with the field path."""
+    if not math.isfinite(x):
+        raise SpecFormatError(f"{where}: non-finite number {x!r}")
+    return x
+
+
 def _scalar(x, where):
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
-        return complex(x)
-    if (isinstance(x, (list, tuple)) and len(x) == 2
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)):
-        return complex(x[0], x[1])
+    if _is_real(x):
+        return complex(_finite(x, where))
+    if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_real(v) for v in x):
+        return complex(_finite(x[0], where), _finite(x[1], where))
     raise SpecFormatError(f"{where}: expected a number or [re, im], got {x!r}")
 
 
 def _real(obj, key, where):
     x = obj.get(key)
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+    if not _is_real(x):
         raise SpecFormatError(f"{where}: field {key!r} must be a real number")
-    return float(x)
+    return float(_finite(x, f"{where}.{key}"))
 
 
 def _vector(x, where):
@@ -200,10 +211,10 @@ def _parse_unital_qubit_diag(obj, where):
     lams = obj.get("lambdas")
     if not isinstance(lams, (list, tuple)) or len(lams) != 3:
         raise SpecFormatError(f"{where}: field 'lambdas' must be three real numbers")
-    for x in lams:
-        if not isinstance(x, numbers.Real) or isinstance(x, bool):
-            raise SpecFormatError(f"{where}: field 'lambdas' must be three real numbers")
-    return unital_qubit_diag([float(x) for x in lams])
+    if not all(_is_real(x) for x in lams):
+        raise SpecFormatError(f"{where}: field 'lambdas' must be three real numbers")
+    return unital_qubit_diag([float(_finite(x, f"{where}.lambdas[{i}]"))
+                              for i, x in enumerate(lams)])
 
 
 def _parse_trine(obj, where):

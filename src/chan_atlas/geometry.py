@@ -60,6 +60,21 @@ def support_function(t, h):
     return SupportValue(value=float(w[-1]), maximizer=canonical_phase(u[:, -1]))
 
 
+def hull_excess(t, states, directions):
+    """How far ``Im(T)`` reaches beyond the convex hull of ``states``.
+
+    Returns ``(excess, direction)``: the largest ``h_T(H) - max_i Tr(H
+    sigma_i)`` over ``directions`` and the first direction attaining it.
+    An excess above zero means the image is not inside the hull.
+    """
+    best, best_h = -np.inf, None
+    for h in directions:
+        e = support_function(t, h).value - max(np.trace(h @ s).real for s in states)
+        if e > best:
+            best, best_h = e, h
+    return best, best_h
+
+
 # -- qubit Bloch picture ------------------------------------------------
 
 
@@ -253,7 +268,17 @@ def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200,
     with support excess at least 1e-6 over the detected hull (with no
     vertices at all, any sampled direction witnesses this); anything between
     is ``indeterminate``.
+
+    The decomposition is computed once per channel and arguments; later
+    calls return the object kept on ``t``.
     """
+    key = (n_directions, seed, verify_directions, cluster_tol)
+    if key not in t._decompositions:
+        t._decompositions[key] = _decompose(t, *key)
+    return t._decompositions[key]
+
+
+def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
     rng = np.random.default_rng(seed)
     records = find_vertices(t, n_directions=n_directions, seed=int(rng.integers(2 ** 31)),
                             cluster_tol=cluster_tol)
@@ -317,9 +342,7 @@ def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200,
     separation_ok = True
     separations = []
     if t2 is not None:
-        for h in fresh:
-            hull = max(np.trace(h @ r.state).real for r in records)
-            dominance_dev = max(dominance_dev, support_function(t2, h).value - hull)
+        dominance_dev = max(0.0, hull_excess(t2, [r.state for r in records], fresh)[0])
         for r in records:
             sep = -np.inf
             for h in list(r.directions) + fresh[:50]:

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # Default verification tolerances. Individual operations take overrides.
 TOL_PSD = 1e-9
@@ -269,4 +268,4 @@ def check_povm(effects, d=None, tol=1e-8):
 
 
 def spectral_radius(a):
-    return float(np.max(np.abs(scipy.linalg.eigvals(np.asarray(a)))))
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a)))))

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channels import identity_channel
-from .classify import (
-    is_cq,
-    is_entanglement_breaking,
-    is_universally_image_additive,
-    reconstruct_ecq,
-)
+from .classify import is_cq, is_entanglement_breaking, is_universally_image_additive
 from .entropy import image_additivity_gap, min_output_entropy
 from .fixed_points import fixed_point_structure
 from .formats import form_kind, matrix_to_json
@@ -141,17 +136,16 @@ def _classification_stage(t, seed, n_directions, tol=1e-9):
         },
         "universally_image_additive": {"status": uia.status, "reason": uia.reason},
     }
-    dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
-    if dec.verdict == "polytopic" and dec.vertices:
-        rec = reconstruct_ecq(t, [r.state for r in dec.vertices],
-                              preimages=[r.preimage_basis for r in dec.vertices])
+    rec = uia.witness.get("reconstruction")
+    if rec is not None:
         ecq = {"status": rec.status, "reason": rec.reason}
         if rec.certificate is not None:
             ecq["effect_norms"] = list(rec.certificate.norms)
         out["ecq"] = ecq
     else:
-        out["ecq"] = {"status": "indeterminate" if dec.verdict != "not_polytopic" else "no",
-                      "reason": f"image decomposition verdict: {dec.verdict}"}
+        verdict = uia.witness["verdict"]
+        out["ecq"] = {"status": "indeterminate" if verdict != "not_polytopic" else "no",
+                      "reason": f"image decomposition verdict: {verdict}"}
     return out
 
 

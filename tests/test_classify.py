@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import bloch_state, ecq_fixture
+from conftest import _spread_vertices, bloch_state, ecq_fixture, random_povm
 
 from chan_atlas.channels import (
     NotCptpError,
     compose,
+    conjugate,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -13,6 +14,7 @@ from chan_atlas.channels import (
     identity_channel,
     kraus_channel,
     map_distance,
+    povm_channel,
     trine_channel,
     unital_qubit_diag,
 )
@@ -199,3 +201,22 @@ def test_ecq_channel_is_eb_via_certificate():
     assert v.status == YES
     j = sum(np.kron(s, m) for s, m in v.witness["separable_pairs"])
     assert op_norm(j - t.to_choi()) < 1e-9
+
+
+def test_is_cq_open_when_stage_preimages_overlap():
+    """CQ block on three mixed qutrit states (+) a three-effect qubit POVM
+    block preparing interior mixtures, in a rotated output frame.  Vertex
+    detection on the qubit residual stage keeps clusters whose preimages
+    overlap, so they hold more vectors than the stage has dimensions."""
+    rng = np.random.default_rng(2)
+    sig = _spread_vertices(rng, 3, 3)
+    preps = [sum(c * s for c, s in zip(0.5 * rng.dirichlet(np.ones(3)) + 0.5 / 3, sig))
+             for _ in range(3)]
+    t = direct_sum(cq_channel(np.eye(3, dtype=complex), sig),
+                   povm_channel(random_povm(rng, 2, 3), preps))
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    v = is_cq(conjugate(t, u))
+    assert v.status == INDETERMINATE
+    assert v.witness["stage_d_in"] == 2
+    assert v.witness["n_vectors"] > 2
+    assert v.witness["orthogonality_deviation"] > 0.5

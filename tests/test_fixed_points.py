@@ -19,7 +19,8 @@ from chan_atlas.fixed_points import (
     transfer_matrix,
     verify_eb_fixed_point_theorem,
 )
-from chan_atlas.linalg import herm, random_density
+from chan_atlas import channels
+from chan_atlas.linalg import herm, random_density, vec
 
 
 def permutation_dephasing():
@@ -90,6 +91,27 @@ def test_cesaro_permutation_matches_brute_force():
     np.testing.assert_allclose(acc / steps, nat, atol=1e-3)
     rho = random_density(np.random.default_rng(0), 4)
     np.testing.assert_allclose(tinf.apply(rho), np.eye(4) / 4 * np.trace(rho), atol=1e-8)
+
+
+def test_cesaro_projection_reuses_the_projection_matrix(monkeypatch):
+    # a primitive channel: the projection is rho -> Tr(rho) omega
+    t = kraus_channel([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.array([[0, 1], [0, 0]]),
+                       np.sqrt(0.3) * np.array([[0, 0], [1, 0]])])
+    w, v = np.linalg.eig(t.natural_matrix())
+    omega = v[:, np.argmin(np.abs(w - 1))].reshape(2, 2)
+    omega = omega / np.trace(omega)
+    want = np.outer(vec(omega), vec(np.eye(2)))
+    built = []
+    units = channels.matrix_units
+
+    def counted(d):
+        built.append(d)
+        return units(d)
+
+    monkeypatch.setattr(channels, "matrix_units", counted)
+    tinf = cesaro_projection(t)
+    np.testing.assert_allclose(tinf.natural_matrix(), want, atol=1e-9)
+    assert built == []  # no natural matrix rebuilt from d*d evaluations
 
 
 def test_fixed_point_structure_identity():

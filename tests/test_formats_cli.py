@@ -143,6 +143,28 @@ def test_load_channel_missing_file(tmp_path):
         load_channel(str(bad))
 
 
+@pytest.mark.parametrize("extra", [{}, {"allow_non_cptp": True}])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, extra):
+    path = tmp_path / "nan.json"
+    head = '{"format_version": "1", "kind": "kraus", "kraus": [[[1, 0], [0, NaN]]]'
+    path.write_text(head + "".join(f", {json.dumps(k)}: {json.dumps(v)}"
+                                   for k, v in extra.items()) + "}")
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "spec.kraus[0]" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"format_version": "1", "kind": "depolarizing", "r": float("inf")},
+    {"format_version": "1", "kind": "unital_qubit_diag", "lambdas": [0.5, float("nan"), 0.1]},
+    {"format_version": "1", "kind": "cq", "basis": [[1, 0], [0, [1, float("-inf")]]],
+     "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+])
+def test_spec_rejects_non_finite_fields(obj):
+    with pytest.raises(SpecFormatError, match="non-finite"):
+        channel_from_dict(obj)
+
+
 # -- command line -------------------------------------------------------
 
 
@@ -310,3 +332,22 @@ def test_boundary_svg_exists(tmp_path):
     write_boundary_svg(str(path), rows)
     text = path.read_text()
     assert "<svg" in text and "polygon" in text or "path" in text
+
+
+def test_report_and_classify_search_vertices_once(tmp_path, capsys, monkeypatch):
+    from chan_atlas import geometry
+
+    calls = []
+    find = geometry.find_vertices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "find_vertices", counted)
+    # a round image: no vertices, so the CQ test does not recurse
+    run_pipeline(depolarizing_channel(0.5), n_directions=100)
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["classify", spec_file(tmp_path, DEPOL_HALF)]) == 0
+    assert len(calls) == 1

@@ -164,3 +164,13 @@ def test_round_image_is_not_polytopic(channel):
     assert dec.verdict == "not_polytopic"
     assert not dimension_bound_check(dec).ok
     assert dec.witness.get("excess_direction") is not None or "direction" in dec.witness
+
+
+def test_polytopic_decompose_is_computed_once_per_arguments():
+    t = dephasing_channel(3)
+    dec = polytopic_decompose(t, seed=0)
+    assert polytopic_decompose(t, seed=0) is dec
+    assert polytopic_decompose(t, n_directions=400, seed=0) is dec
+    other = polytopic_decompose(t, seed=1)
+    assert other is not dec
+    assert polytopic_decompose(t, seed=1) is other
