@@ -2,9 +2,12 @@
 
 All entropies use the natural logarithm.  Minimal output entropy is computed
 over pure inputs (the minimum over all states is attained on an extreme
-point).  The optimizer is multi-start projected gradient with Armijo
-backtracking; qubit inputs additionally get a dense two-angle Bloch-sphere
-sweep so the global minimum cannot hide between random starts.
+point).  The minimizer runs every start at once through the natural matrix:
+each step moves a start to the bottom eigenvector of ``T*(G)``, with ``G``
+the entropy gradient at its current output, which by the tangent bound never
+raises the value; one over-relaxed candidate per step along the same great
+circle speeds up the slow approach to pure outputs.  No step size, line
+search or input grid is involved.
 
 Entropy additivity gaps are reported as ``H_min(T1) + H_min(T2) -
 H_min(T1 (x) T2)``.  The joint optimizer is always seeded with the product of
@@ -30,6 +33,8 @@ from .linalg import (
 
 _P_MAX = 50.0
 _EIG_FLOOR = 1e-18
+_PURE = 1e-11            # a value this small is a pure output: every start stops
+_DECREASE_TOL = 1e-15    # a start whose step gains no more than this stops
 
 
 def _check_p(p):
@@ -40,19 +45,19 @@ def _check_p(p):
 
 
 def _entropy_from_eigs(w, p):
+    """H^(p) of the spectra along the last axis of ``w``."""
     w = np.clip(np.real(w), 0.0, None)
     if abs(p - 1.0) <= 1e-6:
-        mask = w > _EIG_FLOOR
-        return float(-np.sum(w[mask] * np.log(w[mask])))
-    s = float(np.sum(w ** p))
-    return float(np.log(s) / (1.0 - p))
+        return -np.sum(np.where(w > _EIG_FLOOR, w * np.log(np.maximum(w, _EIG_FLOOR)), 0.0),
+                       axis=-1)
+    return np.log(np.sum(w ** p, axis=-1)) / (1.0 - p)
 
 
 def renyi_entropy(rho, p=1.0):
     """Renyi output entropy H^(p); p=1 is the von Neumann entropy."""
     p = _check_p(p)
     w = np.linalg.eigvalsh(herm(np.asarray(rho, dtype=complex)))
-    return _entropy_from_eigs(w, p)
+    return float(_entropy_from_eigs(w, p))
 
 
 def _entropy_derivative(w, p):
@@ -60,8 +65,8 @@ def _entropy_derivative(w, p):
     w = np.clip(np.real(w), 0.0, None)
     if abs(p - 1.0) <= 1e-6:
         return -(np.log(np.maximum(w, _EIG_FLOOR)) + 1.0)
-    s = max(float(np.sum(w ** p)), _EIG_FLOOR)
-    return p * np.maximum(w, 0.0) ** (p - 1.0) / ((1.0 - p) * s)
+    s = np.maximum(np.sum(w ** p, axis=-1, keepdims=True), _EIG_FLOOR)
+    return p * w ** (p - 1.0) / ((1.0 - p) * s)
 
 
 @dataclass
@@ -75,95 +80,36 @@ class MinEntropyResult:
     n_starts: int
 
 
-def _output_entropy(t, x, p):
-    rho = herm(t.apply(np.outer(x, np.conj(x))))
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho), p), rho
-
-
-def _entropy_gradient(t, x, p):
-    rho = herm(t.apply(np.outer(x, np.conj(x))))
+def _outputs(n_mat, x, d_out):
+    """Stacked outputs ``T(x x*)`` of the rows of ``x``, with their spectra."""
+    v = (x[:, :, None] * np.conj(x[:, None, :])).reshape(len(x), -1)
+    rho = herm((v @ n_mat.T).reshape(-1, d_out, d_out))
     w, u = np.linalg.eigh(rho)
-    val = _entropy_from_eigs(w, p)
-    fprime = u @ np.diag(_entropy_derivative(w, p)) @ u.conj().T
-    grad = 2.0 * (t.dual_apply(fprime) @ x)
-    return val, grad
+    return rho, w, u
 
 
-def _projected_descent(t, x0, p, max_iter=300, gtol=1e-8):
-    x = x0 / np.linalg.norm(x0)
-    step = 1.0
-    val, grad = _entropy_gradient(t, x, p)
-    gnorm = 0.0
-    for _ in range(max_iter):
-        g = grad - np.vdot(x, grad) * x
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= gtol or val <= 1e-11:
-            return val, x, gnorm, True
-        accepted = False
-        for _ in range(30):
-            cand = x - step * g
-            cand = cand / np.linalg.norm(cand)
-            cval, _ = _output_entropy(t, cand, p)
-            if cval <= val - 1e-4 * step * gnorm ** 2:
-                x = cand
-                val, grad = _entropy_gradient(t, x, p)
-                step = min(step * 2.0, 1e3)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return val, x, gnorm, gnorm <= 10 * gtol or val <= 1e-11
+def _linearization(n_mat, w, u, p, d_in):
+    """Stacked ``T*(G)`` with ``G = U f'(w) U*`` the entropy gradient at each output."""
+    g = (u * _entropy_derivative(w, p)[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
+    return herm((g.reshape(len(g), -1) @ np.conj(n_mat)).reshape(-1, d_in, d_in))
 
 
-def _qubit_grid(t, p, grid_points):
-    """Dense (theta, phi) sweep of the pure-qubit input sphere."""
-    n_theta = max(int(np.sqrt(grid_points / 2.0)), 8)
-    n_phi = 2 * n_theta
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    a = np.cos(tt / 2.0).ravel()
-    b = (np.exp(1j * pp) * np.sin(tt / 2.0)).ravel()
-    # row-major vec of the pure-state projectors, applied through the
-    # natural matrix in one matmul per chunk
-    n_mat = t.natural_matrix()
-    d_out = t.d_out
-    best_val, best_x = np.inf, None
-    chunk = 65536
-    for lo in range(0, a.size, chunk):
-        aa, bb = a[lo:lo + chunk], b[lo:lo + chunk]
-        v = np.empty((aa.size, 4), dtype=complex)
-        v[:, 0] = np.abs(aa) ** 2
-        v[:, 1] = aa * np.conj(bb)
-        v[:, 2] = bb * np.conj(aa)
-        v[:, 3] = np.abs(bb) ** 2
-        outs = (v @ n_mat.T).reshape(-1, d_out, d_out)
-        outs = (outs + np.conj(np.swapaxes(outs, 1, 2))) / 2.0
-        if d_out == 2:
-            # closed-form 2x2 Hermitian spectrum, avoids the LAPACK loop
-            mean = np.real(outs[:, 0, 0] + outs[:, 1, 1]) / 2.0
-            rad = np.sqrt(np.real(outs[:, 0, 0] - outs[:, 1, 1]) ** 2 / 4.0
-                          + np.abs(outs[:, 0, 1]) ** 2)
-            w = np.stack([mean - rad, mean + rad], axis=1)
-        else:
-            w = np.linalg.eigvalsh(outs)
-        w = np.clip(w, 0.0, None)
-        if abs(p - 1.0) <= 1e-6:
-            wl = np.where(w > _EIG_FLOOR, w * np.log(np.maximum(w, _EIG_FLOOR)), 0.0)
-            vals = -np.sum(wl, axis=1)
-        else:
-            vals = np.log(np.sum(w ** p, axis=1)) / (1.0 - p)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = np.array([aa[i], bb[i]])
-    return best_val, best_x
+def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts=None):
+    """Minimal output Renyi entropy of ``t`` over pure inputs.
 
-
-def min_output_entropy(t, p=1.0, seed=0, n_starts=64, grid_points=200_000,
-                       max_iter=300, gtol=1e-8, extra_starts=None):
-    """Minimal output Renyi entropy of ``t`` over pure inputs."""
+    Every start runs the linearization step together: ``x`` moves to the
+    bottom eigenvector ``y`` of ``T*(G)``, where ``G`` is the entropy
+    gradient at ``T(x x*)``.  The tangent bound (``H`` is concave at p = 1,
+    ``Tr rho^p`` is convex for p > 1) makes that step monotone with no step
+    size.  Where the minimizing output is pure and the image osculates the
+    state space the plain step converges sublinearly, so each step also
+    tries the point on the great circle from ``x`` through ``y`` at
+    ``2 beta`` times their angle; ``beta`` doubles while that point wins
+    and resets to 1 when it loses.  A start stops when neither candidate lowers its
+    value by more than ``_DECREASE_TOL``; every start stops once the best
+    value is at most ``_PURE``.  ``converged`` is the winning start's own
+    stop reason; hitting ``max_iter`` is not convergence.
+    """
     p = _check_p(p)
     t.require_cptp()
     rng = np.random.default_rng(seed)
@@ -172,18 +118,54 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, grid_points=200_000,
     starts += [random_pure(rng, d) for _ in range(n_starts)]
     if extra_starts:
         starts += [np.asarray(x, dtype=complex).reshape(-1) for x in extra_starts]
-    if d == 2 and grid_points:
-        gval, gx = _qubit_grid(t, p, grid_points)
-        starts.append(gx)
-    best = (np.inf, None, np.inf, False)
-    for x0 in starts:
-        val, x, gnorm, conv = _projected_descent(t, x0, p, max_iter=max_iter, gtol=gtol)
-        if val < best[0]:
-            best = (val, x, gnorm, conv)
-    val, x, gnorm, conv = best
-    rho = herm(t.apply(np.outer(x, np.conj(x))))
-    return MinEntropyResult(value=val, minimizer=x, output_state=rho, p=p,
-                            converged=bool(conv), grad_norm=gnorm,
+    x = np.array(starts)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    n_mat = t.natural_matrix()
+    _, w, u = _outputs(n_mat, x, t.d_out)
+    val = _entropy_from_eigs(w, p)
+    beta = np.ones(len(x))
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0 or val.min() <= _PURE:
+            break
+        xa = x[idx]
+        y = np.linalg.eigh(_linearization(n_mat, w[idx], u[idx], p, d))[1][:, :, 0]
+        overlap = np.sum(np.conj(xa) * y, axis=1)
+        cos = np.abs(overlap)
+        # phase-align y with x; a y orthogonal to x keeps its phase
+        aligned = cos > 0
+        y[aligned] *= (np.conj(overlap[aligned]) / cos[aligned])[:, None]
+        cos = np.minimum(cos, 1.0)
+        perp = y - cos[:, None] * xa
+        perp_norm = np.linalg.norm(perp, axis=1)
+        perp[perp_norm > 0] /= perp_norm[perp_norm > 0, None]
+        # the over-relaxed candidate: 2 beta times the angle from x to y
+        phi = np.minimum(2.0 * beta[idx] * np.arccos(cos), np.pi / 2)[:, None]
+        z = np.cos(phi) * xa + np.sin(phi) * perp
+        cand = np.concatenate([y, z])
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        _, c_w, c_u = _outputs(n_mat, cand, t.d_out)
+        c_val = _entropy_from_eigs(c_w, p)
+        m = idx.size
+        over = c_val[m:] < c_val[:m]
+        pick = np.arange(m) + m * over
+        new = c_val[pick]
+        moved = new < val[idx]
+        beta[idx] = np.where(over & moved, 2.0 * beta[idx], 1.0)
+        done = ~moved | (val[idx] - new <= _DECREASE_TOL)
+        step, src = idx[moved], pick[moved]
+        x[step], val[step] = cand[src], new[moved]
+        w[step], u[step] = c_w[src], c_u[src]
+        active[idx[done]] = False
+    converged = ~active | (val <= _PURE)
+    i = int(np.argmin(val))
+    xi = x[i]
+    rho, w, u = _outputs(n_mat, x[i:i + 1], t.d_out)
+    grad = 2.0 * (_linearization(n_mat, w, u, p, d)[0] @ xi)
+    grad_norm = float(np.linalg.norm(grad - np.vdot(xi, grad) * xi))
+    return MinEntropyResult(value=float(val[i]), minimizer=xi, output_state=rho[0], p=p,
+                            converged=bool(converged[i]), grad_norm=grad_norm,
                             n_starts=len(starts))
 
 

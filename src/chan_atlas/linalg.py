@@ -31,9 +31,9 @@ def dag(a):
 
 
 def herm(a):
-    """Hermitian part (A + A*)/2."""
+    """Hermitian part (A + A*)/2, of each matrix along the last two axes."""
     a = np.asarray(a)
-    return (a + a.conj().T) / 2
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
 def is_hermitian(a, tol=1e-10):

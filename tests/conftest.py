@@ -26,6 +26,12 @@ def tetra_states(radius=1.0):
     return [bloch_state(*(radius * v)) for v in TETRA_DIRECTIONS]
 
 
+def haar_unitary(rng, d):
+    """Haar-random unitary: QR of a complex Ginibre matrix, phases fixed by R."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_cptp(rng, d_in, d_out, env=None):
     """Channel from a Haar-ish random Stinespring isometry."""
     if env is None:

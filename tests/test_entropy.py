@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import tetra_states
+from conftest import haar_unitary, tetra_states
 
 from chan_atlas.channels import (
+    compose,
+    conjugate,
     constant_channel,
+    cq_channel,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
+    kraus_channel,
     trine_channel,
 )
 from chan_atlas.entropy import (
@@ -79,6 +83,52 @@ def test_min_output_entropy_constant_channel():
 def test_min_output_entropy_dephasing_is_zero():
     res = min_output_entropy(dephasing_channel(3), p=1.0)
     assert res.value == pytest.approx(0.0, abs=1e-9)
+
+
+def _rotated(t, rng):
+    """``V o T o U`` for Haar unitaries ``U`` on the input and ``V`` on the output."""
+    u = kraus_channel([haar_unitary(rng, t.d_in)])
+    return conjugate(compose(u, t), haar_unitary(rng, t.d_out))
+
+
+def test_min_output_entropy_rotated_dephasing_reaches_vertex():
+    # no start sits on a basis vector of the rotated frame, so every start
+    # has to find a vertex of the image on its own
+    for seed in range(3):
+        t = _rotated(dephasing_channel(3), np.random.default_rng(seed))
+        res = min_output_entropy(t, p=2.0)
+        assert res.value <= 1e-9
+        assert res.converged
+
+
+def test_min_output_entropy_cap_is_not_convergence():
+    # the standard-basis start |1> is an exact trine minimizer, so one step
+    # stops it on its own; a fixed input rotation moves the minimizers off
+    # the starts, and after one step every start is still moving
+    t = compose(kraus_channel([haar_unitary(np.random.default_rng(5), 2)]), trine_channel())
+    assert not min_output_entropy(t, p=1.0, max_iter=1).converged
+    assert min_output_entropy(t, p=1.0).converged
+
+
+def _invariance_fixtures():
+    rng = np.random.default_rng(17)
+    states = [random_density(rng, 2) for _ in range(3)]
+    return {
+        "depolarizing_third": depolarizing_channel(1 / 3),
+        "trine": trine_channel(),
+        "dephasing3": dephasing_channel(3),
+        "cq": cq_channel(np.eye(3, dtype=complex), states),
+        "hiding_tetrahedron": build_hiding_channel(tetra_states(1.0), depolarizing_channel(1 / 3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_invariance_fixtures()))
+def test_min_output_entropy_unitary_invariance(name):
+    t = _invariance_fixtures()[name]
+    rotated = _rotated(t, np.random.default_rng(23))
+    for p in (1.0, 2.0):
+        assert min_output_entropy(rotated, p=p).value == pytest.approx(
+            min_output_entropy(t, p=p).value, abs=1e-9)
 
 
 def test_entropy_additivity_gap_identity_pair():
