@@ -157,12 +157,23 @@ class Channel:
         return self._natural
 
     def dual_apply(self, h):
-        """Adjoint action on observables: ``Tr(h T(rho)) = Tr(T*(h) rho)``."""
+        """Adjoint ``Tr(h T(rho)) = Tr(T*(h) rho)`` of one observable or a stack of them."""
         h = np.asarray(h, dtype=complex)
-        if h.shape != (self.d_out, self.d_out):
-            raise ValueError(f"observable has shape {h.shape}, expected {(self.d_out, self.d_out)}")
-        n = self.natural_matrix()
-        return unvec(dag(n) @ vec(h), self.d_in)
+        if h.shape[-2:] != (self.d_out, self.d_out):
+            raise ValueError(f"observable has shape {h.shape}, expected "
+                             f"(..., {self.d_out}, {self.d_out})")
+        lead = h.shape[:-2]
+        g = h.reshape(*lead, self.d_out ** 2) @ np.conj(self.natural_matrix())
+        return g.reshape(*lead, self.d_in, self.d_in)
+
+    def pure_outputs(self, x):
+        """Outputs ``T(x x*)`` of the pure inputs stacked in ``x``, shape ``(..., d_in)``."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape[-1:] != (self.d_in,):
+            raise ValueError(f"input vectors have shape {x.shape}, expected (..., {self.d_in})")
+        lead = x.shape[:-1]
+        v = (x[..., :, None] * np.conj(x[..., None, :])).reshape(*lead, self.d_in ** 2)
+        return (v @ self.natural_matrix().T).reshape(*lead, self.d_out, self.d_out)
 
     # -- representation changes ----------------------------------------
 

@@ -165,11 +165,8 @@ def reconstruct_ecq(t, vertices, preimages=None, tol=1e-7):
                                  witness={"singular_values": sv}, tolerance=tol,
                                  reason="vertices are affinely dependent; POVM not unique")
     y = np.linalg.pinv(b)  # columns: (g_j, c_j) with a_j(sigma_i) = delta_ij
-    effects = []
-    for jcol in range(k):
-        g = unhvec(y[:-1, jcol], n)
-        c = float(y[-1, jcol])
-        effects.append(herm(t.dual_apply(g) + c * np.eye(d)))
+    g = np.array([unhvec(y[:-1, jcol], n) for jcol in range(k)])
+    effects = list(herm(t.dual_apply(g) + y[-1][:, None, None] * np.eye(d)))
 
     checks = {}
     rebuilt = povm_channel(effects, sigmas, validate=False)

@@ -19,10 +19,10 @@ from .channels import NotCptpError, identity_channel
 from .entropy import entropy_additivity_gap, image_additivity_gap, min_output_entropy
 from .formats import SpecFormatError, load_channel
 from .pipeline import (
-    _classification_stage,
-    _fixed_point_stage,
-    _image_stage,
-    _jsonable,
+    classification_stage,
+    fixed_point_stage,
+    image_stage,
+    jsonable,
     report_json,
     run_pipeline,
 )
@@ -158,7 +158,7 @@ def _text_lines(payload, prefix="", bits=False):
 
 
 def _emit(args, payload):
-    payload = _jsonable(payload)
+    payload = jsonable(payload)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -170,7 +170,7 @@ def _emit(args, payload):
 
 def cmd_classify(args):
     t = load_channel(args.spec)
-    _emit(args, _classification_stage(t, args.seed, 400, tol=args.tol))
+    _emit(args, classification_stage(t, args.seed, 400, tol=args.tol))
 
 
 def cmd_image(args):
@@ -186,7 +186,7 @@ def cmd_image(args):
 
 def cmd_decompose(args):
     t = load_channel(args.spec)
-    _emit(args, _image_stage(t, args.seed, args.directions))
+    _emit(args, image_stage(t, args.seed, args.directions))
 
 
 def cmd_entropy(args):
@@ -224,7 +224,7 @@ def cmd_image_additivity(args):
 
 def cmd_fixed_points(args):
     t = load_channel(args.spec)
-    _emit(args, _fixed_point_stage(t, args.seed))
+    _emit(args, fixed_point_stage(t, args.seed))
 
 
 def cmd_report(args):

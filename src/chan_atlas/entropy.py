@@ -80,18 +80,10 @@ class MinEntropyResult:
     n_starts: int
 
 
-def _outputs(n_mat, x, d_out):
-    """Stacked outputs ``T(x x*)`` of the rows of ``x``, with their spectra."""
-    v = (x[:, :, None] * np.conj(x[:, None, :])).reshape(len(x), -1)
-    rho = herm((v @ n_mat.T).reshape(-1, d_out, d_out))
-    w, u = np.linalg.eigh(rho)
-    return rho, w, u
-
-
-def _linearization(n_mat, w, u, p, d_in):
+def _linearization(t, w, u, p):
     """Stacked ``T*(G)`` with ``G = U f'(w) U*`` the entropy gradient at each output."""
     g = (u * _entropy_derivative(w, p)[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
-    return herm((g.reshape(len(g), -1) @ np.conj(n_mat)).reshape(-1, d_in, d_in))
+    return herm(t.dual_apply(g))
 
 
 def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts=None):
@@ -120,8 +112,7 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
         starts += [np.asarray(x, dtype=complex).reshape(-1) for x in extra_starts]
     x = np.array(starts)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    n_mat = t.natural_matrix()
-    _, w, u = _outputs(n_mat, x, t.d_out)
+    w, u = np.linalg.eigh(herm(t.pure_outputs(x)))
     val = _entropy_from_eigs(w, p)
     beta = np.ones(len(x))
     active = np.ones(len(x), dtype=bool)
@@ -130,7 +121,7 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
         if idx.size == 0 or val.min() <= _PURE:
             break
         xa = x[idx]
-        y = np.linalg.eigh(_linearization(n_mat, w[idx], u[idx], p, d))[1][:, :, 0]
+        y = np.linalg.eigh(_linearization(t, w[idx], u[idx], p))[1][:, :, 0]
         overlap = np.sum(np.conj(xa) * y, axis=1)
         cos = np.abs(overlap)
         # phase-align y with x; a y orthogonal to x keeps its phase
@@ -145,7 +136,7 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
         z = np.cos(phi) * xa + np.sin(phi) * perp
         cand = np.concatenate([y, z])
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        _, c_w, c_u = _outputs(n_mat, cand, t.d_out)
+        c_w, c_u = np.linalg.eigh(herm(t.pure_outputs(cand)))
         c_val = _entropy_from_eigs(c_w, p)
         m = idx.size
         over = c_val[m:] < c_val[:m]
@@ -161,8 +152,9 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
     converged = ~active | (val <= _PURE)
     i = int(np.argmin(val))
     xi = x[i]
-    rho, w, u = _outputs(n_mat, x[i:i + 1], t.d_out)
-    grad = 2.0 * (_linearization(n_mat, w, u, p, d)[0] @ xi)
+    rho = herm(t.pure_outputs(x[i:i + 1]))
+    w, u = np.linalg.eigh(rho)
+    grad = 2.0 * (_linearization(t, w, u, p)[0] @ xi)
     grad_norm = float(np.linalg.norm(grad - np.vdot(xi, grad) * xi))
     return MinEntropyResult(value=float(val[i]), minimizer=xi, output_state=rho[0], p=p,
                             converged=bool(converged[i]), grad_norm=grad_norm,
@@ -261,31 +253,23 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0, restarts=8, rounds=20)
     tj = tensor(t1, t2)
     n1, n2 = t1.d_out, t2.d_out
     nj = n1 * n2
-    directions = []
     n_ent = n_directions // 4 if n1 == n2 else 0
-    for _ in range(n_directions - n_ent):
-        directions.append(random_direction(rng, nj))
+    directions = [random_direction(rng, nj) for _ in range(n_directions - n_ent)]
     for _ in range(n_ent):
         u = np.linalg.qr(rng.normal(size=(n1, n1)) + 1j * rng.normal(size=(n1, n1)))[0]
         v = np.linalg.qr(rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2)))[0]
         psi = (np.kron(u, v) @ np.eye(n1).reshape(-1)) / np.sqrt(n1)
         directions.append(np.outer(psi, np.conj(psi)))
-    best = (-np.inf, None, 0.0, 0.0)
-    for h in directions:
-        m = herm(tj.dual_apply(h))
-        w, u = np.linalg.eigh(m)
-        lhs = float(w[-1])
-        rhs = _product_support(m, t1.d_in, t2.d_in, u[:, -1], rng,
-                               restarts=restarts, rounds=rounds)
-        gap = lhs - rhs
-        if gap > best[0]:
-            best = (gap, h, lhs, rhs)
-    gap, h, lhs, rhs = best
+    ms = herm(tj.dual_apply(np.array(directions)))
+    w, u = np.linalg.eigh(ms)
+    rhs_all = [_product_support(m, t1.d_in, t2.d_in, u[i, :, -1], rng,
+                                restarts=restarts, rounds=rounds) for i, m in enumerate(ms)]
+    gaps = w[:, -1] - rhs_all
+    i = int(np.argmax(gaps))
+    gap, h, lhs, rhs = gaps[i], directions[i], float(w[i, -1]), rhs_all[i]
     certified = False
-    if gap > 1e-6 and h is not None:
-        m = herm(tj.dual_apply(h))
-        w, u = np.linalg.eigh(m)
-        redo = _product_support(m, t1.d_in, t2.d_in, u[:, -1],
+    if gap > 1e-6:
+        redo = _product_support(ms[i], t1.d_in, t2.d_in, u[i, :, -1],
                                 np.random.default_rng(seed + 9091),
                                 restarts=2 * restarts, rounds=rounds)
         stable = abs(redo - rhs) <= 1e-8
@@ -329,6 +313,8 @@ def build_hiding_channel(vertex_states, inner, n_directions=200, seed=0, tol=1e-
     if inner.d_out != n:
         raise ValueError("inner channel must share the vertex output space")
     inner.require_cptp()
+    if n_directions < 1:
+        raise ValueError("need at least one direction")
     rng = np.random.default_rng(seed)
     excess, h = hull_excess(inner, states, [random_direction(rng, n) for _ in range(n_directions)])
     if excess > tol:

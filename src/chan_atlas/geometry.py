@@ -3,10 +3,13 @@ polytopic decomposition.
 
 The image of a channel, ``Im(T) = {T(rho) : rho a state}``, is a compact
 convex set.  Its support function in a Hermitian direction ``H`` is the top
-eigenvalue of ``T*(H)``, attained on a pure input.  Vertex detection samples
-random directions and looks for output points that are hit by a positive
-fraction of them: a vertex owns a full-dimensional normal cone, while an
-exposed smooth point is only reached by a measure-zero set of directions.
+eigenvalue of ``T*(H)``, attained on a pure input.  Every sweep over
+directions goes through one stacked path: ``T*`` of the whole stack of
+directions through the natural matrix, one stacked ``eigh``, and the outputs
+``T(x x*)`` of the stacked maximizers.  Vertex detection samples random
+directions and looks for output points that are hit by a positive fraction
+of them: a vertex owns a full-dimensional normal cone, while an exposed
+smooth point is only reached by a measure-zero set of directions.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .linalg import (
     orthogonal_complement,
     orthonormal_columns,
     random_direction,
-    subspace_projector,
     trace_norm,
 )
 
@@ -45,6 +47,16 @@ class SupportValue:
     maximizer: np.ndarray  # unit vector in the input space, phase-canonical
 
 
+def _spectra(t, hs):
+    """Stacked eigendecompositions of ``T*(H)`` for the directions ``hs``."""
+    return np.linalg.eigh(herm(t.dual_apply(hs)))
+
+
+def _pairing(hs, states):
+    """``Tr(H sigma)`` for every direction (rows) and state (columns)."""
+    return np.einsum("nab,kba->nk", hs, np.asarray(states)).real
+
+
 def support_function(t, h):
     """Support function of Im(T) in direction ``h`` with its attaining input.
 
@@ -55,8 +67,7 @@ def support_function(t, h):
     h = np.asarray(h, dtype=complex)
     if op_norm(h - h.conj().T) > 1e-10:
         raise ValueError("direction must be Hermitian")
-    g = herm(t.dual_apply(h))
-    w, u = np.linalg.eigh(g)
+    w, u = _spectra(t, h)
     return SupportValue(value=float(w[-1]), maximizer=canonical_phase(u[:, -1]))
 
 
@@ -67,12 +78,10 @@ def hull_excess(t, states, directions):
     sigma_i)`` over ``directions`` and the first direction attaining it.
     An excess above zero means the image is not inside the hull.
     """
-    best, best_h = -np.inf, None
-    for h in directions:
-        e = support_function(t, h).value - max(np.trace(h @ s).real for s in states)
-        if e > best:
-            best, best_h = e, h
-    return best, best_h
+    hs = np.asarray(directions, dtype=complex)
+    excess = _spectra(t, hs)[0][:, -1] - _pairing(hs, states).max(axis=1)
+    i = int(np.argmax(excess))
+    return float(excess[i]), hs[i]
 
 
 # -- qubit Bloch picture ------------------------------------------------
@@ -138,28 +147,12 @@ class VertexRecord:
     state: np.ndarray            # output density matrix at the vertex
     preimage_basis: np.ndarray   # orthonormal columns spanning V_i
     hit_count: int
-    directions: list = field(default_factory=list, repr=False)  # exposing directions
+    directions: np.ndarray = field(repr=False)  # exposing directions, stacked
 
 
-def _direction_vote(t, h, cluster_tol, eig_gap):
-    """Evaluate one direction; returns (output point, top-eigenspace basis).
-
-    Directions whose top eigenspace maps to more than one output point (ties
-    between distinct faces) are discarded by returning None; a degenerate
-    eigenspace that maps to a single point is kept whole, since that is
-    exactly the signature of a higher-dimensional vertex preimage.
-    """
-    g = herm(t.dual_apply(h))
-    w, u = np.linalg.eigh(g)
-    top = w[-1]
-    basis = u[:, w >= top - eig_gap]
-    outs = [t.apply(np.outer(b, np.conj(b))) for b in basis.T]
-    y0 = outs[0]
-    for y in outs[1:]:
-        if trace_norm(y - y0) > cluster_tol:
-            return None
-    y = herm(sum(outs) / len(outs))
-    return y, basis
+def _trace_distances(y, others):
+    """Trace norms of the Hermitian differences ``y - others``, stacked."""
+    return np.abs(np.linalg.eigvalsh(y - others)).sum(-1)
 
 
 def _affine_rank(points, tol=1e-6):
@@ -190,51 +183,65 @@ def find_vertices(t, n_directions=400, seed=0, cluster_tol=CLUSTER_TOL,
 
     Notes
     -----
-    A cluster of coinciding output points counts as a vertex when its hit
-    count is at least ``2 * n_dof`` (and at least 2), ``n_dof`` being the
-    estimated affine dimension of the image; exposed non-vertex points are
-    attained by measure-zero direction sets, so their clusters stay near a
-    single hit.  The preimage is the intersection of the top eigenspaces of
-    ``T*(H)`` over the cluster's directions, pruned to the vectors that
-    actually reproduce the vertex state.
+    One stacked ``eigh`` of ``T*(H)`` over all directions gives each top
+    eigenspace (eigenvalues within ``eig_gap`` of the top).  A direction
+    whose top eigenspace maps to more than one output point (a tie between
+    faces) is discarded; a degenerate eigenspace mapping to one point is
+    kept whole, the signature of a higher-dimensional vertex preimage.  The
+    points are clustered first-fit in direction order: each joins the first
+    cluster whose mean is within ``cluster_tol`` in trace norm, measured
+    against all current means by one stacked ``eigvalsh`` of the Hermitian
+    differences.  A cluster counts as a vertex when its hit count is at
+    least ``2 * n_dof`` (and at least 2), ``n_dof`` being the estimated
+    affine dimension of the image; exposed non-vertex points are attained
+    by measure-zero direction sets, so their clusters stay near a single
+    hit.  The preimage is the intersection of the top eigenspaces over the
+    cluster's directions, pruned to the vectors that reproduce the vertex.
     """
     if n_directions < 50:
         raise ValueError("need at least 50 directions")
     rng = np.random.default_rng(seed)
-    clusters = []  # each: dict(sum, count, dirs, bases)
-    kept_outputs = []
-    for _ in range(n_directions):
-        h = random_direction(rng, t.d_out)
-        vote = _direction_vote(t, h, cluster_tol, eig_gap)
-        if vote is None:
-            continue
-        y, basis = vote
-        kept_outputs.append(y)
-        for c in clusters:
-            if trace_norm(y - c["sum"] / c["count"]) <= cluster_tol:
-                c["sum"] += y
-                c["count"] += 1
-                c["dirs"].append(h)
-                c["bases"].append(basis)
-                break
-        else:
-            clusters.append({"sum": y.copy(), "count": 1, "dirs": [h], "bases": [basis]})
+    hs = np.array([random_direction(rng, t.d_out) for _ in range(n_directions)])
+    w, u = _spectra(t, hs)
+    top = w >= w[:, -1:] - eig_gap  # each direction's top eigenspace
+    owner = np.nonzero(top)[0]
+    outs = herm(t.pure_outputs(np.swapaxes(u, 1, 2)[top]))
+    size = top.sum(axis=1)
+    first = np.cumsum(size) - size  # where each direction's vectors start in ``outs``
+    tied = _trace_distances(outs, outs[first[owner]]) > cluster_tol
+    kept = np.flatnonzero(np.bincount(owner[tied], minlength=n_directions) == 0)
+    points = herm(np.add.reduceat(outs, first)[kept] / size[kept, None, None])
 
-    n_dof = _affine_rank(kept_outputs)
+    sums = np.zeros_like(points)
+    counts = np.zeros(len(points), dtype=int)
+    members = []  # indices into ``kept`` of each cluster's directions
+    for i, y in enumerate(points):
+        n = len(members)
+        near = np.flatnonzero(
+            _trace_distances(y, sums[:n] / counts[:n, None, None]) <= cluster_tol)
+        c = near[0] if near.size else n
+        if c == n:
+            members.append([])
+        sums[c] += y
+        counts[c] += 1
+        members[c].append(i)
+
+    n_dof = _affine_rank(points)
     need = max(2, 2 * n_dof)
     records = []
-    for c in clusters:
-        if c["count"] < need:
+    for c, idx in enumerate(members):
+        if counts[c] < need:
             continue
-        state = herm(c["sum"] / c["count"])
-        inter = intersect_subspaces(c["bases"])
-        good = [v for v in inter.T
-                if trace_norm(t.apply(np.outer(v, np.conj(v))) - state) <= member_tol]
+        state = herm(sums[c] / counts[c])
+        dirs = kept[idx]
+        inter = intersect_subspaces([u[j][:, top[j]] for j in dirs])
+        good = [v for v, y in zip(inter.T, t.pure_outputs(inter.T))
+                if trace_norm(y - state) <= member_tol]
         if not good:
             continue
         basis = orthonormal_columns(np.array(good).T)
         records.append(VertexRecord(state=state, preimage_basis=basis,
-                                    hit_count=c["count"], directions=list(c["dirs"])))
+                                    hit_count=int(counts[c]), directions=hs[dirs]))
     records.sort(key=lambda r: tuple(np.round(hvec(r.state), 6)))
     return records
 
@@ -272,6 +279,8 @@ def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200,
     The decomposition is computed once per channel and arguments; later
     calls return the object kept on ``t``.
     """
+    if verify_directions < 1:
+        raise ValueError("need at least one verification direction")
     key = (n_directions, seed, verify_directions, cluster_tol)
     if key not in t._decompositions:
         t._decompositions[key] = _decompose(t, *key)
@@ -285,18 +294,8 @@ def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
     k = len(records)
     d = t.d_in
 
-    fresh = [random_direction(rng, t.d_out) for _ in range(verify_directions)]
-    boundary = []
-    excess_max, excess_dir = -np.inf, None
-    for h in fresh:
-        sv = support_function(t, h)
-        boundary.append(t.apply(np.outer(sv.maximizer, np.conj(sv.maximizer))))
-        if k:
-            hull = max(np.trace(h @ r.state).real for r in records)
-            e = sv.value - hull
-            if e > excess_max:
-                excess_max, excess_dir = e, h
-    n_dof = _affine_rank(boundary)
+    fresh = np.array([random_direction(rng, t.d_out) for _ in range(verify_directions)])
+    n_dof = _affine_rank(t.pure_outputs(_spectra(t, fresh)[1][:, :, -1]))
 
     if k == 0:
         return PolytopicDecomposition(
@@ -304,6 +303,8 @@ def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
             w_basis=np.eye(d, dtype=complex), t1=None, t2=t,
             witness={"reason": "no vertices detected", "direction": fresh[0]},
             n_dof=n_dof, d_in=d)
+    states = [r.state for r in records]
+    excess_max, excess_dir = hull_excess(t, states, fresh)
 
     # pairwise orthogonality of the preimages
     ortho_dev = 0.0
@@ -325,7 +326,7 @@ def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
         m[off:off + mdim, off:off + mdim] = np.eye(mdim)
         effects.append(m)
         off += mdim
-    t1 = Channel(PovmForm(effects, [r.state for r in records]), d_in=mv, d_out=t.d_out)
+    t1 = Channel(PovmForm(effects, states), d_in=mv, d_out=t.d_out)
     t2 = (linear_map_channel(lambda x: t.apply(wbasis @ x @ wbasis.conj().T), dim_w, t.d_out)
           if dim_w else None)
 
@@ -342,12 +343,11 @@ def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
     separation_ok = True
     separations = []
     if t2 is not None:
-        dominance_dev = max(0.0, hull_excess(t2, [r.state for r in records], fresh)[0])
+        dominance_dev = max(0.0, hull_excess(t2, states, fresh)[0])
         for r in records:
-            sep = -np.inf
-            for h in list(r.directions) + fresh[:50]:
-                sep = max(sep, np.trace(h @ r.state).real - support_function(t2, h).value)
-            separations.append(sep)
+            hs = np.concatenate([r.directions, fresh[:50]])
+            sep = _pairing(hs, [r.state])[:, 0] - _spectra(t2, hs)[0][:, -1]
+            separations.append(sep.max())
         separation_ok = all(s >= SEPARATION_MIN for s in separations)
 
     witness = {
@@ -407,16 +407,17 @@ def image_boundary_2d(t, axes=None, n_points=256):
     ``(Tr(A w), Tr(B w))``.  The points lie on the boundary of the projected
     image.
     """
+    if n_points < 1:
+        raise ValueError("need at least one boundary point")
     if axes is None:
         if t.d_out < 2:
             raise ValueError("planar projection needs output dimension at least 2")
         a, b = default_plane(t.d_out)
     else:
         a, b = (np.asarray(x, dtype=complex) for x in axes)
-    rows = np.zeros((n_points, 3))
-    for i, theta in enumerate(np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)):
-        h = np.cos(theta) * a + np.sin(theta) * b
-        sv = support_function(t, h)
-        w = t.apply(np.outer(sv.maximizer, np.conj(sv.maximizer)))
-        rows[i] = (theta, np.trace(a @ w).real, np.trace(b @ w).real)
-    return rows
+        if max(op_norm(x - x.conj().T) for x in (a, b)) > 1e-10:
+            raise ValueError("direction must be Hermitian")
+    theta = np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)
+    hs = np.cos(theta)[:, None, None] * a + np.sin(theta)[:, None, None] * b
+    w = t.pure_outputs(_spectra(t, hs)[1][:, :, -1])
+    return np.column_stack([theta, _pairing(w, [a, b])])

@@ -34,11 +34,12 @@ _MAX_JOINT_INPUT = 36
 _MAX_JOINT_OUTPUT = 36
 
 
-def _jsonable(x):
+def jsonable(x):
+    """``x`` with numpy scalars turned into plain Python numbers, recursively."""
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+        return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [jsonable(v) for v in x]
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
@@ -66,10 +67,10 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
         except Exception as e:  # noqa: BLE001 - verdict pipelines report, never abort
             out = {"status": "error", "reason": f"{type(e).__name__}: {e}"}
         timings[name] = time.perf_counter() - t0
-        report[name] = _jsonable(out)
+        report[name] = jsonable(out)
 
     v = t.verify_cptp()
-    report["cptp"] = _jsonable({
+    report["cptp"] = jsonable({
         "is_cptp": v.is_cptp, "is_cp": v.is_cp, "is_tp": v.is_tp,
         "min_choi_eigenvalue": v.min_choi_eigenvalue,
         "marginal_deviation": v.marginal_deviation,
@@ -83,11 +84,11 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
             report["timings"] = timings
         return report
 
-    stage("image", lambda: _image_stage(t, seed, n_directions))
-    stage("classification", lambda: _classification_stage(t, seed, n_directions))
+    stage("image", lambda: image_stage(t, seed, n_directions))
+    stage("classification", lambda: classification_stage(t, seed, n_directions))
     stage("entropy", lambda: _entropy_stage(t, seed, p_values))
     if t.d_in == t.d_out:
-        stage("fixed_points", lambda: _fixed_point_stage(t, seed))
+        stage("fixed_points", lambda: fixed_point_stage(t, seed))
     else:
         report["fixed_points"] = {"status": "skipped",
                                   "reason": "input and output dimensions differ"}
@@ -98,11 +99,12 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
         report["image_additivity_vs_identity"] = {
             "status": "skipped", "reason": "joint dimensions exceed the desk-scale budget"}
     if include_timings:
-        report["timings"] = _jsonable(timings)
+        report["timings"] = jsonable(timings)
     return report
 
 
-def _image_stage(t, seed, n_directions):
+def image_stage(t, seed, n_directions):
+    """Report section of the polytopic decomposition (also ``chan-atlas decompose``)."""
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
     bound = dimension_bound_check(dec)
     out = {
@@ -124,7 +126,8 @@ def _image_stage(t, seed, n_directions):
     return out
 
 
-def _classification_stage(t, seed, n_directions, tol=1e-9):
+def classification_stage(t, seed, n_directions, tol=1e-9):
+    """Report section of the CQ / EB / universal-image-additivity / eCQ verdicts."""
     cq = is_cq(t, seed=seed, n_directions=n_directions)
     eb = is_entanglement_breaking(t, tol=tol)
     uia = is_universally_image_additive(t, seed=seed, n_directions=n_directions)
@@ -158,7 +161,8 @@ def _entropy_stage(t, seed, p_values):
     return {"status": "ok", "min_output": rows}
 
 
-def _fixed_point_stage(t, seed):
+def fixed_point_stage(t, seed):
+    """Report section of the fixed-point structure of a square channel."""
     st = fixed_point_structure(t, seed=seed)
     return {
         "status": st.status,

@@ -139,6 +139,42 @@ def test_dual_is_the_heisenberg_adjoint():
     np.testing.assert_allclose(t.dual_apply(np.eye(4)), np.eye(3), atol=1e-10)
 
 
+def _primitive_samples():
+    rng = np.random.default_rng(11)
+    kraus = random_cptp(rng, 3, 2)
+    sig = [random_density(rng, 2) for _ in range(3)]
+    e = np.eye(3, dtype=complex)
+    return [
+        kraus,
+        choi_channel(kraus.to_choi(), 3, 2),
+        trine_channel(),
+        ecq_channel([e[:, 0], e[:, 1]], [np.zeros((3, 3)), np.diag([0, 0, 1.0])], sig[:2]),
+        cq_channel(np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0],
+                   sig),
+        direct_sum(dephasing_channel(2), depolarizing_channel(0.3)),
+    ]
+
+
+@pytest.mark.parametrize("t", _primitive_samples(), ids=lambda t: type(t.form).__name__)
+def test_stacked_primitives_match_the_per_item_path(t):
+    rng = np.random.default_rng(12)
+    hs = np.array([random_hermitian(rng, t.d_out) for _ in range(6)]).reshape(2, 3, t.d_out,
+                                                                               t.d_out)
+    duals = t.dual_apply(hs)
+    assert duals.shape == (2, 3, t.d_in, t.d_in)
+    for h, g in zip(hs.reshape(-1, t.d_out, t.d_out), duals.reshape(-1, t.d_in, t.d_in)):
+        np.testing.assert_allclose(g, t.dual_apply(h), atol=1e-12)
+    x = rng.normal(size=(5, t.d_in)) + 1j * rng.normal(size=(5, t.d_in))
+    outs = t.pure_outputs(x)
+    assert outs.shape == (5, t.d_out, t.d_out)
+    for v, y in zip(x, outs):
+        np.testing.assert_allclose(y, t.apply(np.outer(v, v.conj())), atol=1e-12)
+    with pytest.raises(ValueError):
+        t.dual_apply(np.zeros((4, t.d_out + 1, t.d_out + 1)))
+    with pytest.raises(ValueError):
+        t.pure_outputs(np.zeros((4, t.d_in + 1)))
+
+
 def test_compose_applies_left_argument_first():
     rng = np.random.default_rng(7)
     t1 = random_cptp(rng, 2, 3)

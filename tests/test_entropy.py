@@ -177,6 +177,9 @@ def test_build_hiding_channel_rejects_large_inner_image():
     assert exc.value.excess > 0.01
     assert exc.value.direction.shape == (2, 2)
     assert "exceeds the vertex hull" in str(exc.value)
+    # an empty direction sample checks nothing, so it is refused
+    with pytest.raises(ValueError, match="at least one direction"):
+        build_hiding_channel(tetra_states(1.0), depolarizing_channel(1 / 3), n_directions=0)
 
 
 def test_min_output_entropy_reports_minimizer():

@@ -202,6 +202,17 @@ def test_cli_image_writes_boundary_csv(tmp_path, capsys):
     assert svg.read_text().lstrip().startswith("<svg") or "<svg" in svg.read_text()
 
 
+@pytest.mark.parametrize("points,svg", [("0", False), ("0", True), ("-3", False)])
+def test_cli_image_rejects_empty_boundary(tmp_path, capsys, points, svg):
+    out = tmp_path / "boundary.csv"
+    argv = ["image", spec_file(tmp_path, TRINE_SPEC), "--out", str(out), "--points", points]
+    if svg:
+        argv += ["--svg", str(tmp_path / "boundary.svg")]
+    assert main(argv) == 2
+    assert "need at least one boundary point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_entropy(tmp_path, capsys):
     rc = main(["--format", "json", "entropy", spec_file(tmp_path, DEPOL_THIRD),
                "--p", "2"])

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import assembled_polytopic_fixture, bloch_state
+from conftest import assembled_polytopic_fixture, bloch_state, ecq_fixture, haar_unitary
 
+from chan_atlas import geometry
 from chan_atlas.channels import (
+    compose,
+    conjugate,
     constant_channel,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
     direct_sum,
     identity_channel,
+    kraus_channel,
     trine_channel,
     unital_qubit_diag,
 )
@@ -174,3 +178,37 @@ def test_polytopic_decompose_is_computed_once_per_arguments():
     other = polytopic_decompose(t, seed=1)
     assert other is not dec
     assert polytopic_decompose(t, seed=1) is other
+
+
+def test_polytopic_decompose_refuses_an_empty_verification_sample():
+    # with no fresh directions nothing would verify the hull
+    with pytest.raises(ValueError, match="verification direction"):
+        polytopic_decompose(dephasing_channel(3), verify_directions=0)
+
+
+@pytest.mark.parametrize("channel", [depolarizing_channel(0.5), trine_channel()],
+                         ids=["depolarizing", "trine"])
+def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return trace_norm(a)
+
+    monkeypatch.setattr(geometry, "trace_norm", counted)
+    find_vertices(channel, n_directions=400, seed=0)
+    assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),
+                               assembled_polytopic_fixture(1)[0], ecq_fixture(2)[0]],
+                         ids=["dephasing3", "trine", "depolarizing", "assembled", "ecq"])
+def test_decomposition_verdict_is_unitarily_invariant(t):
+    dec = polytopic_decompose(t, seed=0)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
+        rotated = conjugate(compose(kraus_channel([u]), t), v)
+        rdec = polytopic_decompose(rotated, seed=0)
+        assert rdec.verdict == dec.verdict
+        assert len(rdec.vertices) == len(dec.vertices)
