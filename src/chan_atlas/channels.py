@@ -2,9 +2,11 @@
 
 A channel is a linear map ``T: M_{d_in} -> M_{d_out}``.  Several concrete
 forms are supported (Kraus, Choi, measure-and-prepare variants, direct sums);
-every operation accepts any form.  The Choi matrix is normalized to trace one,
-``J(T) = (T (x) id)(psi psi*)`` with ``psi`` the maximally entangled unit
-vector, so the input marginal of a trace-preserving channel is ``I/d_in``.
+every operation accepts any form.  Evaluation and every combinator go through
+one natural matrix ``N``, ``vec(T(rho)) = N vec(rho)``, built in closed form
+once per channel.  The Choi matrix is normalized to trace one, ``J(T) = (T (x)
+id)(psi psi*)`` with ``psi`` the maximally entangled unit vector, so the input
+marginal of a trace-preserving channel is ``I/d_in``.
 
 Non-CPTP linear maps are representable (as ``ChoiForm`` containers) so that
 complete positivity can be *checked* rather than assumed; see
@@ -116,44 +118,12 @@ class Channel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.d_in, self.d_in):
             raise ValueError(f"input has shape {rho.shape}, expected {(self.d_in, self.d_in)}")
-        f = self.form
-        if isinstance(f, KrausForm):
-            out = np.zeros((self.d_out, self.d_out), dtype=complex)
-            for k in f.operators:
-                out += k @ rho @ dag(k)
-            return out
-        if isinstance(f, ChoiForm):
-            j = f.matrix.reshape(self.d_out, self.d_in, self.d_out, self.d_in)
-            return self.d_in * np.einsum("aibk,ik->ab", j, rho)
-        if isinstance(f, (PovmForm, EcqForm)):
-            effects = f.effects() if isinstance(f, EcqForm) else f.effects
-            out = np.zeros((self.d_out, self.d_out), dtype=complex)
-            for m, s in zip(effects, f.states):
-                out += np.trace(m @ rho) * s
-            return out
-        if isinstance(f, CqForm):
-            out = np.zeros((self.d_out, self.d_out), dtype=complex)
-            for i, s in enumerate(f.states):
-                e = f.basis[:, i]
-                out += (np.conj(e) @ rho @ e) * s
-            return out
-        if isinstance(f, DirectSumForm):
-            out = np.zeros((self.d_out, self.d_out), dtype=complex)
-            off = 0
-            for blk in f.blocks:
-                sl = slice(off, off + blk.d_in)
-                out += blk.apply(rho[sl, sl])
-                off += blk.d_in
-            return out
-        raise TypeError(f"unknown form {type(f).__name__}")
+        return unvec(self.natural_matrix() @ vec(rho), self.d_out)
 
     def natural_matrix(self):
         """The matrix ``N`` with ``vec(T(rho)) = N vec(rho)`` (row-major vec)."""
         if self._natural is None:
-            n = np.zeros((self.d_out ** 2, self.d_in ** 2), dtype=complex)
-            for (i, j), e in matrix_units(self.d_in):
-                n[:, i * self.d_in + j] = vec(self.apply(e))
-            self._natural = n
+            self._natural = _natural_of(self.form, self.d_in, self.d_out)
         return self._natural
 
     def dual_apply(self, h):
@@ -291,7 +261,9 @@ def choi_channel(j, d_in, d_out, tol=1e-8):
 
 
 def linear_map_channel(apply_fn, d_in, d_out):
-    """Container for an arbitrary linear map given by a callback (no CPTP check)."""
+    """Container for an arbitrary linear map given by a callback (no CPTP check).
+
+    Kept for callers and tests; the package itself builds maps from ``N``."""
     n = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
     for (i, j), e in matrix_units(d_in):
         n[:, i * d_in + j] = vec(np.asarray(apply_fn(e), dtype=complex))
@@ -431,10 +403,6 @@ def trine_channel():
 
 def tensor(t1, t2):
     """Tensor product channel on ``M_{d1 d2} -> M_{n1 n2}``."""
-    f1, f2 = t1.form, t2.form
-    if isinstance(f1, KrausForm) and isinstance(f2, KrausForm):
-        ops = [np.kron(a, b) for a in f1.operators for b in f2.operators]
-        return kraus_channel(ops)
     n = _tensor_natural(
         t1.natural_matrix(), (t1.d_out, t1.d_in), t2.natural_matrix(), (t2.d_out, t2.d_in)
     )
@@ -445,9 +413,6 @@ def compose(t1, t2):
     """Composite ``rho -> T2(T1(rho))`` (T1 acts first)."""
     if t1.d_out != t2.d_in:
         raise ValueError(f"inner dimensions differ: {t1.d_out} vs {t2.d_in}")
-    f1, f2 = t1.form, t2.form
-    if isinstance(f1, KrausForm) and isinstance(f2, KrausForm):
-        return kraus_channel([b @ a for a in f1.operators for b in f2.operators])
     return _natural_channel(t2.natural_matrix() @ t1.natural_matrix(), t1.d_in, t2.d_out)
 
 
@@ -456,8 +421,6 @@ def conjugate(t, u):
     u = check_unitary(u)
     if u.shape[0] != t.d_out:
         raise ValueError("unitary dimension does not match the output space")
-    if isinstance(t.form, KrausForm):
-        return kraus_channel([u @ k for k in t.form.operators])
     return _natural_channel(np.kron(u, np.conj(u)) @ t.natural_matrix(), t.d_in, t.d_out)
 
 
@@ -467,6 +430,36 @@ def _natural_channel(n, d_in, d_out):
                  d_in=d_in, d_out=d_out)
     ch._natural = n
     return ch
+
+
+def _natural_of(form, d_in, d_out):
+    """Closed-form ``N`` of one form: Kraus ``sum K (x) conj(K)``, Choi a reshape of
+    ``d_in J``, measure-and-prepare ``sum vec(sigma_i) vec(M_i^T)^T`` (since
+    ``Tr(M rho) = vec(M^T) . vec(rho)``), a direct sum its blocks' ``N`` placed
+    on their diagonal input blocks."""
+    if isinstance(form, KrausForm):
+        return sum(np.kron(k, np.conj(k)) for k in form.operators)
+    if isinstance(form, ChoiForm):
+        j = form.matrix.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+        return d_in * j.reshape(d_out ** 2, d_in ** 2)
+    if isinstance(form, DirectSumForm):
+        n = np.zeros((d_out ** 2, d_in, d_in), dtype=complex)
+        off = 0
+        for blk in form.blocks:
+            sl = slice(off, off + blk.d_in)
+            n[:, sl, sl] = blk.natural_matrix().reshape(d_out ** 2, blk.d_in, blk.d_in)
+            off += blk.d_in
+        return n.reshape(d_out ** 2, d_in ** 2)
+    if isinstance(form, (PovmForm, EcqForm, CqForm)):
+        return sum(np.outer(vec(s), vec(m.T)) for m, s in zip(*_measure_prepare(form)))
+    raise TypeError(f"unknown form {type(form).__name__}")
+
+
+def _measure_prepare(form):
+    """Effects ``M_i`` and prepared states ``sigma_i`` of a measure-and-prepare form."""
+    if isinstance(form, CqForm):
+        return [np.outer(b, np.conj(b)) for b in form.basis.T], form.states
+    return (form.effects() if isinstance(form, EcqForm) else form.effects), form.states
 
 
 def _choi_from_natural(n, d_in, d_out):
@@ -483,12 +476,14 @@ def _tensor_natural(n1, dims1, n2, dims2):
     return t.reshape((m1 * m2) ** 2, (d1 * d2) ** 2)
 
 
+def _max_column_op_norm(n, d_out):
+    """Largest operator norm of ``unvec`` of a column of ``n``: the worst
+    output over the matrix-unit inputs of the map with natural matrix ``n``."""
+    return float(np.linalg.norm(n.T.reshape(-1, d_out, d_out), 2, axis=(1, 2)).max(initial=0.0))
+
+
 def map_distance(t1, t2):
     """Largest operator-norm discrepancy over the matrix-unit input basis."""
     if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
         raise ValueError("maps act between different spaces")
-    diff = t1.natural_matrix() - t2.natural_matrix()
-    worst = 0.0
-    for col in range(diff.shape[1]):
-        worst = max(worst, op_norm(unvec(diff[:, col], t1.d_out)))
-    return worst
+    return _max_column_op_norm(t1.natural_matrix() - t2.natural_matrix(), t1.d_out)

@@ -20,9 +20,11 @@ from .channels import (
     DirectSumForm,
     EcqForm,
     PovmForm,
+    _max_column_op_norm,
+    _measure_prepare,
+    _natural_channel,
     compose,
     cq_channel,
-    linear_map_channel,
     map_distance,
     povm_channel,
 )
@@ -36,6 +38,8 @@ from .linalg import (
     random_direction,
     subspace_projector,
     unhvec,
+    unvec,
+    vec,
 )
 
 YES = "yes"
@@ -81,7 +85,8 @@ def is_entanglement_breaking(t, tol=1e-9):
         return ClassVerdict(status=YES, witness={**base, "ppt_exact_regime": True}, tolerance=tol)
     f = t.form
     if isinstance(f, (PovmForm, EcqForm, CqForm)):
-        pairs = _measure_prepare_pairs(t)
+        # separable Choi decomposition J = sum_k sigma_k (x) M_k^T / d_in
+        pairs = [(s.copy(), m.T.copy() / t.d_in) for m, s in zip(*_measure_prepare(f))]
         return ClassVerdict(status=YES, witness={**base, "separable_pairs": pairs}, tolerance=tol)
     if isinstance(f, DirectSumForm):
         subs = [is_entanglement_breaking(b, tol=tol) for b in f.blocks]
@@ -96,18 +101,6 @@ def is_entanglement_breaking(t, tol=1e-9):
     return ClassVerdict(status=INDETERMINATE, witness=base, tolerance=tol,
                         reason="PPT holds but dimensions admit PPT-entangled states and the "
                                "representation carries no separable decomposition")
-
-
-def _measure_prepare_pairs(t):
-    """Separable Choi decomposition J = sum_k sigma_k (x) M_k^T / d_in."""
-    f = t.form
-    if isinstance(f, CqForm):
-        effects = [np.outer(f.basis[:, i], np.conj(f.basis[:, i])) for i in range(t.d_in)]
-        states = f.states
-    else:
-        effects = f.effects() if isinstance(f, EcqForm) else f.effects
-        states = f.states
-    return [(s.copy(), m.T.copy() / t.d_in) for m, s in zip(effects, states)]
 
 
 # -- eCQ reconstruction -------------------------------------------------
@@ -234,9 +227,10 @@ def _dilation_obstruction(t, sigmas, tol, n_directions=64, seed=0):
     rng = np.random.default_rng(seed)
     if hull_excess(t, sigmas, [random_direction(rng, n) for _ in range(n_directions)])[0] > 1e-7:
         return None
-    eye = np.eye(n, dtype=complex)
-    dilated = linear_map_channel(
-        lambda x: (1.0 + eps) * t.apply(x) - eps * np.trace(x) * eye / n, d, n)
+    # (1+eps) T(x) - eps Tr(x) I/n, with Tr(x) = vec(I_d) . vec(x)
+    dilated = _natural_channel(
+        (1.0 + eps) * t.natural_matrix()
+        - (eps / n) * np.outer(vec(np.eye(n)), vec(np.eye(d))), d, n)
     j = herm(dilated.to_choi())
     choi_min = float(np.linalg.eigvalsh(j)[0])
     pt_min = float(np.linalg.eigvalsh(herm(partial_transpose(j, (n, d), which=1)))[0])
@@ -270,14 +264,12 @@ def is_cq(t, seed=0, n_directions=400):
     if isinstance(out, ClassVerdict):
         return out
     basis, states = out
-    b = np.column_stack(basis) if basis else np.zeros((t.d_in, 0))
-    offdiag = 0.0
+    b = np.column_stack(basis)
     d = t.d_in
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                offdiag = max(offdiag, op_norm(t.apply(np.outer(b[:, i], np.conj(b[:, j])))))
-    diag_states = [herm(t.apply(np.outer(b[:, i], np.conj(b[:, i])))) for i in range(d)]
+    # column i*d+j is vec T(b_i b_j*)
+    images = t.natural_matrix() @ np.kron(b, np.conj(b))
+    offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], t.d_out)
+    diag_states = list(herm(images[:, ::d + 1].T.reshape(d, t.d_out, t.d_out)))
     rebuilt = cq_channel(b, diag_states, validate=False)
     dist = map_distance(t, rebuilt)
     if offdiag <= 1e-9 and dist <= 1e-9:
@@ -294,7 +286,7 @@ def _cq_recurse(t, seed, n_directions):
     """Returns (basis vector list, state list) or a terminal ClassVerdict."""
     d = t.d_in
     if d == 1:
-        return [np.ones(1, dtype=complex)], [herm(t.apply(np.eye(1, dtype=complex)))]
+        return [np.ones(1, dtype=complex)], [herm(unvec(t.natural_matrix(), t.d_out))]
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
     if not dec.vertices:
         if dec.verdict == "not_polytopic":

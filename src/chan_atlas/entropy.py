@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import linear_map_channel, tensor
+from .channels import _natural_channel, cq_channel, direct_sum, tensor
 from .geometry import hull_excess
 from .linalg import (
     check_density_matrix,
@@ -319,11 +319,7 @@ def build_hiding_channel(vertex_states, inner, n_directions=200, seed=0, tol=1e-
     excess, h = hull_excess(inner, states, [random_direction(rng, n) for _ in range(n_directions)])
     if excess > tol:
         raise ContainmentError(h, excess)
-    k = len(states)
-    d = k + inner.d_in
-
-    def apply_fn(rho):
-        out = sum(rho[i, i] * states[i] for i in range(k))
-        return out + inner.apply(rho[k:, k:])
-
-    return linear_map_channel(apply_fn, d, n)
+    both = direct_sum(cq_channel(np.eye(len(states), dtype=complex), states, validate=False),
+                      inner)
+    # handed out as a plain Choi container: callers see one opaque map
+    return _natural_channel(both.natural_matrix(), both.d_in, n)

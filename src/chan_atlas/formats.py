@@ -6,8 +6,9 @@ fields for that kind.  Complex entries are written as two-element arrays
 
 Kinds: ``kraus``, ``choi``, ``povm``, ``ecq``, ``cq``, ``direct_sum``,
 ``depolarizing``, ``unital_qubit_diag``, ``trine`` (alias ``example_eq4``).
-Specs are rejected as malformed with :class:`SpecFormatError`; maps that
-parse but fail complete positivity or trace preservation raise
+Specs are rejected as malformed with :class:`SpecFormatError`, also when
+``d_in * d_out`` exceeds :data:`MAX_DIM_PRODUCT`; maps that parse but fail
+complete positivity or trace preservation raise
 :class:`~.channels.NotCptpError` unless the spec sets ``allow_non_cptp``.
 """
 
@@ -39,6 +40,10 @@ from .channels import (
 )
 
 FORMAT_VERSION = "1"
+
+# Largest d_in * d_out a spec may declare: the analyses grow steeply with the
+# dimensions (the fixed-point stage alone holds O(d^6) numbers).
+MAX_DIM_PRODUCT = 144
 
 
 class SpecFormatError(ValueError):
@@ -144,6 +149,9 @@ def _from_dict_inner(obj, where):
         raise
     except ValueError as e:
         raise SpecFormatError(f"{where}: {e}") from e
+    if ch.d_in * ch.d_out > MAX_DIM_PRODUCT:
+        raise SpecFormatError(f"{where}: d_in * d_out = {ch.d_in} * {ch.d_out} exceeds the "
+                              f"limit of {MAX_DIM_PRODUCT}")
     if not obj.get("allow_non_cptp", False):
         ch.require_cptp()
     return ch

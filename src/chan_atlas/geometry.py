@@ -18,19 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, PovmForm, linear_map_channel
+from .channels import Channel, PovmForm, _max_column_op_norm, _natural_channel
 from .linalg import (
     PAULIS,
     canonical_phase,
     herm,
     hvec,
     intersect_subspaces,
-    matrix_units,
     op_norm,
     orthogonal_complement,
     orthonormal_columns,
     random_direction,
     trace_norm,
+    vec,
 )
 
 CLUSTER_TOL = 1e-6
@@ -97,13 +97,9 @@ def bloch_map(t):
     """Affine action on Bloch vectors of a qubit-to-qubit channel."""
     if (t.d_in, t.d_out) != (2, 2):
         raise ValueError("Bloch picture requires a qubit-to-qubit channel")
-    lin = np.zeros((3, 3))
-    for j, pj in enumerate(PAULIS):
-        out = t.apply(pj / 2)
-        for i, pi in enumerate(PAULIS):
-            lin[i, j] = np.trace(pi @ out).real
-    out0 = t.apply(np.eye(2, dtype=complex) / 2)
-    shift = np.array([np.trace(p @ out0).real for p in PAULIS])
+    q = np.array([vec(p) for p in (np.eye(2), *PAULIS)]).T
+    m = (q.conj().T @ t.natural_matrix() @ q).real / 2  # Tr(P_i T(P_j / 2))
+    lin, shift = m[1:, 1:], m[1:, 0]
     return BlochAffineMap(linear=lin, shift=shift)
 
 
@@ -327,16 +323,15 @@ def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
         effects.append(m)
         off += mdim
     t1 = Channel(PovmForm(effects, states), d_in=mv, d_out=t.d_out)
-    t2 = (linear_map_channel(lambda x: t.apply(wbasis @ x @ wbasis.conj().T), dim_w, t.d_out)
+    n = t.natural_matrix()
+    t2 = (_natural_channel(n @ np.kron(wbasis, wbasis.conj()), dim_w, t.d_out)
           if dim_w else None)
 
-    # exact reconstruction on the matrix-unit basis
-    recon_dev = 0.0
-    for (_, e) in ((ij, e) for ij, e in matrix_units(d)):
-        approx = t1.apply(vbasis.conj().T @ e @ vbasis)
-        if t2 is not None:
-            approx = approx + t2.apply(wbasis.conj().T @ e @ wbasis)
-        recon_dev = max(recon_dev, op_norm(t.apply(e) - approx))
+    # exact reconstruction T(e) = t1(V* e V) + t2(W* e W) on the matrix units
+    resid = n - t1.natural_matrix() @ np.kron(vbasis.conj().T, vbasis.T)
+    if t2 is not None:
+        resid = resid - t2.natural_matrix() @ np.kron(wbasis.conj().T, wbasis.T)
+    recon_dev = _max_column_op_norm(resid, t.d_out)
 
     # Im(t2) inside the hull, and each vertex separated from Im(t2)
     dominance_dev = 0.0

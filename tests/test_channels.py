@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import bloch_state, random_cptp
+from conftest import (
+    assembled_polytopic_fixture,
+    bloch_state,
+    random_cptp,
+    random_povm,
+    tetra_states,
+)
 
 from chan_atlas.channels import (
+    Channel,
     ChoiForm,
     CqForm,
     DirectSumForm,
@@ -28,7 +35,10 @@ from chan_atlas.channels import (
     trine_channel,
     unital_qubit_diag,
 )
-from chan_atlas.linalg import herm, random_density, random_hermitian
+from chan_atlas.classify import is_cq
+from chan_atlas.entropy import build_hiding_channel
+from chan_atlas.geometry import polytopic_decompose
+from chan_atlas.linalg import PAULIS, herm, matrix_units, random_density, random_hermitian
 
 
 def test_identity_channel():
@@ -283,3 +293,117 @@ def test_kraus_channel_infers_dimensions():
     k[0, 0] = k[1, 1] = 1.0
     t = kraus_channel([k])
     assert (t.d_in, t.d_out) == (2, 3)
+
+
+
+# -- closed-form natural matrices -----------------------------------------
+
+
+def _natural_ref(fn, d_in):
+    """Natural matrix of the map ``fn`` from its values on the matrix units."""
+    return np.array([np.asarray(fn(e), dtype=complex).reshape(-1)
+                     for _, e in matrix_units(d_in)]).T
+
+
+def _measure_prepare_ref(effects, states):
+    return lambda rho: sum(np.trace(m @ rho) * s for m, s in zip(effects, states))
+
+
+def _unital_diag_ref(lams):
+    # T(I) = I and T(sigma_i) = lam_i sigma_i, extended linearly
+    return lambda rho: (np.trace(rho) * np.eye(2) + sum(
+        lam * np.trace(p @ rho) * p for lam, p in zip(lams, PAULIS))) / 2
+
+
+def _direct_sum_ref(*blocks):
+    """The map of ``(d_in, map)`` blocks fed the diagonal input blocks."""
+    def ref(rho):
+        out, off = 0, 0
+        for d, f in blocks:
+            out = out + f(rho[off:off + d, off:off + d])
+            off += d
+        return out
+    return ref
+
+
+def _unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def _closed_form_samples():
+    """Channels of every form, each next to its map written from the defining formula."""
+    rng = np.random.default_rng(21)
+    kraus = random_cptp(rng, 3, 2)
+    ops = kraus.form.operators
+    kraus_ref = lambda rho: sum(k @ rho @ k.conj().T for k in ops)  # noqa: E731
+    effects = random_povm(rng, 3, 4)
+    prepared = [random_density(rng, 2) for _ in range(4)]
+    sig = prepared[:3]
+    basis = _unitary(rng, 3)
+    e = np.eye(3, dtype=complex)
+    tilde = [np.zeros((3, 3)), np.diag([0, 0, 1.0])]
+    lams = (0.9, 0.9, -0.3)  # outside the CP region
+    cq = cq_channel(basis, sig)
+    cq_ref = _measure_prepare_ref([np.outer(b, b.conj()) for b in basis.T], sig)
+    inner = direct_sum(kraus, cq)
+    return {
+        "kraus": (kraus, kraus_ref),
+        "choi": (choi_channel(kraus.to_choi(), 3, 2), kraus_ref),
+        "choi_non_cp": (unital_qubit_diag(lams), _unital_diag_ref(lams)),
+        "povm": (povm_channel(effects, prepared), _measure_prepare_ref(effects, prepared)),
+        "ecq": (ecq_channel([e[:, 0], e[:, 1]], tilde, sig[:2]),
+                _measure_prepare_ref([np.outer(e[:, i], e[:, i]) + m
+                                      for i, m in enumerate(tilde)], sig[:2])),
+        "cq": (cq, cq_ref),
+        "direct_sum_nested": (direct_sum(unital_qubit_diag((0.5, 0.4, 0.2)), inner),
+                              _direct_sum_ref((2, _unital_diag_ref((0.5, 0.4, 0.2))),
+                                              (3, kraus_ref), (3, cq_ref))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_closed_form_samples()))
+def test_closed_form_natural_matrix_matches_the_defining_formula(name):
+    t, ref = _closed_form_samples()[name]
+    np.testing.assert_allclose(t.natural_matrix(), _natural_ref(ref, t.d_in), rtol=0, atol=1e-12)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        x = rng.normal(size=(t.d_in, t.d_in)) + 1j * rng.normal(size=(t.d_in, t.d_in))
+        np.testing.assert_allclose(t.apply(x), ref(x), rtol=0, atol=1e-12)
+
+
+def test_derived_maps_match_their_callback_definitions():
+    t, _, _, _, w_dim = assembled_polytopic_fixture(1)
+    dec = polytopic_decompose(t)
+    w = dec.w_basis
+    assert dec.verdict == "polytopic" and w.shape[1] == w_dim
+    compressed = linear_map_channel(lambda x: t.apply(w @ x @ w.conj().T), w_dim, t.d_out)
+    assert map_distance(dec.t2, compressed) < 1e-12
+
+    states = tetra_states(1.0)
+    inner = depolarizing_channel(1 / 3)
+    hiding = build_hiding_channel(states, inner)
+    assert isinstance(hiding.form, ChoiForm)
+    reference = linear_map_channel(
+        lambda rho: sum(rho[i, i] * s for i, s in enumerate(states)) + inner.apply(rho[4:, 4:]),
+        6, 2)
+    assert map_distance(hiding, reference) < 1e-12
+
+
+def test_structural_stages_never_evaluate_the_map_per_input(monkeypatch):
+    calls = []
+    apply = Channel.apply
+    monkeypatch.setattr(Channel, "apply", lambda self, rho: calls.append(self) or apply(self, rho))
+    rng = np.random.default_rng(23)
+    cq = cq_channel(_unitary(rng, 3), [random_density(rng, 2) for _ in range(3)])
+    stages = {
+        "polytopic_decompose": lambda: polytopic_decompose(assembled_polytopic_fixture(1)[0]),
+        "is_cq": lambda: is_cq(cq),
+        "build_hiding_channel": lambda: build_hiding_channel(tetra_states(1.0),
+                                                             depolarizing_channel(1 / 3)),
+    }
+    counts = {}
+    for name, run in stages.items():
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(stages, 0)

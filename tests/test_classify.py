@@ -13,6 +13,7 @@ from chan_atlas.channels import (
     direct_sum,
     identity_channel,
     kraus_channel,
+    linear_map_channel,
     map_distance,
     povm_channel,
     trine_channel,
@@ -29,7 +30,7 @@ from chan_atlas.classify import (
     reconstruct_ecq,
     retraction_channel,
 )
-from chan_atlas.linalg import op_norm
+from chan_atlas.linalg import herm, op_norm, partial_transpose
 
 
 def pinching_channel():
@@ -156,6 +157,18 @@ def test_reconstruct_ecq_dilation_obstruction():
     assert rec.status == NO
     assert rec.witness["dilated_pt_min"] < -1e-4 or rec.witness["dilated_choi_min"] < -1e-4
     assert "no POVM prepares" in rec.reason
+
+
+def test_dilation_obstruction_matches_the_callback_dilation():
+    t, square = disc_fixture()
+    w = reconstruct_ecq(t, square).witness
+    eps, n, d = w["dilation_epsilon"], t.d_out, t.d_in
+    dilated = linear_map_channel(
+        lambda x: (1 + eps) * t.apply(x) - eps * np.trace(x) * np.eye(n) / n, d, n)
+    j = herm(dilated.to_choi())
+    assert abs(np.linalg.eigvalsh(j)[0] - w["dilated_choi_min"]) < 1e-12
+    assert abs(np.linalg.eigvalsh(herm(partial_transpose(j, (n, d))))[0]
+               - w["dilated_pt_min"]) < 1e-12
 
 
 def test_reconstruct_ecq_dependent_vertices_stay_open_for_true_cq():

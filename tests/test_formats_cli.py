@@ -266,6 +266,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()  # drain stderr
 
 
+def identity_kraus_spec(d):
+    return {"format_version": "1", "kind": "kraus", "kraus": [np.eye(d).tolist()]}
+
+
+def test_cli_rejects_specs_over_the_dimension_budget(tmp_path, capsys):
+    big = spec_file(tmp_path, identity_kraus_spec(13), name="big.json")
+    assert main(["classify", big]) == 2
+    assert "spec: d_in * d_out = 13 * 13 exceeds the limit of 144" in capsys.readouterr().err
+    block = {k: v for k, v in identity_kraus_spec(13).items() if k != "format_version"}
+    nested = {"format_version": "1", "kind": "direct_sum", "blocks": [block, block]}
+    with pytest.raises(SpecFormatError, match=r"spec\.blocks\[0\]: d_in \* d_out = 13 \* 13"):
+        channel_from_dict(nested)
+    t = load_channel(spec_file(tmp_path, identity_kraus_spec(12), name="ok.json"))
+    assert (t.d_in, t.d_out) == (12, 12)
+
+
 def test_cli_report_deterministic(tmp_path, capsys, monkeypatch):
     spec = spec_file(tmp_path, TRINE_SPEC)
     assert main(["report", spec]) == 0
