@@ -19,6 +19,7 @@ from .channels import NotCptpError, identity_channel
 from .entropy import entropy_additivity_gap, image_additivity_gap, min_output_entropy
 from .formats import SpecFormatError, load_channel
 from .pipeline import (
+    check_joint_budget,
     classification_stage,
     fixed_point_stage,
     image_stage,
@@ -202,6 +203,7 @@ def cmd_entropy(args):
 def cmd_additivity(args):
     t1 = load_channel(args.spec)
     t2 = load_channel(args.pair)
+    check_joint_budget(t1, t2)
     ps = args.p or [1.0, 2.0]
     rows = []
     for p in ps:
@@ -216,6 +218,7 @@ def cmd_additivity(args):
 def cmd_image_additivity(args):
     t1 = load_channel(args.spec)
     t2 = load_channel(args.pair) if args.pair else identity_channel(t1.d_in)
+    check_joint_budget(t1, t2)
     rep = image_additivity_gap(t1, t2, n_directions=args.directions, seed=args.seed)
     _emit(args, {"max_gap": rep.max_gap, "lhs": rep.lhs, "rhs": rep.rhs,
                  "certified_positive": rep.certified,

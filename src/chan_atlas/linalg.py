@@ -209,7 +209,7 @@ def null_space(a, rtol=1e-8, atol=0.0):
     as full rank.
     """
     a = np.asarray(a)
-    u, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     scale = s[0] if s.size else 0.0
     r = int(np.sum(s > max(rtol * max(scale, 1e-300), atol)))
     return vh[r:].conj().T

@@ -16,13 +16,14 @@ from chan_atlas.channels import (
 )
 from chan_atlas.entropy import (
     ContainmentError,
+    _product_support,
     build_hiding_channel,
     entropy_additivity_gap,
     image_additivity_gap,
     min_output_entropy,
     renyi_entropy,
 )
-from chan_atlas.linalg import random_density
+from chan_atlas.linalg import random_density, random_direction, random_pure
 
 LOG2 = np.log(2.0)
 # closed forms for the r = 1/3 depolarizing qubit channel: the minimizing
@@ -161,6 +162,28 @@ def test_image_additivity_gap_vanishes_for_cq():
     # certification flags positive gaps only, so here it must stay off
     assert rep.max_gap <= 1e-6
     assert not rep.certified
+
+
+def test_image_additivity_gap_runs_one_stack(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
+                               n_directions=400)
+    assert rep.certified and rep.max_gap == pytest.approx(0.25, abs=1e-6)
+    # one joint call, then two per alternating round in the sweep and in the rerun
+    assert len(calls) <= 1 + 2 * 2 * 20
+
+
+def test_product_support_frozen_starts_stay_put():
+    rng = np.random.default_rng(5)
+    da, db = 2, 3
+    ms = np.array([random_direction(rng, da * db) for _ in range(3)])
+    psi = np.linalg.eigh(ms)[1][:, :, -1]
+    pure = np.array([[random_pure(rng, db) for _ in range(6)] for _ in range(3)])
+    stacked = _product_support(ms, psi, pure)
+    single = [_product_support(ms[i:i + 1], psi[i:i + 1], pure[i:i + 1])[0] for i in range(3)]
+    assert stacked.tolist() == single
 
 
 def test_build_hiding_channel_accepts_tetrahedron():

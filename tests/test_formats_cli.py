@@ -282,6 +282,17 @@ def test_cli_rejects_specs_over_the_dimension_budget(tmp_path, capsys):
     assert (t.d_in, t.d_out) == (12, 12)
 
 
+def test_cli_pair_commands_refuse_joint_maps_over_the_budget(tmp_path, capsys):
+    big = spec_file(tmp_path, identity_kraus_spec(7), name="big.json")
+    for command in ("image-additivity", "additivity"):
+        assert main([command, big, "--pair", big]) == 2
+        assert "joint map d_in = 49, d_out = 49 exceeds the limit of 36" in capsys.readouterr().err
+    ok = spec_file(tmp_path, identity_kraus_spec(6), name="ok.json")
+    assert main(["image-additivity", ok, "--pair", ok, "--directions", "4"]) == 0
+    assert main(["additivity", ok, "--pair", ok, "--p", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_report_deterministic(tmp_path, capsys, monkeypatch):
     spec = spec_file(tmp_path, TRINE_SPEC)
     assert main(["report", spec]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,18 @@ def test_null_space_relative_threshold():
     ns = null_space(a, rtol=1e-8)
     assert ns.shape == (3, 1)
     np.testing.assert_allclose(np.abs(ns[:, 0]), [0, 0, 1], atol=1e-9)
+    # a wide matrix keeps its full row space complement
+    assert null_space(np.ones((1, 3))).shape == (3, 2)
+    # a tall one builds no square left basis (2000 x 2000 doubles are 32 MB)
+    tall = np.random.default_rng(0).normal(size=(2000, 4))
+    tall[:, 3] = tall[:, 0] - tall[:, 1]
+    tracemalloc.start()
+    ns = null_space(tall)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert ns.shape == (4, 1)
+    np.testing.assert_allclose(np.abs(ns[:, 0]), np.array([1, 1, 0, 1]) / np.sqrt(3), atol=1e-9)
+    assert peak < 1 << 20
 
 
 def test_bloch_round_trip():
