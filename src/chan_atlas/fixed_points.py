@@ -8,8 +8,16 @@ computes the Cesaro projection onto the fixed space, extracts the block data
 ``(d_i, s_i, sigma_i)`` constructively, and checks the specialization to
 entanglement-breaking channels (all ``d_i = 1``, projection is an eCQ map).
 
+The extraction works on stacks of matrices throughout.  The center of the
+untwisted algebra (``m`` elements on the ``dv``-dimensional support) is the
+commutant of two generic elements, which generate it, so it is one
+``(4 dv^2) x m`` null space.  One generic central element cuts the blocks,
+and the cut is certified by requiring every algebra element and the fixed
+state to be block diagonal in it.
+
 Everything here is verified a posteriori; a construction that fails its own
-verification reports ``indeterminate`` rather than guessing.
+verification, the Cesaro projection included, reports ``indeterminate``
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -28,13 +36,10 @@ from .classify import (
 )
 from .linalg import (
     herm,
-    hvec,
     null_space,
     op_norm,
     partial_trace,
     spectral_radius,
-    unhvec,
-    unvec,
 )
 
 
@@ -124,128 +129,123 @@ class FixedPointStructure:
     fixed_dim: int = 0
     support_dim: int = 0
     support_projector: np.ndarray | None = None
-    hermitian_basis: list = field(default_factory=list)
+    hermitian_basis: np.ndarray | None = None  # (fixed_dim, d, d)
     cesaro: Channel | None = None
     reason: str = ""
 
 
-def _hermitian_fixed_basis(nat, d, rtol):
-    cols = null_space(nat - np.eye(d * d), rtol=rtol)
-    if cols.shape[1] == 0:
-        return []
-    cands = []
-    for j in range(cols.shape[1]):
-        x = unvec(cols[:, j], d)
-        cands.append(herm(x))
-        cands.append(herm(x / 1j))
-    stack = np.array([hvec(c) for c in cands])
-    u_, sv, vt = np.linalg.svd(stack, full_matrices=False)
+def _real_rows(x):
+    """Real view of a stack of matrices, one flattened row each: an isometry
+    for the real Hilbert-Schmidt inner product, so ranks and null spaces agree."""
+    return np.ascontiguousarray(x, dtype=complex).reshape(len(x), -1).view(np.float64)
+
+
+def _hermitian_fixed_basis(nat, d):
+    """Orthonormal Hermitian basis ``(m, d, d)`` of the fixed space of ``nat``."""
+    # the absolute floor keeps the whole null space when ``nat - I`` is pure
+    # roundoff (the identity map written redundantly), which a cut relative
+    # to its top singular value alone would read as full rank
+    cols = null_space(nat - np.eye(d * d), rtol=1e-8, atol=1e-12)
+    x = cols.T.reshape(-1, d, d)
+    if len(x) == 0:
+        return np.zeros((0, d, d), dtype=complex)
+    _, sv, vt = np.linalg.svd(_real_rows(herm(np.concatenate([x, x / 1j]))),
+                              full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * sv[0]))
-    return [unhvec(vt[j], d) for j in range(rank)]
+    return herm(vt[:rank].view(complex).reshape(rank, d, d))
 
 
 def _eig_clusters(w, tol=1e-6):
+    """Index runs of sorted eigenvalues ``w`` split at gaps above ``tol``."""
     spread = max(float(w[-1] - w[0]), 1.0)
-    clusters = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > tol * spread:
-            clusters.append([])
-        clusters[-1].append(i)
-    return clusters
+    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > tol * spread) + 1)
+
+
+def _generic(rng, stack, k=1):
+    """``k`` random real combinations of a stack of Hermitian matrices."""
+    return herm(np.einsum("kj,jab->kab", rng.normal(size=(k, len(stack))), stack))
 
 
 def fixed_point_structure(t, tol=1e-7, seed=0):
     """Block data of the fixed-point space of ``t``.
 
     On the support of ``omega = T_inf(I/d)`` the fixed space untwists to an
-    honest matrix algebra via ``X -> omega^{-1/2} X omega^{-1/2}``.  Blocks
-    are cut by the spectral projectors of a generic central element, each
-    factorized by intertwiners built from a second generic element, and all
-    claimed structure is verified before it is reported.
+    honest matrix algebra ``A`` via ``X -> omega^{-1/2} X omega^{-1/2}``.
+    Two generic elements generate ``A``, so its center is the set of
+    elements commuting with both.  The blocks are the eigenspaces of one
+    generic central element; every element of ``A`` and the fixed state
+    must be block diagonal in them, which certifies the partition.  Each
+    block is factorized by intertwiners of one more generic pair, and all
+    claimed structure is verified before it is reported.  A Cesaro
+    projection that fails its verification leaves the result
+    ``indeterminate``, with ``fixed_dim`` taken from the fixed space.
     """
-    tinf = cesaro_projection(t)
+    try:
+        tinf, reason = cesaro_projection(t), ""
+    except FixedPointError as e:
+        tinf, reason = None, str(e)
     d = t.d_in
+    basis = _hermitian_fixed_basis(t.natural_matrix(), d)
+    m = len(basis)
+    result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, hermitian_basis=basis,
+                                 cesaro=tinf, reason=reason)
+    if tinf is None:
+        return result
     omega = herm(tinf.apply(np.eye(d, dtype=complex) / d))
     w_eigs, w_vecs = np.linalg.eigh(omega)
     keep = w_eigs > max(1e-12, 1e-9 * float(w_eigs[-1]))
     q = w_vecs[:, keep]
-    dv = q.shape[1]
     omega_v = herm(q.conj().T @ omega @ q)
-    support_projector = q @ q.conj().T
-
-    basis = _hermitian_fixed_basis(t.natural_matrix(), d, rtol=1e-8)
-    m = len(basis)
-    result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, support_dim=dv,
-                                 support_projector=support_projector,
-                                 hermitian_basis=basis, cesaro=tinf)
+    result.support_dim = q.shape[1]
+    result.support_projector = q @ q.conj().T
     if m == 0:
         result.reason = "no fixed points found; a channel always fixes at least one state"
         return result
 
-    # untwist to the honest algebra on the support
+    # untwist to the honest algebra on the support, elements at unit norm
     ew, ev = np.linalg.eigh(omega_v)
     inv_sqrt = ev @ np.diag(1.0 / np.sqrt(np.clip(ew, 1e-15, None))) @ ev.conj().T
-    alg = [herm(inv_sqrt @ (q.conj().T @ b @ q) @ inv_sqrt) for b in basis]
-    norms = [op_norm(a) for a in alg]
-    alg = [a / max(x, 1e-12) for a, x in zip(alg, norms)]
+    alg = herm(inv_sqrt @ (q.conj().T @ basis @ q) @ inv_sqrt)
+    norms = np.linalg.svd(alg, compute_uv=False)[:, 0]
+    alg = alg / np.maximum(norms, 1e-12)[:, None, None]
 
-    # center: elements commuting with every basis element
-    rows = []
-    for b in alg:
-        block = np.empty((2 * dv * dv, m))
-        for j, a in enumerate(alg):
-            c = (a @ b - b @ a).reshape(-1)
-            block[: dv * dv, j] = c.real
-            block[dv * dv :, j] = c.imag
-        rows.append(block)
-    comm = np.vstack(rows)
-    # elements are unit operator norm, so genuine non-commutation registers at
-    # order one; the absolute floor keeps the full null space when the whole
-    # commutator matrix is roundoff noise (everything commutes)
-    z = null_space(comm, rtol=1e-8, atol=1e-7)
-    if z.shape[1] == 0:
+    # center: elements commuting with a generating pair, a (4 dv^2) x m system
+    rng = np.random.default_rng(seed)
+    gens = _generic(rng, alg, 2)
+    gens = gens / np.linalg.svd(gens, compute_uv=False)[:, :1, None]
+    comm = alg[:, None] @ gens - gens @ alg[:, None]
+    # genuine non-commutation registers at order one; the absolute floor
+    # keeps the full null space when everything commutes up to roundoff
+    z = null_space(_real_rows(comm).T, rtol=1e-8, atol=1e-7)
+    n_blocks = z.shape[1]
+    if n_blocks == 0:
         result.reason = "commutant computation returned an empty center"
         return result
-    n_blocks = z.shape[1]
-
-    center = [herm(sum(float(z[j, l]) * alg[j] for j in range(m)))
-              for l in range(n_blocks)]
-    rng = np.random.default_rng(seed)
-    partition = None
-    for _ in range(2):
-        coeff = rng.normal(size=n_blocks)
-        g = herm(sum(float(c) * zl for c, zl in zip(coeff, center)))
-        gw, gv = np.linalg.eigh(g)
-        clusters = _eig_clusters(gw)
-        if len(clusters) == n_blocks:
-            cand = [gv[:, idx] for idx in clusters]
-            if partition is None:
-                partition = cand
-            elif not _same_partition(cand, partition):
-                result.reason = "central element draws disagree on the block partition"
-                return result
-    if partition is None:
+    gw, gv = np.linalg.eigh(_generic(rng, np.einsum("jl,jab->lab", z, alg))[0])
+    clusters = _eig_clusters(gw)
+    if len(clusters) != n_blocks:
         result.reason = "generic central element did not separate the blocks"
+        return result
+    # certificate: the algebra and the fixed state are block diagonal
+    labels = np.repeat(np.arange(n_blocks), [c.size for c in clusters])
+    stack = np.concatenate([alg, omega_v[None]])
+    rot = gv.conj().T @ stack @ gv
+    leak = np.linalg.norm(rot * (labels[:, None] != labels[None, :]), axis=(1, 2))
+    if np.any(leak > tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
+        result.reason = f"fixed algebra couples blocks (off-block mass {leak.max():.3e})"
         return result
 
     sq = ev @ np.diag(np.sqrt(np.clip(ew, 0.0, None))) @ ev.conj().T
-    # the fixed state must not couple distinct blocks
-    leak = omega_v - sum(cb @ (cb.conj().T @ omega_v @ cb) @ cb.conj().T
-                         for cb in partition)
-    if np.linalg.norm(leak) > tol:
-        result.reason = f"fixed state couples blocks (off-block mass {np.linalg.norm(leak):.3e})"
-        return result
-
     blocks = []
     total_dim = 0
-    for cb in partition:
+    for idx in clusters:
+        cb = gv[:, idx]
         h_b = cb.shape[1]
-        alg_b = [herm(cb.conj().T @ a @ cb) for a in alg]
-        stack = np.array([hvec(a) for a in alg_b])
-        sv = np.linalg.svd(stack, compute_uv=False)
+        alg_b = herm(cb.conj().T @ alg @ cb)
+        sv = np.linalg.svd(_real_rows(alg_b), compute_uv=False)
         dim_b = int(np.sum(sv > 1e-8 * max(sv[0], 1e-12)))
         d_b = int(round(np.sqrt(dim_b)))
-        if d_b * d_b != dim_b or h_b % d_b != 0:
+        if d_b == 0 or d_b * d_b != dim_b or h_b % d_b != 0:
             result.reason = f"block of size {h_b} has algebra dimension {dim_b}, not a square"
             return result
         s_b = h_b // d_b
@@ -254,13 +254,14 @@ def fixed_point_structure(t, tol=1e-7, seed=0):
             result.reason = "block factorization failed to produce intertwiners"
             return result
         # verify every algebra element is (matrix (x) identity) in this frame
-        for a in alg_b:
-            r = (u_b.conj().T @ a @ u_b).reshape(d_b, s_b, d_b, s_b)
-            mfac = np.einsum("jmkm->jk", r) / s_b
-            dev = np.linalg.norm(r - np.einsum("jk,mn->jmkn", mfac, np.eye(s_b)))
-            if dev > tol * max(1.0, np.linalg.norm(a)):
-                result.reason = f"algebra element deviates from block form by {dev:.3e}"
-                return result
+        r = (u_b.conj().T @ alg_b @ u_b).reshape(m, d_b, s_b, d_b, s_b)
+        mfac = np.einsum("ajmkm->ajk", r) / s_b
+        dev = np.linalg.norm((r - np.einsum("ajk,mn->ajmkn", mfac, np.eye(s_b)))
+                             .reshape(m, -1), axis=1)
+        bad = dev > tol * np.maximum(1.0, np.linalg.norm(alg_b, axis=(1, 2)))
+        if np.any(bad):
+            result.reason = f"algebra element deviates from block form by {dev[bad][0]:.3e}"
+            return result
         # sigma_i from the product structure of the fixed state on the block
         w_b = herm(u_b.conj().T @ (cb.conj().T @ omega_v @ cb) @ u_b)
         a_fac = partial_trace(w_b, (d_b, s_b), keep=0)
@@ -285,56 +286,28 @@ def fixed_point_structure(t, tol=1e-7, seed=0):
     blocks.sort(key=lambda b: (b.dimension, b.multiplicity))
     result.status = "ok"
     result.blocks = blocks
-    result.reason = ""
     return result
 
 
-def _same_partition(cand, partition):
-    """Block lists describe the same subspaces, in any order."""
-    if len(cand) != len(partition):
-        return False
-    used = set()
-    for c in cand:
-        pc = c @ c.conj().T
-        hit = None
-        for idx, p in enumerate(partition):
-            if idx in used or p.shape[1] != c.shape[1]:
-                continue
-            if op_norm(pc - p @ p.conj().T) < 1e-7:
-                hit = idx
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True
+def _factor_block(alg_b, d_b, s_b, rng):
+    """Unitary aligning a factor ``M_{d_b} (x) I_{s_b}`` with coordinates, or None.
 
-
-def _factor_block(alg_b, d_b, s_b, rng, attempts=5):
-    """Unitary aligning a factor ``M_{d_b} (x) I_{s_b}`` with coordinates."""
-    h_b = d_b * s_b
+    A generic element's eigenspaces are the multiplicity frames; the polar
+    parts of a second element's maps between them are the intertwiners.
+    """
     if d_b == 1:
-        return np.eye(h_b, dtype=complex)
-    m = len(alg_b)
-    for _ in range(attempts):
-        a = herm(sum(rng.normal() * x for x in alg_b))
-        aw, av = np.linalg.eigh(a)
-        clusters = _eig_clusters(aw)
-        if len(clusters) != d_b or any(len(c) != s_b for c in clusters):
-            continue
-        frames = [av[:, idx] for idx in clusters]
-        y = herm(sum(rng.normal() * x for x in alg_b))
-        cols = [frames[0]]
-        ok = True
-        for j in range(1, d_b):
-            vj = frames[j].conj().T @ y @ frames[0]
-            uu, sv, vvh = np.linalg.svd(vj)
-            if sv[-1] < 1e-8:
-                ok = False
-                break
-            cols.append(frames[j] @ (uu @ vvh))
-        if ok:
-            return np.column_stack(cols)
-    return None
+        return np.eye(s_b, dtype=complex)
+    a, y = _generic(rng, alg_b, 2)
+    aw, av = np.linalg.eigh(a)
+    clusters = _eig_clusters(aw)
+    if len(clusters) != d_b or any(c.size != s_b for c in clusters):
+        return None
+    frames = av.reshape(-1, d_b, s_b).transpose(1, 0, 2)  # (d_b, h_b, s_b)
+    uu, sv, vvh = np.linalg.svd(frames[1:].conj().transpose(0, 2, 1) @ y @ frames[0])
+    if sv[:, -1].min() < 1e-8:
+        return None
+    frames[1:] = frames[1:] @ (uu @ vvh)
+    return frames.transpose(1, 0, 2).reshape(d_b * s_b, d_b * s_b)
 
 
 # -- entanglement-breaking specialization ------------------------------

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from conftest import haar_unitary
 
 from chan_atlas.channels import (
     compose,
@@ -20,7 +24,7 @@ from chan_atlas.fixed_points import (
     verify_eb_fixed_point_theorem,
 )
 from chan_atlas import channels
-from chan_atlas.linalg import herm, random_density, vec
+from chan_atlas.linalg import herm, random_density, random_pure, vec
 
 
 def permutation_dephasing():
@@ -167,6 +171,104 @@ def test_fixed_point_structure_respects_rotation():
     assert sorted((b.dimension, b.multiplicity) for b in st.blocks) == [(1, 1)] * 3
     for b in st.blocks:
         assert np.max(np.abs(u.conj().T @ b.isometry)) > 1 - 1e-9
+
+
+def _replacer_mix(rng, s):
+    """Kraus operators of ``lam W rho W* + (1 - lam) Tr(rho) sigma`` on ``s``
+    levels: primitive, its fixed space is one full-rank state."""
+    lam = rng.uniform(0.2, 0.8)
+    sigma = random_density(rng, s)
+    ev, vecs = np.linalg.eigh(sigma)
+    root = vecs @ np.diag(np.sqrt(ev)) @ vecs.conj().T
+    units = np.eye(s * s, dtype=complex).reshape(s * s, s, s)
+    return [np.sqrt(lam) * haar_unitary(rng, s), *(np.sqrt(1 - lam) * root @ units)]
+
+
+def block_channel(shape, transient, seed):
+    """``U ((+)_i id_{d_i} (x) R_i)(U* . U) U*`` for ``shape = [(d_i, s_i)]``
+    with primitive ``R_i``; a transient level, if asked for, decays into the
+    blocks.  Its fixed space is ``U ((+)_i M_{d_i} (x) sigma_i) U*``."""
+    rng = np.random.default_rng(seed)
+    d = sum(a * s for a, s in shape) + int(transient)
+    ks, off = [], 0
+    for a, s in shape:
+        for k in _replacer_mix(rng, s):
+            big = np.zeros((d, d), dtype=complex)
+            big[off:off + a * s, off:off + a * s] = np.kron(np.eye(a), k)
+            ks.append(big)
+        off += a * s
+    if transient:
+        decay = np.zeros((d, d), dtype=complex)
+        decay[:off, off] = random_pure(rng, off)
+        ks.append(decay)
+    u = haar_unitary(rng, d)
+    return kraus_channel([u @ k @ u.conj().T for k in ks])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("transient", [False, True])
+@pytest.mark.parametrize("shape", [
+    [(1, 1), (1, 1), (1, 1)],
+    [(2, 1), (1, 1)],
+    [(1, 2), (2, 1)],
+    [(2, 2)],
+    [(2, 1), (2, 1)],
+    [(1, 2), (1, 2), (1, 1)],
+    [(3, 1), (1, 2)],
+    [(2, 3)],
+    [(3, 2)],
+    [(1, 3), (2, 2)],
+])
+def test_fixed_point_structure_of_rotated_block_channels(shape, transient, seed):
+    st = fixed_point_structure(block_channel(shape, transient, seed))
+    assert st.status == "ok", st.reason
+    assert [(b.dimension, b.multiplicity) for b in st.blocks] == sorted(shape)
+    assert st.fixed_dim == sum(a * a for a, _ in shape)
+    assert st.support_dim == sum(a * s for a, s in shape)
+
+
+def _unitary_then_inverse(d):
+    u = haar_unitary(np.random.default_rng(3), d)
+    return compose(kraus_channel([u]), kraus_channel([u.conj().T]))
+
+
+@pytest.mark.parametrize("t, d", [
+    (kraus_channel([np.eye(2, dtype=complex) / np.sqrt(2)] * 2), 2),
+    (_unitary_then_inverse(3), 3),
+], ids=["redundant_kraus", "unitary_then_inverse"])
+def test_fixed_point_structure_of_identity_up_to_roundoff(t, d):
+    # the natural matrix equals I up to roundoff: the whole space is fixed
+    st = fixed_point_structure(t)
+    assert st.status == "ok", st.reason
+    assert [(b.dimension, b.multiplicity) for b in st.blocks] == [(d, 1)]
+    assert st.fixed_dim == d * d
+
+
+def test_fixed_point_structure_reports_failed_cesaro_as_indeterminate():
+    # eigenvalues within 1e-8 of one defeat the Cesaro construction; the
+    # fixed space itself is still found
+    st = fixed_point_structure(depolarizing_channel(1 - 1e-8))
+    assert st.status == "indeterminate"
+    assert "Cesaro projection failed verification" in st.reason
+    assert st.fixed_dim == 1 and st.blocks == []
+
+
+def test_fixed_point_structure_memory_on_identity_12():
+    # the center is the commutant of a generating pair, an O(d^4) system of a
+    # few MiB here; an O(d^6) construction would need over 100 MiB
+    t = identity_channel(12)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        st = fixed_point_structure(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert st.status == "ok"
+    assert [(b.dimension, b.multiplicity) for b in st.blocks] == [(12, 1)]
+    assert peak < 32 * 2 ** 20
 
 
 def test_verify_eb_fixed_point_theorem_on_measure_prepare():

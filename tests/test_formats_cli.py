@@ -257,6 +257,28 @@ def test_cli_fixed_points(tmp_path, capsys):
     assert payload["blocks"] == [{"dimension": 1, "multiplicity": 1}] * 2
 
 
+def test_cli_fixed_points_of_redundant_identity(tmp_path, capsys):
+    half = (np.eye(2) / np.sqrt(2)).tolist()
+    spec = spec_file(tmp_path, {"format_version": "1", "kind": "kraus", "kraus": [half, half]})
+    rc = main(["--format", "json", "fixed-points", spec])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "ok"
+    assert payload["blocks"] == [{"dimension": 2, "multiplicity": 1}]
+    assert payload["fixed_dim"] == 4
+
+
+def test_cli_fixed_points_failed_cesaro_is_indeterminate(tmp_path, capsys):
+    spec = spec_file(tmp_path, {"format_version": "1", "kind": "depolarizing",
+                                "r": 0.99999999})
+    rc = main(["--format", "json", "fixed-points", spec])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "indeterminate"
+    assert "Cesaro projection failed verification" in payload["reason"]
+    assert payload["fixed_dim"] == 1
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
     bad = spec_file(tmp_path, {"format_version": "1", "kind": "nope"}, name="bad.json")
