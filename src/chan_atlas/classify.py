@@ -202,7 +202,7 @@ def reconstruct_ecq(t, vertices, preimages=None, tol=1e-7):
     return EcqReconstruction(status=YES, certificate=cert, witness=witness, tolerance=tol)
 
 
-def _dilation_obstruction(t, sigmas, tol, n_directions=64, seed=0):
+def _dilation_obstruction(t, sigmas, tol):
     """Rule out every vertex POVM representation by dilating the channel.
 
     If ``T = sum_i Tr(M_i .) sigma_i`` held for any POVM at all, and every
@@ -224,8 +224,8 @@ def _dilation_obstruction(t, sigmas, tol, n_directions=64, seed=0):
     head = 1.0 - n * lam
     cap = n * lam / head if head > 1e-12 else 1.0
     eps = min(0.999 * cap, 1.0)
-    rng = np.random.default_rng(seed)
-    if hull_excess(t, sigmas, [random_direction(rng, n) for _ in range(n_directions)])[0] > 1e-7:
+    rng = np.random.default_rng(0)
+    if hull_excess(t, sigmas, [random_direction(rng, n) for _ in range(64)])[0] > 1e-7:
         return None
     # (1+eps) T(x) - eps Tr(x) I/n, with Tr(x) = vec(I_d) . vec(x)
     dilated = _natural_channel(

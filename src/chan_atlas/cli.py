@@ -18,6 +18,7 @@ import sys
 from .channels import NotCptpError, identity_channel
 from .entropy import entropy_additivity_gap, image_additivity_gap, min_output_entropy
 from .formats import SpecFormatError, load_channel
+from .geometry import image_boundary_2d
 from .pipeline import (
     check_joint_budget,
     classification_stage,
@@ -26,8 +27,9 @@ from .pipeline import (
     jsonable,
     report_json,
     run_pipeline,
+    validate_report,
 )
-from .plotdata import boundary_rows, write_boundary_csv, write_boundary_svg
+from .plotdata import write_boundary_csv, write_boundary_svg
 
 ENV_SEED = "CHAN_ATLAS_SEED"
 
@@ -176,7 +178,7 @@ def cmd_classify(args):
 
 def cmd_image(args):
     t = load_channel(args.spec)
-    rows = boundary_rows(t, n_points=args.points)
+    rows = image_boundary_2d(t, n_points=args.points)
     write_boundary_csv(args.out, rows)
     written = {"csv": args.out, "points": int(rows.shape[0])}
     if args.svg:
@@ -234,8 +236,6 @@ def cmd_report(args):
     t = load_channel(args.spec)
     report = run_pipeline(t, seed=args.seed, include_timings=args.timings)
     try:
-        from .pipeline import validate_report
-
         validate_report(report)
     except ImportError:
         pass

@@ -4,9 +4,11 @@ The fixed-point space of a CPTP map carries a twisted algebra structure: on
 the support of the maximal fixed state it equals ``U (+)_i M_{d_i} (x)
 sigma_i U*`` for a unitary ``U``, factor dimensions ``d_i``, and fixed
 density matrices ``sigma_i`` on the multiplicity spaces.  This module
-computes the Cesaro projection onto the fixed space, extracts the block data
-``(d_i, s_i, sigma_i)`` constructively, and checks the specialization to
-entanglement-breaking channels (all ``d_i = 1``, projection is an eCQ map).
+solves for the fixed space once, by one SVD of ``N - I`` that gives both the
+Cesaro projection and a Hermitian basis (there is no iterative fallback),
+extracts the block data ``(d_i, s_i, sigma_i)`` constructively, and checks
+the specialization to entanglement-breaking channels (all ``d_i = 1``,
+projection is an eCQ map).
 
 The extraction works on stacks of matrices throughout.  The center of the
 untwisted algebra (``m`` elements on the ``dv``-dimensional support) is the
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, _natural_channel, compose, map_distance
+from .channels import Channel, _max_column_op_norm, _natural_channel
 from .classify import (
     INDETERMINATE,
     YES,
@@ -37,10 +39,13 @@ from .classify import (
 from .linalg import (
     herm,
     null_space,
-    op_norm,
     partial_trace,
     spectral_radius,
 )
+
+
+CESARO_TOL = 1e-8     # bound on every identity the Cesaro projection must satisfy
+STRUCTURE_TOL = 1e-7  # relative bound on every claimed block structure
 
 
 class FixedPointError(RuntimeError):
@@ -58,56 +63,43 @@ def transfer_matrix(t):
     return n
 
 
-def cesaro_projection(t, tol=1e-8):
+def _fixed_spaces(n):
+    """Right and left null spaces ``K``, ``W`` (columns) of ``n - I``, cut at
+    ``max(1e-8 s_0, 1e-12)``: the absolute floor keeps the whole null space
+    when ``n - I`` is pure roundoff (the identity written redundantly)."""
+    u, s, vh = np.linalg.svd(n - np.eye(len(n)))
+    r = int(np.sum(s > max(1e-8 * s[0], 1e-12)))
+    return vh[r:].conj().T, u[:, r:]
+
+
+def cesaro_projection(t):
     """Channel limit of the Cesaro means ``(1/N) sum_{n<N} T^n``.
 
-    Computed as the spectral projection onto ``ker(L - I)`` along
-    ``ran(L - I)``; eigenvalue one of a power-bounded matrix is semisimple,
-    so the oblique projection exists.  The result is verified to be an
-    idempotent channel commuting with ``t``; if the algebraic route fails
-    the identities, doubled Cesaro averaging is used as a fallback, and
-    failure of both raises :class:`FixedPointError`.
+    This is the spectral projection ``K (W* K)^{-1} W*`` onto ``ker(N - I)``
+    along ``ran(N - I)``, with both spaces from one SVD of ``N - I``;
+    eigenvalue one of a power-bounded matrix is semisimple, so the oblique
+    projection exists.  The result must be an idempotent CPTP map with
+    ``N P = P N = P`` within ``CESARO_TOL``; there is no fallback, and a
+    failed verification raises :class:`FixedPointError`.
     """
     n = transfer_matrix(t)
-    m = n.shape[0]
-    a = n - np.eye(m)
-    scale = max(op_norm(n), 1.0)
-    k = null_space(a, rtol=tol / scale)
-    w = null_space(a.conj().T, rtol=tol / scale)
-    p = None
-    if k.shape[1] > 0 and w.shape[1] == k.shape[1]:
-        gram = w.conj().T @ k
-        if np.linalg.cond(gram) < 1e10:
-            p = k @ np.linalg.solve(gram, w.conj().T)
-    if p is not None:
-        tinf = _natural_channel(p, t.d_in, t.d_in)
-        dev = _projection_deviations(t, tinf)
-        if dev <= tol:
-            return tinf
-    # fallback: average by doubling, S_2N = (S_N + L^N S_N) / 2
-    s = n.copy()
-    pw = n.copy()
-    for _ in range(60):
-        s_next = (s + pw @ s) / 2.0
-        pw = pw @ pw
-        if op_norm(s_next - s) < 1e-12:
-            s = s_next
-            break
-        s = s_next
-    tinf = _natural_channel(s, t.d_in, t.d_in)
-    dev = _projection_deviations(t, tinf)
-    if dev > tol:
+    return _projection(n, *_fixed_spaces(n), t.d_in)
+
+
+def _projection(n, k, w, d):
+    """Verified Cesaro projection of the transfer matrix ``n`` from its fixed spaces."""
+    gram = w.conj().T @ k
+    cond = np.linalg.cond(gram) if k.shape[1] else np.inf
+    if cond >= 1e10:
+        raise FixedPointError(f"Cesaro projection failed verification (cond(W*K) {cond:.3e})")
+    p = k @ np.linalg.solve(gram, w.conj().T)
+    tinf = _natural_channel(p, d, d)
+    v = tinf.verify_cptp()
+    dev = max(_max_column_op_norm(np.hstack([n @ p - p, p @ n - p, p @ p - p]), d),
+              -v.min_choi_eigenvalue, v.marginal_deviation)
+    if dev > CESARO_TOL:
         raise FixedPointError(f"Cesaro projection failed verification (residual {dev:.3e})")
     return tinf
-
-
-def _projection_deviations(t, tinf):
-    dev = map_distance(compose(t, tinf), tinf)
-    dev = max(dev, map_distance(compose(tinf, t), tinf))
-    dev = max(dev, map_distance(compose(tinf, tinf), tinf))
-    v = tinf.verify_cptp()
-    dev = max(dev, max(0.0, -v.min_choi_eigenvalue), v.marginal_deviation)
-    return dev
 
 
 # -- structure extraction ----------------------------------------------
@@ -140,13 +132,10 @@ def _real_rows(x):
     return np.ascontiguousarray(x, dtype=complex).reshape(len(x), -1).view(np.float64)
 
 
-def _hermitian_fixed_basis(nat, d):
-    """Orthonormal Hermitian basis ``(m, d, d)`` of the fixed space of ``nat``."""
-    # the absolute floor keeps the whole null space when ``nat - I`` is pure
-    # roundoff (the identity map written redundantly), which a cut relative
-    # to its top singular value alone would read as full rank
-    cols = null_space(nat - np.eye(d * d), rtol=1e-8, atol=1e-12)
-    x = cols.T.reshape(-1, d, d)
+def _hermitian_fixed_basis(k, d):
+    """Orthonormal Hermitian basis ``(m, d, d)`` of the fixed space spanned by
+    the columns of ``k``."""
+    x = k.T.reshape(-1, d, d)
     if len(x) == 0:
         return np.zeros((0, d, d), dtype=complex)
     _, sv, vt = np.linalg.svd(_real_rows(herm(np.concatenate([x, x / 1j]))),
@@ -166,7 +155,7 @@ def _generic(rng, stack, k=1):
     return herm(np.einsum("kj,jab->kab", rng.normal(size=(k, len(stack))), stack))
 
 
-def fixed_point_structure(t, tol=1e-7, seed=0):
+def fixed_point_structure(t, seed=0):
     """Block data of the fixed-point space of ``t``.
 
     On the support of ``omega = T_inf(I/d)`` the fixed space untwists to an
@@ -176,20 +165,26 @@ def fixed_point_structure(t, tol=1e-7, seed=0):
     generic central element; every element of ``A`` and the fixed state
     must be block diagonal in them, which certifies the partition.  Each
     block is factorized by intertwiners of one more generic pair, and all
-    claimed structure is verified before it is reported.  A Cesaro
-    projection that fails its verification leaves the result
-    ``indeterminate``, with ``fixed_dim`` taken from the fixed space.
+    claimed structure is verified before it is reported.  A spectral radius
+    above one or a Cesaro projection that fails its verification leaves the
+    result ``indeterminate``, with ``fixed_dim`` taken from the fixed space.
     """
-    try:
-        tinf, reason = cesaro_projection(t), ""
-    except FixedPointError as e:
-        tinf, reason = None, str(e)
     d = t.d_in
-    basis = _hermitian_fixed_basis(t.natural_matrix(), d)
+    try:
+        n, reason = transfer_matrix(t), ""
+    except FixedPointError as e:
+        n, reason = t.natural_matrix(), str(e)
+    k, w = _fixed_spaces(n)
+    basis = _hermitian_fixed_basis(k, d)
     m = len(basis)
     result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, hermitian_basis=basis,
-                                 cesaro=tinf, reason=reason)
-    if tinf is None:
+                                 reason=reason)
+    if reason:
+        return result
+    try:
+        tinf = result.cesaro = _projection(n, k, w, d)
+    except FixedPointError as e:
+        result.reason = str(e)
         return result
     omega = herm(tinf.apply(np.eye(d, dtype=complex) / d))
     w_eigs, w_vecs = np.linalg.eigh(omega)
@@ -231,7 +226,7 @@ def fixed_point_structure(t, tol=1e-7, seed=0):
     stack = np.concatenate([alg, omega_v[None]])
     rot = gv.conj().T @ stack @ gv
     leak = np.linalg.norm(rot * (labels[:, None] != labels[None, :]), axis=(1, 2))
-    if np.any(leak > tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
+    if np.any(leak > STRUCTURE_TOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
         result.reason = f"fixed algebra couples blocks (off-block mass {leak.max():.3e})"
         return result
 
@@ -258,7 +253,7 @@ def fixed_point_structure(t, tol=1e-7, seed=0):
         mfac = np.einsum("ajmkm->ajk", r) / s_b
         dev = np.linalg.norm((r - np.einsum("ajk,mn->ajmkn", mfac, np.eye(s_b)))
                              .reshape(m, -1), axis=1)
-        bad = dev > tol * np.maximum(1.0, np.linalg.norm(alg_b, axis=(1, 2)))
+        bad = dev > STRUCTURE_TOL * np.maximum(1.0, np.linalg.norm(alg_b, axis=(1, 2)))
         if np.any(bad):
             result.reason = f"algebra element deviates from block form by {dev[bad][0]:.3e}"
             return result
@@ -268,7 +263,7 @@ def fixed_point_structure(t, tol=1e-7, seed=0):
         sigma = herm(partial_trace(w_b, (d_b, s_b), keep=1))
         sigma = sigma / float(np.real(np.trace(sigma)))
         prod_dev = np.linalg.norm(w_b - np.kron(a_fac, sigma))
-        if prod_dev > tol * max(1.0, np.linalg.norm(w_b)):
+        if prod_dev > STRUCTURE_TOL * max(1.0, np.linalg.norm(w_b)):
             result.reason = f"fixed state is not a product on a block (dev {prod_dev:.3e})"
             return result
         # back to original coordinates: columns span the block inside C^d,
@@ -323,7 +318,7 @@ class EbFixedPointReport:
     reason: str = ""
 
 
-def verify_eb_fixed_point_theorem(t, tol=1e-7, seed=0):
+def verify_eb_fixed_point_theorem(t, seed=0):
     """For EB channels the fixed algebra is abelian and the Cesaro
     projection is an eCQ channel onto the fixed states."""
     eb = is_entanglement_breaking(t)
@@ -331,7 +326,7 @@ def verify_eb_fixed_point_theorem(t, tol=1e-7, seed=0):
         return EbFixedPointReport(ok=False, eb_status=eb.status, structure=None,
                                   abelian=False, ecq=None,
                                   reason="channel not certified entanglement breaking")
-    st = fixed_point_structure(t, tol=tol, seed=seed)
+    st = fixed_point_structure(t, seed=seed)
     if st.status != "ok":
         return EbFixedPointReport(ok=False, eb_status=eb.status, structure=st,
                                   abelian=False, ecq=None, reason=st.reason)
@@ -340,8 +335,8 @@ def verify_eb_fixed_point_theorem(t, tol=1e-7, seed=0):
         return EbFixedPointReport(ok=False, eb_status=eb.status, structure=st,
                                   abelian=False, ecq=None,
                                   reason="fixed algebra has a nonabelian factor")
-    rec = reconstruct_ecq(st.cesaro, [b.embedded_state for b in st.blocks], tol=tol)
-    ok = rec.status == YES and all(abs(x - 1.0) <= tol for x in (rec.certificate.norms
-                                                                if rec.certificate else []))
+    rec = reconstruct_ecq(st.cesaro, [b.embedded_state for b in st.blocks], tol=STRUCTURE_TOL)
+    norms = rec.certificate.norms if rec.certificate else []
+    ok = rec.status == YES and all(abs(x - 1.0) <= STRUCTURE_TOL for x in norms)
     return EbFixedPointReport(ok=ok, eb_status=eb.status, structure=st, abelian=True,
                               ecq=rec, reason="" if ok else "eCQ reconstruction failed")

@@ -160,8 +160,7 @@ def _affine_rank(points, tol=1e-6):
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def find_vertices(t, n_directions=400, seed=0, cluster_tol=CLUSTER_TOL,
-                  eig_gap=EIG_GAP, member_tol=MEMBER_TOL):
+def find_vertices(t, n_directions=400, seed=0):
     """Detect the vertices of ``Im(T)`` together with their input preimages.
 
     Parameters
@@ -180,12 +179,12 @@ def find_vertices(t, n_directions=400, seed=0, cluster_tol=CLUSTER_TOL,
     Notes
     -----
     One stacked ``eigh`` of ``T*(H)`` over all directions gives each top
-    eigenspace (eigenvalues within ``eig_gap`` of the top).  A direction
+    eigenspace (eigenvalues within ``EIG_GAP`` of the top).  A direction
     whose top eigenspace maps to more than one output point (a tie between
     faces) is discarded; a degenerate eigenspace mapping to one point is
     kept whole, the signature of a higher-dimensional vertex preimage.  The
     points are clustered first-fit in direction order: each joins the first
-    cluster whose mean is within ``cluster_tol`` in trace norm, measured
+    cluster whose mean is within ``CLUSTER_TOL`` in trace norm, measured
     against all current means by one stacked ``eigvalsh`` of the Hermitian
     differences.  A cluster counts as a vertex when its hit count is at
     least ``2 * n_dof`` (and at least 2), ``n_dof`` being the estimated
@@ -199,12 +198,12 @@ def find_vertices(t, n_directions=400, seed=0, cluster_tol=CLUSTER_TOL,
     rng = np.random.default_rng(seed)
     hs = np.array([random_direction(rng, t.d_out) for _ in range(n_directions)])
     w, u = _spectra(t, hs)
-    top = w >= w[:, -1:] - eig_gap  # each direction's top eigenspace
+    top = w >= w[:, -1:] - EIG_GAP  # each direction's top eigenspace
     owner = np.nonzero(top)[0]
     outs = herm(t.pure_outputs(np.swapaxes(u, 1, 2)[top]))
     size = top.sum(axis=1)
     first = np.cumsum(size) - size  # where each direction's vectors start in ``outs``
-    tied = _trace_distances(outs, outs[first[owner]]) > cluster_tol
+    tied = _trace_distances(outs, outs[first[owner]]) > CLUSTER_TOL
     kept = np.flatnonzero(np.bincount(owner[tied], minlength=n_directions) == 0)
     points = herm(np.add.reduceat(outs, first)[kept] / size[kept, None, None])
 
@@ -214,7 +213,7 @@ def find_vertices(t, n_directions=400, seed=0, cluster_tol=CLUSTER_TOL,
     for i, y in enumerate(points):
         n = len(members)
         near = np.flatnonzero(
-            _trace_distances(y, sums[:n] / counts[:n, None, None]) <= cluster_tol)
+            _trace_distances(y, sums[:n] / counts[:n, None, None]) <= CLUSTER_TOL)
         c = near[0] if near.size else n
         if c == n:
             members.append([])
@@ -232,7 +231,7 @@ def find_vertices(t, n_directions=400, seed=0, cluster_tol=CLUSTER_TOL,
         dirs = kept[idx]
         inter = intersect_subspaces([u[j][:, top[j]] for j in dirs])
         good = [v for v, y in zip(inter.T, t.pure_outputs(inter.T))
-                if trace_norm(y - state) <= member_tol]
+                if trace_norm(y - state) <= MEMBER_TOL]
         if not good:
             continue
         basis = orthonormal_columns(np.array(good).T)
@@ -258,8 +257,7 @@ class PolytopicDecomposition:
     d_in: int
 
 
-def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200,
-                        cluster_tol=CLUSTER_TOL):
+def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200):
     """Split the input space as ``(+)_i V_i (+) W`` from the detected vertices.
 
     On the span of the vertex preimages the channel acts classically
@@ -277,16 +275,15 @@ def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200,
     """
     if verify_directions < 1:
         raise ValueError("need at least one verification direction")
-    key = (n_directions, seed, verify_directions, cluster_tol)
+    key = (n_directions, seed, verify_directions)
     if key not in t._decompositions:
         t._decompositions[key] = _decompose(t, *key)
     return t._decompositions[key]
 
 
-def _decompose(t, n_directions, seed, verify_directions, cluster_tol):
+def _decompose(t, n_directions, seed, verify_directions):
     rng = np.random.default_rng(seed)
-    records = find_vertices(t, n_directions=n_directions, seed=int(rng.integers(2 ** 31)),
-                            cluster_tol=cluster_tol)
+    records = find_vertices(t, n_directions=n_directions, seed=int(rng.integers(2 ** 31)))
     k = len(records)
     d = t.d_in
 

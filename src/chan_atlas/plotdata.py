@@ -7,13 +7,7 @@ import csv
 
 import numpy as np
 
-from .geometry import image_boundary_2d
-
 CSV_HEADER = ("theta", "x", "y")
-
-
-def boundary_rows(t, axes=None, n_points=256):
-    return image_boundary_2d(t, axes=axes, n_points=n_points)
 
 
 def write_boundary_csv(path, rows):

@@ -24,9 +24,9 @@ from chan_atlas.formats import (
     load_channel,
     matrix_to_json,
 )
+from chan_atlas.geometry import image_boundary_2d
 from chan_atlas.pipeline import report_json, run_pipeline, validate_report
 from chan_atlas.plotdata import (
-    boundary_rows,
     read_boundary_csv,
     write_boundary_csv,
     write_boundary_svg,
@@ -269,14 +269,27 @@ def test_cli_fixed_points_of_redundant_identity(tmp_path, capsys):
 
 
 def test_cli_fixed_points_failed_cesaro_is_indeterminate(tmp_path, capsys):
-    spec = spec_file(tmp_path, {"format_version": "1", "kind": "depolarizing",
-                                "r": 0.99999999})
+    # amplitude damping at gamma = 1e-9
+    gamma = 1e-9
+    kraus = [[[1, 0], [0, np.sqrt(1 - gamma)]], [[0, np.sqrt(gamma)], [0, 0]]]
+    spec = spec_file(tmp_path, {"format_version": "1", "kind": "kraus", "kraus": kraus})
     rc = main(["--format", "json", "fixed-points", spec])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "indeterminate"
     assert "Cesaro projection failed verification" in payload["reason"]
     assert payload["fixed_dim"] == 1
+
+
+@pytest.mark.parametrize("r", [1 - 1e-8, 1 - 1e-9])
+def test_cli_fixed_points_of_near_identity_depolarizing(tmp_path, capsys, r):
+    spec = spec_file(tmp_path, {"format_version": "1", "kind": "depolarizing", "r": r})
+    rc = main(["--format", "json", "fixed-points", spec])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "ok", payload["reason"]
+    assert payload["blocks"] == [{"dimension": 1, "multiplicity": 2}]
+    assert payload["fixed_dim"] == 1 and payload["support_dim"] == 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -379,7 +392,7 @@ def test_report_json_is_canonical():
 
 
 def test_boundary_csv_round_trip(tmp_path):
-    rows = boundary_rows(trine_channel(), n_points=16)
+    rows = image_boundary_2d(trine_channel(), n_points=16)
     path = tmp_path / "rows.csv"
     write_boundary_csv(str(path), rows)
     back = read_boundary_csv(str(path))
@@ -387,7 +400,7 @@ def test_boundary_csv_round_trip(tmp_path):
 
 
 def test_boundary_svg_exists(tmp_path):
-    rows = boundary_rows(trine_channel(), n_points=16)
+    rows = image_boundary_2d(trine_channel(), n_points=16)
     path = tmp_path / "rows.svg"
     write_boundary_svg(str(path), rows)
     text = path.read_text()
