@@ -154,11 +154,11 @@ class Channel:
             self._choi = herm(j) if is_hermitian(j, tol=1e-9) else j
         return self._choi
 
-    def kraus_operators(self, tol=1e-9):
+    def kraus_operators(self):
         """Kraus operators extracted from the Choi eigendecomposition.
 
         The number of operators equals the numerical rank of the Choi matrix
-        at ``tol``; raises for maps that are not completely positive.
+        at 1e-9; raises for maps that are not completely positive.
         """
         if isinstance(self.form, KrausForm):
             return list(self.form.operators)
@@ -167,19 +167,20 @@ class Channel:
             if not is_hermitian(j, tol=1e-9):
                 raise ValueError("Choi matrix is not Hermitian; map has no Kraus form")
             w, u = np.linalg.eigh(herm(j))
-            if w[0] < -tol:
+            if w[0] < -1e-9:
                 raise ValueError(f"Choi matrix is not PSD (min eig {w[0]:.3e}); no Kraus form")
             ops = []
             for lam, v in zip(w, u.T):
-                if lam > tol:
+                if lam > 1e-9:
                     ops.append(np.sqrt(self.d_in * lam) * v.reshape(self.d_out, self.d_in))
             self._kraus = ops
         return list(self._kraus)
 
     # -- verification ---------------------------------------------------
 
-    def verify_cptp(self, tol_psd=TOL_PSD, tol_trace=TOL_TRACE):
-        """Check complete positivity (Choi PSD) and trace preservation.
+    def verify_cptp(self):
+        """Check complete positivity (Choi PSD within ``TOL_PSD``) and trace
+        preservation (input marginal within ``TOL_TRACE``).
 
         Maps that fail to preserve hermiticity (non-Hermitian Choi) are
         reported as non-CP with the hermiticity defect folded into the
@@ -190,20 +191,20 @@ class Channel:
         min_eig = float(np.linalg.eigvalsh(herm(j))[0]) - defect
         marg = partial_trace(self.to_choi(), (self.d_out, self.d_in), keep=1)
         dev = op_norm(marg - np.eye(self.d_in) / self.d_in)
-        is_cp = min_eig >= -tol_psd
-        is_tp = dev <= tol_trace
+        is_cp = min_eig >= -TOL_PSD
+        is_tp = dev <= TOL_TRACE
         return CptpVerdict(
             is_cp=is_cp,
             is_tp=is_tp,
             is_cptp=is_cp and is_tp,
             min_choi_eigenvalue=min_eig,
             marginal_deviation=float(dev),
-            tol_psd=tol_psd,
-            tol_trace=tol_trace,
+            tol_psd=TOL_PSD,
+            tol_trace=TOL_TRACE,
         )
 
-    def require_cptp(self, tol_psd=TOL_PSD, tol_trace=TOL_TRACE):
-        v = self.verify_cptp(tol_psd=tol_psd, tol_trace=tol_trace)
+    def require_cptp(self):
+        v = self.verify_cptp()
         if not v.is_cptp:
             raise NotCptpError(v)
         return v
@@ -245,17 +246,17 @@ def kraus_channel(operators):
     return Channel(KrausForm(ops), d_in=d, d_out=m)
 
 
-def choi_channel(j, d_in, d_out, tol=1e-8):
+def choi_channel(j, d_in, d_out):
     """Channel from a trace-normalized Choi matrix; rejects non-PSD input."""
     j = np.asarray(j, dtype=complex)
     if j.shape != (d_in * d_out, d_in * d_out):
         raise ValueError(f"Choi matrix has shape {j.shape}, expected {(d_in * d_out,) * 2}")
     if not is_hermitian(j, tol=1e-9):
         raise ValueError("Choi matrix is not Hermitian")
-    if np.linalg.eigvalsh(herm(j))[0] < -tol:
+    if np.linalg.eigvalsh(herm(j))[0] < -1e-8:
         raise ValueError("Choi matrix is not positive semidefinite")
     marg = partial_trace(j, (d_out, d_in), keep=1)
-    if op_norm(marg - np.eye(d_in) / d_in) > tol:
+    if op_norm(marg - np.eye(d_in) / d_in) > 1e-8:
         raise ValueError("Choi input marginal is not identity/d_in")
     return Channel(ChoiForm(herm(j), d_in, d_out), d_in=d_in, d_out=d_out)
 
@@ -295,29 +296,28 @@ def cq_channel(basis, states, validate=True):
     return Channel(CqForm(basis, states), d_in=d, d_out=states[0].shape[0])
 
 
-def ecq_channel(vectors, tilde_effects, states, validate=True, tol=1e-8):
+def ecq_channel(vectors, tilde_effects, states):
     vectors = [np.asarray(e, dtype=complex).reshape(-1) for e in vectors]
     tilde_effects = [np.asarray(m, dtype=complex) for m in tilde_effects]
     states = [np.asarray(s, dtype=complex) for s in states]
     d = vectors[0].size
     if not len(vectors) == len(tilde_effects) == len(states):
         raise ValueError("vectors, remainders and states must align")
-    if validate:
-        for i, e in enumerate(vectors):
-            for jj, f in enumerate(vectors):
-                want = 1.0 if i == jj else 0.0
-                if abs(np.vdot(e, f) - want) > 1e-9:
-                    raise ValueError("the e_i are not orthonormal")
-        for i, m in enumerate(tilde_effects):
-            if np.linalg.eigvalsh(herm(m))[0] < -tol:
-                raise ValueError(f"remainder {i} is not positive semidefinite")
-            for jj, e in enumerate(vectors):
-                if abs(np.conj(e) @ m @ e) > tol:
-                    raise ValueError(f"remainder {i} is not supported away from the e_j")
-        total = sum(np.outer(e, np.conj(e)) + m for e, m in zip(vectors, tilde_effects))
-        if op_norm(total - np.eye(d)) > tol:
-            raise ValueError("eCQ effects do not sum to the identity")
-        states = [check_density_matrix(s, name=f"state {i}") for i, s in enumerate(states)]
+    for i, e in enumerate(vectors):
+        for jj, f in enumerate(vectors):
+            want = 1.0 if i == jj else 0.0
+            if abs(np.vdot(e, f) - want) > 1e-9:
+                raise ValueError("the e_i are not orthonormal")
+    for i, m in enumerate(tilde_effects):
+        if np.linalg.eigvalsh(herm(m))[0] < -1e-8:
+            raise ValueError(f"remainder {i} is not positive semidefinite")
+        for jj, e in enumerate(vectors):
+            if abs(np.conj(e) @ m @ e) > 1e-8:
+                raise ValueError(f"remainder {i} is not supported away from the e_j")
+    total = sum(np.outer(e, np.conj(e)) + m for e, m in zip(vectors, tilde_effects))
+    if op_norm(total - np.eye(d)) > 1e-8:
+        raise ValueError("eCQ effects do not sum to the identity")
+    states = [check_density_matrix(s, name=f"state {i}") for i, s in enumerate(states)]
     return Channel(EcqForm(vectors, tilde_effects, states), d_in=d, d_out=states[0].shape[0])
 
 

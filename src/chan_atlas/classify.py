@@ -319,19 +319,17 @@ def _cq_recurse(t, seed, n_directions):
         return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
                             witness={"stage_d_in": d, "n_vectors": len(basis),
                                      "orthogonality_deviation":
-                                         dec.witness["orthogonality_deviation"]},
+                                         dec.checks["orthogonality_deviation"]},
                             reason="vertex preimages of a stage overlap and give "
                                    f"{len(basis)} basis vectors for dimension {d}")
     return basis, states
 
 
 def _excess_witness(dec):
-    w = {"verdict": dec.verdict}
-    if "direction" in dec.witness:
-        w["direction"] = dec.witness["direction"]
-    if "excess_direction" in dec.witness:
-        w["direction"] = dec.witness["excess_direction"]
-        w["support_excess"] = dec.witness.get("max_support_excess")
+    """The decomposition's excess direction, with the excess when vertices were found."""
+    w = {"direction": dec.direction}
+    if dec.checks:
+        w["support_excess"] = dec.checks["max_support_excess"]
     return w
 
 
@@ -345,7 +343,8 @@ def is_universally_image_additive(t, seed=0, n_directions=400):
     additive iff it is eCQ, and a "yes" comes with the retraction ``S``
     (a CQ map with ``T o S = T``) that realizes additivity constructively.
     Once the image is polytopic the witness holds the eCQ reconstruction
-    under ``"reconstruction"``; otherwise it names the decomposition verdict.
+    under ``"reconstruction"``; otherwise it holds the decomposition's
+    support-excess direction.
     """
     t.require_cptp()
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
@@ -374,29 +373,3 @@ def is_universally_image_additive(t, seed=0, n_directions=400):
     return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
                         witness={"retraction_deviation": dev, "reconstruction": rec},
                         reason="retraction failed to reproduce the channel")
-
-
-# -- direct-sum consistency --------------------------------------------
-
-
-@dataclass
-class DirectSumEbReport:
-    direct: ClassVerdict
-    first: ClassVerdict
-    second: ClassVerdict
-    consistent: bool | None  # None when any verdict is indeterminate
-
-
-def eb_direct_sum_consistency(t1, t2):
-    """A direct sum is entanglement breaking iff both blocks are."""
-    from .channels import direct_sum
-
-    both = direct_sum(t1, t2)
-    v = is_entanglement_breaking(both)
-    v1 = is_entanglement_breaking(t1)
-    v2 = is_entanglement_breaking(t2)
-    if INDETERMINATE in (v.status, v1.status, v2.status):
-        consistent = None
-    else:
-        consistent = (v.status == YES) == (v1.status == YES and v2.status == YES)
-    return DirectSumEbReport(direct=v, first=v1, second=v2, consistent=consistent)

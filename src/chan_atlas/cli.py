@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,6 +45,16 @@ def _u64(text):
     return v
 
 
+def _tolerance(text):
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
+    if not 0.0 <= v < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+    return v
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="chan-atlas",
@@ -51,7 +62,7 @@ def _build_parser():
                     "classification, entropies, fixed points.")
     p.add_argument("--seed", type=_u64, default=None,
                    help=f"RNG seed (default: ${ENV_SEED} or 0)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="tolerance of the entanglement-breaking check in classify "
                         "(default 1e-9); the other verdicts use fixed tolerances")
     p.add_argument("--format", choices=("json", "text"), default="text",

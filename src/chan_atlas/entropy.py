@@ -169,13 +169,13 @@ class EntropyAdditivityReport:
     p: float
 
 
-def entropy_additivity_gap(t1, t2, p=1.0, seed=0, n_starts=48):
+def entropy_additivity_gap(t1, t2, p=1.0, seed=0):
     p = _check_p(p)
-    r1 = min_output_entropy(t1, p=p, seed=seed, n_starts=n_starts)
-    r2 = min_output_entropy(t2, p=p, seed=seed + 1, n_starts=n_starts)
+    r1 = min_output_entropy(t1, p=p, seed=seed, n_starts=48)
+    r2 = min_output_entropy(t2, p=p, seed=seed + 1, n_starts=48)
     joint = tensor(t1, t2)
     seed_vec = np.kron(r1.minimizer, r2.minimizer)
-    rj = min_output_entropy(joint, p=p, seed=seed + 2, n_starts=n_starts,
+    rj = min_output_entropy(joint, p=p, seed=seed + 2, n_starts=48,
                             extra_starts=[seed_vec])
     gap = r1.value + r2.value - rj.value
     return EntropyAdditivityReport(gap=float(gap), single_first=r1, single_second=r2,
@@ -283,7 +283,7 @@ class ContainmentError(ValueError):
                          "along a sampled direction")
 
 
-def build_hiding_channel(vertex_states, inner, n_directions=200, seed=0, tol=1e-8):
+def build_hiding_channel(vertex_states, inner, n_directions=200):
     """Embed ``inner`` behind a polytopic face so its image is invisible.
 
     The result acts on ``C^k (+) C^{d_inner}``: the first ``k`` coordinates
@@ -304,9 +304,9 @@ def build_hiding_channel(vertex_states, inner, n_directions=200, seed=0, tol=1e-
     inner.require_cptp()
     if n_directions < 1:
         raise ValueError("need at least one direction")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     excess, h = hull_excess(inner, states, [random_direction(rng, n) for _ in range(n_directions)])
-    if excess > tol:
+    if excess > 1e-8:
         raise ContainmentError(h, excess)
     both = direct_sum(cq_channel(np.eye(len(states), dtype=complex), states, validate=False),
                       inner)

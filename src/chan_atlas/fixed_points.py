@@ -144,10 +144,10 @@ def _hermitian_fixed_basis(k, d):
     return herm(vt[:rank].view(complex).reshape(rank, d, d))
 
 
-def _eig_clusters(w, tol=1e-6):
-    """Index runs of sorted eigenvalues ``w`` split at gaps above ``tol``."""
+def _eig_clusters(w):
+    """Index runs of sorted eigenvalues ``w`` split at relative gaps above 1e-6."""
     spread = max(float(w[-1] - w[0]), 1.0)
-    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > tol * spread) + 1)
+    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-6 * spread) + 1)
 
 
 def _generic(rng, stack, k=1):
@@ -318,7 +318,7 @@ class EbFixedPointReport:
     reason: str = ""
 
 
-def verify_eb_fixed_point_theorem(t, seed=0):
+def verify_eb_fixed_point_theorem(t):
     """For EB channels the fixed algebra is abelian and the Cesaro
     projection is an eCQ channel onto the fixed states."""
     eb = is_entanglement_breaking(t)
@@ -326,7 +326,7 @@ def verify_eb_fixed_point_theorem(t, seed=0):
         return EbFixedPointReport(ok=False, eb_status=eb.status, structure=None,
                                   abelian=False, ecq=None,
                                   reason="channel not certified entanglement breaking")
-    st = fixed_point_structure(t, seed=seed)
+    st = fixed_point_structure(t)
     if st.status != "ok":
         return EbFixedPointReport(ok=False, eb_status=eb.status, structure=st,
                                   abelian=False, ecq=None, reason=st.reason)

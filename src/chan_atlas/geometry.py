@@ -29,7 +29,6 @@ from .linalg import (
     orthogonal_complement,
     orthonormal_columns,
     random_direction,
-    trace_norm,
     vec,
 )
 
@@ -39,6 +38,7 @@ MEMBER_TOL = 1e-8
 VERDICT_TOL = 1e-8
 EXCESS_WITNESS_TOL = 1e-6
 SEPARATION_MIN = 1e-6
+VERIFY_DIRECTIONS = 200  # fresh directions that check a decomposition
 
 
 @dataclass
@@ -103,12 +103,6 @@ def bloch_map(t):
     return BlochAffineMap(linear=lin, shift=shift)
 
 
-def bloch_image_spectrum(m):
-    """Semi-axes (singular values of the linear part) and center of the image ellipsoid."""
-    s = np.linalg.svd(m.linear, compute_uv=False)
-    return s, m.shift.copy()
-
-
 @dataclass
 class FAReport:
     is_cp: bool
@@ -151,13 +145,13 @@ def _trace_distances(y, others):
     return np.abs(np.linalg.eigvalsh(y - others)).sum(-1)
 
 
-def _affine_rank(points, tol=1e-6):
+def _affine_rank(points):
     if len(points) < 2:
         return 0
     coords = np.array([hvec(p) for p in points])
     coords = coords - coords.mean(axis=0)
     s = np.linalg.svd(coords, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return int(np.sum(s > 1e-6 * max(1.0, s[0])))
 
 
 def find_vertices(t, n_directions=400, seed=0):
@@ -230,11 +224,10 @@ def find_vertices(t, n_directions=400, seed=0):
         state = herm(sums[c] / counts[c])
         dirs = kept[idx]
         inter = intersect_subspaces([u[j][:, top[j]] for j in dirs])
-        good = [v for v, y in zip(inter.T, t.pure_outputs(inter.T))
-                if trace_norm(y - state) <= MEMBER_TOL]
-        if not good:
+        good = inter[:, _trace_distances(t.pure_outputs(inter.T), state) <= MEMBER_TOL]
+        if not good.shape[1]:
             continue
-        basis = orthonormal_columns(np.array(good).T)
+        basis = orthonormal_columns(good)
         records.append(VertexRecord(state=state, preimage_basis=basis,
                                     hit_count=int(counts[c]), directions=hs[dirs]))
     records.sort(key=lambda r: tuple(np.round(hvec(r.state), 6)))
@@ -246,58 +239,74 @@ def find_vertices(t, n_directions=400, seed=0):
 
 @dataclass
 class PolytopicDecomposition:
+    """The split ``(+)_i V_i (+) W`` of the input space and the numbers that decide it.
+
+    ``direction`` is the fresh direction of largest support excess over the
+    hull of the vertices, or the first fresh direction when there are none.
+    ``checks`` holds ``max_support_excess``, ``reconstruction_deviation``,
+    ``orthogonality_deviation`` and ``dominance_deviation``, plus
+    ``min_vertex_separation`` when ``t2`` exists; it is empty when no vertex
+    was detected.
+    """
+
     verdict: str                  # "polytopic" | "not_polytopic" | "indeterminate"
     vertices: list
     vertex_basis: np.ndarray      # d_in x dim(V), blocks concatenated
     w_basis: np.ndarray           # d_in x dim(W)
     t1: Channel | None            # CQ-like block on V coordinates
     t2: Channel | None            # compression to W coordinates
-    witness: dict
+    direction: np.ndarray         # fresh direction of largest support excess
+    checks: dict                  # the deciding numbers by name
     n_dof: int
     d_in: int
 
 
-def polytopic_decompose(t, n_directions=400, seed=0, verify_directions=200):
+def polytopic_decompose(t, n_directions=400, seed=0):
     """Split the input space as ``(+)_i V_i (+) W`` from the detected vertices.
 
     On the span of the vertex preimages the channel acts classically
     (``rho -> sum_i Tr(P_{V_i} rho) sigma_i``); ``t2`` is the compression to
-    the residual ``W``.  The verdict is ``polytopic`` when the support
-    function of the channel matches the hull of the detected vertices on
-    fresh random directions within 1e-8 and the block reconstruction
-    reproduces the channel; ``not_polytopic`` requires an explicit direction
-    with support excess at least 1e-6 over the detected hull (with no
-    vertices at all, any sampled direction witnesses this); anything between
-    is ``indeterminate``.
+    the residual ``W``.  ``VERIFY_DIRECTIONS`` fresh random directions check
+    the split.  The verdict is ``polytopic`` when on them the support
+    function of the channel matches the hull of the detected vertices within
+    1e-8, ``Im(t2)`` stays inside that hull and every vertex is separated
+    from ``Im(t2)``, while the preimages are orthogonal and the block
+    reconstruction reproduces the channel; ``not_polytopic`` requires an
+    explicit direction with support excess at least 1e-6 over the detected
+    hull (with no vertices at all, any sampled direction witnesses this);
+    anything between is ``indeterminate``.  Each map is solved once: one
+    stacked eigensolve of ``T*`` on the fresh directions, and one of ``t2*``
+    on the fresh directions followed by every vertex's exposing directions.
 
     The decomposition is computed once per channel and arguments; later
     calls return the object kept on ``t``.
     """
-    if verify_directions < 1:
-        raise ValueError("need at least one verification direction")
-    key = (n_directions, seed, verify_directions)
+    key = (n_directions, seed)
     if key not in t._decompositions:
         t._decompositions[key] = _decompose(t, *key)
     return t._decompositions[key]
 
 
-def _decompose(t, n_directions, seed, verify_directions):
+def _decompose(t, n_directions, seed):
     rng = np.random.default_rng(seed)
     records = find_vertices(t, n_directions=n_directions, seed=int(rng.integers(2 ** 31)))
     k = len(records)
     d = t.d_in
 
-    fresh = np.array([random_direction(rng, t.d_out) for _ in range(verify_directions)])
-    n_dof = _affine_rank(t.pure_outputs(_spectra(t, fresh)[1][:, :, -1]))
+    fresh = np.array([random_direction(rng, t.d_out) for _ in range(VERIFY_DIRECTIONS)])
+    w, u = _spectra(t, fresh)
+    n_dof = _affine_rank(t.pure_outputs(u[:, :, -1]))
 
     if k == 0:
         return PolytopicDecomposition(
             verdict="not_polytopic", vertices=[], vertex_basis=np.zeros((d, 0), dtype=complex),
-            w_basis=np.eye(d, dtype=complex), t1=None, t2=t,
-            witness={"reason": "no vertices detected", "direction": fresh[0]},
+            w_basis=np.eye(d, dtype=complex), t1=None, t2=t, direction=fresh[0], checks={},
             n_dof=n_dof, d_in=d)
     states = [r.state for r in records]
-    excess_max, excess_dir = hull_excess(t, states, fresh)
+    pairing = _pairing(fresh, states)
+    hull = pairing.max(axis=1)  # support function of the vertex hull
+    excess = w[:, -1] - hull
+    top = int(np.argmax(excess))
 
     # pairwise orthogonality of the preimages
     ortho_dev = 0.0
@@ -310,16 +319,9 @@ def _decompose(t, n_directions, seed, verify_directions):
     wbasis = orthogonal_complement(vbasis, d)
     dim_w = wbasis.shape[1]
 
-    mv = vbasis.shape[1]
-    effects = []
-    off = 0
-    for r in records:
-        m = np.zeros((mv, mv), dtype=complex)
-        mdim = r.preimage_basis.shape[1]
-        m[off:off + mdim, off:off + mdim] = np.eye(mdim)
-        effects.append(m)
-        off += mdim
-    t1 = Channel(PovmForm(effects, states), d_in=mv, d_out=t.d_out)
+    labels = np.repeat(np.arange(k), [r.preimage_basis.shape[1] for r in records])
+    effects = [np.diag(labels == i).astype(complex) for i in range(k)]
+    t1 = Channel(PovmForm(effects, states), d_in=vbasis.shape[1], d_out=t.d_out)
     n = t.natural_matrix()
     t2 = (_natural_channel(n @ np.kron(wbasis, wbasis.conj()), dim_w, t.d_out)
           if dim_w else None)
@@ -328,38 +330,40 @@ def _decompose(t, n_directions, seed, verify_directions):
     resid = n - t1.natural_matrix() @ np.kron(vbasis.conj().T, vbasis.T)
     if t2 is not None:
         resid = resid - t2.natural_matrix() @ np.kron(wbasis.conj().T, wbasis.T)
-    recon_dev = _max_column_op_norm(resid, t.d_out)
 
-    # Im(t2) inside the hull, and each vertex separated from Im(t2)
-    dominance_dev = 0.0
-    separation_ok = True
-    separations = []
-    if t2 is not None:
-        dominance_dev = max(0.0, hull_excess(t2, states, fresh)[0])
-        for r in records:
-            hs = np.concatenate([r.directions, fresh[:50]])
-            sep = _pairing(hs, [r.state])[:, 0] - _spectra(t2, hs)[0][:, -1]
-            separations.append(sep.max())
-        separation_ok = all(s >= SEPARATION_MIN for s in separations)
-
-    witness = {
-        "max_support_excess": float(excess_max),
-        "excess_direction": excess_dir,
-        "reconstruction_deviation": float(recon_dev),
+    checks = {
+        "max_support_excess": float(excess[top]),
+        "reconstruction_deviation": _max_column_op_norm(resid, t.d_out),
         "orthogonality_deviation": float(ortho_dev),
-        "dominance_deviation": float(dominance_dev),
-        "vertex_separations": [float(s) for s in separations],
+        "dominance_deviation": 0.0,
     }
-    if (excess_max <= VERDICT_TOL and recon_dev <= VERDICT_TOL and ortho_dev <= 1e-9
-            and dominance_dev <= VERDICT_TOL and separation_ok):
+    separated = True
+    if t2 is not None:
+        # Im(t2) inside the hull, and each vertex separated from Im(t2) on its
+        # own exposing directions and the first 50 fresh ones
+        h2 = _spectra(t2, np.concatenate([fresh, *(r.directions for r in records)]))[0][:, -1]
+        checks["dominance_deviation"] = max(0.0, float(np.max(h2[:len(fresh)] - hull)))
+        seps = []
+        start = len(fresh)
+        for c, r in enumerate(records):
+            end = start + len(r.directions)
+            own = _pairing(r.directions, [r.state])[:, 0] - h2[start:end]
+            seps.append(float(max(own.max(), np.max(pairing[:50, c] - h2[:50]))))
+            start = end
+        checks["min_vertex_separation"] = min(seps)
+        separated = checks["min_vertex_separation"] >= SEPARATION_MIN
+
+    if (checks["max_support_excess"] <= VERDICT_TOL
+            and checks["reconstruction_deviation"] <= VERDICT_TOL
+            and ortho_dev <= 1e-9 and checks["dominance_deviation"] <= VERDICT_TOL and separated):
         verdict = "polytopic"
-    elif excess_max >= EXCESS_WITNESS_TOL:
+    elif checks["max_support_excess"] >= EXCESS_WITNESS_TOL:
         verdict = "not_polytopic"
     else:
         verdict = "indeterminate"
     return PolytopicDecomposition(
         verdict=verdict, vertices=records, vertex_basis=vbasis, w_basis=wbasis,
-        t1=t1, t2=t2, witness=witness, n_dof=n_dof, d_in=d)
+        t1=t1, t2=t2, direction=fresh[top], checks=checks, n_dof=n_dof, d_in=d)
 
 
 @dataclass
@@ -391,8 +395,8 @@ def default_plane(d_out):
     return a / np.sqrt(6), b / np.sqrt(2)
 
 
-def image_boundary_2d(t, axes=None, n_points=256):
-    """Boundary of the image projected onto a plane of observables.
+def image_boundary_2d(t, n_points=256):
+    """Boundary of the image projected onto the plane of ``default_plane``.
 
     Returns rows ``(theta, x, y)``: for each angle the support maximizer in
     direction ``cos(theta) A + sin(theta) B`` is evaluated and projected to
@@ -401,14 +405,9 @@ def image_boundary_2d(t, axes=None, n_points=256):
     """
     if n_points < 1:
         raise ValueError("need at least one boundary point")
-    if axes is None:
-        if t.d_out < 2:
-            raise ValueError("planar projection needs output dimension at least 2")
-        a, b = default_plane(t.d_out)
-    else:
-        a, b = (np.asarray(x, dtype=complex) for x in axes)
-        if max(op_norm(x - x.conj().T) for x in (a, b)) > 1e-10:
-            raise ValueError("direction must be Hermitian")
+    if t.d_out < 2:
+        raise ValueError("planar projection needs output dimension at least 2")
+    a, b = default_plane(t.d_out)
     theta = np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)
     hs = np.cos(theta)[:, None, None] * a + np.sin(theta)[:, None, None] * b
     w = t.pure_outputs(_spectra(t, hs)[1][:, :, -1])

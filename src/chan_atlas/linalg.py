@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default verification tolerances. Individual operations take overrides.
+# Verification tolerances of states and of the CPTP check.
 TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
-MAP_EQ_TOL = 1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -131,14 +130,6 @@ def random_pure(rng, d):
     return v / np.linalg.norm(v)
 
 
-def random_density(rng, d, rank=None):
-    """Random full-rank (or fixed-rank) density matrix, Wishart construction."""
-    r = d if rank is None else rank
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
-
-
 def canonical_phase(v):
     """Fix the global phase so the largest-magnitude entry is real positive."""
     v = np.asarray(v)
@@ -147,19 +138,13 @@ def canonical_phase(v):
     return v / ph
 
 
-def top_eigenvector(h):
-    """Largest-eigenvalue eigenpair of a Hermitian matrix, phase-canonical."""
-    w, u = np.linalg.eigh(h)
-    return float(w[-1]), canonical_phase(u[:, -1])
-
-
-def orthonormal_columns(b, tol=1e-10):
-    """Orthonormal basis of the column space of ``b``."""
+def orthonormal_columns(b):
+    """Orthonormal basis of the column space of ``b`` (relative rank cut 1e-10)."""
     b = np.atleast_2d(np.asarray(b))
     if b.size == 0:
         return np.zeros((b.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(b, full_matrices=False)
-    r = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    r = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
     return u[:, :r].astype(complex)
 
 
@@ -178,16 +163,11 @@ def subspace_projector(b):
     return b @ b.conj().T
 
 
-def subspace_distance(b1, b2):
-    """Operator-norm distance between the projectors onto two column spans."""
-    return op_norm(subspace_projector(b1) - subspace_projector(b2))
-
-
-def intersect_subspaces(bases, tol=1e-7):
+def intersect_subspaces(bases):
     """Intersection of subspaces given by orthonormal-column bases.
 
     Uses the mean of the projectors; the intersection is its eigenvalue-1
-    eigenspace up to ``tol``.
+    eigenspace up to 1e-7.
     """
     if not bases:
         return np.zeros((0, 0), dtype=complex)
@@ -197,7 +177,7 @@ def intersect_subspaces(bases, tol=1e-7):
         m += subspace_projector(b)
     m /= len(bases)
     w, u = np.linalg.eigh(m)
-    keep = w >= 1.0 - tol
+    keep = w >= 1.0 - 1e-7
     return u[:, keep]
 
 
@@ -215,39 +195,30 @@ def null_space(a, rtol=1e-8, atol=0.0):
     return vh[r:].conj().T
 
 
-def bloch_vector(rho):
-    return np.array([np.trace(p @ rho).real for p in PAULIS])
-
-
-def bloch_to_rho(w):
-    w = np.asarray(w, dtype=float)
-    return (np.eye(2, dtype=complex) + sum(w[i] * PAULIS[i] for i in range(3))) / 2
-
-
-def check_density_matrix(rho, tol_psd=TOL_PSD, tol_trace=TOL_TRACE, name="state"):
+def check_density_matrix(rho, name="state"):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     if not is_hermitian(rho, tol=1e-9):
         raise ValueError(f"{name} is not Hermitian")
     ev = np.linalg.eigvalsh(herm(rho))
-    if ev[0] < -tol_psd:
+    if ev[0] < -TOL_PSD:
         raise ValueError(f"{name} is not positive semidefinite (min eig {ev[0]:.3e})")
-    if abs(np.trace(rho).real - 1.0) > tol_trace:
+    if abs(np.trace(rho).real - 1.0) > TOL_TRACE:
         raise ValueError(f"{name} trace differs from one by {abs(np.trace(rho).real - 1.0):.3e}")
     return herm(rho)
 
 
-def check_unitary(u, tol=1e-9):
+def check_unitary(u):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("unitary must be square")
-    if op_norm(u.conj().T @ u - np.eye(u.shape[0])) > tol:
+    if op_norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-9:
         raise ValueError("matrix is not unitary")
     return u
 
 
-def check_povm(effects, d=None, tol=1e-8):
+def check_povm(effects, d=None):
     """Validate a POVM: Hermitian PSD effects summing to the identity."""
     mats = [np.asarray(m, dtype=complex) for m in effects]
     if not mats:
@@ -259,10 +230,10 @@ def check_povm(effects, d=None, tol=1e-8):
             raise ValueError(f"effect {k} has shape {m.shape}, expected {(dd, dd)}")
         if not is_hermitian(m, tol=1e-9):
             raise ValueError(f"effect {k} is not Hermitian")
-        if np.linalg.eigvalsh(herm(m))[0] < -tol:
+        if np.linalg.eigvalsh(herm(m))[0] < -1e-8:
             raise ValueError(f"effect {k} is not positive semidefinite")
         total += m
-    if op_norm(total - np.eye(dd)) > tol:
+    if op_norm(total - np.eye(dd)) > 1e-8:
         raise ValueError("effects do not sum to the identity")
     return [herm(m) for m in mats]
 

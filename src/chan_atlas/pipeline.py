@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channels import identity_channel
-from .classify import is_cq, is_entanglement_breaking, is_universally_image_additive
+from .classify import NO, is_cq, is_entanglement_breaking, is_universally_image_additive
 from .entropy import image_additivity_gap, min_output_entropy
 from .fixed_points import fixed_point_structure
 from .formats import form_kind, matrix_to_json
@@ -113,24 +113,16 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
 def image_stage(t, seed, n_directions):
     """Report section of the polytopic decomposition (also ``chan-atlas decompose``)."""
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
-    bound = dimension_bound_check(dec)
-    out = {
+    return {
         "status": dec.verdict,
         "n_vertices": len(dec.vertices),
         "n_dof": dec.n_dof,
         "preimage_dims": [r.preimage_basis.shape[1] for r in dec.vertices],
-        "residual_dim": dec.w_basis.shape[1] if dec.w_basis is not None else t.d_in,
-        "dimension_bound_ok": bound.ok,
+        "residual_dim": dec.w_basis.shape[1],
+        "dimension_bound_ok": dimension_bound_check(dec).ok,
         "vertex_states": [matrix_to_json(r.state) for r in dec.vertices],
+        **dec.checks,
     }
-    for key in ("max_support_excess", "reconstruction_deviation", "orthogonality_deviation",
-                "dominance_deviation"):
-        if key in dec.witness:
-            out[key] = dec.witness[key]
-    seps = dec.witness.get("vertex_separations")
-    if seps:
-        out["min_vertex_separation"] = min(seps)
-    return out
 
 
 def classification_stage(t, seed, n_directions, tol=1e-9):
@@ -153,9 +145,9 @@ def classification_stage(t, seed, n_directions, tol=1e-9):
             ecq["effect_norms"] = list(rec.certificate.norms)
         out["ecq"] = ecq
     else:
-        verdict = uia.witness["verdict"]
-        out["ecq"] = {"status": "indeterminate" if verdict != "not_polytopic" else "no",
-                      "reason": f"image decomposition verdict: {verdict}"}
+        # without a reconstruction the decomposition decided: no means not polytopic
+        verdict = "not_polytopic" if uia.status == NO else "indeterminate"
+        out["ecq"] = {"status": uia.status, "reason": f"image decomposition verdict: {verdict}"}
     return out
 
 

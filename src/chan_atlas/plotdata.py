@@ -19,17 +19,10 @@ def write_boundary_csv(path, rows):
             w.writerow([f"{theta:.12g}", f"{x:.12g}", f"{y:.12g}"])
 
 
-def read_boundary_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return np.array([[float(v) for v in row] for row in r])
-
-
-def write_boundary_svg(path, rows, size=480, margin=48):
-    """Closed boundary curve with axes, scaled to fit; no plotting library."""
+def write_boundary_svg(path, rows):
+    """Closed boundary curve with axes on a 480-pixel square, scaled to fit;
+    no plotting library."""
+    size, margin = 480, 48
     rows = np.asarray(rows)
     xs, ys = rows[:, 1], rows[:, 2]
     span = max(float(np.max(np.abs(xs))), float(np.max(np.abs(ys))), 1e-12)

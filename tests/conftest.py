@@ -8,7 +8,7 @@ functions; import them with ``from conftest import ...``.
 import numpy as np
 
 from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
-from chan_atlas.linalg import hvec, orthogonal_complement, random_density, trace_norm
+from chan_atlas.linalg import hvec, orthogonal_complement, op_norm, subspace_projector, trace_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -24,6 +24,18 @@ def bloch_state(x, y, z):
 
 def tetra_states(radius=1.0):
     return [bloch_state(*(radius * v)) for v in TETRA_DIRECTIONS]
+
+
+def random_density(rng, d):
+    """Random full-rank density matrix, Wishart construction."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def subspace_distance(b1, b2):
+    """Operator-norm distance between the projectors onto two column spans."""
+    return op_norm(subspace_projector(b1) - subspace_projector(b2))
 
 
 def haar_unitary(rng, d):

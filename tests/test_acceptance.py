@@ -15,6 +15,7 @@ from conftest import (
     bloch_state,
     ecq_fixture,
     random_cptp,
+    subspace_distance,
     tetra_states,
 )
 
@@ -57,7 +58,7 @@ from chan_atlas.geometry import (
     fujiwara_algoet_check,
     polytopic_decompose,
 )
-from chan_atlas.linalg import partial_transpose, subspace_distance, trace_norm
+from chan_atlas.linalg import partial_transpose, trace_norm
 
 N_ROUNDTRIP = 20
 ROUNDTRIP_SEEDS = range(100, 100 + N_ROUNDTRIP)

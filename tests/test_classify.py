@@ -11,7 +11,6 @@ from chan_atlas.channels import (
     dephasing_channel,
     depolarizing_channel,
     direct_sum,
-    identity_channel,
     kraus_channel,
     linear_map_channel,
     map_distance,
@@ -23,7 +22,6 @@ from chan_atlas.classify import (
     INDETERMINATE,
     NO,
     YES,
-    eb_direct_sum_consistency,
     is_cq,
     is_entanglement_breaking,
     is_universally_image_additive,
@@ -105,15 +103,6 @@ def test_verdict_refuses_truthiness():
     v = is_entanglement_breaking(dephasing_channel(2))
     with pytest.raises(TypeError, match="three-valued"):
         bool(v)
-
-
-def test_eb_direct_sum_consistency_decisive():
-    rep = eb_direct_sum_consistency(dephasing_channel(2), dephasing_channel(2))
-    assert rep.consistent is True
-    assert rep.direct.status == YES
-    rep = eb_direct_sum_consistency(identity_channel(2), dephasing_channel(2))
-    assert rep.consistent is True
-    assert rep.direct.status == NO and rep.first.status == NO
 
 
 def test_is_cq_on_cq_channels():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, tetra_states
+from conftest import haar_unitary, random_density, tetra_states
 
 from chan_atlas.channels import (
     compose,
@@ -23,7 +23,7 @@ from chan_atlas.entropy import (
     min_output_entropy,
     renyi_entropy,
 )
-from chan_atlas.linalg import random_density, random_direction, random_pure
+from chan_atlas.linalg import random_direction, random_pure
 
 LOG2 = np.log(2.0)
 # closed forms for the r = 1/3 depolarizing qubit channel: the minimizing

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -26,11 +27,15 @@ from chan_atlas.formats import (
 )
 from chan_atlas.geometry import image_boundary_2d
 from chan_atlas.pipeline import report_json, run_pipeline, validate_report
-from chan_atlas.plotdata import (
-    read_boundary_csv,
-    write_boundary_csv,
-    write_boundary_svg,
-)
+from chan_atlas.plotdata import write_boundary_csv, write_boundary_svg
+
+
+def read_csv_rows(path):
+    """Rows of a boundary CSV as floats, after checking its header."""
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["theta", "x", "y"]
+    return np.array(rows, dtype=float)
 
 
 def spec_file(tmp_path, obj, name="spec.json"):
@@ -183,6 +188,16 @@ def test_cli_classify_json(tmp_path, capsys):
     assert payload["entanglement_breaking"]["status"] == "yes"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    # at depolarizing 1/2 (PT eigenvalue -1/8) nan and inf once answered EB yes
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tol={tol}", "classify", spec_file(tmp_path, DEPOL_HALF)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err and not captured.out
+
+
 def test_cli_bits_renders_hex_floats(tmp_path, capsys):
     rc = main(["--bits", "classify", spec_file(tmp_path, DEPOL_HALF)])
     assert rc == 0
@@ -195,7 +210,7 @@ def test_cli_image_writes_boundary_csv(tmp_path, capsys):
     rc = main(["image", spec_file(tmp_path, TRINE_SPEC),
                "--out", str(out), "--svg", str(svg), "--points", "64"])
     assert rc == 0
-    rows = read_boundary_csv(str(out))
+    rows = read_csv_rows(out)
     assert rows.shape == (64, 3)
     assert rows[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert rows[0, 1] == pytest.approx(0.408248290464, abs=1e-9)
@@ -395,7 +410,7 @@ def test_boundary_csv_round_trip(tmp_path):
     rows = image_boundary_2d(trine_channel(), n_points=16)
     path = tmp_path / "rows.csv"
     write_boundary_csv(str(path), rows)
-    back = read_boundary_csv(str(path))
+    back = read_csv_rows(path)
     np.testing.assert_allclose(back, rows, atol=1e-12)
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import assembled_polytopic_fixture, bloch_state, ecq_fixture, haar_unitary
+from conftest import (
+    assembled_polytopic_fixture,
+    bloch_state,
+    ecq_fixture,
+    haar_unitary,
+    subspace_distance,
+)
 
 from chan_atlas import geometry
 from chan_atlas.channels import (
@@ -18,7 +24,6 @@ from chan_atlas.channels import (
     unital_qubit_diag,
 )
 from chan_atlas.geometry import (
-    bloch_image_spectrum,
     bloch_map,
     default_plane,
     dimension_bound_check,
@@ -28,7 +33,8 @@ from chan_atlas.geometry import (
     polytopic_decompose,
     support_function,
 )
-from chan_atlas.linalg import subspace_distance, trace_norm
+from chan_atlas.linalg import trace_norm
+from chan_atlas.pipeline import image_stage
 
 
 def test_support_function_on_trine():
@@ -47,9 +53,9 @@ def test_bloch_map_of_diagonal_channel():
     m = bloch_map(unital_qubit_diag((0.5, -0.3, 0.2)))
     np.testing.assert_allclose(m.linear, np.diag([0.5, -0.3, 0.2]), atol=1e-12)
     np.testing.assert_allclose(m.shift, 0.0, atol=1e-12)
-    axes, center = bloch_image_spectrum(m)
+    # the image ellipsoid's semi-axes are the singular values of the linear part
+    axes = np.linalg.svd(m.linear, compute_uv=False)
     np.testing.assert_allclose(np.sort(axes), [0.2, 0.3, 0.5], atol=1e-12)
-    np.testing.assert_allclose(center, 0.0, atol=1e-12)
 
 
 def test_bloch_map_shift_of_nonunital_channel():
@@ -167,7 +173,7 @@ def test_round_image_is_not_polytopic(channel):
     dec = polytopic_decompose(channel, n_directions=200, seed=4)
     assert dec.verdict == "not_polytopic"
     assert not dimension_bound_check(dec).ok
-    assert dec.witness.get("excess_direction") is not None or "direction" in dec.witness
+    assert dec.direction.shape == (channel.d_out, channel.d_out)
 
 
 def test_polytopic_decompose_is_computed_once_per_arguments():
@@ -180,24 +186,58 @@ def test_polytopic_decompose_is_computed_once_per_arguments():
     assert polytopic_decompose(t, seed=1) is other
 
 
-def test_polytopic_decompose_refuses_an_empty_verification_sample():
-    # with no fresh directions nothing would verify the hull
-    with pytest.raises(ValueError, match="verification direction"):
-        polytopic_decompose(dephasing_channel(3), verify_directions=0)
+def test_polytopic_decompose_solves_each_map_once():
+    # T* on the fresh directions and t2* on the fresh plus every vertex's
+    # exposing directions, after the one stacked solve of find_vertices
+    t, sig, k, n, w = assembled_polytopic_fixture(0)
+    assert k == 5
+    stacked = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            stacked.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", counted)
+        dec = polytopic_decompose(t)
+    assert dec.verdict == "polytopic" and len(dec.vertices) == k
+    assert len(stacked) <= 3
+
+
+def test_image_stage_reports_the_decomposition_checks():
+    checks = ("max_support_excess", "reconstruction_deviation", "orthogonality_deviation",
+              "dominance_deviation", "min_vertex_separation")
+    out = image_stage(trine_channel(), 0, 400)  # no vertices, so no checks
+    assert out["status"] == "not_polytopic" and out["n_vertices"] == 0
+    assert not set(checks) & set(out)
+    out = image_stage(assembled_polytopic_fixture(0)[0], 0, 400)
+    assert out["status"] == "polytopic" and out["residual_dim"] > 0
+    assert set(checks) <= set(out)
+    assert out["min_vertex_separation"] >= geometry.SEPARATION_MIN
+    assert max(out[c] for c in checks[:4]) <= geometry.VERDICT_TOL
 
 
 @pytest.mark.parametrize("channel", [depolarizing_channel(0.5), trine_channel()],
                          ids=["depolarizing", "trine"])
 def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):
+    # one stacked trace-distance call per point, plus the tie check and one
+    # member filter per vertex candidate: never one per (point, cluster) pair
     calls = []
+    clusters = []
+    trace_distances = geometry._trace_distances
 
-    def counted(a):
+    def counted(y, others):
         calls.append(1)
-        return trace_norm(a)
+        if np.ndim(y) == 2 and np.ndim(others) == 3:  # a point against the cluster means
+            clusters.append(len(others))
+        return trace_distances(y, others)
 
-    monkeypatch.setattr(geometry, "trace_norm", counted)
+    monkeypatch.setattr(geometry, "_trace_distances", counted)
     find_vertices(channel, n_directions=400, seed=0)
-    assert len(calls) <= 400
+    n_clusters = max(clusters, default=0) + 1  # the last point sees all but one at most
+    assert len(calls) <= 400 + n_clusters
 
 
 @pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_density, subspace_distance
+
 from chan_atlas.linalg import (
-    bloch_to_rho,
-    bloch_vector,
     canonical_phase,
     check_density_matrix,
     check_povm,
@@ -21,14 +21,11 @@ from chan_atlas.linalg import (
     orthonormal_columns,
     partial_trace,
     partial_transpose,
-    random_density,
     random_direction,
     random_hermitian,
     random_pure,
     spectral_radius,
-    subspace_distance,
     subspace_projector,
-    top_eigenvector,
     trace_norm,
     unhvec,
     unvec,
@@ -114,24 +111,11 @@ def test_random_helpers_are_seeded_and_normalized():
     assert np.linalg.norm(h) == pytest.approx(1.0)
 
 
-def test_random_density_rank_control():
-    rho = random_density(np.random.default_rng(10), 4, rank=2)
-    w = np.linalg.eigvalsh(rho)
-    assert abs(w[0]) < 1e-12 and abs(w[1]) < 1e-12 and w[2] > 1e-6
-
-
 def test_canonical_phase_fixes_global_phase():
     rng = np.random.default_rng(11)
     v = random_pure(rng, 3)
     w = np.exp(0.7j) * v
     np.testing.assert_allclose(canonical_phase(v), canonical_phase(w), atol=1e-12)
-
-
-def test_top_eigenvector():
-    h = np.diag([1.0, 5.0, 3.0]).astype(complex)
-    lam, v = top_eigenvector(h)
-    assert lam == pytest.approx(5.0)
-    np.testing.assert_allclose(np.abs(v), [0, 1, 0], atol=1e-12)
 
 
 def test_subspace_helpers():
@@ -172,13 +156,6 @@ def test_null_space_relative_threshold():
     assert ns.shape == (4, 1)
     np.testing.assert_allclose(np.abs(ns[:, 0]), np.array([1, 1, 0, 1]) / np.sqrt(3), atol=1e-9)
     assert peak < 1 << 20
-
-
-def test_bloch_round_trip():
-    w = np.array([0.3, -0.2, 0.4])
-    rho = bloch_to_rho(w)
-    np.testing.assert_allclose(bloch_vector(rho), w, atol=1e-12)
-    assert np.trace(rho).real == pytest.approx(1.0)
 
 
 def test_check_density_matrix_raises():

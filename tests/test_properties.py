@@ -1,13 +1,25 @@
 """Property-based checks (``hypothesis``, derandomized, bounded examples)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import random_cptp
+from conftest import haar_unitary, random_cptp, random_density, random_povm
 
 from chan_atlas import channels
-from chan_atlas.channels import kraus_channel
+from chan_atlas.channels import (
+    choi_channel,
+    cq_channel,
+    depolarizing_channel,
+    direct_sum,
+    ecq_channel,
+    kraus_channel,
+    povm_channel,
+)
+from chan_atlas.classify import INDETERMINATE, NO, YES, is_entanglement_breaking
 from chan_atlas.fixed_points import fixed_point_structure
+from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, strategies = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -30,3 +42,84 @@ def test_fixed_point_structure_near_identity_property(d, log_eps, seed):
         assert np.trace(p).real == pytest.approx(st.fixed_dim, abs=1e-8)
         for x in (n @ p, p @ n, p @ p):
             assert channels._max_column_op_norm(x - p, d) <= 1e-8
+
+
+dims = strategies.integers(1, 3)
+seeds = strategies.integers(0, 2 ** 16)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(d_in=dims, d_out=dims, extra=strategies.integers(0, 2), seed=seeds)
+def test_kraus_choi_natural_round_trip_property(d_in, d_out, extra, seed):
+    env = -(-d_in // d_out) + extra  # an isometry needs d_out * env >= d_in
+    t = random_cptp(np.random.default_rng(seed), d_in, d_out, env=env)
+    n = t.natural_matrix()
+    via_choi = choi_channel(t.to_choi(), d_in, d_out)
+    np.testing.assert_allclose(via_choi.natural_matrix(), n, rtol=0, atol=1e-12)
+    ops = via_choi.kraus_operators()
+    assert 1 <= len(ops) <= min(env, d_in * d_out)
+    back = kraus_channel(ops)
+    np.testing.assert_allclose(back.natural_matrix(), n, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(channels._natural_channel(n, d_in, d_out).to_choi(), t.to_choi(),
+                               rtol=0, atol=1e-12)
+
+
+def _channel_of_kind(kind, rng, d_in, d_out):
+    """A seeded CPTP channel stored in the form that ``kind`` names."""
+    states = [random_density(rng, d_out) for _ in range(max(d_in, 3))]
+    if kind == "kraus":
+        return random_cptp(rng, d_in, d_out)
+    if kind == "choi":
+        return choi_channel(random_cptp(rng, d_in, d_out).to_choi(), d_in, d_out)
+    if kind == "povm":
+        return povm_channel(random_povm(rng, d_in, 3), states[:3])
+    if kind == "cq":
+        return cq_channel(haar_unitary(rng, d_in), states[:d_in])
+    if kind == "ecq":
+        # unit vectors on all but one basis direction; the first remainder takes the rest
+        u = haar_unitary(rng, d_in)
+        k = max(1, d_in - 1)
+        rest = u[:, k:] @ u[:, k:].conj().T
+        tilde = [rest] + [np.zeros((d_in, d_in), dtype=complex)] * (k - 1)
+        return ecq_channel(list(u[:, :k].T), tilde, states[:k])
+    return direct_sum(random_cptp(rng, d_in, d_out), povm_channel(random_povm(rng, 2, 3),
+                                                                  states[:3]))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kind=strategies.sampled_from(["kraus", "choi", "povm", "cq", "ecq", "direct_sum"]),
+       d_in=dims, d_out=dims, seed=seeds)
+def test_spec_round_trip_property(kind, d_in, d_out, seed):
+    t = _channel_of_kind(kind, np.random.default_rng(seed), d_in, d_out)
+    assert form_kind(t) == kind
+    back = channel_from_dict(json.loads(json.dumps(channel_to_dict(t))))
+    assert form_kind(back) == kind
+    assert (back.d_in, back.d_out) == (t.d_in, t.d_out)
+    np.testing.assert_allclose(back.natural_matrix(), t.natural_matrix(), rtol=0, atol=1e-12)
+    assert channel_to_dict(back) == channel_to_dict(t)
+
+
+def _eb_block(kind, rng, r):
+    """A qubit-output block whose EB verdict is decisive: depolarizing ``r``
+    (EB iff r <= 1/3), measure-and-prepare (EB) or a unitary (not EB)."""
+    if kind == "depolarizing":
+        return depolarizing_channel(r)
+    if kind == "povm":
+        d = int(rng.integers(1, 4))
+        return povm_channel(random_povm(rng, d, 3), [random_density(rng, 2) for _ in range(3)])
+    return kraus_channel([haar_unitary(rng, 2)])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kinds=strategies.tuples(*[strategies.sampled_from(["depolarizing", "povm", "unitary"])] * 2),
+       rs=strategies.tuples(*[strategies.floats(-1 / 3, 1)] * 2), seed=seeds)
+def test_direct_sum_entanglement_breaking_property(kinds, rs, seed):
+    # a direct sum is EB yes iff both blocks are, and EB no iff one block is
+    hypothesis.assume(all(abs(r - 1 / 3) > 1e-6 for r in rs))
+    rng = np.random.default_rng(seed)
+    a, b = (_eb_block(k, rng, r) for k, r in zip(kinds, rs))
+    blocks = [is_entanglement_breaking(x).status for x in (a, b)]
+    assert INDETERMINATE not in blocks
+    both = is_entanglement_breaking(direct_sum(a, b)).status
+    assert (both == YES) == (blocks == [YES, YES])
+    assert (both == NO) == (NO in blocks)
