@@ -199,8 +199,6 @@ class Channel:
             is_cptp=is_cp and is_tp,
             min_choi_eigenvalue=min_eig,
             marginal_deviation=float(dev),
-            tol_psd=TOL_PSD,
-            tol_trace=TOL_TRACE,
         )
 
     def require_cptp(self):
@@ -217,8 +215,6 @@ class CptpVerdict:
     is_cptp: bool
     min_choi_eigenvalue: float
     marginal_deviation: float
-    tol_psd: float
-    tol_trace: float
 
 
 class NotCptpError(ValueError):

@@ -1,12 +1,14 @@
 """Channel classification: entanglement breaking, CQ, eCQ, universal image
 additivity.
 
-Verdicts are three-valued.  "yes"/"no" always carry a witness (a separable
-decomposition, a violating eigenvector, a reconstructed certificate, a
-support-excess direction); "indeterminate" names the check that could not be
-decided at the working tolerance.  Classification never guesses: a PPT Choi
-outside the dimensions where PPT is conclusive stays indeterminate unless a
-constructive separable decomposition is available from the representation.
+Every answer is one :class:`Verdict`: a status ``"yes"`` / ``"no"`` /
+``"indeterminate"``, a ``witness`` dict and a ``reason``.  "yes" and "no"
+carry their evidence in the witness (a separable decomposition, a violating
+eigenvector, a reconstructed certificate, a support-excess direction);
+"indeterminate" says in ``reason`` which check could not be decided at the
+working tolerance.  Classification never guesses: a PPT Choi outside the
+dimensions where PPT is conclusive stays indeterminate unless a constructive
+separable decomposition is available from the representation.
 """
 
 from __future__ import annotations
@@ -49,12 +51,20 @@ INDETERMINATE = "indeterminate"
 # dimensions where a PPT Choi matrix is necessarily separable
 _PPT_EXACT = {(2, 2), (2, 3), (3, 2)}
 
+UNIT_NORM_TOL = 1e-7  # bound on | ||M_i|| - 1 | for a unit-norm POVM
+
 
 @dataclass
-class ClassVerdict:
+class Verdict:
+    """A three-valued answer.
+
+    ``status`` is ``YES``, ``NO`` or ``INDETERMINATE``; ``witness`` holds the
+    evidence under keys that each producing function documents; ``reason``
+    explains a "no" or an "indeterminate" (empty for most "yes").
+    """
+
     status: str
     witness: dict
-    tolerance: float
     reason: str = ""
 
     def __bool__(self):  # pragma: no cover - guard against accidental truthiness
@@ -68,6 +78,11 @@ def is_entanglement_breaking(t, tol=1e-9):
     conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise a
     constructive separable decomposition is read off measure-and-prepare
     representations (and, blockwise, direct sums of them).
+
+    The witness always holds ``"min_pt_eigenvalue"``.  A "no" adds
+    ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
+    ``"separable_pairs"``; a direct sum adds the block verdicts as
+    ``"blocks"``.
     """
     t.require_cptp()
     j = t.to_choi()
@@ -75,32 +90,28 @@ def is_entanglement_breaking(t, tol=1e-9):
     w, u = np.linalg.eigh(herm(jpt))
     min_pt = float(w[0])
     if min_pt < -tol:
-        return ClassVerdict(
-            status=NO,
-            witness={"min_pt_eigenvalue": min_pt, "pt_eigenvector": canonical_phase(u[:, 0])},
-            tolerance=tol,
-        )
+        return Verdict(NO, {"min_pt_eigenvalue": min_pt,
+                            "pt_eigenvector": canonical_phase(u[:, 0])})
     base = {"min_pt_eigenvalue": min_pt}
     if (t.d_in, t.d_out) in _PPT_EXACT:
-        return ClassVerdict(status=YES, witness={**base, "ppt_exact_regime": True}, tolerance=tol)
+        return Verdict(YES, {**base, "ppt_exact_regime": True})
     f = t.form
     if isinstance(f, (PovmForm, EcqForm, CqForm)):
         # separable Choi decomposition J = sum_k sigma_k (x) M_k^T / d_in
         pairs = [(s.copy(), m.T.copy() / t.d_in) for m, s in zip(*_measure_prepare(f))]
-        return ClassVerdict(status=YES, witness={**base, "separable_pairs": pairs}, tolerance=tol)
+        return Verdict(YES, {**base, "separable_pairs": pairs})
     if isinstance(f, DirectSumForm):
         subs = [is_entanglement_breaking(b, tol=tol) for b in f.blocks]
         if all(s.status == YES for s in subs):
-            return ClassVerdict(status=YES, witness={**base, "blocks": subs}, tolerance=tol)
+            return Verdict(YES, {**base, "blocks": subs})
         if any(s.status == NO for s in subs):
             bad = next(s for s in subs if s.status == NO)
-            return ClassVerdict(status=NO, witness={**base, "blocks": subs, **bad.witness},
-                                tolerance=tol)
-        return ClassVerdict(status=INDETERMINATE, witness={**base, "blocks": subs}, tolerance=tol,
-                            reason="PPT holds but a block has no separability certificate")
-    return ClassVerdict(status=INDETERMINATE, witness=base, tolerance=tol,
-                        reason="PPT holds but dimensions admit PPT-entangled states and the "
-                               "representation carries no separable decomposition")
+            return Verdict(NO, {**base, "blocks": subs, **bad.witness})
+        return Verdict(INDETERMINATE, {**base, "blocks": subs},
+                       "PPT holds but a block has no separability certificate")
+    return Verdict(INDETERMINATE, base,
+                   "PPT holds but dimensions admit PPT-entangled states and the "
+                   "representation carries no separable decomposition")
 
 
 # -- eCQ reconstruction -------------------------------------------------
@@ -115,16 +126,7 @@ class EcqCertificate:
     norms: list            # operator norms of the effects
 
 
-@dataclass
-class EcqReconstruction:
-    status: str
-    certificate: EcqCertificate | None
-    witness: dict
-    tolerance: float
-    reason: str = ""
-
-
-def reconstruct_ecq(t, vertices, preimages=None, tol=1e-7):
+def reconstruct_ecq(t, vertices, preimages=None):
     """Solve ``T(rho) = sum_i Tr(M_i rho) sigma_i`` for the unique POVM.
 
     ``vertices`` must be the vertex states of ``Im(T)``.  The affine
@@ -132,58 +134,59 @@ def reconstruct_ecq(t, vertices, preimages=None, tol=1e-7):
     adjoint: ``M_j = T*(G_j) + c_j I`` where ``Tr(G_j sigma_i) + c_j =
     delta_ij``.  The answer is "yes" only if the reconstructed effects
     reproduce the channel, form a POVM, and every effect has operator norm
-    one; a condition failing beyond tolerance is a conclusive "no" because
-    the candidate effects are unique.  Affinely dependent vertices lose
-    uniqueness and give "indeterminate".
+    one within ``UNIT_NORM_TOL``; a condition failing beyond tolerance is a
+    conclusive "no" because the candidate effects are unique.  One stacked
+    ``eigh`` of the effects gives their PSD margin, norms and top vectors,
+    and one stacked ``eigvalsh`` the PSD margin of the remainders.
+
+    Witness keys.  With independent vertices: one value per check
+    (``"reproduction"``, ``"sum_to_identity"``, ``"effect_psd"``,
+    ``"unit_norms"``, ``"vector_orthonormality"``, ``"tilde_psd"``,
+    ``"tilde_support"``, and ``"vector_in_preimage"`` when ``preimages``
+    are given), then ``"certificate"`` (an :class:`EcqCertificate`) on "yes"
+    or ``"failed"`` (the failing check names) on "no".  Affinely dependent
+    vertices give ``"singular_values"`` of the frame: "no" when a dilation
+    obstruction rules out every POVM (its values are added, see
+    ``_dilation_obstruction``), otherwise "indeterminate" since the POVM is
+    not unique.
     """
     t.require_cptp()
     n, d = t.d_out, t.d_in
     sigmas = [herm(np.asarray(s, dtype=complex)) for s in vertices]
     k = len(sigmas)
     if k == 0:
-        return EcqReconstruction(status=NO, certificate=None,
-                                 witness={"failed": "no vertices supplied"}, tolerance=tol)
+        return Verdict(NO, {"failed": "no vertices supplied"})
 
     b = np.array([np.concatenate([hvec(s), [1.0]]) for s in sigmas])
     sv = np.linalg.svd(b, compute_uv=False)
     if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-        obstruction = _dilation_obstruction(t, sigmas, tol)
+        obstruction = _dilation_obstruction(t, sigmas)
         if obstruction is not None:
-            return EcqReconstruction(
-                status=NO, certificate=None,
-                witness={"singular_values": sv, **obstruction}, tolerance=tol,
-                reason="dilating the channel about the maximally mixed state leaves the "
-                       "CP/PPT cone, so no POVM prepares these (all mixed) vertices")
-        return EcqReconstruction(status=INDETERMINATE, certificate=None,
-                                 witness={"singular_values": sv}, tolerance=tol,
-                                 reason="vertices are affinely dependent; POVM not unique")
+            return Verdict(NO, {"singular_values": sv, **obstruction},
+                           "dilating the channel about the maximally mixed state leaves the "
+                           "CP/PPT cone, so no POVM prepares these (all mixed) vertices")
+        return Verdict(INDETERMINATE, {"singular_values": sv},
+                       "vertices are affinely dependent; POVM not unique")
     y = np.linalg.pinv(b)  # columns: (g_j, c_j) with a_j(sigma_i) = delta_ij
     g = np.array([unhvec(y[:-1, jcol], n) for jcol in range(k)])
-    effects = list(herm(t.dual_apply(g) + y[-1][:, None, None] * np.eye(d)))
-
-    checks = {}
-    rebuilt = povm_channel(effects, sigmas, validate=False)
-    checks["reproduction"] = (map_distance(t, rebuilt), 1e-9)
-    checks["sum_to_identity"] = (op_norm(sum(effects) - np.eye(d)), 1e-9)
-    checks["effect_psd"] = (max(-float(np.linalg.eigvalsh(m)[0]) for m in effects), 1e-9)
-
-    norms = []
-    vectors = []
-    for m in effects:
-        w, u = np.linalg.eigh(m)
-        norms.append(float(w[-1]))
-        vectors.append(canonical_phase(u[:, -1]))
-    checks["unit_norms"] = (max(abs(x - 1.0) for x in norms), tol)
-
-    gram_dev = max(abs(np.vdot(vectors[i], vectors[jj]) - (1.0 if i == jj else 0.0))
-                   for i in range(k) for jj in range(k))
-    checks["vector_orthonormality"] = (gram_dev, 1e-9)
-
-    tilde = [m - np.outer(e, np.conj(e)) for m, e in zip(effects, vectors)]
-    checks["tilde_psd"] = (max(-float(np.linalg.eigvalsh(herm(m))[0]) for m in tilde), 1e-8)
-    checks["tilde_support"] = (
-        max(abs(np.conj(e) @ m @ e) for m in tilde for e in vectors), 1e-8)
-
+    effects = herm(t.dual_apply(g) + y[-1][:, None, None] * np.eye(d))
+    w, u = np.linalg.eigh(effects)
+    norms = w[:, -1]
+    vectors = np.array([canonical_phase(e) for e in u[:, :, -1]])
+    tilde = effects - vectors[:, :, None] * vectors.conj()[:, None, :]
+    rebuilt = povm_channel(list(effects), sigmas, validate=False)
+    checks = {
+        "reproduction": (map_distance(t, rebuilt), 1e-9),
+        "sum_to_identity": (op_norm(effects.sum(axis=0) - np.eye(d)), 1e-9),
+        "effect_psd": (-float(w[:, 0].min()), 1e-9),
+        "unit_norms": (float(np.abs(norms - 1.0).max()), UNIT_NORM_TOL),
+        "vector_orthonormality": (float(np.abs(vectors.conj() @ vectors.T - np.eye(k)).max()),
+                                  1e-9),
+        "tilde_psd": (-float(np.linalg.eigvalsh(herm(tilde))[:, 0].min()), 1e-8),
+        # |e_j* (M_i - e_i e_i*) e_j| over every pair
+        "tilde_support": (float(np.abs(np.einsum("ja,iab,jb->ij", vectors.conj(), tilde,
+                                                 vectors)).max()), 1e-8),
+    }
     if preimages is not None:
         dev = 0.0
         for e, basis in zip(vectors, preimages):
@@ -191,18 +194,18 @@ def reconstruct_ecq(t, vertices, preimages=None, tol=1e-7):
             dev = max(dev, float(np.linalg.norm(e - p @ e)))
         checks["vector_in_preimage"] = (dev, 1e-6)
 
-    failed = {name: val for name, (val, bound) in checks.items() if val > bound}
+    failed = sorted(name for name, (val, bound) in checks.items() if val > bound)
     witness = {name: val for name, (val, bound) in checks.items()}
     if failed:
-        return EcqReconstruction(status=NO, certificate=None,
-                                 witness={**witness, "failed": sorted(failed)}, tolerance=tol,
-                                 reason="unique candidate POVM violates: " + ", ".join(sorted(failed)))
-    cert = EcqCertificate(vectors=vectors, tilde_effects=tilde, effects=effects,
-                          states=sigmas, norms=norms)
-    return EcqReconstruction(status=YES, certificate=cert, witness=witness, tolerance=tol)
+        return Verdict(NO, {**witness, "failed": failed},
+                       "unique candidate POVM violates: " + ", ".join(failed))
+    witness["certificate"] = EcqCertificate(
+        vectors=list(vectors), tilde_effects=list(tilde), effects=list(effects),
+        states=sigmas, norms=norms.tolist())
+    return Verdict(YES, witness)
 
 
-def _dilation_obstruction(t, sigmas, tol):
+def _dilation_obstruction(t, sigmas):
     """Rule out every vertex POVM representation by dilating the channel.
 
     If ``T = sum_i Tr(M_i .) sigma_i`` held for any POVM at all, and every
@@ -219,7 +222,7 @@ def _dilation_obstruction(t, sigmas, tol):
     """
     n, d = t.d_out, t.d_in
     lam = min(float(np.linalg.eigvalsh(herm(s))[0]) for s in sigmas)
-    if lam <= max(100.0 * tol, 1e-6):
+    if lam <= 1e-5:
         return None  # a vertex is (numerically) pure; no dilation room
     head = 1.0 - n * lam
     cap = n * lam / head if head > 1e-12 else 1.0
@@ -234,13 +237,13 @@ def _dilation_obstruction(t, sigmas, tol):
     j = herm(dilated.to_choi())
     choi_min = float(np.linalg.eigvalsh(j)[0])
     pt_min = float(np.linalg.eigvalsh(herm(partial_transpose(j, (n, d), which=1)))[0])
-    if min(choi_min, pt_min) < -max(100.0 * tol, 1e-8):
+    if min(choi_min, pt_min) < -1e-5:
         return {"dilation_epsilon": eps, "min_vertex_eigenvalue": lam,
                 "dilated_choi_min": choi_min, "dilated_pt_min": pt_min}
     return None
 
 
-def retraction_channel(certificate, d_in):
+def retraction_channel(certificate):
     """The dephasing-like map ``S(rho) = sum_i Tr(M_i rho) e_i e_i*``."""
     states = [np.outer(e, np.conj(e)) for e in certificate.vectors]
     return povm_channel(certificate.effects, states, validate=False)
@@ -255,13 +258,16 @@ def is_cq(t, seed=0, n_directions=400):
     The candidate basis is assembled recursively: vertex preimages of the
     image contribute blockwise (any orthonormal basis of a preimage works),
     and the compression to the residual subspace is decided by recursion.
-    The assembled basis is then verified directly, so "yes" is certified;
-    "no" requires a support-excess witness showing the image of some stage
-    is not the hull of its vertices.
+    The assembled basis is then verified directly, so "yes" is certified
+    (witness ``"basis"``, ``"states"``, ``"offdiagonal_residual"``,
+    ``"map_deviation"``); "no" requires a support-excess witness showing the
+    image of some stage is not the hull of its vertices (``"stage_d_in"``,
+    ``"direction"``, ``"support_excess"``, nested under ``"residual"`` for
+    a residual stage).
     """
     t.require_cptp()
     out = _cq_recurse(t, seed, n_directions)
-    if isinstance(out, ClassVerdict):
+    if isinstance(out, Verdict):
         return out
     basis, states = out
     b = np.column_stack(basis)
@@ -273,29 +279,24 @@ def is_cq(t, seed=0, n_directions=400):
     rebuilt = cq_channel(b, diag_states, validate=False)
     dist = map_distance(t, rebuilt)
     if offdiag <= 1e-9 and dist <= 1e-9:
-        return ClassVerdict(status=YES, tolerance=1e-9,
-                            witness={"basis": b, "states": diag_states,
-                                     "offdiagonal_residual": offdiag,
-                                     "map_deviation": dist})
-    return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
-                        witness={"offdiagonal_residual": offdiag, "map_deviation": dist},
-                        reason="candidate basis search exhausted without proof of infeasibility")
+        return Verdict(YES, {"basis": b, "states": diag_states,
+                             "offdiagonal_residual": offdiag, "map_deviation": dist})
+    return Verdict(INDETERMINATE, {"offdiagonal_residual": offdiag, "map_deviation": dist},
+                   "candidate basis search exhausted without proof of infeasibility")
 
 
 def _cq_recurse(t, seed, n_directions):
-    """Returns (basis vector list, state list) or a terminal ClassVerdict."""
+    """Returns (basis vector list, state list) or a terminal Verdict."""
     d = t.d_in
     if d == 1:
         return [np.ones(1, dtype=complex)], [herm(unvec(t.natural_matrix(), t.d_out))]
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
     if not dec.vertices:
         if dec.verdict == "not_polytopic":
-            return ClassVerdict(status=NO, tolerance=1e-9,
-                                witness={"stage_d_in": d, **_excess_witness(dec)},
-                                reason="image of a stage has no vertices; a CQ image is the "
-                                       "hull of at most d_in states")
-        return ClassVerdict(status=INDETERMINATE, tolerance=1e-9, witness={"stage_d_in": d},
-                            reason="vertex detection inconclusive")
+            return Verdict(NO, {"stage_d_in": d, **_excess_witness(dec)},
+                           "image of a stage has no vertices; a CQ image is the "
+                           "hull of at most d_in states")
+        return Verdict(INDETERMINATE, {"stage_d_in": d}, "vertex detection inconclusive")
     basis = []
     states = []
     for r in dec.vertices:
@@ -304,11 +305,10 @@ def _cq_recurse(t, seed, n_directions):
             states.append(r.state)
     if dec.w_basis.shape[1]:
         sub = _cq_recurse(dec.t2, seed + 1, n_directions)
-        if isinstance(sub, ClassVerdict):
+        if isinstance(sub, Verdict):
             if sub.status == NO:
-                return ClassVerdict(status=NO, tolerance=1e-9,
-                                    witness={"stage_d_in": d, "residual": sub.witness},
-                                    reason="residual block is not CQ: " + sub.reason)
+                return Verdict(NO, {"stage_d_in": d, "residual": sub.witness},
+                               "residual block is not CQ: " + sub.reason)
             return sub
         sub_basis, sub_states = sub
         for v, s in zip(sub_basis, sub_states):
@@ -316,12 +316,11 @@ def _cq_recurse(t, seed, n_directions):
             states.append(s)
     if len(basis) != d:
         # overlapping preimages; the clusters may be spurious, so no "no"
-        return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
-                            witness={"stage_d_in": d, "n_vectors": len(basis),
-                                     "orthogonality_deviation":
-                                         dec.checks["orthogonality_deviation"]},
-                            reason="vertex preimages of a stage overlap and give "
-                                   f"{len(basis)} basis vectors for dimension {d}")
+        return Verdict(INDETERMINATE,
+                       {"stage_d_in": d, "n_vectors": len(basis),
+                        "orthogonality_deviation": dec.checks["orthogonality_deviation"]},
+                       "vertex preimages of a stage overlap and give "
+                       f"{len(basis)} basis vectors for dimension {d}")
     return basis, states
 
 
@@ -343,33 +342,31 @@ def is_universally_image_additive(t, seed=0, n_directions=400):
     additive iff it is eCQ, and a "yes" comes with the retraction ``S``
     (a CQ map with ``T o S = T``) that realizes additivity constructively.
     Once the image is polytopic the witness holds the eCQ reconstruction
-    under ``"reconstruction"``; otherwise it holds the decomposition's
-    support-excess direction.
+    verdict under ``"reconstruction"`` (its certificate is
+    ``witness["reconstruction"].witness["certificate"]``), and a "yes" adds
+    ``"retraction"`` and ``"retraction_deviation"``.  Otherwise the witness
+    holds the decomposition's ``"direction"`` of largest support excess.
     """
     t.require_cptp()
     dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
     if dec.verdict == "not_polytopic":
-        return ClassVerdict(status=NO, tolerance=1e-9, witness=_excess_witness(dec),
-                            reason="image is not the hull of its detected vertices, so the "
-                                   "channel is not eCQ")
+        return Verdict(NO, _excess_witness(dec),
+                       "image is not the hull of its detected vertices, so the "
+                       "channel is not eCQ")
     if dec.verdict == "indeterminate":
-        return ClassVerdict(status=INDETERMINATE, tolerance=1e-9, witness=_excess_witness(dec),
-                            reason="polytopic decomposition inconclusive")
+        return Verdict(INDETERMINATE, _excess_witness(dec),
+                       "polytopic decomposition inconclusive")
     rec = reconstruct_ecq(t, [r.state for r in dec.vertices],
                           preimages=[r.preimage_basis for r in dec.vertices])
     if rec.status == NO:
-        return ClassVerdict(status=NO, tolerance=rec.tolerance,
-                            witness={**rec.witness, "reconstruction": rec},
-                            reason="vertices admit no unit-norm POVM: " + rec.reason)
+        return Verdict(NO, {"reconstruction": rec},
+                       "vertices admit no unit-norm POVM: " + rec.reason)
     if rec.status != YES:
-        return ClassVerdict(status=INDETERMINATE, tolerance=rec.tolerance,
-                            witness={**rec.witness, "reconstruction": rec}, reason=rec.reason)
-    s = retraction_channel(rec.certificate, t.d_in)
+        return Verdict(INDETERMINATE, {"reconstruction": rec}, rec.reason)
+    s = retraction_channel(rec.witness["certificate"])
     dev = map_distance(compose(s, t), t)
     if dev <= 1e-9:
-        return ClassVerdict(status=YES, tolerance=1e-9,
-                            witness={"certificate": rec.certificate, "retraction": s,
-                                     "retraction_deviation": dev, "reconstruction": rec})
-    return ClassVerdict(status=INDETERMINATE, tolerance=1e-9,
-                        witness={"retraction_deviation": dev, "reconstruction": rec},
-                        reason="retraction failed to reproduce the channel")
+        return Verdict(YES, {"reconstruction": rec, "retraction": s,
+                             "retraction_deviation": dev})
+    return Verdict(INDETERMINATE, {"reconstruction": rec, "retraction_deviation": dev},
+                   "retraction failed to reproduce the channel")

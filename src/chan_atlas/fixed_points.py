@@ -32,7 +32,7 @@ from .channels import Channel, _max_column_op_norm, _natural_channel
 from .classify import (
     INDETERMINATE,
     YES,
-    EcqReconstruction,
+    Verdict,
     is_entanglement_breaking,
     reconstruct_ecq,
 )
@@ -308,35 +308,27 @@ def _factor_block(alg_b, d_b, s_b, rng):
 # -- entanglement-breaking specialization ------------------------------
 
 
-@dataclass
-class EbFixedPointReport:
-    ok: bool
-    eb_status: str
-    structure: FixedPointStructure
-    abelian: bool
-    ecq: EcqReconstruction | None
-    reason: str = ""
-
-
 def verify_eb_fixed_point_theorem(t):
     """For EB channels the fixed algebra is abelian and the Cesaro
-    projection is an eCQ channel onto the fixed states."""
-    eb = is_entanglement_breaking(t)
-    if eb.status != YES:
-        return EbFixedPointReport(ok=False, eb_status=eb.status, structure=None,
-                                  abelian=False, ecq=None,
-                                  reason="channel not certified entanglement breaking")
-    st = fixed_point_structure(t)
+    projection is an eCQ channel onto the fixed states.
+
+    Returns a :class:`~.classify.Verdict`: "yes" when all of this is
+    verified, otherwise "indeterminate" with the first step that failed as
+    the reason.  The witness holds ``"eb"`` (the entanglement-breaking
+    verdict), ``"structure"`` (the :class:`FixedPointStructure`) and
+    ``"ecq"`` (the eCQ reconstruction verdict of the Cesaro projection,
+    which requires unit-norm effects); a step that was not reached is
+    ``None``.
+    """
+    witness = {"eb": is_entanglement_breaking(t), "structure": None, "ecq": None}
+    if witness["eb"].status != YES:
+        return Verdict(INDETERMINATE, witness, "channel not certified entanglement breaking")
+    st = witness["structure"] = fixed_point_structure(t)
     if st.status != "ok":
-        return EbFixedPointReport(ok=False, eb_status=eb.status, structure=st,
-                                  abelian=False, ecq=None, reason=st.reason)
-    abelian = all(b.dimension == 1 for b in st.blocks)
-    if not abelian:
-        return EbFixedPointReport(ok=False, eb_status=eb.status, structure=st,
-                                  abelian=False, ecq=None,
-                                  reason="fixed algebra has a nonabelian factor")
-    rec = reconstruct_ecq(st.cesaro, [b.embedded_state for b in st.blocks], tol=STRUCTURE_TOL)
-    norms = rec.certificate.norms if rec.certificate else []
-    ok = rec.status == YES and all(abs(x - 1.0) <= STRUCTURE_TOL for x in norms)
-    return EbFixedPointReport(ok=ok, eb_status=eb.status, structure=st, abelian=True,
-                              ecq=rec, reason="" if ok else "eCQ reconstruction failed")
+        return Verdict(INDETERMINATE, witness, st.reason)
+    if any(b.dimension != 1 for b in st.blocks):
+        return Verdict(INDETERMINATE, witness, "fixed algebra has a nonabelian factor")
+    rec = witness["ecq"] = reconstruct_ecq(st.cesaro, [b.embedded_state for b in st.blocks])
+    if rec.status != YES:
+        return Verdict(INDETERMINATE, witness, "eCQ reconstruction failed")
+    return Verdict(YES, witness)

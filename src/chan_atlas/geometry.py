@@ -366,19 +366,11 @@ def _decompose(t, n_directions, seed):
         t1=t1, t2=t2, direction=fresh[top], checks=checks, n_dof=n_dof, d_in=d)
 
 
-@dataclass
-class DimensionBoundReport:
-    ok: bool
-    n_dof: int
-    k: int
-    d_in: int
-
-
 def dimension_bound_check(dec):
-    """Affine dimension of the image is at most k-1, and k at most d_in."""
+    """Whether a polytopic image has affine dimension at most k-1 and k at
+    most d_in, for its k vertices."""
     k = len(dec.vertices)
-    ok = dec.verdict == "polytopic" and dec.n_dof <= k - 1 and k <= dec.d_in
-    return DimensionBoundReport(ok=bool(ok), n_dof=dec.n_dof, k=k, d_in=dec.d_in)
+    return bool(dec.verdict == "polytopic" and dec.n_dof <= k - 1 and k <= dec.d_in)
 
 
 # -- planar boundary sampling ------------------------------------------

@@ -51,10 +51,6 @@ def unvec(v, d_out, d_in=None):
     return np.asarray(v).reshape(d_out, d_in)
 
 
-def trace_norm(a):
-    return float(np.sum(np.linalg.svd(np.asarray(a), compute_uv=False)))
-
-
 def op_norm(a):
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
     return float(s[0]) if s.size else 0.0

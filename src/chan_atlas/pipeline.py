@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channels import identity_channel
-from .classify import NO, is_cq, is_entanglement_breaking, is_universally_image_additive
+from .classify import NO, YES, is_cq, is_entanglement_breaking, is_universally_image_additive
 from .entropy import image_additivity_gap, min_output_entropy
 from .fixed_points import fixed_point_structure
 from .formats import form_kind, matrix_to_json
@@ -119,7 +119,7 @@ def image_stage(t, seed, n_directions):
         "n_dof": dec.n_dof,
         "preimage_dims": [r.preimage_basis.shape[1] for r in dec.vertices],
         "residual_dim": dec.w_basis.shape[1],
-        "dimension_bound_ok": dimension_bound_check(dec).ok,
+        "dimension_bound_ok": dimension_bound_check(dec),
         "vertex_states": [matrix_to_json(r.state) for r in dec.vertices],
         **dec.checks,
     }
@@ -141,8 +141,8 @@ def classification_stage(t, seed, n_directions, tol=1e-9):
     rec = uia.witness.get("reconstruction")
     if rec is not None:
         ecq = {"status": rec.status, "reason": rec.reason}
-        if rec.certificate is not None:
-            ecq["effect_norms"] = list(rec.certificate.norms)
+        if rec.status == YES:
+            ecq["effect_norms"] = list(rec.witness["certificate"].norms)
         out["ecq"] = ecq
     else:
         # without a reconstruction the decomposition decided: no means not polytopic

@@ -8,7 +8,7 @@ functions; import them with ``from conftest import ...``.
 import numpy as np
 
 from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
-from chan_atlas.linalg import hvec, orthogonal_complement, op_norm, subspace_projector, trace_norm
+from chan_atlas.linalg import hvec, orthogonal_complement, op_norm, subspace_projector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,6 +31,11 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     w = g @ g.conj().T
     return w / np.trace(w).real
+
+
+def trace_norm(a):
+    """Sum of the singular values."""
+    return float(np.sum(np.linalg.svd(np.asarray(a), compute_uv=False)))
 
 
 def subspace_distance(b1, b2):

@@ -17,6 +17,7 @@ from conftest import (
     random_cptp,
     subspace_distance,
     tetra_states,
+    trace_norm,
 )
 
 from chan_atlas.channels import (
@@ -58,7 +59,7 @@ from chan_atlas.geometry import (
     fujiwara_algoet_check,
     polytopic_decompose,
 )
-from chan_atlas.linalg import partial_transpose, trace_norm
+from chan_atlas.linalg import partial_transpose
 
 N_ROUNDTRIP = 20
 ROUNDTRIP_SEEDS = range(100, 100 + N_ROUNDTRIP)
@@ -201,14 +202,12 @@ def test_criterion_05_dimension_bound(roundtrip_decompositions,
                                       counterexample_decompositions):
     n_checked = 0
     for t, sig, k, n, w, dec in roundtrip_decompositions:
-        rep = dimension_bound_check(dec)
-        assert rep.ok
-        assert rep.n_dof <= rep.k - 1 <= rep.d_in - 1
+        assert dimension_bound_check(dec)
+        assert dec.n_dof <= len(dec.vertices) - 1 <= dec.d_in - 1
         n_checked += 1
     for name, t, k, dec in counterexample_decompositions:
-        rep = dimension_bound_check(dec)
-        assert rep.ok
-        assert rep.n_dof <= rep.k - 1 <= rep.d_in - 1
+        assert dimension_bound_check(dec)
+        assert dec.n_dof <= len(dec.vertices) - 1 <= dec.d_in - 1
         n_checked += 1
     print(f"\nPASS criterion 05: affine image dimension <= k-1 <= d_in-1 on all "
           f"{n_checked} polytopic fixtures")
@@ -232,7 +231,7 @@ def test_criterion_06_image_additivity_positive_direction():
         assert rep.max_gap <= 1e-6
         rec = reconstruct_ecq(t, sig)
         assert rec.status == YES
-        retract = retraction_channel(rec.certificate, t.d_in)
+        retract = retraction_channel(rec.witness["certificate"])
         dev = map_distance(compose(retract, t), t)
         worst_retract = max(worst_retract, dev)
         assert dev <= 1e-9
@@ -307,9 +306,9 @@ def test_criterion_09_fixed_point_structure():
         if is_entanglement_breaking(t).status != YES:
             continue
         rep = verify_eb_fixed_point_theorem(t)
-        assert rep.ok
-        assert all(b.dimension == 1 for b in rep.structure.blocks)
-        assert max(abs(x - 1.0) for x in rep.ecq.certificate.norms) <= 1e-7
+        assert rep.status == YES
+        assert all(b.dimension == 1 for b in rep.witness["structure"].blocks)
+        assert max(abs(x - 1.0) for x in rep.witness["ecq"].witness["certificate"].norms) <= 1e-7
         n_eb += 1
     assert n_eb >= 3
     # (c) the cyclic permutation-dephasing averages the diagonal

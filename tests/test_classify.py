@@ -28,7 +28,7 @@ from chan_atlas.classify import (
     reconstruct_ecq,
     retraction_channel,
 )
-from chan_atlas.linalg import herm, op_norm, partial_transpose
+from chan_atlas.linalg import canonical_phase, herm, hvec, op_norm, partial_transpose, unhvec
 
 
 def pinching_channel():
@@ -125,11 +125,54 @@ def test_reconstruct_ecq_accepts_fixture():
     t, vectors, tilde, sig = ecq_fixture(3)
     rec = reconstruct_ecq(t, sig)
     assert rec.status == YES
-    cert = rec.certificate
+    cert = rec.witness["certificate"]
     assert max(abs(x - 1.0) for x in cert.norms) < 1e-9
     np.testing.assert_allclose(sum(cert.effects), np.eye(t.d_in), atol=1e-9)
-    s = retraction_channel(cert, t.d_in)
+    s = retraction_channel(cert)
     assert map_distance(compose(s, t), t) < 1e-9
+
+
+def test_reconstruct_ecq_solves_each_stack_once(monkeypatch):
+    # one eigh of the effect stack, one eigvalsh of the remainder stack, and
+    # the eigvalsh of the CPTP check; no per-effect solves
+    t, vectors, tilde, sig = ecq_fixture(0)
+    assert len(sig) == 4
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rec = reconstruct_ecq(t, sig)
+    assert rec.status == YES
+    assert calls == {"eigh": 1, "eigvalsh": 2}
+
+
+@pytest.mark.parametrize("case", ["ecq", "wrong_vertices"])
+def test_reconstruct_ecq_checks_match_per_effect_loops(case):
+    # the stacked checks against one solve per effect, as a reference
+    if case == "ecq":
+        t, _, _, sig = ecq_fixture(3)
+    else:
+        t, sig = dephasing_channel(2), [bloch_state(0.5, 0, 0), bloch_state(-0.5, 0, 0)]
+    w = reconstruct_ecq(t, sig).witness
+    b = np.array([np.concatenate([hvec(s), [1.0]]) for s in sig])
+    y = np.linalg.pinv(b)
+    k = len(sig)
+    effects = [herm(t.dual_apply(unhvec(y[:-1, j], t.d_out)) + y[-1, j] * np.eye(t.d_in))
+               for j in range(k)]
+    vectors = [canonical_phase(np.linalg.eigh(m)[1][:, -1]) for m in effects]
+    tilde = [m - np.outer(e, e.conj()) for m, e in zip(effects, vectors)]
+    expected = {
+        "effect_psd": max(-np.linalg.eigvalsh(m)[0] for m in effects),
+        "unit_norms": max(abs(np.linalg.eigvalsh(m)[-1] - 1.0) for m in effects),
+        "vector_orthonormality": max(abs(np.vdot(vectors[i], vectors[j]) - (i == j))
+                                     for i in range(k) for j in range(k)),
+        "tilde_psd": max(-np.linalg.eigvalsh(herm(m))[0] for m in tilde),
+        "tilde_support": max(abs(e.conj() @ m @ e) for m in tilde for e in vectors),
+    }
+    for name, value in expected.items():
+        assert w[name] == pytest.approx(value, abs=1e-12), name
 
 
 def test_reconstruct_ecq_rejects_wrong_vertices():

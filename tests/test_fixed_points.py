@@ -307,17 +307,16 @@ def test_fixed_point_structure_memory_on_identity_12():
 
 def test_verify_eb_fixed_point_theorem_on_measure_prepare():
     rep = verify_eb_fixed_point_theorem(dephasing_channel(3))
-    assert rep.ok
-    assert rep.eb_status == "yes"
-    assert rep.abelian
-    assert all(b.dimension == 1 for b in rep.structure.blocks)
-    assert max(abs(x - 1.0) for x in rep.ecq.certificate.norms) < 1e-7
+    assert rep.status == "yes"
+    assert rep.witness["eb"].status == "yes"
+    assert all(b.dimension == 1 for b in rep.witness["structure"].blocks)
+    assert max(abs(x - 1.0) for x in rep.witness["ecq"].witness["certificate"].norms) < 1e-7
 
 
 def test_verify_eb_fixed_point_theorem_skips_non_eb():
     rep = verify_eb_fixed_point_theorem(identity_channel(2))
-    assert not rep.ok
-    assert rep.eb_status == "no"
+    assert rep.status == "indeterminate"
+    assert rep.witness["eb"].status == "no"
     assert "not certified" in rep.reason
 
 

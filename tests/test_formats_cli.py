@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import bloch_state, random_cptp
 
+import chan_atlas
 from chan_atlas.channels import (
     NotCptpError,
     cq_channel,
@@ -361,6 +366,24 @@ def test_cli_report_deterministic(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHAN_ATLAS_SEED", "7")
     assert main(["report", spec]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+@pytest.mark.parametrize("t", [depolarizing_channel(0.5), trine_channel(), dephasing_channel(3),
+                               direct_sum(dephasing_channel(2), depolarizing_channel(0.2))],
+                         ids=["depolarizing", "trine", "dephasing-3", "dephasing-depolarizing"])
+def test_cli_report_bytes_do_not_depend_on_blas_threads(tmp_path, t):
+    # each report runs in a child process; only the child's environment
+    # sets the BLAS thread count
+    path = spec_file(tmp_path, channel_to_dict(t))
+    src = str(Path(chan_atlas.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "chan_atlas.cli", "report", path],
+                             env=env, capture_output=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_cli_report_to_file_validates(tmp_path, capsys):

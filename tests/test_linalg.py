@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density, subspace_distance
+from conftest import random_density, subspace_distance, trace_norm
 
 from chan_atlas.linalg import (
     canonical_phase,
@@ -26,7 +26,6 @@ from chan_atlas.linalg import (
     random_pure,
     spectral_radius,
     subspace_projector,
-    trace_norm,
     unhvec,
     unvec,
     vec,

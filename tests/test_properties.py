@@ -10,12 +10,15 @@ from conftest import haar_unitary, random_cptp, random_density, random_povm
 from chan_atlas import channels
 from chan_atlas.channels import (
     choi_channel,
+    compose,
+    conjugate,
     cq_channel,
     depolarizing_channel,
     direct_sum,
     ecq_channel,
     kraus_channel,
     povm_channel,
+    tensor,
 )
 from chan_atlas.classify import INDETERMINATE, NO, YES, is_entanglement_breaking
 from chan_atlas.fixed_points import fixed_point_structure
@@ -123,3 +126,43 @@ def test_direct_sum_entanglement_breaking_property(kinds, rs, seed):
     both = is_entanglement_breaking(direct_sum(a, b)).status
     assert (both == YES) == (blocks == [YES, YES])
     assert (both == NO) == (NO in blocks)
+
+
+forms = strategies.sampled_from(["kraus", "povm", "cq", "ecq", "direct_sum"])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kinds=strategies.tuples(forms, forms), d_ins=strategies.tuples(dims, dims),
+       d_outs=strategies.tuples(dims, dims), seed=seeds)
+def test_tensor_acts_on_product_inputs_property(kinds, d_ins, d_outs, seed):
+    # (t1 (x) t2)(rho1 (x) rho2) = t1(rho1) (x) t2(rho2)
+    rng = np.random.default_rng(seed)
+    t1, t2 = (_channel_of_kind(k, rng, a, b) for k, a, b in zip(kinds, d_ins, d_outs))
+    r1, r2 = random_density(rng, t1.d_in), random_density(rng, t2.d_in)
+    np.testing.assert_allclose(tensor(t1, t2).apply(np.kron(r1, r2)),
+                               np.kron(t1.apply(r1), t2.apply(r2)), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kinds=strategies.tuples(forms, forms), d_in=dims, d_outs=strategies.tuples(dims, dims),
+       seed=seeds)
+def test_compose_applies_the_first_channel_first_property(kinds, d_in, d_outs, seed):
+    # compose(t1, t2)(rho) = t2(t1(rho)); t1 is built onto the input space of t2
+    rng = np.random.default_rng(seed)
+    t2 = _channel_of_kind(kinds[1], rng, d_outs[0], d_outs[1])
+    t1 = _channel_of_kind(kinds[0], rng, d_in, t2.d_in)
+    rho = random_density(rng, t1.d_in)
+    np.testing.assert_allclose(compose(t1, t2).apply(rho), t2.apply(t1.apply(rho)),
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kind=forms, d_in=dims, d_out=dims, seed=seeds)
+def test_conjugate_rotates_the_output_property(kind, d_in, d_out, seed):
+    # conjugate(t, u)(rho) = u t(rho) u*
+    rng = np.random.default_rng(seed)
+    t = _channel_of_kind(kind, rng, d_in, d_out)
+    u = haar_unitary(rng, t.d_out)
+    rho = random_density(rng, t.d_in)
+    np.testing.assert_allclose(conjugate(t, u).apply(rho), u @ t.apply(rho) @ u.conj().T,
+                               rtol=0, atol=1e-12)
