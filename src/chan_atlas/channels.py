@@ -243,18 +243,15 @@ def kraus_channel(operators):
 
 
 def choi_channel(j, d_in, d_out):
-    """Channel from a trace-normalized Choi matrix; rejects non-PSD input."""
+    """Channel from a trace-normalized Choi matrix; a non-CPTP one raises :class:`NotCptpError`."""
     j = np.asarray(j, dtype=complex)
     if j.shape != (d_in * d_out, d_in * d_out):
         raise ValueError(f"Choi matrix has shape {j.shape}, expected {(d_in * d_out,) * 2}")
     if not is_hermitian(j, tol=1e-9):
         raise ValueError("Choi matrix is not Hermitian")
-    if np.linalg.eigvalsh(herm(j))[0] < -1e-8:
-        raise ValueError("Choi matrix is not positive semidefinite")
-    marg = partial_trace(j, (d_out, d_in), keep=1)
-    if op_norm(marg - np.eye(d_in) / d_in) > 1e-8:
-        raise ValueError("Choi input marginal is not identity/d_in")
-    return Channel(ChoiForm(herm(j), d_in, d_out), d_in=d_in, d_out=d_out)
+    t = Channel(ChoiForm(herm(j), d_in, d_out), d_in=d_in, d_out=d_out)
+    t.require_cptp()
+    return t
 
 
 def linear_map_channel(apply_fn, d_in, d_out):

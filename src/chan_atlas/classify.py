@@ -37,7 +37,7 @@ from .linalg import (
     hvec,
     op_norm,
     partial_transpose,
-    random_direction,
+    random_directions,
     subspace_projector,
     unhvec,
     unvec,
@@ -152,12 +152,12 @@ def reconstruct_ecq(t, vertices, preimages=None):
     """
     t.require_cptp()
     n, d = t.d_out, t.d_in
-    sigmas = [herm(np.asarray(s, dtype=complex)) for s in vertices]
-    k = len(sigmas)
+    k = len(vertices)
     if k == 0:
         return Verdict(NO, {"failed": "no vertices supplied"})
+    sigmas = list(herm(np.asarray(vertices, dtype=complex)))
 
-    b = np.array([np.concatenate([hvec(s), [1.0]]) for s in sigmas])
+    b = np.column_stack([hvec(sigmas), np.ones(k)])
     sv = np.linalg.svd(b, compute_uv=False)
     if sv[-1] <= 1e-8 * max(1.0, sv[0]):
         obstruction = _dilation_obstruction(t, sigmas)
@@ -168,11 +168,11 @@ def reconstruct_ecq(t, vertices, preimages=None):
         return Verdict(INDETERMINATE, {"singular_values": sv},
                        "vertices are affinely dependent; POVM not unique")
     y = np.linalg.pinv(b)  # columns: (g_j, c_j) with a_j(sigma_i) = delta_ij
-    g = np.array([unhvec(y[:-1, jcol], n) for jcol in range(k)])
+    g = unhvec(y[:-1].T, n)
     effects = herm(t.dual_apply(g) + y[-1][:, None, None] * np.eye(d))
     w, u = np.linalg.eigh(effects)
     norms = w[:, -1]
-    vectors = np.array([canonical_phase(e) for e in u[:, :, -1]])
+    vectors = canonical_phase(u[:, :, -1])
     tilde = effects - vectors[:, :, None] * vectors.conj()[:, None, :]
     rebuilt = povm_channel(list(effects), sigmas, validate=False)
     checks = {
@@ -188,10 +188,8 @@ def reconstruct_ecq(t, vertices, preimages=None):
                                                  vectors)).max()), 1e-8),
     }
     if preimages is not None:
-        dev = 0.0
-        for e, basis in zip(vectors, preimages):
-            p = subspace_projector(np.asarray(basis, dtype=complex))
-            dev = max(dev, float(np.linalg.norm(e - p @ e)))
+        dev = max(float(np.linalg.norm(e - subspace_projector(np.asarray(b, dtype=complex)) @ e))
+                  for e, b in zip(vectors, preimages))
         checks["vector_in_preimage"] = (dev, 1e-6)
 
     failed = sorted(name for name, (val, bound) in checks.items() if val > bound)
@@ -228,7 +226,7 @@ def _dilation_obstruction(t, sigmas):
     cap = n * lam / head if head > 1e-12 else 1.0
     eps = min(0.999 * cap, 1.0)
     rng = np.random.default_rng(0)
-    if hull_excess(t, sigmas, [random_direction(rng, n) for _ in range(64)])[0] > 1e-7:
+    if hull_excess(t, sigmas, random_directions(rng, 64, n))[0] > 1e-7:
         return None
     # (1+eps) T(x) - eps Tr(x) I/n, with Tr(x) = vec(I_d) . vec(x)
     dilated = _natural_channel(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import _natural_channel, cq_channel, direct_sum, tensor
 from .geometry import hull_excess
-from .linalg import check_density_matrix, herm, random_direction, random_pure
+from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
 
 _P_MAX = 50.0
 _EIG_FLOOR = 1e-18
@@ -102,11 +102,9 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
     t.require_cptp()
     rng = np.random.default_rng(seed)
     d = t.d_in
-    starts = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    starts += [random_pure(rng, d) for _ in range(n_starts)]
-    if extra_starts:
-        starts += [np.asarray(x, dtype=complex).reshape(-1) for x in extra_starts]
-    x = np.array(starts)
+    extra = [np.asarray(v, dtype=complex).reshape(-1) for v in extra_starts or ()]
+    x = np.concatenate([np.eye(d, dtype=complex), random_pure_vectors(rng, n_starts, d),
+                        np.reshape(extra, (-1, d))])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     w, u = np.linalg.eigh(herm(t.pure_outputs(x)))
     val = _entropy_from_eigs(w, p)
@@ -154,7 +152,7 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
     grad_norm = float(np.linalg.norm(grad - np.vdot(xi, grad) * xi))
     return MinEntropyResult(value=float(val[i]), minimizer=xi, output_state=rho[0], p=p,
                             converged=bool(converged[i]), grad_norm=grad_norm,
-                            n_starts=len(starts))
+                            n_starts=len(x))
 
 
 # -- entropy additivity -------------------------------------------------
@@ -243,24 +241,24 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     rng = np.random.default_rng(seed)
     n1, n2 = t1.d_out, t2.d_out
     n_ent = n_directions // 4 if n1 == n2 else 0
-    directions = [random_direction(rng, n1 * n2) for _ in range(n_directions - n_ent)]
-    for _ in range(n_ent):
-        u = np.linalg.qr(rng.normal(size=(n1, n1)) + 1j * rng.normal(size=(n1, n1)))[0]
-        v = np.linalg.qr(rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2)))[0]
-        directions.append(_outer(np.kron(u, v) @ np.eye(n1).reshape(-1) / np.sqrt(n1)))
-    ms = herm(tensor(t1, t2).dual_apply(np.array(directions)))
+    directions = random_directions(rng, n_directions - n_ent, n1 * n2)
+    # entangled frames: (u re, u im, v re, v im) each, as successive single draws
+    g = rng.normal(size=(n_ent, 2, 2, n1, n1))
+    frames = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])[0]
+    ent = [_outer(np.kron(u, v) @ np.eye(n1).reshape(-1) / np.sqrt(n1)) for u, v in frames]
+    directions = np.concatenate([directions, np.reshape(ent, (n_ent, n1 * n2, n1 * n2))])
+    ms = herm(tensor(t1, t2).dual_apply(directions))
     w, u = np.linalg.eigh(ms)
     psi, db = u[:, :, -1], t2.d_in
-    pure = [[random_pure(rng, db) for _ in range(_RESTARTS - 2)] for _ in range(n_directions)]
-    rhs_all = _product_support(ms, psi, np.array(pure))
+    pure = random_pure_vectors(rng, (n_directions, _RESTARTS - 2), db)
+    rhs_all = _product_support(ms, psi, pure)
     gaps = w[:, -1] - rhs_all
     i = int(np.argmax(gaps))
     gap, h, lhs, rhs = gaps[i], directions[i], w[i, -1], rhs_all[i]
     certified = False
     if gap > 1e-6:
-        rng = np.random.default_rng(seed + 9091)
-        pure = [[random_pure(rng, db) for _ in range(2 * _RESTARTS - 2)]]
-        redo = _product_support(ms[i:i + 1], psi[i:i + 1], np.array(pure))[0]
+        pure = random_pure_vectors(np.random.default_rng(seed + 9091), (1, 2 * _RESTARTS - 2), db)
+        redo = _product_support(ms[i:i + 1], psi[i:i + 1], pure)[0]
         stable = abs(redo - rhs) <= 1e-8
         rhs = max(rhs, redo)
         gap = lhs - rhs
@@ -305,7 +303,7 @@ def build_hiding_channel(vertex_states, inner, n_directions=200):
     if n_directions < 1:
         raise ValueError("need at least one direction")
     rng = np.random.default_rng(0)
-    excess, h = hull_excess(inner, states, [random_direction(rng, n) for _ in range(n_directions)])
+    excess, h = hull_excess(inner, states, random_directions(rng, n_directions, n))
     if excess > 1e-8:
         raise ContainmentError(h, excess)
     both = direct_sum(cq_channel(np.eye(len(states), dtype=complex), states, validate=False),

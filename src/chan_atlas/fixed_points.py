@@ -120,8 +120,6 @@ class FixedPointStructure:
     blocks: list[FixedPointBlock] = field(default_factory=list)
     fixed_dim: int = 0
     support_dim: int = 0
-    support_projector: np.ndarray | None = None
-    hermitian_basis: np.ndarray | None = None  # (fixed_dim, d, d)
     cesaro: Channel | None = None
     reason: str = ""
 
@@ -177,8 +175,7 @@ def fixed_point_structure(t, seed=0):
     k, w = _fixed_spaces(n)
     basis = _hermitian_fixed_basis(k, d)
     m = len(basis)
-    result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, hermitian_basis=basis,
-                                 reason=reason)
+    result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, reason=reason)
     if reason:
         return result
     try:
@@ -192,7 +189,6 @@ def fixed_point_structure(t, seed=0):
     q = w_vecs[:, keep]
     omega_v = herm(q.conj().T @ omega @ q)
     result.support_dim = q.shape[1]
-    result.support_projector = q @ q.conj().T
     if m == 0:
         result.reason = "no fixed points found; a channel always fixes at least one state"
         return result

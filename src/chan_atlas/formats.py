@@ -27,6 +27,7 @@ from .channels import (
     DirectSumForm,
     EcqForm,
     KrausForm,
+    NotCptpError,
     PovmForm,
     choi_channel,
     cq_channel,
@@ -97,11 +98,18 @@ def _matrix(x, where):
     return np.array(rows)
 
 
-def _matrix_list(obj, key, where):
+def _array_list(obj, key, where, read=_matrix):
+    """The nonempty list ``obj[key]``, each item through ``read``; items of
+    differing shapes fail here, naming the field and the index."""
     x = obj.get(key)
     if not isinstance(x, (list, tuple)) or not x:
         raise SpecFormatError(f"{where}: field {key!r} must be a nonempty array")
-    return [_matrix(m, f"{where}.{key}[{i}]") for i, m in enumerate(x)]
+    items = [read(m, f"{where}.{key}[{i}]") for i, m in enumerate(x)]
+    for i, a in enumerate(items):
+        if a.shape != items[0].shape:
+            raise SpecFormatError(f"{where}.{key}[{i}]: shape {a.shape} differs from "
+                                  f"{items[0].shape} of {key}[0]")
+    return items
 
 
 def scalar_to_json(z):
@@ -145,7 +153,7 @@ def _from_dict_inner(obj, where):
         raise SpecFormatError(f"{where}: unknown kind {kind!r} (known: {known})")
     try:
         ch = parser(obj, where)
-    except SpecFormatError:
+    except (SpecFormatError, NotCptpError):  # a CPTP verdict keeps its own exit code
         raise
     except ValueError as e:
         raise SpecFormatError(f"{where}: {e}") from e
@@ -158,7 +166,7 @@ def _from_dict_inner(obj, where):
 
 
 def _parse_kraus(obj, where):
-    return kraus_channel(_matrix_list(obj, "kraus", where))
+    return kraus_channel(_array_list(obj, "kraus", where))
 
 
 def _parse_choi(obj, where):
@@ -176,22 +184,19 @@ def _parse_choi(obj, where):
 
 
 def _parse_povm(obj, where):
-    return povm_channel(_matrix_list(obj, "effects", where),
-                        _matrix_list(obj, "states", where))
+    return povm_channel(_array_list(obj, "effects", where),
+                        _array_list(obj, "states", where))
 
 
 def _parse_ecq(obj, where):
-    vectors = obj.get("vectors")
-    if not isinstance(vectors, (list, tuple)) or not vectors:
-        raise SpecFormatError(f"{where}: field 'vectors' must be a nonempty array")
-    vecs = [_vector(v, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)]
-    return ecq_channel(vecs, _matrix_list(obj, "tilde_effects", where),
-                       _matrix_list(obj, "states", where))
+    return ecq_channel(_array_list(obj, "vectors", where, _vector),
+                       _array_list(obj, "tilde_effects", where),
+                       _array_list(obj, "states", where))
 
 
 def _parse_cq(obj, where):
     return cq_channel(_matrix(obj.get("basis"), f"{where}.basis"),
-                      _matrix_list(obj, "states", where))
+                      _array_list(obj, "states", where))
 
 
 def _parse_direct_sum(obj, where):

@@ -28,7 +28,7 @@ from .linalg import (
     op_norm,
     orthogonal_complement,
     orthonormal_columns,
-    random_direction,
+    random_directions,
     vec,
 )
 
@@ -148,7 +148,7 @@ def _trace_distances(y, others):
 def _affine_rank(points):
     if len(points) < 2:
         return 0
-    coords = np.array([hvec(p) for p in points])
+    coords = hvec(points)
     coords = coords - coords.mean(axis=0)
     s = np.linalg.svd(coords, compute_uv=False)
     return int(np.sum(s > 1e-6 * max(1.0, s[0])))
@@ -190,7 +190,7 @@ def find_vertices(t, n_directions=400, seed=0):
     if n_directions < 50:
         raise ValueError("need at least 50 directions")
     rng = np.random.default_rng(seed)
-    hs = np.array([random_direction(rng, t.d_out) for _ in range(n_directions)])
+    hs = random_directions(rng, n_directions, t.d_out)
     w, u = _spectra(t, hs)
     top = w >= w[:, -1:] - EIG_GAP  # each direction's top eigenspace
     owner = np.nonzero(top)[0]
@@ -230,8 +230,8 @@ def find_vertices(t, n_directions=400, seed=0):
         basis = orthonormal_columns(good)
         records.append(VertexRecord(state=state, preimage_basis=basis,
                                     hit_count=int(counts[c]), directions=hs[dirs]))
-    records.sort(key=lambda r: tuple(np.round(hvec(r.state), 6)))
-    return records
+    keys = np.round(hvec(np.reshape([r.state for r in records], (-1, t.d_out, t.d_out))), 6)
+    return [records[i] for i in sorted(range(len(records)), key=lambda i: tuple(keys[i]))]
 
 
 # -- polytopic decomposition -------------------------------------------
@@ -293,7 +293,7 @@ def _decompose(t, n_directions, seed):
     k = len(records)
     d = t.d_in
 
-    fresh = np.array([random_direction(rng, t.d_out) for _ in range(VERIFY_DIRECTIONS)])
+    fresh = random_directions(rng, VERIFY_DIRECTIONS, t.d_out)
     w, u = _spectra(t, fresh)
     n_dof = _affine_rank(t.pure_outputs(u[:, :, -1]))
 
@@ -309,11 +309,8 @@ def _decompose(t, n_directions, seed):
     top = int(np.argmax(excess))
 
     # pairwise orthogonality of the preimages
-    ortho_dev = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            ortho_dev = max(ortho_dev, op_norm(
-                records[i].preimage_basis.conj().T @ records[j].preimage_basis))
+    ortho_dev = max((op_norm(records[i].preimage_basis.conj().T @ records[j].preimage_basis)
+                     for i in range(k) for j in range(i + 1, k)), default=0.0)
 
     vbasis = np.concatenate([r.preimage_basis for r in records], axis=1)
     wbasis = orthogonal_complement(vbasis, d)

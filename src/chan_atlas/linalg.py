@@ -9,6 +9,10 @@ Conventions used throughout the package:
 - Bloch vectors follow ``rho = (I + w . sigma)/2`` with ``|w| <= 1``.
 - Hermitian matrices are mapped to real coordinate vectors by :func:`hvec`,
   an isometry for the Hilbert-Schmidt inner product.
+- :func:`hvec`, :func:`unhvec`, :func:`canonical_phase` and the random draws
+  take whole stacks along leading axes.  A stacked draw uses the generator as
+  successive single draws do (a real, then an imaginary block each) and
+  matches them bit for bit, since seeded report bytes depend on that order.
 """
 
 from __future__ import annotations
@@ -89,49 +93,53 @@ def partial_transpose(x, dims, which=1):
 
 
 def hvec(a):
-    """Real coordinates of a Hermitian matrix (Hilbert-Schmidt isometry)."""
+    """Real coordinates of Hermitian matrices (Hilbert-Schmidt isometry), last axis."""
     a = np.asarray(a)
-    d = a.shape[0]
-    iu = np.triu_indices(d, k=1)
+    iu = np.triu_indices(a.shape[-1], k=1)
     return np.concatenate([
-        np.real(np.diag(a)),
-        np.sqrt(2.0) * np.real(a[iu]),
-        np.sqrt(2.0) * np.imag(a[iu]),
-    ])
+        np.real(np.diagonal(a, axis1=-2, axis2=-1)),
+        np.sqrt(2.0) * np.real(a[..., iu[0], iu[1]]),
+        np.sqrt(2.0) * np.imag(a[..., iu[0], iu[1]]),
+    ], axis=-1)
 
 
 def unhvec(v, d):
+    """Inverse of :func:`hvec`: the ``d x d`` Hermitian matrices of the last axis."""
     v = np.asarray(v)
-    a = np.zeros((d, d), dtype=complex)
-    a[np.diag_indices(d)] = v[:d]
+    a = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    a[..., np.arange(d), np.arange(d)] = v[..., :d]
     iu = np.triu_indices(d, k=1)
     k = len(iu[0])
-    a[iu] = (v[d:d + k] + 1j * v[d + k:d + 2 * k]) / np.sqrt(2.0)
-    return a + np.triu(a, k=1).conj().T
+    a[..., iu[0], iu[1]] = (v[..., d:d + k] + 1j * v[..., d + k:d + 2 * k]) / np.sqrt(2.0)
+    return a + np.swapaxes(np.triu(a, k=1).conj(), -1, -2)
 
 
-def random_hermitian(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return herm(a)
+def _unit(x):
+    """Rows of ``x`` over their norms, rounded as ``np.linalg.norm`` of each row."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return x / np.sqrt(sq[..., 0])
 
 
-def random_direction(rng, d):
-    """Random Hermitian with unit Frobenius norm (GUE direction)."""
-    h = random_hermitian(rng, d)
-    return h / np.linalg.norm(h)
+def random_directions(rng, shape, d):
+    """Random Hermitian ``d x d`` directions of unit Frobenius norm (GUE), ``shape`` stacked."""
+    g = rng.normal(size=(*np.atleast_1d(shape), 2, d, d))
+    h = herm(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    return _unit(h.reshape(*h.shape[:-2], d * d)).reshape(h.shape)
 
 
-def random_pure(rng, d):
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
+def random_pure_vectors(rng, shape, d):
+    """Random unit vectors in ``C^d``, ``shape`` stacked."""
+    g = rng.normal(size=(*np.atleast_1d(shape), 2, d))
+    return _unit(g[..., 0, :] + 1j * g[..., 1, :])
 
 
 def canonical_phase(v):
-    """Fix the global phase so the largest-magnitude entry is real positive."""
+    """Fix each vector's global phase so its largest-magnitude entry is real positive."""
     v = np.asarray(v)
-    j = int(np.argmax(np.abs(v)))
-    ph = v[j] / abs(v[j]) if abs(v[j]) > 0 else 1.0
-    return v / ph
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    mag = np.hypot(top.real, top.imag)  # as the scalar ``abs``, unlike a stacked ``np.abs``
+    return v / (np.where(mag > 0, top, 1.0) / np.where(mag > 0, mag, 1.0))
 
 
 def orthonormal_columns(b):

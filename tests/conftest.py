@@ -8,7 +8,7 @@ functions; import them with ``from conftest import ...``.
 import numpy as np
 
 from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
-from chan_atlas.linalg import hvec, orthogonal_complement, op_norm, subspace_projector
+from chan_atlas.linalg import herm, hvec, orthogonal_complement, op_norm, subspace_projector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,6 +31,24 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     w = g @ g.conj().T
     return w / np.trace(w).real
+
+
+def random_hermitian(rng, d):
+    """One Ginibre draw, real then imaginary part, made Hermitian."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return herm(a)
+
+
+def random_direction(rng, d):
+    """One random Hermitian with unit Frobenius norm (GUE direction)."""
+    h = random_hermitian(rng, d)
+    return h / np.linalg.norm(h)
+
+
+def random_pure(rng, d):
+    """One random unit vector, real then imaginary part."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
 
 
 def trace_norm(a):

@@ -6,6 +6,7 @@ from conftest import (
     bloch_state,
     random_cptp,
     random_density,
+    random_hermitian,
     random_povm,
     tetra_states,
 )
@@ -39,7 +40,7 @@ from chan_atlas.channels import (
 from chan_atlas.classify import is_cq
 from chan_atlas.entropy import build_hiding_channel
 from chan_atlas.geometry import polytopic_decompose
-from chan_atlas.linalg import PAULIS, herm, matrix_units, random_hermitian
+from chan_atlas.linalg import PAULIS, herm, matrix_units
 
 
 def test_identity_channel():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, tetra_states
+from conftest import haar_unitary, random_density, random_direction, random_pure, tetra_states
 
+from chan_atlas import entropy
 from chan_atlas.channels import (
     compose,
     conjugate,
@@ -12,6 +13,7 @@ from chan_atlas.channels import (
     depolarizing_channel,
     identity_channel,
     kraus_channel,
+    tensor,
     trine_channel,
 )
 from chan_atlas.entropy import (
@@ -23,7 +25,7 @@ from chan_atlas.entropy import (
     min_output_entropy,
     renyi_entropy,
 )
-from chan_atlas.linalg import random_direction, random_pure
+from chan_atlas.linalg import herm
 
 LOG2 = np.log(2.0)
 # closed forms for the r = 1/3 depolarizing qubit channel: the minimizing
@@ -173,6 +175,32 @@ def test_image_additivity_gap_runs_one_stack(monkeypatch):
     assert rep.certified and rep.max_gap == pytest.approx(0.25, abs=1e-6)
     # one joint call, then two per alternating round in the sweep and in the rerun
     assert len(calls) <= 1 + 2 * 2 * 20
+
+
+@pytest.mark.parametrize("t1, t2, rerun", [(depolarizing_channel(0.5), identity_channel(2), True),
+                                           (dephasing_channel(3), identity_channel(3), False)])
+def test_image_additivity_draws_match_the_per_direction_loop(t1, t2, rerun, monkeypatch):
+    seen = []
+    run = entropy._product_support
+    monkeypatch.setattr(entropy, "_product_support",
+                        lambda ms, psi, pure: seen.append((ms, pure)) or run(ms, psi, pure))
+    image_additivity_gap(t1, t2, n_directions=12, seed=5)
+    # the same draws made one matrix at a time: directions, then u and v per frame
+    rng = np.random.default_rng(5)
+    n, db = t1.d_out, t2.d_in
+    directions = [random_direction(rng, n * n) for _ in range(9)]
+    for _ in range(3):
+        u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        psi = np.kron(u, v) @ np.eye(n).reshape(-1) / np.sqrt(n)
+        directions.append(psi[:, None] * np.conj(psi)[None, :])
+    pure = [[random_pure(rng, db) for _ in range(6)] for _ in range(12)]
+    assert np.array_equal(seen[0][0], herm(tensor(t1, t2).dual_apply(np.array(directions))))
+    assert np.array_equal(seen[0][1], np.array(pure))
+    assert len(seen) == 1 + rerun
+    if rerun:  # from its own stream
+        rng = np.random.default_rng(5 + 9091)
+        assert np.array_equal(seen[1][1], [[random_pure(rng, db) for _ in range(14)]])
 
 
 def test_product_support_frozen_starts_stay_put():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density
+from conftest import haar_unitary, random_density, random_pure
 
 from chan_atlas.channels import (
     compose,
@@ -24,7 +24,7 @@ from chan_atlas.fixed_points import (
     verify_eb_fixed_point_theorem,
 )
 from chan_atlas import channels
-from chan_atlas.linalg import herm, random_pure, vec
+from chan_atlas.linalg import herm, vec
 
 
 def permutation_dephasing():

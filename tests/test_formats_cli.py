@@ -117,6 +117,32 @@ def test_spec_rejects_malformed_matrices():
                            "kraus": [[["x", 0], [0, 1]]]})
 
 
+_HALF = [[0.5, 0], [0, 0.5]]
+_THIRD = (np.eye(3) / 3).tolist()
+_ZERO = [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "kraus", "kraus": [[[1, 0], [0, 1]], np.eye(3).tolist()]},
+     r"spec\.kraus\[1\]: shape \(3, 3\) differs from \(2, 2\) of kraus\[0\]"),
+    ({"kind": "povm", "effects": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "states": [_HALF, _THIRD]},
+     r"spec\.states\[1\]: shape \(3, 3\) differs from \(2, 2\) of states\[0\]"),
+    ({"kind": "cq", "basis": [[1, 0], [0, 1]], "states": [_HALF, _THIRD]},
+     r"spec\.states\[1\]: shape \(3, 3\) differs"),
+    ({"kind": "ecq", "vectors": [[1, 0], [0, 1]], "tilde_effects": [_ZERO, _ZERO],
+      "states": [_HALF, _THIRD]}, r"spec\.states\[1\]: shape \(3, 3\) differs"),
+    ({"kind": "ecq", "vectors": [[1, 0], [0, 1, 0]], "tilde_effects": [_ZERO, _ZERO],
+      "states": [_HALF, _HALF]},
+     r"spec\.vectors\[1\]: shape \(3,\) differs from \(2,\) of vectors\[0\]"),
+])
+def test_ragged_spec_lists_name_the_field(tmp_path, capsys, fields, message):
+    spec = {"format_version": "1", **fields}
+    with pytest.raises(SpecFormatError, match=message):
+        channel_from_dict(spec)
+    assert main(["classify", spec_file(tmp_path, spec)]) == 2
+    assert "error: spec." in capsys.readouterr().err
+
+
 def test_spec_out_of_range_parameter_hits_the_cptp_gate():
     # the parser keeps the map representable; the CPTP gate rejects it
     with pytest.raises(NotCptpError):
@@ -318,6 +344,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["classify", bad]) == 2
     noncp = spec_file(tmp_path, NON_CP_SPEC, name="noncp.json")
     assert main(["classify", noncp]) == 3
+    # the same map as a Choi spec, and as a block of a direct sum
+    choi = matrix_to_json(channel_from_dict({**NON_CP_SPEC, "allow_non_cptp": True}).to_choi())
+    as_choi = {"format_version": "1", "kind": "choi", "d_in": 2, "d_out": 2, "choi": choi}
+    assert main(["classify", spec_file(tmp_path, as_choi, name="noncp_choi.json")]) == 3
+    assert "map is not CPTP" in capsys.readouterr().err
+    block = {k: v for k, v in NON_CP_SPEC.items() if k != "format_version"}
+    nested = {"format_version": "1", "kind": "direct_sum", "blocks": [{"kind": "trine"}, block]}
+    assert main(["classify", spec_file(tmp_path, nested, name="noncp_sum.json")]) == 3
     capsys.readouterr()  # drain stderr
 
 

@@ -219,6 +219,29 @@ def test_image_stage_reports_the_decomposition_checks():
     assert max(out[c] for c in checks[:4]) <= geometry.VERDICT_TOL
 
 
+class _CountingRng:
+    """A generator that counts its ``normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_find_vertices_draws_its_directions_in_one_call(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: made.append(_CountingRng(default_rng(*a, **k))) or made[-1])
+    assert len(find_vertices(dephasing_channel(3), n_directions=400)) == 3
+    assert len(made) == 1 and made[0].normal_calls == 1
+
+
 @pytest.mark.parametrize("channel", [depolarizing_channel(0.5), trine_channel()],
                          ids=["depolarizing", "trine"])
 def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):

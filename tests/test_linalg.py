@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density, subspace_distance, trace_norm
+from conftest import (
+    random_density,
+    random_direction,
+    random_hermitian,
+    random_pure,
+    subspace_distance,
+    trace_norm,
+)
 
 from chan_atlas.linalg import (
     canonical_phase,
@@ -21,9 +28,8 @@ from chan_atlas.linalg import (
     orthonormal_columns,
     partial_trace,
     partial_transpose,
-    random_direction,
-    random_hermitian,
-    random_pure,
+    random_directions,
+    random_pure_vectors,
     spectral_radius,
     subspace_projector,
     unhvec,
@@ -108,6 +114,38 @@ def test_random_helpers_are_seeded_and_normalized():
     h = random_direction(np.random.default_rng(9), 3)
     assert is_hermitian(h)
     assert np.linalg.norm(h) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("shape", [(5,), (4, 3)])
+def test_stacked_draws_repeat_successive_single_draws(d, shape):
+    # seeded report bytes depend on this order, bit for bit
+    n = int(np.prod(shape))
+    stacked, single = np.random.default_rng(d), np.random.default_rng(d)
+    hs = random_directions(stacked, shape, d)
+    assert hs.shape == (*shape, d, d)
+    assert np.array_equal(hs.reshape(n, d, d), [random_direction(single, d) for _ in range(n)])
+    xs = random_pure_vectors(stacked, shape, d)
+    assert xs.shape == (*shape, d)
+    assert np.array_equal(xs.reshape(n, d), [random_pure(single, d) for _ in range(n)])
+    assert stacked.normal() == single.normal()
+
+
+def test_stacked_coordinates_and_phases_match_per_item_calls():
+    rng = np.random.default_rng(12)
+    d = 3
+    hs = random_directions(rng, (2, 3), d)
+    coords = hvec(hs)
+    assert coords.shape == (2, 3, d * d)
+    assert np.array_equal(coords, [[hvec(h) for h in row] for row in hs])
+    back = unhvec(coords, d)
+    assert np.array_equal(back, [[unhvec(c, d) for c in row] for row in coords])
+    np.testing.assert_allclose(back, hs, rtol=1e-15, atol=0)
+    vs = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+    vs[1, 2, 0] = 0.0  # a zero vector keeps its phase
+    fixed = canonical_phase(vs)
+    assert np.array_equal(fixed, [[[canonical_phase(v) for v in m] for m in row] for row in vs])
+    assert np.array_equal(fixed[1, 2, 0], np.zeros(d))
 
 
 def test_canonical_phase_fixes_global_phase():
