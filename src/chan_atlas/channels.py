@@ -106,6 +106,7 @@ class Channel:
         self._natural = None
         self._choi = None
         self._kraus = None
+        self._cptp = None
         self._decompositions = {}  # polytopic_decompose results by arguments
 
     def __repr__(self):
@@ -184,22 +185,25 @@ class Channel:
 
         Maps that fail to preserve hermiticity (non-Hermitian Choi) are
         reported as non-CP with the hermiticity defect folded into the
-        eigenvalue bound.
+        eigenvalue bound.  The verdict is computed once per channel; later
+        calls return the same frozen object.
         """
-        j = self.to_choi()
-        defect = op_norm(j - dag(j)) / 2
-        min_eig = float(np.linalg.eigvalsh(herm(j))[0]) - defect
-        marg = partial_trace(self.to_choi(), (self.d_out, self.d_in), keep=1)
-        dev = op_norm(marg - np.eye(self.d_in) / self.d_in)
-        is_cp = min_eig >= -TOL_PSD
-        is_tp = dev <= TOL_TRACE
-        return CptpVerdict(
-            is_cp=is_cp,
-            is_tp=is_tp,
-            is_cptp=is_cp and is_tp,
-            min_choi_eigenvalue=min_eig,
-            marginal_deviation=float(dev),
-        )
+        if self._cptp is None:
+            j = self.to_choi()
+            defect = op_norm(j - dag(j)) / 2
+            min_eig = float(np.linalg.eigvalsh(herm(j))[0]) - defect
+            marg = partial_trace(j, (self.d_out, self.d_in), keep=1)
+            dev = op_norm(marg - np.eye(self.d_in) / self.d_in)
+            is_cp = min_eig >= -TOL_PSD
+            is_tp = dev <= TOL_TRACE
+            self._cptp = CptpVerdict(
+                is_cp=is_cp,
+                is_tp=is_tp,
+                is_cptp=is_cp and is_tp,
+                min_choi_eigenvalue=min_eig,
+                marginal_deviation=float(dev),
+            )
+        return self._cptp
 
     def require_cptp(self):
         v = self.verify_cptp()
@@ -208,7 +212,7 @@ class Channel:
         return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class CptpVerdict:
     is_cp: bool
     is_tp: bool

@@ -154,6 +154,34 @@ def _affine_rank(points):
     return int(np.sum(s > 1e-6 * max(1.0, s[0])))
 
 
+def _first_fit_clusters(points):
+    """Cluster Hermitian ``points`` first-fit in their order.
+
+    Each point joins the first cluster whose mean is within ``CLUSTER_TOL``
+    of it in trace norm, or starts a new one.  Returns the cluster means,
+    their hit counts and the indices of each cluster's points.
+    """
+    sums = np.zeros_like(points)
+    means = np.zeros_like(points)
+    counts = np.zeros(len(points), dtype=int)
+    members = []
+    for i, y in enumerate(points):
+        n = len(members)
+        # the trace norm bounds the Frobenius norm, so only means within
+        # 2 * CLUSTER_TOL in Frobenius norm can join (2: a roundoff margin)
+        near = np.flatnonzero(np.linalg.norm(means[:n] - y, axis=(1, 2)) <= 2 * CLUSTER_TOL)
+        if near.size:
+            near = near[_trace_distances(y, means[near]) <= CLUSTER_TOL]
+        c = near[0] if near.size else n
+        if c == n:
+            members.append([])
+        sums[c] += y
+        counts[c] += 1
+        means[c] = sums[c] / counts[c]
+        members[c].append(i)
+    return means[:len(members)], counts[:len(members)], members
+
+
 def find_vertices(t, n_directions=400, seed=0):
     """Detect the vertices of ``Im(T)`` together with their input preimages.
 
@@ -178,14 +206,17 @@ def find_vertices(t, n_directions=400, seed=0):
     faces) is discarded; a degenerate eigenspace mapping to one point is
     kept whole, the signature of a higher-dimensional vertex preimage.  The
     points are clustered first-fit in direction order: each joins the first
-    cluster whose mean is within ``CLUSTER_TOL`` in trace norm, measured
-    against all current means by one stacked ``eigvalsh`` of the Hermitian
-    differences.  A cluster counts as a vertex when its hit count is at
-    least ``2 * n_dof`` (and at least 2), ``n_dof`` being the estimated
-    affine dimension of the image; exposed non-vertex points are attained
-    by measure-zero direction sets, so their clusters stay near a single
-    hit.  The preimage is the intersection of the top eigenspaces over the
-    cluster's directions, pruned to the vectors that reproduce the vertex.
+    cluster whose mean is within ``CLUSTER_TOL`` in trace norm.  The trace
+    norm bounds the Frobenius norm, so only the clusters whose means lie
+    within ``2 * CLUSTER_TOL`` of the point in Frobenius norm get the
+    trace-norm eigensolve, one stacked ``eigvalsh`` of their Hermitian
+    differences; on a round image almost no point has such a cluster.  A
+    cluster counts as a vertex when its hit count is at least ``2 * n_dof``
+    (and at least 2), ``n_dof`` being the estimated affine dimension of the
+    image; exposed non-vertex points are attained by measure-zero direction
+    sets, so their clusters stay near a single hit.  The preimage is the
+    intersection of the top eigenspaces over the cluster's directions,
+    pruned to the vectors that reproduce the vertex.
     """
     if n_directions < 50:
         raise ValueError("need at least 50 directions")
@@ -201,27 +232,14 @@ def find_vertices(t, n_directions=400, seed=0):
     kept = np.flatnonzero(np.bincount(owner[tied], minlength=n_directions) == 0)
     points = herm(np.add.reduceat(outs, first)[kept] / size[kept, None, None])
 
-    sums = np.zeros_like(points)
-    counts = np.zeros(len(points), dtype=int)
-    members = []  # indices into ``kept`` of each cluster's directions
-    for i, y in enumerate(points):
-        n = len(members)
-        near = np.flatnonzero(
-            _trace_distances(y, sums[:n] / counts[:n, None, None]) <= CLUSTER_TOL)
-        c = near[0] if near.size else n
-        if c == n:
-            members.append([])
-        sums[c] += y
-        counts[c] += 1
-        members[c].append(i)
-
+    means, counts, members = _first_fit_clusters(points)
     n_dof = _affine_rank(points)
     need = max(2, 2 * n_dof)
     records = []
     for c, idx in enumerate(members):
         if counts[c] < need:
             continue
-        state = herm(sums[c] / counts[c])
+        state = herm(means[c])
         dirs = kept[idx]
         inter = intersect_subspaces([u[j][:, top[j]] for j in dirs])
         good = inter[:, _trace_distances(t.pure_outputs(inter.T), state) <= MEMBER_TOL]

@@ -14,6 +14,7 @@ are attached only on request since they break byte-level reproducibility.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -192,10 +193,27 @@ def report_json(report):
 
 
 def validate_report(report):
-    """Check a report against the shipped schema.  Needs ``jsonschema``."""
+    """Check a report against the shipped schema.  Needs ``jsonschema``.
+
+    Raises the error ``jsonschema.validate`` would raise.  The schema itself
+    is checked against its metaschema once per process, when the first
+    report is validated.
+    """
     import jsonschema
 
-    jsonschema.validate(report, load_report_schema())
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise error
+
+
+@functools.cache
+def _report_validator():
+    import jsonschema
+
+    schema = load_report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_report_schema():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, random_pure
+from conftest import amplitude_damping, haar_unitary, random_density, random_pure
 
 from chan_atlas.channels import (
     compose,
@@ -41,11 +41,6 @@ def pinching_two_blocks():
     p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     return kraus_channel([p1, p2])
-
-
-def amplitude_damping(gamma):
-    return kraus_channel([np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex),
-                          np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)])
 
 
 def test_transfer_matrix_requires_square_channel():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from conftest import bloch_state, random_cptp
 
 import chan_atlas
+from chan_atlas import channels, pipeline
 from chan_atlas.channels import (
     NotCptpError,
     cq_channel,
@@ -31,7 +33,7 @@ from chan_atlas.formats import (
     matrix_to_json,
 )
 from chan_atlas.geometry import image_boundary_2d
-from chan_atlas.pipeline import report_json, run_pipeline, validate_report
+from chan_atlas.pipeline import load_report_schema, report_json, run_pipeline, validate_report
 from chan_atlas.plotdata import write_boundary_csv, write_boundary_svg
 
 
@@ -431,7 +433,70 @@ def test_cli_report_to_file_validates(tmp_path, capsys):
     assert payload["image_additivity_vs_identity"]["max_gap"] > 0.1
 
 
+def test_shipped_report_schema_is_valid():
+    # the runtime check runs once per process; a broken schema must still fail here
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = load_report_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_validate_report_checks_the_schema_once(monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    cls = jsonschema.validators.validator_for(load_report_schema())
+    checked = []
+    check_schema = cls.check_schema
+    monkeypatch.setattr(cls, "check_schema",
+                        lambda schema: checked.append(1) or check_schema(schema))
+    pipeline._report_validator.cache_clear()
+    rep = run_pipeline(unital_qubit_diag((0.9, 0.9, 0.1)))
+    validate_report(rep)
+    validate_report(rep)
+    assert checked == [1]
+
+
+@pytest.mark.parametrize("path, value", [(("seed",), None), (("cptp", "is_cp"), "yes"),
+                                         (("image", "status"), "round")],
+                         ids=["missing-seed", "cptp-type", "image-status"])
+def test_validate_report_raises_what_jsonschema_validate_raises(path, value):
+    jsonschema = pytest.importorskip("jsonschema")
+    rep = run_pipeline(depolarizing_channel(0.9), p_values=(2.0,), n_directions=60)
+    *outer, key = path
+    node = rep
+    for k in outer:
+        node = node[k]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    errors = []
+    for check in (validate_report, lambda r: jsonschema.validate(r, load_report_schema())):
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            check(rep)
+        errors.append((exc.value.message, list(exc.value.path)))
+    assert errors[0] == errors[1]
+
+
 # -- pipeline internals -------------------------------------------------
+
+
+def test_cptp_verdict_is_computed_once_per_channel(monkeypatch):
+    made = []
+    verdict = channels.CptpVerdict
+    monkeypatch.setattr(channels, "CptpVerdict", lambda **kw: made.append(1) or verdict(**kw))
+    t = trine_channel()
+    run_pipeline(t)
+    assert len(made) == 1  # one check for the whole report
+    assert t.verify_cptp() is t.verify_cptp()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.verify_cptp().is_cptp = False
+    made.clear()
+    run_pipeline(direct_sum(dephasing_channel(2), depolarizing_channel(0.2)))
+    assert len(made) == 3  # the map, and each block once in the EB stage
+    made.clear()
+    choi = matrix_to_json(depolarizing_channel(0.5).to_choi())
+    channel_from_dict({"format_version": "1", "kind": "choi", "d_in": 2, "d_out": 2,
+                       "choi": choi})
+    assert len(made) == 1  # choi_channel checks it; the loader reuses that verdict
 
 
 def test_run_pipeline_skips_stages_for_non_cptp():

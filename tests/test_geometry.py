@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    amplitude_damping,
     assembled_polytopic_fixture,
     bloch_state,
     ecq_fixture,
+    first_fit_clusters_all_means,
     haar_unitary,
+    random_density,
     subspace_distance,
     trace_norm,
 )
@@ -25,6 +28,7 @@ from chan_atlas.channels import (
     unital_qubit_diag,
 )
 from chan_atlas.geometry import (
+    CLUSTER_TOL,
     bloch_map,
     default_plane,
     dimension_bound_check,
@@ -258,9 +262,62 @@ def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):
         return trace_distances(y, others)
 
     monkeypatch.setattr(geometry, "_trace_distances", counted)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
     find_vertices(channel, n_directions=400, seed=0)
     n_clusters = max(clusters, default=0) + 1  # the last point sees all but one at most
     assert len(calls) <= 400 + n_clusters
+    # the tie check, and no point of a round image near enough to a cluster
+    # mean in Frobenius norm to need the eigensolve
+    assert len(solves) <= 2
+
+
+def _record_bytes(r):
+    return (r.state.tobytes(), r.preimage_basis.shape, r.preimage_basis.tobytes(), r.hit_count,
+            r.directions.tobytes())
+
+
+@pytest.mark.parametrize("t", [depolarizing_channel(0.5), trine_channel(), amplitude_damping(0.35),
+                               dephasing_channel(3)]
+                         + [assembled_polytopic_fixture(i)[0] for i in range(4)]
+                         + [ecq_fixture(i)[0] for i in range(4)],
+                         ids=["depolarizing", "trine", "amplitude-damping", "dephasing3"]
+                         + [f"assembled{i}" for i in range(4)] + [f"ecq{i}" for i in range(4)])
+def test_find_vertices_matches_the_all_means_clustering(t, monkeypatch):
+    got = [find_vertices(t, n_directions=400, seed=s) for s in range(3)]
+    monkeypatch.setattr(geometry, "_first_fit_clusters", first_fit_clusters_all_means)
+    for s, records in enumerate(got):
+        ref = find_vertices(t, n_directions=400, seed=s)
+        assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in ref]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale, joins", [(1 - 1e-6, True), (1 + 1e-6, False)],
+                         ids=["just-under", "just-over"])
+def test_clustering_at_the_trace_norm_edge(d, scale, joins):
+    y = random_density(np.random.default_rng(d), d)
+    a = scale * CLUSTER_TOL / 2  # trace distance 2a, Frobenius distance a * sqrt(2)
+    points = np.array([y, y + np.diag([a, -a, 0][:d])])
+    means, counts, members = geometry._first_fit_clusters(points)
+    assert members == ([[0, 1]] if joins else [[0], [1]])
+    ref = first_fit_clusters_all_means(points)
+    assert means.tobytes() == ref[0].tobytes() and list(counts) == list(ref[1])
+
+
+def test_clustering_lets_the_trace_norm_decide_below_the_frobenius_bound(monkeypatch):
+    # diag(a, a, -2a): Frobenius norm a * sqrt(6) <= CLUSTER_TOL < trace norm 4a
+    y = random_density(np.random.default_rng(3), 3)
+    a = 0.3 * CLUSTER_TOL
+    diff = np.diag([a, a, -2 * a])
+    assert np.linalg.norm(diff) <= CLUSTER_TOL < trace_norm(diff)
+    solved = []
+    trace_distances = geometry._trace_distances
+    monkeypatch.setattr(geometry, "_trace_distances",
+                        lambda y, others: solved.append(len(others)) or trace_distances(y, others))
+    means, counts, members = geometry._first_fit_clusters(np.array([y, y + diff]))
+    assert members == [[0], [1]]
+    assert solved == [1]  # the prefilter passed the cluster on; the eigensolve kept it apart
 
 
 @pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),
