@@ -201,7 +201,12 @@ def _product_support(ms, psi, pure):
     """Per direction, the best ``Tr(m rho_a (x) rho_b)`` found by alternating
     top-eigenvector updates from the best product approximation of the joint
     maximizer ``psi``, from ``I/d_b`` and from the rows of ``pure``
-    ``(n, r, d_b)``, all in one stack; a start stops when it gains < 1e-10."""
+    ``(n, r, d_b)``, all in one stack; a start stops when it gains < 1e-10.
+
+    Each round contracts only the directions with a live start: a direction
+    whose starts have all stopped has its best value written out, and the
+    stacks shrink to the directions still held.
+    """
     n, r, db = pure.shape
     da = ms.shape[-1] // db
     m4 = ms.reshape(n, da, db, da, db)
@@ -211,8 +216,15 @@ def _product_support(ms, psi, pure):
     rho_a = np.zeros((n, r + 2, da, da), dtype=complex)
     val = np.full((n, r + 2), -np.inf)
     active = np.ones((n, r + 2), dtype=bool)
+    best = np.empty(n)
+    rows = np.arange(n)  # the direction of each held row
     for _ in range(20):
-        if not active.any():
+        live = active.any(axis=1)
+        if not live.all():
+            best[rows[~live]] = val[~live].max(axis=1)
+            m4, rho_a, rho_b, val, active, rows = (
+                x[live] for x in (m4, rho_a, rho_b, val, active, rows))
+        if not rows.size:
             break
         k1 = herm(np.einsum("najbl,nslj->nsab", m4, rho_b)[active])
         rho_a[active] = _outer(np.linalg.eigh(k1)[1][..., -1])
@@ -221,7 +233,8 @@ def _product_support(ms, psi, pure):
         gain = w[:, -1] - val[active]
         val[active] = w[:, -1]
         active[active] = gain >= 1e-10
-    return val.max(axis=1)
+    best[rows] = val.max(axis=1)
+    return best
 
 
 def image_additivity_gap(t1, t2, n_directions=40, seed=0):

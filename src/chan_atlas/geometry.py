@@ -158,8 +158,13 @@ def _first_fit_clusters(points):
     """Cluster Hermitian ``points`` first-fit in their order.
 
     Each point joins the first cluster whose mean is within ``CLUSTER_TOL``
-    of it in trace norm, or starts a new one.  Returns the cluster means,
-    their hit counts and the indices of each cluster's points.
+    of it in trace norm, or starts a new one.  The trace norm bounds the
+    Frobenius norm, so only means within ``2 * CLUSTER_TOL`` in Frobenius norm
+    are candidates; and ``||A||_1 <= sqrt(d) ||A||_F``, so a point joins the
+    first candidate with no eigensolve when ``sqrt(d)`` times its Frobenius
+    distance is at most ``CLUSTER_TOL / 2`` (both factors of 2 are roundoff
+    margins).  Returns the cluster means, their hit counts and the indices of
+    each cluster's points.
     """
     sums = np.zeros_like(points)
     means = np.zeros_like(points)
@@ -167,10 +172,9 @@ def _first_fit_clusters(points):
     members = []
     for i, y in enumerate(points):
         n = len(members)
-        # the trace norm bounds the Frobenius norm, so only means within
-        # 2 * CLUSTER_TOL in Frobenius norm can join (2: a roundoff margin)
-        near = np.flatnonzero(np.linalg.norm(means[:n] - y, axis=(1, 2)) <= 2 * CLUSTER_TOL)
-        if near.size:
+        frob = np.linalg.norm(means[:n] - y, axis=(1, 2))
+        near = np.flatnonzero(frob <= 2 * CLUSTER_TOL)
+        if near.size and np.sqrt(len(y)) * frob[near[0]] > CLUSTER_TOL / 2:
             near = near[_trace_distances(y, means[near]) <= CLUSTER_TOL]
         c = near[0] if near.size else n
         if c == n:
@@ -208,9 +212,12 @@ def find_vertices(t, n_directions=400, seed=0):
     points are clustered first-fit in direction order: each joins the first
     cluster whose mean is within ``CLUSTER_TOL`` in trace norm.  The trace
     norm bounds the Frobenius norm, so only the clusters whose means lie
-    within ``2 * CLUSTER_TOL`` of the point in Frobenius norm get the
-    trace-norm eigensolve, one stacked ``eigvalsh`` of their Hermitian
-    differences; on a round image almost no point has such a cluster.  A
+    within ``2 * CLUSTER_TOL`` of the point in Frobenius norm are candidates;
+    on a round image almost no point has one.  Since
+    ``||A||_1 <= sqrt(d) ||A||_F``, a point whose first candidate is within
+    ``CLUSTER_TOL / (2 sqrt(d))`` in Frobenius norm joins it with no
+    eigensolve; any other candidates get the trace-norm eigensolve, one
+    stacked ``eigvalsh`` of their Hermitian differences.  A
     cluster counts as a vertex when its hit count is at least ``2 * n_dof``
     (and at least 2), ``n_dof`` being the estimated affine dimension of the
     image; exposed non-vertex points are attained by measure-zero direction

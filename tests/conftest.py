@@ -94,6 +94,36 @@ def first_fit_clusters_all_means(points):
     return sums[:n] / counts[:n, None, None], counts[:n], members
 
 
+def product_support_full_grid(ms, psi, pure):
+    """Reference for ``entropy._product_support``: every alternating round
+    contracts the full grid of directions and starts, then masks out the
+    starts that have stopped."""
+    n, r, db = pure.shape
+    da = ms.shape[-1] // db
+
+    def outer(v):
+        return v[..., :, None] * np.conj(v)[..., None, :]
+
+    m4 = ms.reshape(n, da, db, da, db)
+    vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
+    mixed = np.broadcast_to(np.eye(db, dtype=complex) / db, (n, 1, db, db))
+    rho_b = np.concatenate([outer(vb)[:, None], mixed, outer(pure)], axis=1)
+    rho_a = np.zeros((n, r + 2, da, da), dtype=complex)
+    val = np.full((n, r + 2), -np.inf)
+    active = np.ones((n, r + 2), dtype=bool)
+    for _ in range(20):
+        if not active.any():
+            break
+        k1 = herm(np.einsum("najbl,nslj->nsab", m4, rho_b)[active])
+        rho_a[active] = outer(np.linalg.eigh(k1)[1][..., -1])
+        w, u = np.linalg.eigh(herm(np.einsum("najbl,nsba->nsjl", m4, rho_a)[active]))
+        rho_b[active] = outer(u[..., -1])
+        gain = w[:, -1] - val[active]
+        val[active] = w[:, -1]
+        active[active] = gain >= 1e-10
+    return val.max(axis=1)
+
+
 def random_cptp(rng, d_in, d_out, env=None):
     """Channel from a Haar-ish random Stinespring isometry."""
     if env is None:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, random_direction, random_pure, tetra_states
+from conftest import (
+    haar_unitary,
+    product_support_full_grid,
+    random_density,
+    random_direction,
+    random_pure,
+    tetra_states,
+)
 
 from chan_atlas import entropy
 from chan_atlas.channels import (
@@ -25,7 +32,7 @@ from chan_atlas.entropy import (
     min_output_entropy,
     renyi_entropy,
 )
-from chan_atlas.linalg import herm
+from chan_atlas.linalg import herm, random_directions, random_pure_vectors
 
 LOG2 = np.log(2.0)
 # closed forms for the r = 1/3 depolarizing qubit channel: the minimizing
@@ -212,6 +219,94 @@ def test_product_support_frozen_starts_stay_put():
     stacked = _product_support(ms, psi, pure)
     single = [_product_support(ms[i:i + 1], psi[i:i + 1], pure[i:i + 1])[0] for i in range(3)]
     assert stacked.tolist() == single
+
+
+def _sweep_input(da, db, n, seed):
+    rng = np.random.default_rng([seed, da, db, n])
+    ms = random_directions(rng, n, da * db)
+    return ms, np.linalg.eigh(ms)[1][:, :, -1], random_pure_vectors(rng, (n, 6), db)
+
+
+def _eigh_rounds(monkeypatch, sweep, ms, psi, pure):
+    """The values of ``sweep`` and its number of alternating rounds."""
+    calls = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        return sweep(ms, psi, pure).tolist(), len(calls) // 2
+
+
+@pytest.mark.parametrize("n", [1, 24, 200])
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_product_support_matches_the_full_grid(da, db, n):
+    for seed in range(2):
+        ms, psi, pure = _sweep_input(da, db, n, seed)
+        assert _product_support(ms, psi, pure).tolist() == \
+            product_support_full_grid(ms, psi, pure).tolist()
+
+
+def test_product_support_when_every_start_stops_in_round_two(monkeypatch):
+    # Tr(c I rho_a (x) rho_b) = c for every start: round 2 gains nothing
+    da, db = 2, 3
+    c = np.array([-1.5, 0.0, 0.25, 2.0])
+    ms = c[:, None, None] * np.eye(da * db, dtype=complex)
+    _, psi, pure = _sweep_input(da, db, len(c), 0)
+    got = _eigh_rounds(monkeypatch, _product_support, ms, psi, pure)
+    assert got == _eigh_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
+    assert got == (c.tolist(), 2)
+
+
+@pytest.mark.parametrize("da, db, n", [(3, 3, 1), (2, 3, 24)])
+def test_product_support_at_the_round_cap(da, db, n, monkeypatch):
+    ms, psi, pure = _sweep_input(da, db, n, 0)
+    got = _eigh_rounds(monkeypatch, _product_support, ms, psi, pure)
+    assert got == _eigh_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
+    assert got[1] == 20
+
+
+_SWEEP = ("najbl,nslj->nsab", "najbl,nsba->nsjl")
+
+
+def _contracted_rows(monkeypatch, sweep):
+    """Probe depolarizing 1/2 against the identity with ``sweep`` as the
+    product-support solver.  Returns the report, the directions contracted
+    in all rounds, and whether each contracted direction owns a row of the
+    ``eigh`` that follows its contraction."""
+    events = []
+    einsum, eigh = np.einsum, np.linalg.eigh
+
+    def counted_einsum(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        if subscripts in _SWEEP:
+            assert len({len(x) for x in operands}) == 1
+            events.append(("einsum", out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_product_support", sweep)
+        m.setattr(np, "einsum", counted_einsum)
+        m.setattr(np.linalg, "eigh", lambda a: events.append(("eigh", a)) or eigh(a))
+        rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
+                                   n_directions=400)
+    rows, owned = 0, []
+    for (kind, out), (next_kind, a) in zip(events, events[1:]):
+        if kind != "einsum":
+            continue
+        assert next_kind == "eigh"
+        held = {x.tobytes() for x in a}
+        owned += [any(x.tobytes() in held for x in starts) for starts in herm(out)]
+        rows += len(out)
+    return rep, rows, owned
+
+
+def test_product_support_contracts_only_live_directions(monkeypatch):
+    rep, rows, owned = _contracted_rows(monkeypatch, entropy._product_support)
+    ref, ref_rows, _ = _contracted_rows(monkeypatch, product_support_full_grid)
+    assert (rep.max_gap, rep.lhs, rep.rhs, rep.certified) == \
+        (ref.max_gap, ref.lhs, ref.rhs, ref.certified)
+    assert owned and all(owned)
+    # the full grid contracts all 400 directions in each of its 20 rounds
+    assert 2 * rows <= ref_rows
 
 
 def test_build_hiding_channel_accepts_tetrahedron():

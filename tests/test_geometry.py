@@ -320,6 +320,55 @@ def test_clustering_lets_the_trace_norm_decide_below_the_frobenius_bound(monkeyp
     assert solved == [1]  # the prefilter passed the cluster on; the eigensolve kept it apart
 
 
+def _clustering_solves(monkeypatch):
+    """Sizes of the ``_trace_distances`` calls made inside ``_first_fit_clusters``."""
+    solved, inside = [], []
+    run, trace_distances = geometry._first_fit_clusters, geometry._trace_distances
+
+    def clusters(points):
+        inside.append(1)
+        try:
+            return run(points)
+        finally:
+            inside.pop()
+
+    def counted(y, others):
+        if inside:
+            solved.append(len(others))
+        return trace_distances(y, others)
+
+    monkeypatch.setattr(geometry, "_first_fit_clusters", clusters)
+    monkeypatch.setattr(geometry, "_trace_distances", counted)
+    return solved
+
+
+@pytest.mark.parametrize("t, n_vertices", [(dephasing_channel(3), 3),
+                                           (assembled_polytopic_fixture(0)[0],
+                                            assembled_polytopic_fixture(0)[2])],
+                         ids=["dephasing3", "assembled0"])
+def test_close_points_join_with_no_eigensolve(t, n_vertices, monkeypatch):
+    solved = _clustering_solves(monkeypatch)
+    records = find_vertices(t, n_directions=400, seed=0)
+    assert len(records) == n_vertices
+    assert solved == []
+
+
+@pytest.mark.parametrize("scale, solves", [(1 - 1e-6, []), (1 + 1e-6, [1])],
+                         ids=["just-under", "just-over"])
+def test_close_join_at_the_frobenius_bound(scale, solves, monkeypatch):
+    # diag(a, -a, 0): sqrt(3) times its Frobenius norm a * sqrt(2) is
+    # scale * CLUSTER_TOL / 2, its trace norm 2a = 0.41 * scale * CLUSTER_TOL
+    y = random_density(np.random.default_rng(4), 3)
+    a = scale * CLUSTER_TOL / (2 * np.sqrt(6))
+    points = np.array([y, y + np.diag([a, -a, 0])])
+    solved = _clustering_solves(monkeypatch)
+    means, counts, members = geometry._first_fit_clusters(points)
+    assert members == [[0, 1]]
+    assert solved == solves
+    ref = first_fit_clusters_all_means(points)
+    assert means.tobytes() == ref[0].tobytes() and list(counts) == list(ref[1])
+
+
 @pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),
                                assembled_polytopic_fixture(1)[0], ecq_fixture(2)[0]],
                          ids=["dephasing3", "trine", "depolarizing", "assembled", "ecq"])

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_cptp, random_density, random_povm
+from conftest import (
+    assembled_polytopic_fixture,
+    ecq_fixture,
+    haar_unitary,
+    random_cptp,
+    random_density,
+    random_povm,
+)
 
 from chan_atlas import channels
 from chan_atlas.channels import (
@@ -13,14 +20,23 @@ from chan_atlas.channels import (
     compose,
     conjugate,
     cq_channel,
+    dephasing_channel,
     depolarizing_channel,
     direct_sum,
     ecq_channel,
     kraus_channel,
     povm_channel,
     tensor,
+    trine_channel,
 )
-from chan_atlas.classify import INDETERMINATE, NO, YES, is_entanglement_breaking
+from chan_atlas.classify import (
+    INDETERMINATE,
+    NO,
+    YES,
+    is_cq,
+    is_entanglement_breaking,
+    is_universally_image_additive,
+)
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
 
@@ -166,3 +182,31 @@ def test_conjugate_rotates_the_output_property(kind, d_in, d_out, seed):
     rho = random_density(rng, t.d_in)
     np.testing.assert_allclose(conjugate(t, u).apply(rho), u @ t.apply(rho) @ u.conj().T,
                                rtol=0, atol=1e-12)
+
+
+# channels whose CQ and universal image additivity verdicts are decided
+_CLASSIFIED = {
+    "trine": trine_channel,
+    "depolarizing-1/2": lambda: depolarizing_channel(0.5),
+    "depolarizing-1/5": lambda: depolarizing_channel(0.2),
+    "dephasing3": lambda: dephasing_channel(3),
+    **{f"ecq{i}": (lambda i=i: ecq_fixture(i)[0]) for i in range(3)},
+    **{f"assembled{i}": (lambda i=i: assembled_polytopic_fixture(i)[0]) for i in range(2)},
+}
+
+
+def _cq_and_universal(t):
+    return is_cq(t).status, is_universally_image_additive(t).status
+
+
+@pytest.mark.parametrize("name", list(_CLASSIFIED))
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(seed=seeds)
+def test_cq_and_universal_image_additivity_are_unitarily_invariant_property(name, seed):
+    # T -> V o T o U with Haar-random U on the input and V on the output
+    t = _CLASSIFIED[name]()
+    verdicts = _cq_and_universal(t)
+    assert INDETERMINATE not in verdicts
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
+    assert _cq_and_universal(conjugate(compose(kraus_channel([u]), t), v)) == verdicts
