@@ -4,11 +4,14 @@ additivity.
 Every answer is one :class:`Verdict`: a status ``"yes"`` / ``"no"`` /
 ``"indeterminate"``, a ``witness`` dict and a ``reason``.  "yes" and "no"
 carry their evidence in the witness (a separable decomposition, a violating
-eigenvector, a reconstructed certificate, a support-excess direction);
+eigenvector, a pair of output directions whose adjoint images do not
+commute, a reconstructed certificate, a support-excess direction);
 "indeterminate" says in ``reason`` which check could not be decided at the
 working tolerance.  Classification never guesses: a PPT Choi outside the
 dimensions where PPT is conclusive stays indeterminate unless a constructive
-separable decomposition is available from the representation.
+separable decomposition is available from the representation or from a CQ
+basis.  CQ is decided algebraically, from the range of the adjoint, with no
+sampling.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .linalg import (
     random_directions,
     subspace_projector,
     unhvec,
-    unvec,
     vec,
 )
 
@@ -77,7 +79,8 @@ def is_entanglement_breaking(t, tol=1e-9):
     Negative partial transpose is a conclusive "no".  A PPT Choi is
     conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise a
     constructive separable decomposition is read off measure-and-prepare
-    representations (and, blockwise, direct sums of them).
+    representations (and, blockwise, direct sums of them), or else off the
+    basis of a CQ "yes" from :func:`is_cq`, in any representation.
 
     The witness always holds ``"min_pt_eigenvalue"``.  A "no" adds
     ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
@@ -100,6 +103,8 @@ def is_entanglement_breaking(t, tol=1e-9):
         # separable Choi decomposition J = sum_k sigma_k (x) M_k^T / d_in
         pairs = [(s.copy(), m.T.copy() / t.d_in) for m, s in zip(*_measure_prepare(f))]
         return Verdict(YES, {**base, "separable_pairs": pairs})
+    reason = ("PPT holds but dimensions admit PPT-entangled states and the "
+              "representation carries no separable decomposition")
     if isinstance(f, DirectSumForm):
         subs = [is_entanglement_breaking(b, tol=tol) for b in f.blocks]
         if all(s.status == YES for s in subs):
@@ -107,11 +112,15 @@ def is_entanglement_breaking(t, tol=1e-9):
         if any(s.status == NO for s in subs):
             bad = next(s for s in subs if s.status == NO)
             return Verdict(NO, {**base, "blocks": subs, **bad.witness})
-        return Verdict(INDETERMINATE, {**base, "blocks": subs},
-                       "PPT holds but a block has no separability certificate")
-    return Verdict(INDETERMINATE, base,
-                   "PPT holds but dimensions admit PPT-entangled states and the "
-                   "representation carries no separable decomposition")
+        base["blocks"] = subs
+        reason = "PPT holds but a block has no separability certificate"
+    cq = is_cq(t)
+    if cq.status == YES:
+        # a CQ basis b_i gives J = sum_i sigma_i (x) conj(b_i b_i*) / d_in
+        pairs = [(s, np.outer(np.conj(b), b) / t.d_in)
+                 for b, s in zip(cq.witness["basis"].T, cq.witness["states"])]
+        return Verdict(YES, {**base, "separable_pairs": pairs})
+    return Verdict(INDETERMINATE, base, reason)
 
 
 # -- eCQ reconstruction -------------------------------------------------
@@ -250,76 +259,61 @@ def retraction_channel(certificate):
 # -- CQ decision --------------------------------------------------------
 
 
-def is_cq(t, seed=0, n_directions=400):
+def is_cq(t):
     """Decide whether ``t`` dephases in some orthonormal input basis.
 
-    The candidate basis is assembled recursively: vertex preimages of the
-    image contribute blockwise (any orthonormal basis of a preimage works),
-    and the compression to the residual subspace is decided by recursion.
-    The assembled basis is then verified directly, so "yes" is certified
-    (witness ``"basis"``, ``"states"``, ``"offdiagonal_residual"``,
-    ``"map_deviation"``); "no" requires a support-excess witness showing the
-    image of some stage is not the hull of its vertices (``"stage_d_in"``,
-    ``"direction"``, ``"support_excess"``, nested under ``"residual"`` for
-    a residual stage).
+    ``T`` is CQ exactly when the range of its adjoint, ``{T*(H)}``, is
+    commutative: ``T(rho) = sum_i <b_i|rho|b_i> sigma_i`` gives
+    ``T*(H) = sum_i Tr(H sigma_i) b_i b_i*``, and conversely a commutative
+    ``*``-closed range is diagonal in one orthonormal basis ``b_i``, so
+    ``T`` kills every off-diagonal unit ``b_i b_j*`` and ``T = T o D_b``.
+    One SVD of the adjoint gives orthonormal output directions ``X_i`` and
+    the weighted elements ``Y_i = T*(X_i) / s_max`` of the range, where
+    ``s_max`` is the largest singular value (the operator norm of the
+    natural matrix); nothing is sampled.
+
+    "no" carries ``"directions"`` (the pair ``X_i, X_j``) and
+    ``"commutator"``, the Frobenius norm of ``[Y_i, Y_j]``, above 1e-9 and
+    recomputable with ``dual_apply``.  "yes" takes the eigenbasis of one
+    fixed real combination of the Hermitian parts of the ``Y_i`` and
+    verifies it directly: ``"basis"`` (columns ``b_i``), ``"states"``,
+    ``"offdiagonal_residual"`` and ``"map_deviation"``.  A commuting range
+    whose basis fails that verification is "indeterminate", with the
+    largest ``"commutator"`` and both check values.
     """
     t.require_cptp()
-    out = _cq_recurse(t, seed, n_directions)
-    if isinstance(out, Verdict):
-        return out
-    basis, states = out
-    b = np.column_stack(basis)
-    d = t.d_in
+    d, n = t.d_in, t.d_out
+    u, s, vh = np.linalg.svd(t.natural_matrix().conj().T, full_matrices=False)
+    r = int(np.sum(s > 1e-10 * s[0]))
+    y = (u[:, :r] * (s[:r] / s[0])).T.reshape(r, d, d)
+    worst, pair = 0.0, None
+    for i in range(r - 1):
+        c = np.linalg.norm(y[i] @ y[i + 1:] - y[i + 1:] @ y[i], axis=(1, 2))
+        j = int(np.argmax(c))
+        if c[j] > worst:
+            worst, pair = float(c[j]), (i, i + 1 + j)
+    if worst > 1e-9:
+        x = vh[pair, :].conj().reshape(2, n, n)
+        return Verdict(NO, {"directions": list(x), "commutator": worst},
+                       "the range of the adjoint does not commute")
+    parts = np.concatenate([herm(y), herm(-1j * y)])
+    b = np.linalg.eigh(np.tensordot(np.cos(np.arange(1, 2 * r + 1)), parts, axes=1))[1]
     # column i*d+j is vec T(b_i b_j*)
     images = t.natural_matrix() @ np.kron(b, np.conj(b))
-    offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], t.d_out)
-    diag_states = list(herm(images[:, ::d + 1].T.reshape(d, t.d_out, t.d_out)))
+    offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], n)
+    diag_states = list(herm(images[:, ::d + 1].T.reshape(d, n, n)))
     rebuilt = cq_channel(b, diag_states, validate=False)
     dist = map_distance(t, rebuilt)
     if offdiag <= 1e-9 and dist <= 1e-9:
         return Verdict(YES, {"basis": b, "states": diag_states,
                              "offdiagonal_residual": offdiag, "map_deviation": dist})
-    return Verdict(INDETERMINATE, {"offdiagonal_residual": offdiag, "map_deviation": dist},
-                   "candidate basis search exhausted without proof of infeasibility")
+    return Verdict(INDETERMINATE, {"commutator": worst, "offdiagonal_residual": offdiag,
+                                   "map_deviation": dist},
+                   "the range of the adjoint commutes, but the eigenbasis of its "
+                   "generic element fails verification")
 
 
-def _cq_recurse(t, seed, n_directions):
-    """Returns (basis vector list, state list) or a terminal Verdict."""
-    d = t.d_in
-    if d == 1:
-        return [np.ones(1, dtype=complex)], [herm(unvec(t.natural_matrix(), t.d_out))]
-    dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
-    if not dec.vertices:
-        if dec.verdict == "not_polytopic":
-            return Verdict(NO, {"stage_d_in": d, **_excess_witness(dec)},
-                           "image of a stage has no vertices; a CQ image is the "
-                           "hull of at most d_in states")
-        return Verdict(INDETERMINATE, {"stage_d_in": d}, "vertex detection inconclusive")
-    basis = []
-    states = []
-    for r in dec.vertices:
-        for col in r.preimage_basis.T:
-            basis.append(col)
-            states.append(r.state)
-    if dec.w_basis.shape[1]:
-        sub = _cq_recurse(dec.t2, seed + 1, n_directions)
-        if isinstance(sub, Verdict):
-            if sub.status == NO:
-                return Verdict(NO, {"stage_d_in": d, "residual": sub.witness},
-                               "residual block is not CQ: " + sub.reason)
-            return sub
-        sub_basis, sub_states = sub
-        for v, s in zip(sub_basis, sub_states):
-            basis.append(dec.w_basis @ v)
-            states.append(s)
-    if len(basis) != d:
-        # overlapping preimages; the clusters may be spurious, so no "no"
-        return Verdict(INDETERMINATE,
-                       {"stage_d_in": d, "n_vectors": len(basis),
-                        "orthogonality_deviation": dec.checks["orthogonality_deviation"]},
-                       "vertex preimages of a stage overlap and give "
-                       f"{len(basis)} basis vectors for dimension {d}")
-    return basis, states
+# -- universal image additivity ----------------------------------------
 
 
 def _excess_witness(dec):
@@ -328,9 +322,6 @@ def _excess_witness(dec):
     if dec.checks:
         w["support_excess"] = dec.checks["max_support_excess"]
     return w
-
-
-# -- universal image additivity ----------------------------------------
 
 
 def is_universally_image_additive(t, seed=0, n_directions=400):

@@ -266,7 +266,9 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     pure = random_pure_vectors(rng, (n_directions, _RESTARTS - 2), db)
     rhs_all = _product_support(ms, psi, pure)
     gaps = w[:, -1] - rhs_all
-    i = int(np.argmax(gaps))
+    # the first direction within roundoff of the largest gap, so the witness
+    # does not hinge on the last bits of the BLAS reduction order
+    i = int(np.flatnonzero(gaps >= gaps.max() - 1e-12)[0])
     gap, h, lhs, rhs = gaps[i], directions[i], w[i, -1], rhs_all[i]
     certified = False
     if gap > 1e-6:

@@ -128,7 +128,7 @@ def image_stage(t, seed, n_directions):
 
 def classification_stage(t, seed, n_directions, tol=1e-9):
     """Report section of the CQ / EB / universal-image-additivity / eCQ verdicts."""
-    cq = is_cq(t, seed=seed, n_directions=n_directions)
+    cq = is_cq(t)
     eb = is_entanglement_breaking(t, tol=tol)
     uia = is_universally_image_additive(t, seed=seed, n_directions=n_directions)
     out = {

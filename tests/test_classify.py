@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import _spread_vertices, bloch_state, ecq_fixture, random_povm
+from conftest import _spread_vertices, bloch_state, ecq_fixture, haar_unitary, random_povm
 
 from chan_atlas.channels import (
     NotCptpError,
     compose,
     conjugate,
+    constant_channel,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -86,12 +87,29 @@ def test_eb_pinching_with_coherent_block_is_not_eb():
 
 
 def test_eb_indeterminate_without_certificate():
-    # same map as a bare Kraus channel: PPT in (3,3) proves nothing
-    t = dephasing_channel(3)
+    # an eCQ map that is not CQ, as a bare Kraus channel: PPT in (5,2) proves
+    # nothing, and no CQ basis gives separable pairs
+    t, *_ = ecq_fixture(1)
     bare = kraus_channel(t.kraus_operators())
+    assert (bare.d_in, bare.d_out) == (5, 2)
+    assert is_cq(bare).status == NO
     v = is_entanglement_breaking(bare)
     assert v.status == INDETERMINATE
     assert "PPT holds" in v.reason
+
+
+@pytest.mark.parametrize("frame", [None, 0, 1, 2])
+def test_eb_yes_from_cq_basis_in_any_frame(frame):
+    # bare Kraus dephasing(3), optionally in Haar input and output frames:
+    # PPT in (3,3) proves nothing, but the CQ basis gives separable pairs
+    t = kraus_channel(dephasing_channel(3).kraus_operators())
+    if frame is not None:
+        rng = np.random.default_rng(frame)
+        t = conjugate(compose(kraus_channel([haar_unitary(rng, 3)]), t), haar_unitary(rng, 3))
+    v = is_entanglement_breaking(t)
+    assert v.status == YES
+    j = sum(np.kron(s, m) for s, m in v.witness["separable_pairs"])
+    assert op_norm(j - t.to_choi()) < 1e-9
 
 
 def test_eb_requires_cptp():
@@ -110,6 +128,8 @@ def test_is_cq_on_cq_channels():
     u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     sig = [bloch_state(0.3, 0, 0.4), bloch_state(-0.2, 0.1, 0)]
     assert is_cq(cq_channel(u, sig)).status == YES
+    for d_in in (1, 3):
+        assert is_cq(constant_channel(bloch_state(0.1, 0.2, 0.3), d_in)).status == YES
 
 
 @pytest.mark.parametrize("t", [trine_channel(), depolarizing_channel(0.5)])
@@ -248,11 +268,11 @@ def test_ecq_channel_is_eb_via_certificate():
     assert op_norm(j - t.to_choi()) < 1e-9
 
 
-def test_is_cq_open_when_stage_preimages_overlap():
+def test_is_cq_no_when_stage_preimages_overlap():
     """CQ block on three mixed qutrit states (+) a three-effect qubit POVM
-    block preparing interior mixtures, in a rotated output frame.  Vertex
-    detection on the qubit residual stage keeps clusters whose preimages
-    overlap, so they hold more vectors than the stage has dimensions."""
+    block preparing interior mixtures, in a rotated output frame.  Sampled
+    vertex detection on the qubit block keeps clusters whose preimages
+    overlap; the range of the adjoint decides the channel is not CQ."""
     rng = np.random.default_rng(2)
     sig = _spread_vertices(rng, 3, 3)
     preps = [sum(c * s for c, s in zip(0.5 * rng.dirichlet(np.ones(3)) + 0.5 / 3, sig))
@@ -260,8 +280,11 @@ def test_is_cq_open_when_stage_preimages_overlap():
     t = direct_sum(cq_channel(np.eye(3, dtype=complex), sig),
                    povm_channel(random_povm(rng, 2, 3), preps))
     u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    v = is_cq(conjugate(t, u))
-    assert v.status == INDETERMINATE
-    assert v.witness["stage_d_in"] == 2
-    assert v.witness["n_vectors"] > 2
-    assert v.witness["orthogonality_deviation"] > 0.5
+    t = conjugate(t, u)
+    v = is_cq(t)
+    assert v.status == NO
+    # recompute the witness: [T*(X1), T*(X2)] over the squared norm of N
+    a, b = t.dual_apply(np.asarray(v.witness["directions"]))
+    comm = np.linalg.norm(a @ b - b @ a) / op_norm(t.natural_matrix()) ** 2
+    assert comm == pytest.approx(v.witness["commutator"], rel=1e-9)
+    assert comm > 1e-9

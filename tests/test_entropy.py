@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from conftest import (
     tetra_states,
 )
 
+import chan_atlas
 from chan_atlas import entropy
 from chan_atlas.channels import (
     compose,
@@ -171,6 +177,28 @@ def test_image_additivity_gap_vanishes_for_cq():
     # certification flags positive gaps only, so here it must stay off
     assert rep.max_gap <= 1e-6
     assert not rep.certified
+
+
+def test_image_additivity_witness_does_not_depend_on_blas_threads():
+    # the fixture is CQ, so every gap is zero up to roundoff and the witness must not
+    # follow the last bits of the BLAS reduction order; each run is a child
+    # process whose environment alone sets the thread count
+    code = ("from conftest import assembled_polytopic_fixture\n"
+            "from chan_atlas.channels import identity_channel\n"
+            "from chan_atlas.entropy import image_additivity_gap\n"
+            "t = assembled_polytopic_fixture(2)[0]\n"
+            "r = image_additivity_gap(t, identity_channel(t.d_in), n_directions=24, seed=0)\n"
+            "print(repr(r.lhs), repr(r.rhs))\n")
+    paths = [str(Path(chan_atlas.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    values = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             check=True, text=True)
+        values.append([float(x) for x in run.stdout.split()])
+    np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-12)
 
 
 def test_image_additivity_gap_runs_one_stack(monkeypatch):

@@ -1,5 +1,6 @@
 """Property-based checks (``hypothesis``, derandomized, bounded examples)."""
 
+import functools
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import (
     random_povm,
 )
 
-from chan_atlas import channels
+from chan_atlas import channels, classify
 from chan_atlas.channels import (
     choi_channel,
     compose,
@@ -210,3 +211,33 @@ def test_cq_and_universal_image_additivity_are_unitarily_invariant_property(name
     rng = np.random.default_rng(seed)
     u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
     assert _cq_and_universal(conjugate(compose(kraus_channel([u]), t), v)) == verdicts
+
+
+@functools.cache
+def _same_output_pairs():
+    d_out = {name: build().d_out for name, build in _CLASSIFIED.items()}
+    return [(a, b) for a in d_out for b in d_out if d_out[a] == d_out[b]]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(pair=strategies.deferred(lambda: strategies.sampled_from(_same_output_pairs())))
+def test_direct_sum_cq_property(pair):
+    # the range of (T1 (+) T2)* is {T1*(H) (+) T2*(H)}, whose commutators are
+    # the blocks' commutators side by side: CQ iff both blocks are
+    a, b = (_CLASSIFIED[name]() for name in pair)
+    blocks = [is_cq(x).status for x in (a, b)]
+    assert INDETERMINATE not in blocks
+    assert (is_cq(direct_sum(a, b)).status == YES) == (blocks == [YES, YES])
+
+
+def test_is_cq_draws_no_sample(monkeypatch):
+    # the CQ decision is algebraic: no vertex search and no random draw
+    built = {name: build() for name, build in _CLASSIFIED.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_cq sampled")
+
+    monkeypatch.setattr(classify, "polytopic_decompose", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for name, t in built.items():
+        assert is_cq(t).status in (YES, NO), name
