@@ -107,7 +107,10 @@ class Channel:
         self._choi = None
         self._kraus = None
         self._cptp = None
-        self._decompositions = {}  # polytopic_decompose results by arguments
+        self._range = None          # kept by geometry._adjoint_range
+        self._decomposition = None  # kept by polytopic_decompose
+        self._cq = None             # kept by is_cq
+        self._uia = None            # kept by is_universally_image_additive
 
     def __repr__(self):
         return f"Channel({type(self.form).__name__}, {self.d_in}->{self.d_out})"

@@ -5,13 +5,15 @@ Every answer is one :class:`Verdict`: a status ``"yes"`` / ``"no"`` /
 ``"indeterminate"``, a ``witness`` dict and a ``reason``.  "yes" and "no"
 carry their evidence in the witness (a separable decomposition, a violating
 eigenvector, a pair of output directions whose adjoint images do not
-commute, a reconstructed certificate, a support-excess direction);
+commute, a reconstructed certificate, the image decomposition's checks);
 "indeterminate" says in ``reason`` which check could not be decided at the
 working tolerance.  Classification never guesses: a PPT Choi outside the
 dimensions where PPT is conclusive stays indeterminate unless a constructive
-separable decomposition is available from the representation or from a CQ
-basis.  CQ is decided algebraically, from the range of the adjoint, with no
-sampling.
+separable decomposition is available from the representation, a CQ basis
+or an eCQ certificate.  CQ is decided algebraically, from the range of the
+adjoint, and the image vertices that eCQ and universal image additivity
+rest on come from the common eigenvectors of that range; neither samples.
+The CQ and universal-image-additivity verdicts are kept on the channel.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .channels import (
     map_distance,
     povm_channel,
 )
-from .geometry import hull_excess, polytopic_decompose
+from .geometry import _adjoint_range, hull_excess, polytopic_decompose
 from .linalg import (
     canonical_phase,
     herm,
@@ -79,8 +81,9 @@ def is_entanglement_breaking(t, tol=1e-9):
     Negative partial transpose is a conclusive "no".  A PPT Choi is
     conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise a
     constructive separable decomposition is read off measure-and-prepare
-    representations (and, blockwise, direct sums of them), or else off the
-    basis of a CQ "yes" from :func:`is_cq`, in any representation.
+    representations (and, blockwise, direct sums of them), or else, in any
+    representation, off the basis of a CQ "yes" from :func:`is_cq` or the
+    eCQ certificate of a "yes" from :func:`is_universally_image_additive`.
 
     The witness always holds ``"min_pt_eigenvalue"``.  A "no" adds
     ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
@@ -119,6 +122,12 @@ def is_entanglement_breaking(t, tol=1e-9):
         # a CQ basis b_i gives J = sum_i sigma_i (x) conj(b_i b_i*) / d_in
         pairs = [(s, np.outer(np.conj(b), b) / t.d_in)
                  for b, s in zip(cq.witness["basis"].T, cq.witness["states"])]
+        return Verdict(YES, {**base, "separable_pairs": pairs})
+    uia = is_universally_image_additive(t)
+    if uia.status == YES:
+        # an eCQ POVM M_i gives J = sum_i sigma_i (x) M_i^T / d_in
+        cert = uia.witness["reconstruction"].witness["certificate"]
+        pairs = [(s, m.T / t.d_in) for m, s in zip(cert.effects, cert.states)]
         return Verdict(YES, {**base, "separable_pairs": pairs})
     return Verdict(INDETERMINATE, base, reason)
 
@@ -280,12 +289,19 @@ def is_cq(t):
     ``"offdiagonal_residual"`` and ``"map_deviation"``.  A commuting range
     whose basis fails that verification is "indeterminate", with the
     largest ``"commutator"`` and both check values.
+
+    The verdict is computed once per channel and kept on ``t``.
     """
     t.require_cptp()
+    if t._cq is None:
+        t._cq = _cq_verdict(t)
+    return t._cq
+
+
+def _cq_verdict(t):
     d, n = t.d_in, t.d_out
-    u, s, vh = np.linalg.svd(t.natural_matrix().conj().T, full_matrices=False)
-    r = int(np.sum(s > 1e-10 * s[0]))
-    y = (u[:, :r] * (s[:r] / s[0])).T.reshape(r, d, d)
+    x, y, parts = _adjoint_range(t)
+    r = len(y)
     worst, pair = 0.0, None
     for i in range(r - 1):
         c = np.linalg.norm(y[i] @ y[i + 1:] - y[i + 1:] @ y[i], axis=(1, 2))
@@ -293,10 +309,8 @@ def is_cq(t):
         if c[j] > worst:
             worst, pair = float(c[j]), (i, i + 1 + j)
     if worst > 1e-9:
-        x = vh[pair, :].conj().reshape(2, n, n)
-        return Verdict(NO, {"directions": list(x), "commutator": worst},
+        return Verdict(NO, {"directions": list(x[list(pair)]), "commutator": worst},
                        "the range of the adjoint does not commute")
-    parts = np.concatenate([herm(y), herm(-1j * y)])
     b = np.linalg.eigh(np.tensordot(np.cos(np.arange(1, 2 * r + 1)), parts, axes=1))[1]
     # column i*d+j is vec T(b_i b_j*)
     images = t.natural_matrix() @ np.kron(b, np.conj(b))
@@ -316,15 +330,7 @@ def is_cq(t):
 # -- universal image additivity ----------------------------------------
 
 
-def _excess_witness(dec):
-    """The decomposition's excess direction, with the excess when vertices were found."""
-    w = {"direction": dec.direction}
-    if dec.checks:
-        w["support_excess"] = dec.checks["max_support_excess"]
-    return w
-
-
-def is_universally_image_additive(t, seed=0, n_directions=400):
+def is_universally_image_additive(t):
     """Image additivity against every partner channel.
 
     Certified through the structure theorem: the channel is universally image
@@ -334,17 +340,31 @@ def is_universally_image_additive(t, seed=0, n_directions=400):
     verdict under ``"reconstruction"`` (its certificate is
     ``witness["reconstruction"].witness["certificate"]``), and a "yes" adds
     ``"retraction"`` and ``"retraction_deviation"``.  Otherwise the witness
-    holds the decomposition's ``"direction"`` of largest support excess.
+    holds the decomposition's ``"checks"`` and its sampled ``"direction"``
+    (None when the characters of range(T*) decided).  Nothing is sampled
+    unless the decomposition samples its residual block.
+
+    The verdict is computed once per channel and kept on ``t``.
     """
     t.require_cptp()
-    dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
-    if dec.verdict == "not_polytopic":
-        return Verdict(NO, _excess_witness(dec),
-                       "image is not the hull of its detected vertices, so the "
-                       "channel is not eCQ")
-    if dec.verdict == "indeterminate":
-        return Verdict(INDETERMINATE, _excess_witness(dec),
-                       "polytopic decomposition inconclusive")
+    if t._uia is None:
+        t._uia = _uia_verdict(t)
+    return t._uia
+
+
+def _uia_verdict(t):
+    dec = polytopic_decompose(t)
+    if dec.verdict != "polytopic":
+        witness = {"checks": dec.checks, "direction": dec.direction}
+        if dec.verdict == "indeterminate":
+            return Verdict(INDETERMINATE, witness, "polytopic decomposition inconclusive")
+        if dec.direction is None:
+            return Verdict(NO, witness,
+                           f"the characters of range(T*) span affine dimension "
+                           f"{dec.checks['character_affine_dim']} < {dec.n_dof}, so the image "
+                           "is not a polytope and the channel is not eCQ")
+        return Verdict(NO, witness, "the residual block's image leaves the hull of the "
+                                    "vertices, so the channel is not eCQ")
     rec = reconstruct_ecq(t, [r.state for r in dec.vertices],
                           preimages=[r.preimage_basis for r in dec.vertices])
     if rec.status == NO:

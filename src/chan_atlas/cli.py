@@ -5,7 +5,9 @@ Exit codes: 0 when the requested analysis ran (verdicts, including "no" and
 invalid usage, 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
 
 The default seed comes from ``CHAN_ATLAS_SEED`` and is overridden by
-``--seed``; all randomness in the analyses derives from it.
+``--seed``; the sampled analyses (entropies, fixed points, image
+additivity) derive their randomness from it, while ``decompose`` and
+``classify`` do not depend on it.
 """
 
 from __future__ import annotations
@@ -82,9 +84,8 @@ def _build_parser():
     si.add_argument("--points", type=int, default=256)
     si.set_defaults(func=cmd_image)
 
-    sd = sub.add_parser("decompose", help="vertex detection and polytopic decomposition")
+    sd = sub.add_parser("decompose", help="image vertices and polytopic decomposition")
     sd.add_argument("spec")
-    sd.add_argument("--directions", type=int, default=400)
     sd.set_defaults(func=cmd_decompose)
 
     se = sub.add_parser("entropy", help="minimal output entropies")
@@ -184,7 +185,7 @@ def _emit(args, payload):
 
 def cmd_classify(args):
     t = load_channel(args.spec)
-    _emit(args, classification_stage(t, args.seed, 400, tol=args.tol))
+    _emit(args, classification_stage(t, tol=args.tol))
 
 
 def cmd_image(args):
@@ -200,7 +201,7 @@ def cmd_image(args):
 
 def cmd_decompose(args):
     t = load_channel(args.spec)
-    _emit(args, image_stage(t, args.seed, args.directions))
+    _emit(args, image_stage(t))
 
 
 def cmd_entropy(args):

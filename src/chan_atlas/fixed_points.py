@@ -37,6 +37,7 @@ from .classify import (
     reconstruct_ecq,
 )
 from .linalg import (
+    eig_clusters,
     herm,
     null_space,
     partial_trace,
@@ -142,12 +143,6 @@ def _hermitian_fixed_basis(k, d):
     return herm(vt[:rank].view(complex).reshape(rank, d, d))
 
 
-def _eig_clusters(w):
-    """Index runs of sorted eigenvalues ``w`` split at relative gaps above 1e-6."""
-    spread = max(float(w[-1] - w[0]), 1.0)
-    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-6 * spread) + 1)
-
-
 def _generic(rng, stack, k=1):
     """``k`` random real combinations of a stack of Hermitian matrices."""
     return herm(np.einsum("kj,jab->kab", rng.normal(size=(k, len(stack))), stack))
@@ -213,7 +208,7 @@ def fixed_point_structure(t, seed=0):
         result.reason = "commutant computation returned an empty center"
         return result
     gw, gv = np.linalg.eigh(_generic(rng, np.einsum("jl,jab->lab", z, alg))[0])
-    clusters = _eig_clusters(gw)
+    clusters = eig_clusters(gw)
     if len(clusters) != n_blocks:
         result.reason = "generic central element did not separate the blocks"
         return result
@@ -290,7 +285,7 @@ def _factor_block(alg_b, d_b, s_b, rng):
         return np.eye(s_b, dtype=complex)
     a, y = _generic(rng, alg_b, 2)
     aw, av = np.linalg.eigh(a)
-    clusters = _eig_clusters(aw)
+    clusters = eig_clusters(aw)
     if len(clusters) != d_b or any(c.size != s_b for c in clusters):
         return None
     frames = av.reshape(-1, d_b, s_b).transpose(1, 0, 2)  # (d_b, h_b, s_b)

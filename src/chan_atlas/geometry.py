@@ -6,15 +6,20 @@ convex set.  Its support function in a Hermitian direction ``H`` is the top
 eigenvalue of ``T*(H)``, attained on a pure input.  Every sweep over
 directions goes through one stacked path: ``T*`` of the whole stack of
 directions through the natural matrix, one stacked ``eigh``, and the outputs
-``T(x x*)`` of the stacked maximizers.  Vertex detection samples random
-directions and looks for output points that are hit by a positive fraction
-of them: a vertex owns a full-dimensional normal cone, while an exposed
-smooth point is only reached by a measure-zero set of directions.
+``T(x x*)`` of the stacked maximizers.
+
+Vertices are computed, not sampled.  If the image is a polytope, every
+vertex preimage is a common eigenvector (a *character*) of the range of the
+adjoint ``{T*(H)}``, which one SVD of the natural matrix gives; the vertices
+are the character points ``T(vv*)`` outside the hull of the others, and the
+image spans ``rank(N) - 1`` affine dimensions.  Only a residual block that
+characters do not span is compared with the vertex hull on sampled
+directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +27,19 @@ from .channels import Channel, PovmForm, _max_column_op_norm, _natural_channel
 from .linalg import (
     PAULIS,
     canonical_phase,
+    eig_clusters,
     herm,
     hvec,
-    intersect_subspaces,
+    null_space,
     op_norm,
     orthogonal_complement,
-    orthonormal_columns,
     random_directions,
     vec,
 )
 
-CLUSTER_TOL = 1e-6
-EIG_GAP = 1e-8
-MEMBER_TOL = 1e-8
 VERDICT_TOL = 1e-8
 EXCESS_WITNESS_TOL = 1e-6
-SEPARATION_MIN = 1e-6
-VERIFY_DIRECTIONS = 200  # fresh directions that check a decomposition
+VERIFY_DIRECTIONS = 200  # directions that check a residual block against the hull
 
 
 @dataclass
@@ -129,132 +130,140 @@ def fujiwara_algoet_check(lams, band=1e-9):
     return FAReport(is_cp=bool(np.min(margins) >= -4 * band), margins=margins, lams=(l1, l2, l3))
 
 
-# -- vertex detection ---------------------------------------------------
+# -- vertices from the range of the adjoint ----------------------------
+
+
+def _adjoint_range(t):
+    """The range of the adjoint, ``{T*(H)}``, from one SVD of ``N^H``.
+
+    Returns ``(x, y, parts)``: the orthonormal output directions ``X_i``
+    (right singular vectors as matrices), the weighted elements
+    ``Y_i = T*(X_i) / s_max`` of the range, where ``s_max`` is the operator
+    norm of the natural matrix ``N``, and the Hermitian parts of ``Y_i`` and
+    ``-i Y_i``, which span the range since it is ``*``-closed.  Singular
+    values below ``1e-10 s_max`` are cut, so ``len(y)`` is the rank of ``N``.
+    Computed once per channel and kept on ``t``.
+    """
+    if t._range is None:
+        d, n = t.d_in, t.d_out
+        u, s, vh = np.linalg.svd(t.natural_matrix().conj().T, full_matrices=False)
+        r = int(np.sum(s > 1e-10 * s[0]))
+        y = (u[:, :r] * (s[:r] / s[0])).T.reshape(r, d, d)
+        t._range = vh[:r].conj().reshape(r, n, n), y, herm(np.concatenate([y, -1j * y]))
+    return t._range
 
 
 @dataclass
 class VertexRecord:
     state: np.ndarray            # output density matrix at the vertex
     preimage_basis: np.ndarray   # orthonormal columns spanning V_i
-    hit_count: int
-    directions: np.ndarray = field(repr=False)  # exposing directions, stacked
 
 
-def _trace_distances(y, others):
-    """Trace norms of the Hermitian differences ``y - others``, stacked."""
-    return np.abs(np.linalg.eigvalsh(y - others)).sum(-1)
+def _characters(t):
+    """Every character point of ``T`` with an orthonormal basis of its preimage.
 
-
-def _affine_rank(points):
-    if len(points) < 2:
-        return 0
-    coords = hvec(points)
-    coords = coords - coords.mean(axis=0)
-    s = np.linalg.svd(coords, compute_uv=False)
-    return int(np.sum(s > 1e-6 * max(1.0, s[0])))
-
-
-def _first_fit_clusters(points):
-    """Cluster Hermitian ``points`` first-fit in their order.
-
-    Each point joins the first cluster whose mean is within ``CLUSTER_TOL``
-    of it in trace norm, or starts a new one.  The trace norm bounds the
-    Frobenius norm, so only means within ``2 * CLUSTER_TOL`` in Frobenius norm
-    are candidates; and ``||A||_1 <= sqrt(d) ||A||_F``, so a point joins the
-    first candidate with no eigensolve when ``sqrt(d)`` times its Frobenius
-    distance is at most ``CLUSTER_TOL / 2`` (both factors of 2 are roundoff
-    margins).  Returns the cluster means, their hit counts and the indices of
-    each cluster's points.
+    A character is a common eigenvector ``v`` of the range of the adjoint;
+    its point is ``T(vv*)``.  The eigenvalue clusters of one fixed
+    combination ``A`` of the range elements ``X_k`` are cut down to the
+    vectors ``X_k`` keeps inside the cluster (a stacked null space with an
+    absolute floor) and split by a second fixed combination.  Vectors with
+    ``||X_k v - <v, X_k v> v|| <= VERDICT_TOL`` for every ``k`` are kept and
+    grouped by their point (within ``VERDICT_TOL`` in Frobenius norm).
+    Returns the points ``(k, d_out, d_out)`` and the bases.
     """
-    sums = np.zeros_like(points)
-    means = np.zeros_like(points)
-    counts = np.zeros(len(points), dtype=int)
-    members = []
-    for i, y in enumerate(points):
-        n = len(members)
-        frob = np.linalg.norm(means[:n] - y, axis=(1, 2))
-        near = np.flatnonzero(frob <= 2 * CLUSTER_TOL)
-        if near.size and np.sqrt(len(y)) * frob[near[0]] > CLUSTER_TOL / 2:
-            near = near[_trace_distances(y, means[near]) <= CLUSTER_TOL]
-        c = near[0] if near.size else n
-        if c == n:
-            members.append([])
-        sums[c] += y
-        counts[c] += 1
-        means[c] = sums[c] / counts[c]
-        members[c].append(i)
-    return means[:len(members)], counts[:len(members)], members
+    parts = _adjoint_range(t)[2]
+    k = np.arange(1, len(parts) + 1)
+    w, u = np.linalg.eigh(np.tensordot(np.cos(k), parts, axes=1))
+    second = np.tensordot(np.sin(k), parts, axes=1)
+    found = []
+    for idx in eig_clusters(w):
+        e = u[:, idx]
+        if len(idx) > 1:  # a single eigenvector needs only the check below
+            xe = parts @ e
+            e = e @ null_space((xe - e @ (e.conj().T @ xe)).reshape(-1, len(idx)),
+                               atol=VERDICT_TOL)
+            e = e @ np.linalg.eigh(herm(e.conj().T @ second @ e))[1]
+        found.append(e)
+    v = np.concatenate(found, axis=1)
+    xv = parts @ v
+    lam = np.einsum("am,kam->km", v.conj(), xv)
+    v = v[:, np.linalg.norm(xv - lam[:, None, :] * v, axis=1).max(axis=0) <= VERDICT_TOL]
+    points = herm(t.pure_outputs(v.T))
+    if not len(points):
+        return points, []
+    near = np.linalg.norm(points[:, None] - points[None], axis=(2, 3)) <= VERDICT_TOL
+    label = np.argmax(near, axis=1)  # the first vector with the same point
+    firsts = np.flatnonzero(label == np.arange(len(label)))
+    return points[firsts], [v[:, label == i] for i in firsts]
 
 
-def find_vertices(t, n_directions=400, seed=0):
-    """Detect the vertices of ``Im(T)`` together with their input preimages.
+def _affine_coordinates(points):
+    """Coordinates of ``points`` in an orthonormal frame of their affine span
+    (singular values of the centred points cut at ``1e-10`` of the largest, or of 1)."""
+    c = hvec(points)
+    c = c - c.mean(axis=0)
+    _, s, vt = np.linalg.svd(c, full_matrices=False)
+    return c @ vt[:int(np.sum(s > 1e-10 * max(1.0, s[0])))].T
 
-    Parameters
-    ----------
-    t : Channel
-    n_directions : int
-        Number of random Hermitian directions (at least 50).
-    seed : int
-        Seed for the direction sample; results are deterministic per seed.
 
-    Returns
-    -------
-    list of VertexRecord, ordered lexicographically by the rounded
-    coordinates of the vertex state.
+def _nnls_residual(a, b):
+    """``min ||a x - b||`` over ``x >= 0``, by the Lawson-Hanson active-set method."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        grad = a.T @ (b - a @ x)
+        if passive.all() or grad[~passive].max() <= 1e-12:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, grad))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if not passive.any() or z[passive].min() > 0:
+                break
+            neg = passive & (z <= 0)
+            x = x + np.min(x[neg] / (x[neg] - z[neg])) * (z - x)
+            passive &= x > 0
+        x = z
+    return float(np.linalg.norm(a @ x - b))
 
-    Notes
-    -----
-    One stacked ``eigh`` of ``T*(H)`` over all directions gives each top
-    eigenspace (eigenvalues within ``EIG_GAP`` of the top).  A direction
-    whose top eigenspace maps to more than one output point (a tie between
-    faces) is discarded; a degenerate eigenspace mapping to one point is
-    kept whole, the signature of a higher-dimensional vertex preimage.  The
-    points are clustered first-fit in direction order: each joins the first
-    cluster whose mean is within ``CLUSTER_TOL`` in trace norm.  The trace
-    norm bounds the Frobenius norm, so only the clusters whose means lie
-    within ``2 * CLUSTER_TOL`` of the point in Frobenius norm are candidates;
-    on a round image almost no point has one.  Since
-    ``||A||_1 <= sqrt(d) ||A||_F``, a point whose first candidate is within
-    ``CLUSTER_TOL / (2 sqrt(d))`` in Frobenius norm joins it with no
-    eigensolve; any other candidates get the trace-norm eigensolve, one
-    stacked ``eigvalsh`` of their Hermitian differences.  A
-    cluster counts as a vertex when its hit count is at least ``2 * n_dof``
-    (and at least 2), ``n_dof`` being the estimated affine dimension of the
-    image; exposed non-vertex points are attained by measure-zero direction
-    sets, so their clusters stay near a single hit.  The preimage is the
-    intersection of the top eigenspaces over the cluster's directions,
-    pruned to the vectors that reproduce the vertex.
+
+def _extreme(points):
+    """Mask of the points outside the convex hull of the others.
+
+    Affinely independent points are all extreme.  Otherwise each point is
+    tested in the affine coordinates of the set: it is interior when
+    nonnegative weights summing to one reproduce it within ``VERDICT_TOL``.
     """
-    if n_directions < 50:
-        raise ValueError("need at least 50 directions")
-    rng = np.random.default_rng(seed)
-    hs = random_directions(rng, n_directions, t.d_out)
-    w, u = _spectra(t, hs)
-    top = w >= w[:, -1:] - EIG_GAP  # each direction's top eigenspace
-    owner = np.nonzero(top)[0]
-    outs = herm(t.pure_outputs(np.swapaxes(u, 1, 2)[top]))
-    size = top.sum(axis=1)
-    first = np.cumsum(size) - size  # where each direction's vectors start in ``outs``
-    tied = _trace_distances(outs, outs[first[owner]]) > CLUSTER_TOL
-    kept = np.flatnonzero(np.bincount(owner[tied], minlength=n_directions) == 0)
-    points = herm(np.add.reduceat(outs, first)[kept] / size[kept, None, None])
+    coords = _affine_coordinates(points)
+    k = len(points)
+    if k <= coords.shape[1] + 1:
+        return np.ones(k, dtype=bool)
+    frame = np.vstack([coords.T, np.ones(k)])
+    return np.array([_nnls_residual(np.delete(frame, i, axis=1), frame[:, i]) > VERDICT_TOL
+                     for i in range(k)])
 
-    means, counts, members = _first_fit_clusters(points)
-    n_dof = _affine_rank(points)
-    need = max(2, 2 * n_dof)
-    records = []
-    for c, idx in enumerate(members):
-        if counts[c] < need:
-            continue
-        state = herm(means[c])
-        dirs = kept[idx]
-        inter = intersect_subspaces([u[j][:, top[j]] for j in dirs])
-        good = inter[:, _trace_distances(t.pure_outputs(inter.T), state) <= MEMBER_TOL]
-        if not good.shape[1]:
-            continue
-        basis = orthonormal_columns(good)
-        records.append(VertexRecord(state=state, preimage_basis=basis,
-                                    hit_count=int(counts[c]), directions=hs[dirs]))
+
+def find_vertices(t):
+    """The vertices of ``Im(T)`` with their input preimages, from the
+    characters of the range of the adjoint.
+
+    If ``Im(T)`` is a polytope, ``T = sum_i Tr(P_i rho) sigma_i`` on
+    ``(+)_i V_i`` plus a block on ``W`` with no cross terms, so
+    ``T*(H) v = Tr(H sigma_i) v`` for ``v`` in ``V_i``: every vertex
+    preimage is a character and every vertex a character point.  The
+    character points all lie in ``Im(T)``, so the vertices are the character
+    points outside the hull of the others (see :func:`_characters` and
+    :func:`_extreme`).  Nothing is sampled.  For an image that is not a
+    polytope the records are still the extreme character points.
+
+    Returns a list of :class:`VertexRecord`, ordered lexicographically by the
+    rounded coordinates of the vertex state.
+    """
+    points, bases = _characters(t)
+    keep = _extreme(points) if len(points) else []
+    records = [VertexRecord(state=p, preimage_basis=b)
+               for p, b, k in zip(points, bases, keep) if k]
     keys = np.round(hvec(np.reshape([r.state for r in records], (-1, t.d_out, t.d_out))), 6)
     return [records[i] for i in sorted(range(len(records)), key=lambda i: tuple(keys[i]))]
 
@@ -266,12 +275,12 @@ def find_vertices(t, n_directions=400, seed=0):
 class PolytopicDecomposition:
     """The split ``(+)_i V_i (+) W`` of the input space and the numbers that decide it.
 
-    ``direction`` is the fresh direction of largest support excess over the
-    hull of the vertices, or the first fresh direction when there are none.
-    ``checks`` holds ``max_support_excess``, ``reconstruction_deviation``,
-    ``orthogonality_deviation`` and ``dominance_deviation``, plus
-    ``min_vertex_separation`` when ``t2`` exists; it is empty when no vertex
-    was detected.
+    ``checks`` always holds ``character_affine_dim`` (-1 with no vertex) and
+    ``image_affine_dim``.  When they agree it adds
+    ``reconstruction_deviation``, ``orthogonality_deviation``,
+    ``max_support_excess`` and ``dominance_deviation``.  ``direction`` is the
+    sampled direction of largest excess of ``Im(t2)`` over the vertex hull,
+    or None when nothing was sampled.
     """
 
     verdict: str                  # "polytopic" | "not_polytopic" | "indeterminate"
@@ -280,69 +289,56 @@ class PolytopicDecomposition:
     w_basis: np.ndarray           # d_in x dim(W)
     t1: Channel | None            # CQ-like block on V coordinates
     t2: Channel | None            # compression to W coordinates
-    direction: np.ndarray         # fresh direction of largest support excess
+    direction: np.ndarray | None  # sampled direction of largest excess
     checks: dict                  # the deciding numbers by name
     n_dof: int
     d_in: int
 
 
-def polytopic_decompose(t, n_directions=400, seed=0):
-    """Split the input space as ``(+)_i V_i (+) W`` from the detected vertices.
+def polytopic_decompose(t, *, n_directions=None, seed=None):
+    """Split the input space as ``(+)_i V_i (+) W`` from the vertices of :func:`find_vertices`.
 
-    On the span of the vertex preimages the channel acts classically
-    (``rho -> sum_i Tr(P_{V_i} rho) sigma_i``); ``t2`` is the compression to
-    the residual ``W``.  ``VERIFY_DIRECTIONS`` fresh random directions check
-    the split.  The verdict is ``polytopic`` when on them the support
-    function of the channel matches the hull of the detected vertices within
-    1e-8, ``Im(t2)`` stays inside that hull and every vertex is separated
-    from ``Im(t2)``, while the preimages are orthogonal and the block
-    reconstruction reproduces the channel; ``not_polytopic`` requires an
-    explicit direction with support excess at least 1e-6 over the detected
-    hull (with no vertices at all, any sampled direction witnesses this);
-    anything between is ``indeterminate``.  Each map is solved once: one
-    stacked eigensolve of ``T*`` on the fresh directions, and one of ``t2*``
-    on the fresh directions followed by every vertex's exposing directions.
+    The image spans the affine dimension ``n_dof = rank(N) - 1``.  Every
+    vertex of a polytopic image is a character point, so character points
+    spanning less is an exact ``not_polytopic``.  Otherwise, on the span of
+    the vertex preimages the channel acts classically
+    (``rho -> sum_i Tr(P_{V_i} rho) sigma_i``), ``t2`` is the compression to
+    the residual ``W``, and the block reconstruction and the orthogonality
+    of the preimages are checked.  The image is then the hull of the
+    vertices and ``Im(t2)``.  With ``W = 0``, or ``W`` spanned by characters
+    (whose points lie in the hull), the verdict is ``polytopic`` with nothing
+    sampled.  Otherwise one stacked eigensolve of ``t2*`` on
+    ``VERIFY_DIRECTIONS`` directions from a fixed generator compares
+    ``Im(t2)`` with the hull: ``polytopic`` when it stays inside within
+    1e-8, ``not_polytopic`` with the direction when it leaves by at least
+    1e-6, and ``indeterminate`` in between or when a check fails.
 
-    The decomposition is computed once per channel and arguments; later
-    calls return the object kept on ``t``.
+    The decomposition is a function of the channel alone, computed once and
+    kept on ``t``.  ``n_directions`` and ``seed`` are ignored; they remain
+    for callers that bind them by name, such as the benchmark's call tracer.
     """
-    key = (n_directions, seed)
-    if key not in t._decompositions:
-        t._decompositions[key] = _decompose(t, *key)
-    return t._decompositions[key]
+    if t._decomposition is None:
+        t._decomposition = _decompose(t)
+    return t._decomposition
 
 
-def _decompose(t, n_directions, seed):
-    rng = np.random.default_rng(seed)
-    records = find_vertices(t, n_directions=n_directions, seed=int(rng.integers(2 ** 31)))
-    k = len(records)
+def _decompose(t):
+    records = find_vertices(t)
     d = t.d_in
-
-    fresh = random_directions(rng, VERIFY_DIRECTIONS, t.d_out)
-    w, u = _spectra(t, fresh)
-    n_dof = _affine_rank(t.pure_outputs(u[:, :, -1]))
-
-    if k == 0:
-        return PolytopicDecomposition(
-            verdict="not_polytopic", vertices=[], vertex_basis=np.zeros((d, 0), dtype=complex),
-            w_basis=np.eye(d, dtype=complex), t1=None, t2=t, direction=fresh[0], checks={},
-            n_dof=n_dof, d_in=d)
+    n_dof = len(_adjoint_range(t)[1]) - 1
     states = [r.state for r in records]
-    pairing = _pairing(fresh, states)
-    hull = pairing.max(axis=1)  # support function of the vertex hull
-    excess = w[:, -1] - hull
-    top = int(np.argmax(excess))
-
-    # pairwise orthogonality of the preimages
-    ortho_dev = max((op_norm(records[i].preimage_basis.conj().T @ records[j].preimage_basis)
-                     for i in range(k) for j in range(i + 1, k)), default=0.0)
-
-    vbasis = np.concatenate([r.preimage_basis for r in records], axis=1)
+    char_dim = _affine_coordinates(np.asarray(states)).shape[1] if records else -1
+    checks = {"character_affine_dim": char_dim, "image_affine_dim": n_dof}
+    vbasis = np.concatenate([r.preimage_basis for r in records] or [np.zeros((d, 0))], axis=1)
     wbasis = orthogonal_complement(vbasis, d)
     dim_w = wbasis.shape[1]
+    if char_dim < n_dof:
+        return PolytopicDecomposition(
+            verdict="not_polytopic", vertices=records, vertex_basis=vbasis, w_basis=wbasis,
+            t1=None, t2=None, direction=None, checks=checks, n_dof=n_dof, d_in=d)
 
-    labels = np.repeat(np.arange(k), [r.preimage_basis.shape[1] for r in records])
-    effects = [np.diag(labels == i).astype(complex) for i in range(k)]
+    labels = np.repeat(np.arange(len(records)), [r.preimage_basis.shape[1] for r in records])
+    effects = [np.diag(labels == i).astype(complex) for i in range(len(records))]
     t1 = Channel(PovmForm(effects, states), d_in=vbasis.shape[1], d_out=t.d_out)
     n = t.natural_matrix()
     t2 = (_natural_channel(n @ np.kron(wbasis, wbasis.conj()), dim_w, t.d_out)
@@ -352,40 +348,31 @@ def _decompose(t, n_directions, seed):
     resid = n - t1.natural_matrix() @ np.kron(vbasis.conj().T, vbasis.T)
     if t2 is not None:
         resid = resid - t2.natural_matrix() @ np.kron(wbasis.conj().T, wbasis.T)
+    checks["reconstruction_deviation"] = _max_column_op_norm(resid, t.d_out)
+    checks["orthogonality_deviation"] = op_norm(vbasis.conj().T @ vbasis - np.eye(vbasis.shape[1]))
+    checks["max_support_excess"] = checks["dominance_deviation"] = 0.0
+    direction = None
+    if t2 is not None and sum(b.shape[1] for b in _characters(t2)[1]) < dim_w:
+        # some input of W is no character: compare Im(t2) with the hull on
+        # sampled directions
+        fresh = random_directions(np.random.default_rng(0), VERIFY_DIRECTIONS, t.d_out)
+        excess = _spectra(t2, fresh)[0][:, -1] - _pairing(fresh, states).max(axis=1)
+        top = int(np.argmax(excess))
+        direction = fresh[top]
+        checks["max_support_excess"] = float(excess[top])
+        checks["dominance_deviation"] = max(0.0, float(excess[top]))
 
-    checks = {
-        "max_support_excess": float(excess[top]),
-        "reconstruction_deviation": _max_column_op_norm(resid, t.d_out),
-        "orthogonality_deviation": float(ortho_dev),
-        "dominance_deviation": 0.0,
-    }
-    separated = True
-    if t2 is not None:
-        # Im(t2) inside the hull, and each vertex separated from Im(t2) on its
-        # own exposing directions and the first 50 fresh ones
-        h2 = _spectra(t2, np.concatenate([fresh, *(r.directions for r in records)]))[0][:, -1]
-        checks["dominance_deviation"] = max(0.0, float(np.max(h2[:len(fresh)] - hull)))
-        seps = []
-        start = len(fresh)
-        for c, r in enumerate(records):
-            end = start + len(r.directions)
-            own = _pairing(r.directions, [r.state])[:, 0] - h2[start:end]
-            seps.append(float(max(own.max(), np.max(pairing[:50, c] - h2[:50]))))
-            start = end
-        checks["min_vertex_separation"] = min(seps)
-        separated = checks["min_vertex_separation"] >= SEPARATION_MIN
-
-    if (checks["max_support_excess"] <= VERDICT_TOL
-            and checks["reconstruction_deviation"] <= VERDICT_TOL
-            and ortho_dev <= 1e-9 and checks["dominance_deviation"] <= VERDICT_TOL and separated):
+    verified = (checks["reconstruction_deviation"] <= VERDICT_TOL
+                and checks["orthogonality_deviation"] <= 1e-9)
+    if verified and checks["dominance_deviation"] <= VERDICT_TOL:
         verdict = "polytopic"
-    elif checks["max_support_excess"] >= EXCESS_WITNESS_TOL:
+    elif verified and checks["max_support_excess"] >= EXCESS_WITNESS_TOL:
         verdict = "not_polytopic"
     else:
         verdict = "indeterminate"
     return PolytopicDecomposition(
         verdict=verdict, vertices=records, vertex_basis=vbasis, w_basis=wbasis,
-        t1=t1, t2=t2, direction=fresh[top], checks=checks, n_dof=n_dof, d_in=d)
+        t1=t1, t2=t2, direction=direction, checks=checks, n_dof=n_dof, d_in=d)
 
 
 def dimension_bound_check(dec):

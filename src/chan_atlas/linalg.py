@@ -167,22 +167,10 @@ def subspace_projector(b):
     return b @ b.conj().T
 
 
-def intersect_subspaces(bases):
-    """Intersection of subspaces given by orthonormal-column bases.
-
-    Uses the mean of the projectors; the intersection is its eigenvalue-1
-    eigenspace up to 1e-7.
-    """
-    if not bases:
-        return np.zeros((0, 0), dtype=complex)
-    d = bases[0].shape[0]
-    m = np.zeros((d, d), dtype=complex)
-    for b in bases:
-        m += subspace_projector(b)
-    m /= len(bases)
-    w, u = np.linalg.eigh(m)
-    keep = w >= 1.0 - 1e-7
-    return u[:, keep]
+def eig_clusters(w):
+    """Index runs of sorted eigenvalues ``w`` split at relative gaps above 1e-6."""
+    spread = max(float(w[-1] - w[0]), 1.0)
+    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-6 * spread) + 1)
 
 
 def null_space(a, rtol=1e-8, atol=0.0):

@@ -10,6 +10,7 @@ aborts on a verdict.
 Reports are deterministic for a fixed seed and package version: stages use
 derived seeds only, keys are sorted on serialization, and wall-clock timings
 are attached only on request since they break byte-level reproducibility.
+The image and classification stages do not depend on the seed.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ def jsonable(x):
     return x
 
 
-def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
-                 include_timings=False):
+def run_pipeline(t, seed=0, p_values=(1.0, 2.0), include_timings=False):
     """Full analysis of one channel; returns the report as a plain dict."""
     report = {
         "report_version": REPORT_VERSION,
@@ -91,8 +91,8 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
             report["timings"] = timings
         return report
 
-    stage("image", lambda: image_stage(t, seed, n_directions))
-    stage("classification", lambda: classification_stage(t, seed, n_directions))
+    stage("image", lambda: image_stage(t))
+    stage("classification", lambda: classification_stage(t))
     stage("entropy", lambda: _entropy_stage(t, seed, p_values))
     if t.d_in == t.d_out:
         stage("fixed_points", lambda: fixed_point_stage(t, seed))
@@ -111,9 +111,9 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), n_directions=400,
     return report
 
 
-def image_stage(t, seed, n_directions):
+def image_stage(t):
     """Report section of the polytopic decomposition (also ``chan-atlas decompose``)."""
-    dec = polytopic_decompose(t, n_directions=n_directions, seed=seed)
+    dec = polytopic_decompose(t)
     return {
         "status": dec.verdict,
         "n_vertices": len(dec.vertices),
@@ -126,11 +126,11 @@ def image_stage(t, seed, n_directions):
     }
 
 
-def classification_stage(t, seed, n_directions, tol=1e-9):
+def classification_stage(t, tol=1e-9):
     """Report section of the CQ / EB / universal-image-additivity / eCQ verdicts."""
     cq = is_cq(t)
     eb = is_entanglement_breaking(t, tol=tol)
-    uia = is_universally_image_additive(t, seed=seed, n_directions=n_directions)
+    uia = is_universally_image_additive(t)
     out = {
         "cq": {"status": cq.status, "reason": cq.reason},
         "entanglement_breaking": {

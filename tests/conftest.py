@@ -8,7 +8,6 @@ functions; import them with ``from conftest import ...``.
 import numpy as np
 
 from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
-from chan_atlas.geometry import CLUSTER_TOL
 from chan_atlas.linalg import herm, hvec, orthogonal_complement, op_norm, subspace_projector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,27 +70,6 @@ def haar_unitary(rng, d):
 def amplitude_damping(gamma):
     return kraus_channel([np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex),
                           np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)])
-
-
-def first_fit_clusters_all_means(points):
-    """Reference for ``geometry._first_fit_clusters``: each point is measured
-    in trace norm against every current cluster mean, rebuilt from the sums,
-    by one stacked ``eigvalsh``."""
-    sums = np.zeros_like(points)
-    counts = np.zeros(len(points), dtype=int)
-    members = []
-    for i, y in enumerate(points):
-        n = len(members)
-        dist = np.abs(np.linalg.eigvalsh(y - sums[:n] / counts[:n, None, None])).sum(-1)
-        near = np.flatnonzero(dist <= CLUSTER_TOL)
-        c = near[0] if near.size else n
-        if c == n:
-            members.append([])
-        sums[c] += y
-        counts[c] += 1
-        members[c].append(i)
-    n = len(members)
-    return sums[:n] / counts[:n, None, None], counts[:n], members
 
 
 def product_support_full_grid(ms, psi, pure):

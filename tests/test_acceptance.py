@@ -73,7 +73,7 @@ def roundtrip_decompositions():
     out = []
     for seed in ROUNDTRIP_SEEDS:
         t, sig, k, n, w = assembled_polytopic_fixture(seed)
-        dec = polytopic_decompose(t, seed=seed)
+        dec = polytopic_decompose(t)
         out.append((t, sig, k, n, w, dec))
     return out
 
@@ -102,7 +102,7 @@ def counterexample_decompositions():
     rows = []
     for name, t, k in (("disc", counterexample_disc(), 4),
                        ("sphere", counterexample_sphere(), 6)):
-        rows.append((name, t, k, polytopic_decompose(t, seed=0)))
+        rows.append((name, t, k, polytopic_decompose(t)))
     return rows
 
 
@@ -127,8 +127,7 @@ def test_criterion_01_trine_boundary_circle(tmp_path):
     dev = float(np.max(np.abs(radii - 1 / np.sqrt(6))))
     assert dev <= 1e-6
     dec = polytopic_decompose(
-        __import__("chan_atlas.channels", fromlist=["trine_channel"]).trine_channel(),
-        seed=0)
+        __import__("chan_atlas.channels", fromlist=["trine_channel"]).trine_channel())
     assert dec.verdict == "not_polytopic"
     print(f"\nPASS criterion 01: image boundary on the circle of radius 6^-1/2 "
           f"(max radial deviation {dev:.2e}), verdict not_polytopic")

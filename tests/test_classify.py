@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import _spread_vertices, bloch_state, ecq_fixture, haar_unitary, random_povm
+from conftest import (
+    _spread_vertices,
+    assembled_polytopic_fixture,
+    bloch_state,
+    ecq_fixture,
+    haar_unitary,
+    random_povm,
+)
 
+from chan_atlas import classify, fixed_points, geometry
 from chan_atlas.channels import (
     NotCptpError,
     compose,
@@ -30,6 +38,7 @@ from chan_atlas.classify import (
     retraction_channel,
 )
 from chan_atlas.linalg import canonical_phase, herm, hvec, op_norm, partial_transpose, unhvec
+from chan_atlas.pipeline import classification_stage, image_stage, run_pipeline
 
 
 def pinching_channel():
@@ -87,14 +96,16 @@ def test_eb_pinching_with_coherent_block_is_not_eb():
 
 
 def test_eb_indeterminate_without_certificate():
-    # an eCQ map that is not CQ, as a bare Kraus channel: PPT in (5,2) proves
-    # nothing, and no CQ basis gives separable pairs
-    t, *_ = ecq_fixture(1)
-    bare = kraus_channel(t.kraus_operators())
-    assert (bare.d_in, bare.d_out) == (5, 2)
+    # qutrit depolarizing at r = 1/5 as bare Kraus operators: PPT (r <= 1/4)
+    # in (3,3) proves nothing, and it is neither CQ nor polytopic, so neither
+    # a CQ basis nor an eCQ certificate gives separable pairs
+    dep = linear_map_channel(lambda x: 0.2 * x + 0.8 * np.trace(x) * np.eye(3) / 3, 3, 3)
+    bare = kraus_channel(dep.kraus_operators())
     assert is_cq(bare).status == NO
+    assert is_universally_image_additive(bare).status == NO
     v = is_entanglement_breaking(bare)
     assert v.status == INDETERMINATE
+    assert v.witness["min_pt_eigenvalue"] >= 0
     assert "PPT holds" in v.reason
 
 
@@ -110,6 +121,69 @@ def test_eb_yes_from_cq_basis_in_any_frame(frame):
     assert v.status == YES
     j = sum(np.kron(s, m) for s, m in v.witness["separable_pairs"])
     assert op_norm(j - t.to_choi()) < 1e-9
+
+
+_ECQ_NOT_CQ = {"ecq1": lambda: ecq_fixture(1)[0],
+               **{f"assembled{i}": (lambda i=i: assembled_polytopic_fixture(i)[0])
+                  for i in range(2)}}
+
+
+@pytest.mark.parametrize("frame", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", list(_ECQ_NOT_CQ))
+def test_eb_yes_from_ecq_certificate_in_any_frame(name, frame):
+    # eCQ maps that are not CQ, as bare Kraus channels or in Haar input and
+    # output frames: PPT proves nothing there, but the eCQ POVM M_i and the
+    # vertex states give the separable pairs (sigma_i, M_i^T / d_in)
+    t = kraus_channel(_ECQ_NOT_CQ[name]().kraus_operators())
+    if frame is not None:
+        rng = np.random.default_rng(frame)
+        t = conjugate(compose(kraus_channel([haar_unitary(rng, t.d_in)]), t),
+                      haar_unitary(rng, t.d_out))
+    assert (t.d_in, t.d_out) not in {(2, 2), (2, 3), (3, 2)}
+    assert is_cq(t).status == NO
+    v = is_entanglement_breaking(t)
+    assert v.status == YES
+    j = sum(np.kron(s, m) for s, m in v.witness["separable_pairs"])
+    assert op_norm(j - t.to_choi()) < 1e-9
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Replace ``name`` in each of ``modules`` by one wrapper; returns its call list."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for m in modules:
+        monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+def test_cq_verdict_is_computed_once_per_channel(monkeypatch):
+    # bare Kraus dephasing(3): PPT is inconclusive, so EB reads the CQ basis;
+    # after the image stage, the classification stage asks the shared range
+    # helper once (the CQ stage itself), not again for EB
+    t = kraus_channel(dephasing_channel(3).kraus_operators())
+    image_stage(t)
+    calls = _count_calls(monkeypatch, [geometry, classify], "_adjoint_range")
+    out = classification_stage(t)
+    assert out["cq"]["status"] == out["entanglement_breaking"]["status"] == YES
+    assert len(calls) == 1
+    assert is_cq(t) is is_cq(t)
+
+
+def test_report_makes_one_ecq_reconstruction(monkeypatch):
+    # bare Kraus ecq_fixture(1): EB takes the eCQ pairs from the same
+    # universal-image-additivity verdict the classification stage reports
+    t = kraus_channel(ecq_fixture(1)[0].kraus_operators())
+    calls = _count_calls(monkeypatch, [classify, fixed_points], "reconstruct_ecq")
+    rep = run_pipeline(t)
+    assert rep["classification"]["entanglement_breaking"]["status"] == YES
+    assert rep["classification"]["ecq"]["status"] == YES
+    assert sum(args[0] is t for args in calls) == 1
+    assert is_universally_image_additive(t) is is_universally_image_additive(t)
 
 
 def test_eb_requires_cptp():

@@ -294,6 +294,28 @@ def test_cli_image_additivity_defaults_to_identity(tmp_path, capsys):
     assert payload["max_gap"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_cli_decompose_takes_no_directions_and_no_seed(tmp_path, capsys):
+    # mixed square vertices (+) a disc block: the residual block is sampled,
+    # from a fixed generator, so the output does not follow --seed
+    square = [bloch_state(0.8, 0, 0), bloch_state(-0.8, 0, 0),
+              bloch_state(0, 0.8, 0), bloch_state(0, -0.8, 0)]
+    t = direct_sum(cq_channel(np.eye(4, dtype=complex), square),
+                   unital_qubit_diag((0.5, 0.5, 0.0)))
+    spec = spec_file(tmp_path, channel_to_dict(t))
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", spec, "--directions", "30"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    outs = []
+    for seed in ("0", "7"):
+        assert main(["--seed", seed, "--format", "json", "decompose", spec]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    out = json.loads(outs[0])
+    assert (out["status"], out["n_vertices"], out["residual_dim"]) == ("polytopic", 4, 2)
+    assert out["max_support_excess"] < 0
+
+
 def test_cli_fixed_points(tmp_path, capsys):
     spec = spec_file(tmp_path, {"format_version": "1", "kind": "cq",
                                 "basis": [[1, 0], [0, 1]],
@@ -459,7 +481,7 @@ def test_validate_report_checks_the_schema_once(monkeypatch):
                          ids=["missing-seed", "cptp-type", "image-status"])
 def test_validate_report_raises_what_jsonschema_validate_raises(path, value):
     jsonschema = pytest.importorskip("jsonschema")
-    rep = run_pipeline(depolarizing_channel(0.9), p_values=(2.0,), n_directions=60)
+    rep = run_pipeline(depolarizing_channel(0.9), p_values=(2.0,))
     *outer, key = path
     node = rep
     for k in outer:
@@ -510,7 +532,7 @@ def test_run_pipeline_skips_stages_for_non_cptp():
 
 
 def test_run_pipeline_budget_guard():
-    rep = run_pipeline(dephasing_channel(7), p_values=(1.0,), n_directions=60)
+    rep = run_pipeline(dephasing_channel(7), p_values=(1.0,))
     stage = rep["image_additivity_vs_identity"]
     assert stage["status"] == "skipped"
     assert "desk-scale budget" in stage["reason"]
@@ -518,7 +540,7 @@ def test_run_pipeline_budget_guard():
 
 
 def test_report_json_is_canonical():
-    rep = run_pipeline(depolarizing_channel(0.9), p_values=(2.0,), n_directions=60)
+    rep = run_pipeline(depolarizing_channel(0.9), p_values=(2.0,))
     blob = report_json(rep)
     assert blob.endswith("\n")
     assert json.loads(blob) == rep
@@ -555,8 +577,7 @@ def test_report_and_classify_search_vertices_once(tmp_path, capsys, monkeypatch)
         return find(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "find_vertices", counted)
-    # a round image: no vertices, so the CQ test does not recurse
-    run_pipeline(depolarizing_channel(0.5), n_directions=100)
+    run_pipeline(depolarizing_channel(0.5))
     assert len(calls) == 1
     calls.clear()
     assert main(["classify", spec_file(tmp_path, DEPOL_HALF)]) == 0

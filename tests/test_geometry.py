@@ -6,7 +6,6 @@ from conftest import (
     assembled_polytopic_fixture,
     bloch_state,
     ecq_fixture,
-    first_fit_clusters_all_means,
     haar_unitary,
     random_density,
     subspace_distance,
@@ -28,7 +27,6 @@ from chan_atlas.channels import (
     unital_qubit_diag,
 )
 from chan_atlas.geometry import (
-    CLUSTER_TOL,
     bloch_map,
     default_plane,
     dimension_bound_check,
@@ -121,7 +119,7 @@ def test_default_plane_axes_are_orthogonal_traceless():
 
 
 def test_find_vertices_of_dephasing():
-    records = find_vertices(dephasing_channel(3), n_directions=200, seed=1)
+    records = find_vertices(dephasing_channel(3))
     assert len(records) == 3
     want = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
     for w in want:
@@ -130,11 +128,10 @@ def test_find_vertices_of_dephasing():
         assert dists[i] < 1e-8
         assert records[i].preimage_basis.shape == (3, 1)
         assert subspace_distance(records[i].preimage_basis, w.astype(complex)[:, [np.argmax(np.diag(w))]]) < 1e-8
-        assert records[i].hit_count > 0
 
 
 def test_polytopic_decompose_pure_cq():
-    dec = polytopic_decompose(dephasing_channel(3), seed=2)
+    dec = polytopic_decompose(dephasing_channel(3))
     assert dec.verdict == "polytopic"
     assert len(dec.vertices) == 3
     assert dec.w_basis.shape == (3, 0)
@@ -149,7 +146,7 @@ def test_polytopic_decompose_planted_block_sum():
     interior = bloch_state(0.05, 0.1, 0.0)
     t = direct_sum(cq_channel(np.eye(3, dtype=complex), sig),
                    constant_channel(interior, d_in=1))
-    dec = polytopic_decompose(t, seed=3)
+    dec = polytopic_decompose(t)
     assert dec.verdict == "polytopic"
     assert len(dec.vertices) == 3
     assert dec.w_basis.shape == (4, 1)
@@ -167,32 +164,33 @@ def test_polytopic_decompose_planted_block_sum():
 
 def test_polytopic_decompose_assembled_fixture():
     t, sig, k, n, w = assembled_polytopic_fixture(17)
-    dec = polytopic_decompose(t, seed=17)
+    dec = polytopic_decompose(t)
     assert dec.verdict == "polytopic"
     assert len(dec.vertices) == k
 
 
 @pytest.mark.parametrize("channel", [depolarizing_channel(0.7), trine_channel()])
 def test_round_image_is_not_polytopic(channel):
-    dec = polytopic_decompose(channel, n_directions=200, seed=4)
+    dec = polytopic_decompose(channel)
     assert dec.verdict == "not_polytopic"
     assert not dimension_bound_check(dec)
-    assert dec.direction.shape == (channel.d_out, channel.d_out)
+    # decided by the characters, with no sampled direction
+    assert dec.direction is None
+    assert dec.checks["character_affine_dim"] < dec.checks["image_affine_dim"] == dec.n_dof
 
 
 def test_polytopic_decompose_is_computed_once_per_arguments():
+    # a function of the channel alone: the ignored sampling arguments change nothing
     t = dephasing_channel(3)
-    dec = polytopic_decompose(t, seed=0)
-    assert polytopic_decompose(t, seed=0) is dec
-    assert polytopic_decompose(t, n_directions=400, seed=0) is dec
-    other = polytopic_decompose(t, seed=1)
-    assert other is not dec
-    assert polytopic_decompose(t, seed=1) is other
+    dec = polytopic_decompose(t)
+    assert polytopic_decompose(t) is dec
+    assert polytopic_decompose(t, n_directions=400, seed=1) is dec
+    assert polytopic_decompose(dephasing_channel(3)) is not dec
 
 
 def test_polytopic_decompose_solves_each_map_once():
-    # T* on the fresh directions and t2* on the fresh plus every vertex's
-    # exposing directions, after the one stacked solve of find_vertices
+    # one stacked solve of t2* on the sampled directions; the characters
+    # take only single eigensolves
     t, sig, k, n, w = assembled_polytopic_fixture(0)
     assert k == 5
     stacked = []
@@ -211,173 +209,109 @@ def test_polytopic_decompose_solves_each_map_once():
 
 
 def test_image_stage_reports_the_decomposition_checks():
+    dims = ("character_affine_dim", "image_affine_dim")
     checks = ("max_support_excess", "reconstruction_deviation", "orthogonality_deviation",
-              "dominance_deviation", "min_vertex_separation")
-    out = image_stage(trine_channel(), 0, 400)  # no vertices, so no checks
+              "dominance_deviation")
+    out = image_stage(trine_channel())  # no vertices: the dimensions decide
     assert out["status"] == "not_polytopic" and out["n_vertices"] == 0
+    assert (out["character_affine_dim"], out["image_affine_dim"]) == (-1, out["n_dof"])
     assert not set(checks) & set(out)
-    out = image_stage(assembled_polytopic_fixture(0)[0], 0, 400)
+    out = image_stage(assembled_polytopic_fixture(0)[0])
     assert out["status"] == "polytopic" and out["residual_dim"] > 0
-    assert set(checks) <= set(out)
-    assert out["min_vertex_separation"] >= geometry.SEPARATION_MIN
-    assert max(out[c] for c in checks[:4]) <= geometry.VERDICT_TOL
+    assert set(dims + checks) <= set(out)
+    assert "min_vertex_separation" not in out
+    assert out["character_affine_dim"] == out["image_affine_dim"] == out["n_dof"]
+    assert max(out[c] for c in checks) <= geometry.VERDICT_TOL
 
 
-class _CountingRng:
-    """A generator that counts its ``normal`` calls."""
-
-    def __init__(self, rng):
-        self.rng, self.normal_calls = rng, 0
-
-    def normal(self, *args, **kwargs):
-        self.normal_calls += 1
-        return self.rng.normal(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-def test_find_vertices_draws_its_directions_in_one_call(monkeypatch):
-    made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda *a, **k: made.append(_CountingRng(default_rng(*a, **k))) or made[-1])
-    assert len(find_vertices(dephasing_channel(3), n_directions=400)) == 3
-    assert len(made) == 1 and made[0].normal_calls == 1
+# verdict, vertex count, preimage dimensions, residual dimension and n_dof
+# that the sampled search and its all-means clustering reference gave
+_PINNED = {
+    "depolarizing": ("not_polytopic", 0, [], 2, 3),
+    "trine": ("not_polytopic", 0, [], 2, 2),
+    "amplitude-damping": ("not_polytopic", 0, [], 2, 3),
+    "dephasing3": ("polytopic", 3, [1, 1, 1], 0, 2),
+    "assembled0": ("polytopic", 5, [1] * 5, 2, 4),
+    "assembled1": ("polytopic", 4, [1] * 4, 2, 3),
+    "assembled2": ("polytopic", 5, [1] * 5, 1, 4),
+    "assembled3": ("polytopic", 5, [1] * 5, 1, 4),
+    "ecq0": ("polytopic", 4, [1] * 4, 1, 3),
+    "ecq1": ("polytopic", 3, [1] * 3, 2, 2),
+    "ecq2": ("polytopic", 3, [1] * 3, 0, 2),
+    "ecq3": ("polytopic", 2, [1] * 2, 0, 1),
+}
 
 
-@pytest.mark.parametrize("channel", [depolarizing_channel(0.5), trine_channel()],
-                         ids=["depolarizing", "trine"])
-def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):
-    # one stacked trace-distance call per point, plus the tie check and one
-    # member filter per vertex candidate: never one per (point, cluster) pair
-    calls = []
-    clusters = []
-    trace_distances = geometry._trace_distances
-
-    def counted(y, others):
-        calls.append(1)
-        if np.ndim(y) == 2 and np.ndim(others) == 3:  # a point against the cluster means
-            clusters.append(len(others))
-        return trace_distances(y, others)
-
-    monkeypatch.setattr(geometry, "_trace_distances", counted)
-    solves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
-    find_vertices(channel, n_directions=400, seed=0)
-    n_clusters = max(clusters, default=0) + 1  # the last point sees all but one at most
-    assert len(calls) <= 400 + n_clusters
-    # the tie check, and no point of a round image near enough to a cluster
-    # mean in Frobenius norm to need the eigensolve
-    assert len(solves) <= 2
+def _pinned_channel(name):
+    """The channel of a ``_PINNED`` entry and its vertex states (None for round images)."""
+    if name.startswith("assembled"):
+        t, sig, *_ = assembled_polytopic_fixture(int(name[-1]))
+        return t, sig
+    if name.startswith("ecq"):
+        t, _, _, sig = ecq_fixture(int(name[-1]))
+        return t, sig
+    if name == "dephasing3":
+        return dephasing_channel(3), [np.diag(e) for e in np.eye(3)]
+    return {"depolarizing": depolarizing_channel(0.5), "trine": trine_channel(),
+            "amplitude-damping": amplitude_damping(0.35)}[name], []
 
 
-def _record_bytes(r):
-    return (r.state.tobytes(), r.preimage_basis.shape, r.preimage_basis.tobytes(), r.hit_count,
-            r.directions.tobytes())
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_find_vertices_matches_the_all_means_clustering(name):
+    # the characters reproduce what the sampled search found (pinned above),
+    # and each vertex is T(vv*) of its preimage vectors and a prepared state
+    t, sig = _pinned_channel(name)
+    dec = polytopic_decompose(t)
+    got = (dec.verdict, len(dec.vertices), [r.preimage_basis.shape[1] for r in dec.vertices],
+           dec.w_basis.shape[1], dec.n_dof)
+    assert got == _PINNED[name]
+    assert len(sig) == len(dec.vertices)
+    for r in dec.vertices:
+        outs = t.pure_outputs(r.preimage_basis.T)
+        assert np.abs(outs - r.state).max() < 1e-12
+        assert min(trace_norm(r.state - s) for s in sig) < 1e-9
 
 
-@pytest.mark.parametrize("t", [depolarizing_channel(0.5), trine_channel(), amplitude_damping(0.35),
-                               dephasing_channel(3)]
-                         + [assembled_polytopic_fixture(i)[0] for i in range(4)]
-                         + [ecq_fixture(i)[0] for i in range(4)],
-                         ids=["depolarizing", "trine", "amplitude-damping", "dephasing3"]
-                         + [f"assembled{i}" for i in range(4)] + [f"ecq{i}" for i in range(4)])
-def test_find_vertices_matches_the_all_means_clustering(t, monkeypatch):
-    got = [find_vertices(t, n_directions=400, seed=s) for s in range(3)]
-    monkeypatch.setattr(geometry, "_first_fit_clusters", first_fit_clusters_all_means)
-    for s, records in enumerate(got):
-        ref = find_vertices(t, n_directions=400, seed=s)
-        assert [_record_bytes(r) for r in records] == [_record_bytes(r) for r in ref]
+def test_interior_character_is_not_a_vertex(monkeypatch):
+    # a CQ map preparing s1, s2 and their midpoint: three characters, two
+    # vertices, and the midpoint's input in W, decided without sampling
+    rng = np.random.default_rng(7)
+    s1, s2 = random_density(rng, 2), random_density(rng, 2)
+    t = cq_channel(np.eye(3, dtype=complex), [s1, s2, (s1 + s2) / 2])
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
+    dec = polytopic_decompose(t)
+    assert (dec.verdict, len(dec.vertices), dec.w_basis.shape[1]) == ("polytopic", 2, 1)
+    assert dec.direction is None
+    for s in (s1, s2):
+        assert min(trace_norm(r.state - s) for r in dec.vertices) < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("scale, joins", [(1 - 1e-6, True), (1 + 1e-6, False)],
-                         ids=["just-under", "just-over"])
-def test_clustering_at_the_trace_norm_edge(d, scale, joins):
-    y = random_density(np.random.default_rng(d), d)
-    a = scale * CLUSTER_TOL / 2  # trace distance 2a, Frobenius distance a * sqrt(2)
-    points = np.array([y, y + np.diag([a, -a, 0][:d])])
-    means, counts, members = geometry._first_fit_clusters(points)
-    assert members == ([[0, 1]] if joins else [[0], [1]])
-    ref = first_fit_clusters_all_means(points)
-    assert means.tobytes() == ref[0].tobytes() and list(counts) == list(ref[1])
+def _refuse(*args, **kwargs):
+    raise AssertionError("the decomposition drew a random number")
 
 
-def test_clustering_lets_the_trace_norm_decide_below_the_frobenius_bound(monkeypatch):
-    # diag(a, a, -2a): Frobenius norm a * sqrt(6) <= CLUSTER_TOL < trace norm 4a
-    y = random_density(np.random.default_rng(3), 3)
-    a = 0.3 * CLUSTER_TOL
-    diff = np.diag([a, a, -2 * a])
-    assert np.linalg.norm(diff) <= CLUSTER_TOL < trace_norm(diff)
-    solved = []
-    trace_distances = geometry._trace_distances
-    monkeypatch.setattr(geometry, "_trace_distances",
-                        lambda y, others: solved.append(len(others)) or trace_distances(y, others))
-    means, counts, members = geometry._first_fit_clusters(np.array([y, y + diff]))
-    assert members == [[0], [1]]
-    assert solved == [1]  # the prefilter passed the cluster on; the eigensolve kept it apart
-
-
-def _clustering_solves(monkeypatch):
-    """Sizes of the ``_trace_distances`` calls made inside ``_first_fit_clusters``."""
-    solved, inside = [], []
-    run, trace_distances = geometry._first_fit_clusters, geometry._trace_distances
-
-    def clusters(points):
-        inside.append(1)
-        try:
-            return run(points)
-        finally:
-            inside.pop()
-
-    def counted(y, others):
-        if inside:
-            solved.append(len(others))
-        return trace_distances(y, others)
-
-    monkeypatch.setattr(geometry, "_first_fit_clusters", clusters)
-    monkeypatch.setattr(geometry, "_trace_distances", counted)
-    return solved
-
-
-@pytest.mark.parametrize("t, n_vertices", [(dephasing_channel(3), 3),
-                                           (assembled_polytopic_fixture(0)[0],
-                                            assembled_polytopic_fixture(0)[2])],
-                         ids=["dephasing3", "assembled0"])
-def test_close_points_join_with_no_eigensolve(t, n_vertices, monkeypatch):
-    solved = _clustering_solves(monkeypatch)
-    records = find_vertices(t, n_directions=400, seed=0)
-    assert len(records) == n_vertices
-    assert solved == []
-
-
-@pytest.mark.parametrize("scale, solves", [(1 - 1e-6, []), (1 + 1e-6, [1])],
-                         ids=["just-under", "just-over"])
-def test_close_join_at_the_frobenius_bound(scale, solves, monkeypatch):
-    # diag(a, -a, 0): sqrt(3) times its Frobenius norm a * sqrt(2) is
-    # scale * CLUSTER_TOL / 2, its trace norm 2a = 0.41 * scale * CLUSTER_TOL
-    y = random_density(np.random.default_rng(4), 3)
-    a = scale * CLUSTER_TOL / (2 * np.sqrt(6))
-    points = np.array([y, y + np.diag([a, -a, 0])])
-    solved = _clustering_solves(monkeypatch)
-    means, counts, members = geometry._first_fit_clusters(points)
-    assert members == [[0, 1]]
-    assert solved == solves
-    ref = first_fit_clusters_all_means(points)
-    assert means.tobytes() == ref[0].tobytes() and list(counts) == list(ref[1])
+@pytest.mark.parametrize("build, verdict", [
+    (lambda: dephasing_channel(3), "polytopic"),
+    (lambda: ecq_fixture(0)[0], "polytopic"),
+    (lambda: depolarizing_channel(0.5), "not_polytopic"),
+    (trine_channel, "not_polytopic"),
+], ids=["dephasing3", "ecq0", "depolarizing", "trine"])
+def test_decomposition_draws_no_random_number(build, verdict, monkeypatch):
+    # W = 0, W spanned by characters (ecq0's residual input), or an exact no
+    t = build()
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
+    assert polytopic_decompose(t).verdict == verdict
 
 
 @pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),
                                assembled_polytopic_fixture(1)[0], ecq_fixture(2)[0]],
                          ids=["dephasing3", "trine", "depolarizing", "assembled", "ecq"])
 def test_decomposition_verdict_is_unitarily_invariant(t):
-    dec = polytopic_decompose(t, seed=0)
+    dec = polytopic_decompose(t)
     rng = np.random.default_rng(5)
     for _ in range(3):
         u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
         rotated = conjugate(compose(kraus_channel([u]), t), v)
-        rdec = polytopic_decompose(rotated, seed=0)
+        rdec = polytopic_decompose(rotated)
         assert rdec.verdict == dec.verdict
         assert len(rdec.vertices) == len(dec.vertices)

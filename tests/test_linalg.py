@@ -19,7 +19,6 @@ from chan_atlas.linalg import (
     dag,
     herm,
     hvec,
-    intersect_subspaces,
     is_hermitian,
     matrix_units,
     null_space,
@@ -163,11 +162,6 @@ def test_subspace_helpers():
     assert comp.shape == (3, 1)
     assert abs(comp[2, 0]) == pytest.approx(1.0)
     assert subspace_distance(b, b[:, ::-1]) < 1e-12
-    # intersection of xy-plane and yz-plane is the y-axis
-    b2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    cap = intersect_subspaces([b, b2])
-    assert cap.shape[1] == 1
-    assert abs(cap[1, 0]) == pytest.approx(1.0)
 
 
 def test_orthonormal_columns_rejects_rank_loss():

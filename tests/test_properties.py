@@ -40,6 +40,7 @@ from chan_atlas.classify import (
 )
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
+from chan_atlas.geometry import polytopic_decompose
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, strategies = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -197,20 +198,44 @@ _CLASSIFIED = {
 
 
 def _cq_and_universal(t):
-    return is_cq(t).status, is_universally_image_additive(t).status
+    # entanglement breaking rides along: its separable pairs come from the CQ
+    # basis or the eCQ certificate wherever PPT is inconclusive
+    return (is_cq(t).status, is_universally_image_additive(t).status,
+            is_entanglement_breaking(t).status)
+
+
+def _rotated(t, seed):
+    """``V o T o U`` with Haar-random ``U`` on the input and ``V`` on the output."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
+    return conjugate(compose(kraus_channel([u]), t), v)
 
 
 @pytest.mark.parametrize("name", list(_CLASSIFIED))
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(seed=seeds)
 def test_cq_and_universal_image_additivity_are_unitarily_invariant_property(name, seed):
-    # T -> V o T o U with Haar-random U on the input and V on the output
     t = _CLASSIFIED[name]()
     verdicts = _cq_and_universal(t)
     assert INDETERMINATE not in verdicts
-    rng = np.random.default_rng(seed)
-    u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
-    assert _cq_and_universal(conjugate(compose(kraus_channel([u]), t), v)) == verdicts
+    assert _cq_and_universal(_rotated(t, seed)) == verdicts
+
+
+def _image_shape(t):
+    dec = polytopic_decompose(t)
+    return dec.verdict, len(dec.vertices), sorted(r.preimage_basis.shape[1] for r in dec.vertices)
+
+
+@pytest.mark.parametrize("name", list(_CLASSIFIED))
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(seed=seeds)
+def test_decomposition_is_unitarily_invariant_property(name, seed):
+    # the characters of range(T*) move with the frames, so the vertex
+    # structure does not change
+    t = _CLASSIFIED[name]()
+    shape = _image_shape(t)
+    assert shape[0] != INDETERMINATE
+    assert _image_shape(_rotated(t, seed)) == shape
 
 
 @functools.cache
