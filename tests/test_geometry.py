@@ -303,6 +303,85 @@ def test_decomposition_draws_no_random_number(build, verdict, monkeypatch):
     assert polytopic_decompose(t).verdict == verdict
 
 
+def _join_calls(monkeypatch):
+    """``np.linalg.norm`` calls made inside ``_characters``; an ``eigvalsh``
+    there (the eigensolve of a trace distance) fails the test."""
+    norms, inside = [], []
+    run, norm, eigvalsh = geometry._characters, np.linalg.norm, np.linalg.eigvalsh
+
+    def characters(t):
+        inside.append(1)
+        try:
+            return run(t)
+        finally:
+            inside.pop()
+
+    def counted(*args, **kwargs):
+        if inside:
+            norms.append(1)
+        return norm(*args, **kwargs)
+
+    def refused(a):
+        if inside:
+            raise AssertionError("a character point was compared by an eigensolve")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(geometry, "_characters", characters)
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    return norms
+
+
+@pytest.mark.parametrize("channel", [depolarizing_channel(0.5), trine_channel()],
+                         ids=["depolarizing", "trine"])
+def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):
+    # the round block has no character; the CQ block beside it prepares each
+    # output basis state twice, so every point has a twin to join
+    n = channel.d_out
+    basis = [np.diag(e).astype(complex) for e in np.eye(n)]
+    t = direct_sum(channel, cq_channel(np.eye(2 * n, dtype=complex), basis + basis))
+    norms = _join_calls(monkeypatch)
+    records = find_vertices(t)
+    assert len(records) == n
+    assert [r.preimage_basis.shape[1] for r in records] == [2] * n
+    for r in records:
+        assert min(trace_norm(r.state - s) for s in basis) < 1e-12
+    # one stacked eigenvector check and one stacked comparison of all points
+    assert len(norms) <= 2
+
+
+@pytest.mark.parametrize("t, n_vertices", [(dephasing_channel(3), 3),
+                                           (assembled_polytopic_fixture(0)[0],
+                                            assembled_polytopic_fixture(0)[2])],
+                         ids=["dephasing3", "assembled0"])
+def test_close_points_join_with_no_eigensolve(t, n_vertices, monkeypatch):
+    # one more input that prepares the first vertex state: its character
+    # point coincides with that vertex and joins it
+    first = find_vertices(t)[0].state
+    twin = direct_sum(t, constant_channel(first, d_in=1))
+    _join_calls(monkeypatch)
+    records = find_vertices(twin)
+    assert len(records) == n_vertices
+    dims = [r.preimage_basis.shape[1] for r in records]
+    assert dims == [2] + [1] * (n_vertices - 1)
+    assert np.linalg.norm(records[0].state - first) <= geometry.VERDICT_TOL
+
+
+@pytest.mark.parametrize("scale, joins", [(1 - 1e-4, True), (1 + 1e-4, False)],
+                         ids=["just-under", "just-over"])
+def test_close_join_at_the_frobenius_bound(scale, joins, monkeypatch):
+    # two inputs preparing y and y + diag(a, -a, 0), whose Frobenius distance
+    # a * sqrt(2) is scale * VERDICT_TOL: one vertex below the bound, two above
+    y = random_density(np.random.default_rng(4), 3)
+    a = scale * geometry.VERDICT_TOL / np.sqrt(2)
+    t = cq_channel(np.eye(2, dtype=complex), [y, y + np.diag([a, -a, 0])])
+    _join_calls(monkeypatch)
+    points, bases = geometry._characters(t)
+    assert [b.shape[1] for b in bases] == ([2] if joins else [1, 1])
+    assert min(np.abs(p - y).max() for p in points) < 1e-12
+    assert len(find_vertices(t)) == len(bases)
+
+
 @pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),
                                assembled_polytopic_fixture(1)[0], ecq_fixture(2)[0]],
                          ids=["dephasing3", "trine", "depolarizing", "assembled", "ecq"])
