@@ -210,7 +210,8 @@ def cmd_entropy(args):
     rows = []
     for p in ps:
         r = min_output_entropy(t, p=p, seed=args.seed)
-        rows.append({"p": float(p), "value": r.value, "converged": r.converged})
+        rows.append({"p": float(p), "value": r.value, "converged": r.converged,
+                     "bound": r.bound})
     _emit(args, {"min_output": rows})
 
 
@@ -225,7 +226,7 @@ def cmd_additivity(args):
         rows.append({"p": float(p), "gap": g.gap,
                      "single_first": g.single_first.value,
                      "single_second": g.single_second.value,
-                     "joint": g.joint.value})
+                     "joint": g.joint.value, "bound": g.joint.bound})
     _emit(args, {"additivity": rows})
 
 
@@ -235,7 +236,7 @@ def cmd_image_additivity(args):
     check_joint_budget(t1, t2)
     rep = image_additivity_gap(t1, t2, n_directions=args.directions, seed=args.seed)
     _emit(args, {"max_gap": rep.max_gap, "lhs": rep.lhs, "rhs": rep.rhs,
-                 "certified_positive": rep.certified,
+                 "rhs_bound": rep.rhs_bound, "certified_positive": rep.certified,
                  "n_directions": rep.n_directions})
 
 

@@ -2,18 +2,30 @@
 
 All entropies use the natural logarithm.  Minimal output entropy is computed
 over pure inputs (the minimum over all states is attained on an extreme
-point).  The minimizer runs every start at once through the natural matrix:
-each step moves a start to the bottom eigenvector of ``T*(G)``, with ``G``
-the entropy gradient at its current output, which by the tangent bound never
-raises the value; one over-relaxed candidate per step along the same great
-circle speeds up the slow approach to pure outputs.  No step size, line
-search or input grid is involved.
+point).
+
+A channel with a CQ "yes" or an eCQ certificate (the universal image
+additivity "yes") has the image ``conv{sigma_i}`` with every ``sigma_i``
+attained (Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities
+have closed forms and are reported with ``bound = "exact"``:
+``H_min^(p)(T) = min_i H_p(sigma_i)``, since ``H_p`` is quasi-concave;
+``H_min(T (x) S) = H_min(T) + H_min(S)`` against any partner; and the product
+support in a direction ``H``, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) H]))``.
+Both verdicts are kept on the channel, so a report pays nothing extra.
+
+Every other channel goes through the iterative minimizer, whose value is an
+upper bound (``bound = "upper"``).  It runs every start at once through the
+natural matrix: each step moves a start to the bottom eigenvector of
+``T*(G)``, with ``G`` the entropy gradient at its current output, which by
+the tangent bound never raises the value; one over-relaxed candidate per
+step along the same great circle speeds up the slow approach to pure
+outputs.  No step size, line search or input grid is involved.
 
 Entropy additivity gaps are reported as ``H_min(T1) + H_min(T2) -
-H_min(T1 (x) T2)``.  The joint optimizer is always seeded with the product of
-the single-channel minimizers, so the reported gap is nonnegative up to
-evaluation roundoff and vanishes for additive pairs whenever the
-single-channel optima are found.
+H_min(T1 (x) T2)``.  Without a certified factor the joint optimizer is seeded
+with the product of the single-channel minimizers, so the reported gap is
+nonnegative up to evaluation roundoff and vanishes for additive pairs
+whenever the single-channel optima are found.
 """
 
 from __future__ import annotations
@@ -23,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _natural_channel, cq_channel, direct_sum, tensor
-from .geometry import hull_excess
+from .classify import YES, is_cq, is_universally_image_additive
+from .geometry import _adjoint_range, hull_excess
 from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
 
 _P_MAX = 50.0
@@ -31,6 +44,10 @@ _EIG_FLOOR = 1e-18
 _PURE = 1e-11            # a value this small is a pure output: every start stops
 _DECREASE_TOL = 1e-15    # a start whose step gains no more than this stops
 _RESTARTS = 8            # product-support starts per direction, twice that in the rerun
+
+EXACT = "exact"
+UPPER = "upper"
+LOWER = "lower"
 
 
 def _check_p(p):
@@ -74,6 +91,7 @@ class MinEntropyResult:
     converged: bool
     grad_norm: float
     n_starts: int
+    bound: str                 # EXACT from a vertex certificate, else UPPER
 
 
 def _linearization(t, w, u, p):
@@ -82,8 +100,64 @@ def _linearization(t, w, u, p):
     return herm(t.dual_apply(g))
 
 
+def _at_input(t, x, p):
+    """``T(x x*)`` and the norm of the entropy gradient at the unit vector ``x``,
+    with its component along ``x`` projected out."""
+    rho = herm(t.pure_outputs(x[None]))
+    w, u = np.linalg.eigh(rho)
+    grad = 2.0 * (_linearization(t, w, u, p)[0] @ x)
+    return rho[0], float(np.linalg.norm(grad - np.vdot(x, grad) * x))
+
+
+def _vertex_certificate(t):
+    """``(states, preimage vectors)`` with ``Im T = conv{states}`` and
+    ``T(v_i v_i*) = states[i]``, from the kept CQ "yes" (the basis columns) or,
+    failing that, the eCQ certificate of the universal image additivity
+    "yes"; None for any other channel, a non-CPTP map included.
+
+    A CQ or eCQ map ``sum_i Tr(M_i .) sigma_i`` has at most ``d_in`` effects,
+    one per orthonormal vector ``e_i``, so its natural matrix has rank at most
+    ``d_in``.  A larger rank, read off the SVD that ``is_cq`` keeps on the
+    channel, answers None before any verdict is computed; that spares the
+    identity partner of the report's probe a CPTP check and an image
+    decomposition.
+    """
+    if len(_adjoint_range(t)[1]) > t.d_in or not t.verify_cptp().is_cptp:
+        return None
+    cq = is_cq(t)
+    if cq.status == YES:
+        return cq.witness["states"], cq.witness["basis"].T
+    uia = is_universally_image_additive(t)
+    if uia.status == YES:
+        cert = uia.witness["reconstruction"].witness["certificate"]
+        return cert.states, cert.vectors
+    return None
+
+
 def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts=None):
     """Minimal output Renyi entropy of ``t`` over pure inputs.
+
+    With a vertex certificate (a CQ or eCQ "yes") the answer is exact:
+    ``min_i H_p(sigma_i)`` over the vertex states, with that vertex as the
+    output state and its preimage vector as the minimizer; nothing is drawn
+    (``n_starts`` 0) and ``bound`` is ``"exact"``.  Otherwise the iterative
+    minimizer ``_minimize_entropy`` runs, and ``bound`` is ``"upper"``.
+    """
+    p = _check_p(p)
+    t.require_cptp()
+    cert = _vertex_certificate(t)
+    if cert is None:
+        return _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts)
+    states, vectors = cert
+    vals = _entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(states))), p)
+    i = int(np.argmin(vals))
+    _, grad_norm = _at_input(t, vectors[i], p)
+    return MinEntropyResult(value=float(vals[i]), minimizer=vectors[i], output_state=states[i],
+                            p=p, converged=True, grad_norm=grad_norm, n_starts=0, bound=EXACT)
+
+
+def _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts):
+    """The iterative minimizer: an upper bound on the minimal output entropy.
 
     Every start runs the linearization step together: ``x`` moves to the
     bottom eigenvector ``y`` of ``T*(G)``, where ``G`` is the entropy
@@ -98,8 +172,6 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
     value is at most ``_PURE``.  ``converged`` is the winning start's own
     stop reason; hitting ``max_iter`` is not convergence.
     """
-    p = _check_p(p)
-    t.require_cptp()
     rng = np.random.default_rng(seed)
     d = t.d_in
     extra = [np.asarray(v, dtype=complex).reshape(-1) for v in extra_starts or ()]
@@ -145,14 +217,10 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
         active[idx[done]] = False
     converged = ~active | (val <= _PURE)
     i = int(np.argmin(val))
-    xi = x[i]
-    rho = herm(t.pure_outputs(x[i:i + 1]))
-    w, u = np.linalg.eigh(rho)
-    grad = 2.0 * (_linearization(t, w, u, p)[0] @ xi)
-    grad_norm = float(np.linalg.norm(grad - np.vdot(xi, grad) * xi))
-    return MinEntropyResult(value=float(val[i]), minimizer=xi, output_state=rho[0], p=p,
+    rho, grad_norm = _at_input(t, x[i], p)
+    return MinEntropyResult(value=float(val[i]), minimizer=x[i], output_state=rho, p=p,
                             converged=bool(converged[i]), grad_norm=grad_norm,
-                            n_starts=len(x))
+                            n_starts=len(x), bound=UPPER)
 
 
 # -- entropy additivity -------------------------------------------------
@@ -167,14 +235,40 @@ class EntropyAdditivityReport:
     p: float
 
 
+def _product_grad_norm(g1, g2, p):
+    """The gradient norm of ``T1 (x) T2`` at ``x1 (x) x2`` from those of the
+    factors at ``x1`` and ``x2``: the two single gradients are orthogonal, and
+    for p != 1 the joint gradient adds their product, scaled by
+    ``(1 - p) / (2 p)``."""
+    return float(np.sqrt(g1 ** 2 + g2 ** 2 + ((1.0 - p) / (2.0 * p) * g1 * g2) ** 2))
+
+
 def entropy_additivity_gap(t1, t2, p=1.0, seed=0):
+    """``H_min(T1) + H_min(T2) - H_min(T1 (x) T2)`` at order ``p``.
+
+    When either factor carries a vertex certificate the pair is additive
+    (the certified factor is universally image additive, so the extreme
+    points of ``Im(T1 (x) T2)`` are products): the joint result is the
+    product of the single ones, its value their sum, and the gap exactly 0;
+    no tensor product is built.  Its ``bound`` is ``"exact"`` when both
+    single values are.  Otherwise the joint minimizer runs on ``T1 (x) T2``,
+    seeded with the product of the single minimizers.
+    """
     p = _check_p(p)
     r1 = min_output_entropy(t1, p=p, seed=seed, n_starts=48)
     r2 = min_output_entropy(t2, p=p, seed=seed + 1, n_starts=48)
-    joint = tensor(t1, t2)
+    if EXACT in (r1.bound, r2.bound):
+        bound = EXACT if r1.bound == r2.bound == EXACT else UPPER
+        rj = MinEntropyResult(value=r1.value + r2.value,
+                              minimizer=np.kron(r1.minimizer, r2.minimizer),
+                              output_state=np.kron(r1.output_state, r2.output_state), p=p,
+                              converged=r1.converged and r2.converged,
+                              grad_norm=_product_grad_norm(r1.grad_norm, r2.grad_norm, p),
+                              n_starts=0, bound=bound)
+        return EntropyAdditivityReport(gap=0.0, single_first=r1, single_second=r2, joint=rj,
+                                       p=p)
     seed_vec = np.kron(r1.minimizer, r2.minimizer)
-    rj = min_output_entropy(joint, p=p, seed=seed + 2, n_starts=48,
-                            extra_starts=[seed_vec])
+    rj = _minimize_entropy(tensor(t1, t2), p, seed + 2, 48, 300, [seed_vec])
     gap = r1.value + r2.value - rj.value
     return EntropyAdditivityReport(gap=float(gap), single_first=r1, single_second=r2,
                                    joint=rj, p=p)
@@ -188,13 +282,39 @@ class ImageAdditivityReport:
     max_gap: float
     direction: np.ndarray      # witness direction on the joint output space
     lhs: float                 # support of Im(T1 x T2)
-    rhs: float                 # support over product inputs; a lower bound
-    certified: bool            # a 16-start rerun reproduced rhs within 1e-8; not a proof
+    rhs: float                 # support over product inputs: exact, or a lower bound
+    certified: bool            # lhs - rhs > 1e-6, with rhs exact or reproduced by a rerun
     n_directions: int
+    rhs_bound: str             # EXACT from a vertex certificate, else LOWER
 
 
 def _outer(v):
     return v[..., :, None] * np.conj(v)[..., None, :]
+
+
+def _half_step(rho, op, e):
+    """One half step of the product-support sweep as one batched ``@``: the
+    flattened ``rho`` ``(n, s, d, d)`` against ``op`` ``(n, d*d, e*e)``."""
+    n, s, d, _ = rho.shape
+    return (rho.reshape(n, s, d * d) @ op).reshape(n, s, e, e)
+
+
+def _top(k):
+    """The top eigenvalue and eigenprojector of the Hermitian part of each
+    matrix in the stack ``k``; no eigenvector outlives the call."""
+    w, u = np.linalg.eigh(herm(k))
+    return w[:, -1], _outer(u[..., -1])
+
+
+def _sweep_operands(ms, db):
+    """The observables ``m[a j, b l]`` permuted once for the two half steps:
+    ``(l j) x (a b)``, contracted against ``rho_b``, and ``(b a) x (j l)``,
+    contracted against ``rho_a``."""
+    n = len(ms)
+    da = ms.shape[-1] // db
+    m4 = ms.reshape(n, da, db, da, db)
+    return (m4.transpose(0, 4, 2, 1, 3).reshape(n, db * db, da * da),
+            m4.transpose(0, 3, 1, 2, 4).reshape(n, da * da, db * db))
 
 
 def _product_support(ms, psi, pure):
@@ -209,7 +329,7 @@ def _product_support(ms, psi, pure):
     """
     n, r, db = pure.shape
     da = ms.shape[-1] // db
-    m4 = ms.reshape(n, da, db, da, db)
+    op_b, op_a = _sweep_operands(ms, db)
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
     mixed = np.broadcast_to(np.eye(db, dtype=complex) / db, (n, 1, db, db))
     rho_b = np.concatenate([_outer(vb)[:, None], mixed, _outer(pure)], axis=1)
@@ -222,32 +342,48 @@ def _product_support(ms, psi, pure):
         live = active.any(axis=1)
         if not live.all():
             best[rows[~live]] = val[~live].max(axis=1)
-            m4, rho_a, rho_b, val, active, rows = (
-                x[live] for x in (m4, rho_a, rho_b, val, active, rows))
+            op_a, op_b, rho_a, rho_b, val, active, rows = (
+                x[live] for x in (op_a, op_b, rho_a, rho_b, val, active, rows))
         if not rows.size:
             break
-        k1 = herm(np.einsum("najbl,nslj->nsab", m4, rho_b)[active])
-        rho_a[active] = _outer(np.linalg.eigh(k1)[1][..., -1])
-        w, u = np.linalg.eigh(herm(np.einsum("najbl,nsba->nsjl", m4, rho_a)[active]))
-        rho_b[active] = _outer(u[..., -1])
-        gain = w[:, -1] - val[active]
-        val[active] = w[:, -1]
+        rho_a[active] = _top(_half_step(rho_b, op_b, da)[active])[1]
+        top, rho_b[active] = _top(_half_step(rho_a, op_a, db)[active])
+        gain = top - val[active]
+        val[active] = top
         active[active] = gain >= 1e-10
     best[rows] = val.max(axis=1)
     return best
+
+
+def _vertex_product_support(h, states, s):
+    """The product support of ``conv{states} (x) Im S`` in each direction ``h``
+    on the joint output space, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) h]))``,
+    from one stacked ``eigvalsh``."""
+    n, na, nb = len(h), states[0].shape[0], s.d_out
+    reduced = np.einsum("iac,ncjal->nijl", np.asarray(states), h.reshape(n, na, nb, na, nb))
+    return np.linalg.eigvalsh(herm(s.dual_apply(reduced)))[..., -1].max(axis=1)
 
 
 def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     """Largest observed gap between joint and product support functions.
 
     For each Hermitian direction ``H`` on the joint output space the left
-    side is the support of ``Im(T1 (x) T2)`` and the right side the best
-    value ``_product_support`` finds, a lower bound on the product support.
-    Random directions are mixed with projectors onto rotated maximally
-    entangled vectors when the output factors have equal dimension, since
-    those expose non-product extreme points most sharply.  ``certified``
-    means a rerun from 16 starts, two of them the first run's own, reproduced
-    the right side within 1e-8: not an independent check, and not a proof.
+    side is the support of ``Im(T1 (x) T2)``.  Random directions are mixed
+    with projectors onto rotated maximally entangled vectors when the output
+    factors have equal dimension, since those expose non-product extreme
+    points most sharply.
+
+    When ``T1``, or else ``T2`` (with the tensor factors of ``H`` swapped),
+    carries a vertex certificate (a CQ or eCQ "yes") the right side is the
+    exact product support, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) H]))``
+    over its vertex states, and ``rhs_bound`` is ``"exact"``; the true gap of
+    such a pair is 0, by universal image additivity.  Otherwise the right
+    side is the best value ``_product_support`` finds, a lower bound on the
+    product support (``rhs_bound`` ``"lower"``), and a positive gap is rerun
+    from 16 starts, two of them the first run's own.  ``certified`` means
+    ``lhs - rhs > 1e-6``, with ``rhs`` exact or reproduced by that rerun
+    within 1e-8; on the sampled path this is not an independent check, and
+    not a proof.
     """
     if n_directions < 1:
         raise ValueError("need at least one direction")
@@ -261,26 +397,38 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     ent = [_outer(np.kron(u, v) @ np.eye(n1).reshape(-1) / np.sqrt(n1)) for u, v in frames]
     directions = np.concatenate([directions, np.reshape(ent, (n_ent, n1 * n2, n1 * n2))])
     ms = herm(tensor(t1, t2).dual_apply(directions))
-    w, u = np.linalg.eigh(ms)
-    psi, db = u[:, :, -1], t2.d_in
-    pure = random_pure_vectors(rng, (n_directions, _RESTARTS - 2), db)
-    rhs_all = _product_support(ms, psi, pure)
-    gaps = w[:, -1] - rhs_all
+    cert, swap = _vertex_certificate(t1), False
+    if cert is None:
+        cert, swap = _vertex_certificate(t2), True
+    if cert is None:
+        w, u = np.linalg.eigh(ms)
+        lhs_all, psi, db = w[:, -1], u[:, :, -1], t2.d_in
+        pure = random_pure_vectors(rng, (n_directions, _RESTARTS - 2), db)
+        rhs_all = _product_support(ms, psi, pure)
+    else:
+        h, partner = directions, t2
+        if swap:  # the second factor is certified: swap the tensor factors of each H
+            n = len(directions)
+            h = directions.reshape(n, n1, n2, n1, n2).transpose(0, 2, 1, 4, 3).reshape(h.shape)
+            partner = t1
+        lhs_all = np.linalg.eigvalsh(ms)[:, -1]
+        rhs_all = _vertex_product_support(h, cert[0], partner)
+    gaps = lhs_all - rhs_all
     # the first direction within roundoff of the largest gap, so the witness
     # does not hinge on the last bits of the BLAS reduction order
     i = int(np.flatnonzero(gaps >= gaps.max() - 1e-12)[0])
-    gap, h, lhs, rhs = gaps[i], directions[i], w[i, -1], rhs_all[i]
-    certified = False
-    if gap > 1e-6:
+    gap, lhs, rhs = gaps[i], lhs_all[i], rhs_all[i]
+    certified = bool(gap > 1e-6)
+    if certified and cert is None:
         pure = random_pure_vectors(np.random.default_rng(seed + 9091), (1, 2 * _RESTARTS - 2), db)
         redo = _product_support(ms[i:i + 1], psi[i:i + 1], pure)[0]
         stable = abs(redo - rhs) <= 1e-8
         rhs = max(rhs, redo)
         gap = lhs - rhs
         certified = bool(stable and gap > 1e-6)
-    return ImageAdditivityReport(max_gap=float(gap), direction=h, lhs=float(lhs),
-                                 rhs=float(rhs), certified=certified,
-                                 n_directions=n_directions)
+    return ImageAdditivityReport(max_gap=float(gap), direction=directions[i], lhs=float(lhs),
+                                 rhs=float(rhs), certified=certified, n_directions=n_directions,
+                                 rhs_bound=LOWER if cert is None else EXACT)
 
 
 # -- hiding construction ------------------------------------------------

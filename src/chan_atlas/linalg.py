@@ -142,16 +142,6 @@ def canonical_phase(v):
     return v / (np.where(mag > 0, top, 1.0) / np.where(mag > 0, mag, 1.0))
 
 
-def orthonormal_columns(b):
-    """Orthonormal basis of the column space of ``b`` (relative rank cut 1e-10)."""
-    b = np.atleast_2d(np.asarray(b))
-    if b.size == 0:
-        return np.zeros((b.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    r = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
-    return u[:, :r].astype(complex)
-
-
 def orthogonal_complement(b, d):
     """Orthonormal basis of the orthogonal complement of span(columns of b) in C^d."""
     b = np.asarray(b, dtype=complex).reshape(d, -1)

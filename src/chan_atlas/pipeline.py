@@ -157,7 +157,7 @@ def _entropy_stage(t, seed, p_values):
     for p in p_values:
         r = min_output_entropy(t, p=p, seed=seed)
         rows.append({"p": float(p), "value": r.value, "converged": r.converged,
-                     "grad_norm": r.grad_norm})
+                     "grad_norm": r.grad_norm, "bound": r.bound})
     return {"status": "ok", "min_output": rows}
 
 
@@ -182,6 +182,7 @@ def _identity_probe(t, seed):
         "max_gap": rep.max_gap,
         "lhs": rep.lhs,
         "rhs": rep.rhs,
+        "rhs_bound": rep.rhs_bound,
         "certified_positive": rep.certified,
         "n_directions": rep.n_directions,
     }

@@ -7,6 +7,7 @@ functions; import them with ``from conftest import ...``.
 
 import numpy as np
 
+from chan_atlas import entropy
 from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
 from chan_atlas.linalg import herm, hvec, orthogonal_complement, op_norm, subspace_projector
 
@@ -74,15 +75,16 @@ def amplitude_damping(gamma):
 
 def product_support_full_grid(ms, psi, pure):
     """Reference for ``entropy._product_support``: every alternating round
-    contracts the full grid of directions and starts, then masks out the
-    starts that have stopped."""
+    contracts the full grid of directions and starts, with the same half step
+    (``entropy._half_step`` on ``entropy._sweep_operands``), then masks out
+    the starts that have stopped."""
     n, r, db = pure.shape
     da = ms.shape[-1] // db
 
     def outer(v):
         return v[..., :, None] * np.conj(v)[..., None, :]
 
-    m4 = ms.reshape(n, da, db, da, db)
+    op_b, op_a = entropy._sweep_operands(ms, db)
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
     mixed = np.broadcast_to(np.eye(db, dtype=complex) / db, (n, 1, db, db))
     rho_b = np.concatenate([outer(vb)[:, None], mixed, outer(pure)], axis=1)
@@ -92,9 +94,9 @@ def product_support_full_grid(ms, psi, pure):
     for _ in range(20):
         if not active.any():
             break
-        k1 = herm(np.einsum("najbl,nslj->nsab", m4, rho_b)[active])
+        k1 = herm(entropy._half_step(rho_b, op_b, da)[active])
         rho_a[active] = outer(np.linalg.eigh(k1)[1][..., -1])
-        w, u = np.linalg.eigh(herm(np.einsum("najbl,nsba->nsjl", m4, rho_a)[active]))
+        w, u = np.linalg.eigh(herm(entropy._half_step(rho_a, op_a, db)[active]))
         rho_b[active] = outer(u[..., -1])
         gain = w[:, -1] - val[active]
         val[active] = w[:, -1]

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assembled_polytopic_fixture,
+    ecq_fixture,
     haar_unitary,
     product_support_full_grid,
+    random_cptp,
     random_density,
     random_direction,
     random_pure,
@@ -38,6 +41,7 @@ from chan_atlas.entropy import (
     min_output_entropy,
     renyi_entropy,
 )
+from chan_atlas.formats import load_channel
 from chan_atlas.linalg import herm, random_directions, random_pure_vectors
 
 LOG2 = np.log(2.0)
@@ -108,13 +112,17 @@ def _rotated(t, rng):
 
 
 def test_min_output_entropy_rotated_dephasing_reaches_vertex():
-    # no start sits on a basis vector of the rotated frame, so every start
-    # has to find a vertex of the image on its own
+    # no start sits on a basis vector of the rotated frame, so every start of
+    # the iterative minimizer has to find a vertex of the image on its own;
+    # the channel is CQ, so min_output_entropy itself reads the vertex off
     for seed in range(3):
         t = _rotated(dephasing_channel(3), np.random.default_rng(seed))
-        res = min_output_entropy(t, p=2.0)
+        res = entropy._minimize_entropy(t, 2.0, 0, 64, 300, None)
         assert res.value <= 1e-9
-        assert res.converged
+        assert res.converged and res.bound == "upper"
+        exact = min_output_entropy(t, p=2.0)
+        assert abs(exact.value) <= 1e-12
+        assert exact.converged and exact.bound == "exact" and exact.n_starts == 0
 
 
 def test_min_output_entropy_cap_is_not_convergence():
@@ -171,24 +179,33 @@ def test_image_additivity_gap_third_depolarizing_vs_identity():
     assert rep.max_gap == pytest.approx(1 / 6, abs=1e-6)
 
 
-def test_image_additivity_gap_vanishes_for_cq():
+def test_image_additivity_gap_vanishes_for_cq(monkeypatch):
     rep = image_additivity_gap(dephasing_channel(2), identity_channel(2),
                                n_directions=30, seed=1)
     # certification flags positive gaps only, so here it must stay off
+    assert abs(rep.max_gap) <= 1e-12
+    assert not rep.certified and rep.rhs_bound == "exact"
+    # the sampled product support, with the CQ certificate hidden, finds no gap either
+    monkeypatch.setattr(entropy, "_vertex_certificate", lambda t: None)
+    rep = image_additivity_gap(dephasing_channel(2), identity_channel(2),
+                               n_directions=30, seed=1)
     assert rep.max_gap <= 1e-6
-    assert not rep.certified
+    assert not rep.certified and rep.rhs_bound == "lower"
 
 
 def test_image_additivity_witness_does_not_depend_on_blas_threads():
-    # the fixture is CQ, so every gap is zero up to roundoff and the witness must not
-    # follow the last bits of the BLAS reduction order; each run is a child
-    # process whose environment alone sets the thread count
+    # the fixture is eCQ, so every gap is zero up to roundoff and the witness must not
+    # follow the last bits of the BLAS reduction order, on the exact route and on the
+    # sampled path (certificate hidden); each run is a child process whose
+    # environment alone sets the thread count
     code = ("from conftest import assembled_polytopic_fixture\n"
+            "from chan_atlas import entropy\n"
             "from chan_atlas.channels import identity_channel\n"
-            "from chan_atlas.entropy import image_additivity_gap\n"
             "t = assembled_polytopic_fixture(2)[0]\n"
-            "r = image_additivity_gap(t, identity_channel(t.d_in), n_directions=24, seed=0)\n"
-            "print(repr(r.lhs), repr(r.rhs))\n")
+            "r = entropy.image_additivity_gap(t, identity_channel(t.d_in), n_directions=24)\n"
+            "entropy._vertex_certificate = lambda t: None\n"
+            "s = entropy.image_additivity_gap(t, identity_channel(t.d_in), n_directions=24)\n"
+            "print(repr(r.lhs), repr(r.rhs), repr(s.lhs), repr(s.rhs))\n")
     paths = [str(Path(chan_atlas.__file__).resolve().parents[1]), str(Path(__file__).parent),
              os.environ.get("PYTHONPATH")]
     values = []
@@ -215,6 +232,8 @@ def test_image_additivity_gap_runs_one_stack(monkeypatch):
 @pytest.mark.parametrize("t1, t2, rerun", [(depolarizing_channel(0.5), identity_channel(2), True),
                                            (dephasing_channel(3), identity_channel(3), False)])
 def test_image_additivity_draws_match_the_per_direction_loop(t1, t2, rerun, monkeypatch):
+    # dephasing(3) is CQ: hide its certificate to keep it on the sampled path
+    monkeypatch.setattr(entropy, "_vertex_certificate", lambda t: None)
     seen = []
     run = entropy._product_support
     monkeypatch.setattr(entropy, "_product_support",
@@ -292,33 +311,29 @@ def test_product_support_at_the_round_cap(da, db, n, monkeypatch):
     assert got[1] == 20
 
 
-_SWEEP = ("najbl,nslj->nsab", "najbl,nsba->nsjl")
-
-
 def _contracted_rows(monkeypatch, sweep):
     """Probe depolarizing 1/2 against the identity with ``sweep`` as the
     product-support solver.  Returns the report, the directions contracted
     in all rounds, and whether each contracted direction owns a row of the
     ``eigh`` that follows its contraction."""
     events = []
-    einsum, eigh = np.einsum, np.linalg.eigh
+    half_step, eigh = entropy._half_step, np.linalg.eigh
 
-    def counted_einsum(subscripts, *operands, **kwargs):
-        out = einsum(subscripts, *operands, **kwargs)
-        if subscripts in _SWEEP:
-            assert len({len(x) for x in operands}) == 1
-            events.append(("einsum", out))
+    def counted_half_step(rho, op, e):
+        assert len(rho) == len(op)
+        out = half_step(rho, op, e)
+        events.append(("contract", out))
         return out
 
     with monkeypatch.context() as m:
         m.setattr(entropy, "_product_support", sweep)
-        m.setattr(np, "einsum", counted_einsum)
+        m.setattr(entropy, "_half_step", counted_half_step)
         m.setattr(np.linalg, "eigh", lambda a: events.append(("eigh", a)) or eigh(a))
         rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
                                    n_directions=400)
     rows, owned = 0, []
     for (kind, out), (next_kind, a) in zip(events, events[1:]):
-        if kind != "einsum":
+        if kind != "contract":
             continue
         assert next_kind == "eigh"
         held = {x.tobytes() for x in a}
@@ -366,3 +381,129 @@ def test_min_output_entropy_reports_minimizer():
 def test_entropy_additivity_gap_cq_pair():
     rep = entropy_additivity_gap(dephasing_channel(2), depolarizing_channel(1 / 3), p=1.0)
     assert -1e-7 <= rep.gap <= 1e-6
+
+
+# -- closed forms on certified factors ----------------------------------
+
+
+def _certified_frames(family):
+    """``(channel, vertex states)`` of seeds 0-11 of a fixture family, each
+    in 3 Haar output frames."""
+    for seed in range(12):
+        if family == "assembled":
+            t, sig = assembled_polytopic_fixture(seed)[:2]
+        else:
+            t, _, _, sig = ecq_fixture(seed, complement=2 if family == "ecq_complement2" else None)
+        for frame in range(3):
+            u = haar_unitary(np.random.default_rng([seed, frame]), t.d_out)
+            yield conjugate(t, u), [u @ s @ u.conj().T for s in sig]
+
+
+_FAMILIES = ["ecq", "ecq_complement2", "assembled"]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_certified_probe_has_no_gap_on_any_direction(family, monkeypatch):
+    seen = []
+    exact = entropy._vertex_product_support
+    monkeypatch.setattr(entropy, "_vertex_product_support",
+                        lambda h, states, s: seen.append((h, exact(h, states, s))) or seen[-1][1])
+    monkeypatch.setattr(entropy, "_product_support", None)  # the exact route never samples
+    for t, _ in _certified_frames(family):
+        seen.clear()
+        rep = image_additivity_gap(t, identity_channel(t.d_in), n_directions=24, seed=0)
+        assert not rep.certified and rep.rhs_bound == "exact"
+        (h, rhs), = seen
+        lhs = np.linalg.eigvalsh(herm(tensor(t, identity_channel(t.d_in)).dual_apply(h)))[:, -1]
+        assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_exact_product_support_bounds_the_sampled_one(family):
+    rng = np.random.default_rng(7)
+    for t, sig in _certified_frames(family):
+        partner = identity_channel(t.d_in)
+        h = random_directions(rng, 12, t.d_out * t.d_in)
+        ms = herm(tensor(t, partner).dual_apply(h))
+        psi = np.linalg.eigh(ms)[1][:, :, -1]
+        sampled = _product_support(ms, psi, random_pure_vectors(rng, (12, 6), t.d_in))
+        exact = entropy._vertex_product_support(h, sig, partner)
+        assert np.all(exact >= sampled - 1e-12)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_exact_entropy_is_the_smallest_vertex_entropy(family):
+    for t, sig in _certified_frames(family):
+        for p in (1.0, 2.0):
+            res = min_output_entropy(t, p=p)
+            assert res.bound == "exact" and res.converged and res.n_starts == 0
+            assert res.value == pytest.approx(min(renyi_entropy(s, p) for s in sig), abs=1e-12)
+            assert renyi_entropy(t.apply(np.outer(res.minimizer, res.minimizer.conj())), p) == \
+                pytest.approx(res.value, abs=1e-9)
+            iterated = entropy._minimize_entropy(t, p, 0, 8, 300, None)
+            assert iterated.bound == "upper" and iterated.value >= res.value - 1e-9
+
+
+def test_frame_4_ecq_channel_has_no_gap_against_the_identity():
+    # the eCQ 5 -> 2 channel on which the sampled product support once stuck
+    # and reported a certified gap of 4.97e-3
+    t = load_channel(str(Path(__file__).parent / "data" / "ecq_frame4.json"))
+    rep = image_additivity_gap(t, identity_channel(5), n_directions=24, seed=0)
+    assert abs(rep.max_gap) <= 1e-12
+    assert not rep.certified and rep.rhs_bound == "exact"
+
+
+def test_swapped_certified_factor_gives_the_exact_product_support():
+    t, _, _, sig = ecq_fixture(1)
+    s = random_cptp(np.random.default_rng(3), 2, t.d_out)
+    rep = image_additivity_gap(s, t, n_directions=40, seed=2)
+    assert abs(rep.max_gap) <= 1e-12
+    assert not rep.certified and rep.rhs_bound == "exact"
+    # the same direction with its tensor factors swapped, seen from the other side
+    n1, n2 = s.d_out, t.d_out
+    h = rep.direction.reshape(n1, n2, n1, n2).transpose(1, 0, 3, 2).reshape(n1 * n2, -1)
+    rhs = entropy._vertex_product_support(h[None], sig, s)[0]
+    assert rhs == pytest.approx(rep.rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_ecq_factor_is_additive_without_a_tensor_product(p, monkeypatch):
+    t = ecq_fixture(4, complement=2)[0]
+    s = random_cptp(np.random.default_rng(11), 2, 2)
+    calls = []
+    monkeypatch.setattr(entropy, "tensor", lambda *a: calls.append(a) or tensor(*a))
+    for first, second in ((t, s), (s, t)):
+        rep = entropy_additivity_gap(first, second, p=p)
+        assert rep.gap == 0.0
+        assert rep.joint.value == rep.single_first.value + rep.single_second.value
+        assert rep.joint.bound == "upper" and rep.joint.n_starts == 0
+        np.testing.assert_array_equal(rep.joint.minimizer,
+                                      np.kron(rep.single_first.minimizer,
+                                              rep.single_second.minimizer))
+    assert calls == []
+    both = entropy_additivity_gap(t, t, p=p)
+    assert both.gap == 0.0 and both.joint.bound == "exact"
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_product_grad_norm_matches_the_joint_gradient(p):
+    rng = np.random.default_rng(int(4 * p))
+    t1, t2 = random_cptp(rng, 2, 3), random_cptp(rng, 3, 2)
+    x1, x2 = random_pure(rng, 2), random_pure(rng, 3)
+    g1, g2 = entropy._at_input(t1, x1, p)[1], entropy._at_input(t2, x2, p)[1]
+    joint = entropy._at_input(tensor(t1, t2), np.kron(x1, x2), p)[1]
+    assert entropy._product_grad_norm(g1, g2, p) == pytest.approx(joint, rel=1e-12)
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_half_step_matches_the_einsum_contraction(da, db):
+    rng = np.random.default_rng([da, db])
+    ms = random_directions(rng, 30, da * db)
+    m4 = ms.reshape(30, da, db, da, db)
+    rho_a = herm(random_directions(rng, (30, 5), da))
+    rho_b = herm(random_directions(rng, (30, 5), db))
+    op_b, op_a = entropy._sweep_operands(ms, db)
+    np.testing.assert_allclose(entropy._half_step(rho_b, op_b, da),
+                               np.einsum("najbl,nslj->nsab", m4, rho_b), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(entropy._half_step(rho_a, op_a, db),
+                               np.einsum("najbl,nsba->nsjl", m4, rho_a), rtol=0, atol=1e-13)

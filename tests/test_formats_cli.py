@@ -294,6 +294,37 @@ def test_cli_image_additivity_defaults_to_identity(tmp_path, capsys):
     assert payload["max_gap"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_bound_keys_follow_the_certificate(tmp_path, capsys):
+    # trine has no vertex certificate: sampled probe, minimizer entropies
+    report = run_pipeline(trine_channel())
+    validate_report(report)
+    probe = report["image_additivity_vs_identity"]
+    assert probe["certified_positive"] and probe["rhs_bound"] == "lower"
+    assert {row["bound"] for row in report["entropy"]["min_output"]} == {"upper"}
+    # dephasing(3) is CQ: exact probe and exact entropies
+    report = run_pipeline(dephasing_channel(3))
+    validate_report(report)
+    probe = report["image_additivity_vs_identity"]
+    assert not probe["certified_positive"] and probe["rhs_bound"] == "exact"
+    assert abs(probe["max_gap"]) <= 1e-12
+    assert [row["bound"] for row in report["entropy"]["min_output"]] == ["exact", "exact"]
+    assert [row["value"] for row in report["entropy"]["min_output"]] == [0.0, 0.0]
+    # the CLI rows carry the same keys
+    cq = spec_file(tmp_path, {"format_version": "1", "kind": "cq", "basis": [[1, 0], [0, 1]],
+                              "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]})
+    third = spec_file(tmp_path, DEPOL_THIRD, name="third.json")
+    assert main(["--format", "json", "entropy", cq, "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["min_output"][0]["bound"] == "exact"
+    assert main(["--format", "json", "additivity", cq, "--pair", third, "--p", "2"]) == 0
+    row = json.loads(capsys.readouterr().out)["additivity"][0]
+    assert row["gap"] == 0.0 and row["bound"] == "upper"
+    assert main(["--format", "json", "image-additivity", third, "--directions", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["rhs_bound"] == "lower"
+    assert main(["--format", "json", "image-additivity", third, "--pair", cq,
+                 "--directions", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["rhs_bound"] == "exact"
+
+
 def test_cli_decompose_takes_no_directions_and_no_seed(tmp_path, capsys):
     # mixed square vertices (+) a disc block: the residual block is sampled,
     # from a fixed generator, so the output does not follow --seed
