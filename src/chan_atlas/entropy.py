@@ -44,6 +44,7 @@ _EIG_FLOOR = 1e-18
 _PURE = 1e-11            # a value this small is a pure output: every start stops
 _DECREASE_TOL = 1e-15    # a start whose step gains no more than this stops
 _RESTARTS = 8            # product-support starts per direction, twice that in the rerun
+_GAP_FLOOR = 1e-10       # a 2x2 row with a smaller relative eigengap goes through eigh
 
 EXACT = "exact"
 UPPER = "upper"
@@ -301,9 +302,39 @@ def _half_step(rho, op, e):
 
 def _top(k):
     """The top eigenvalue and eigenprojector of the Hermitian part of each
-    matrix in the stack ``k``; no eigenvector outlives the call."""
-    w, u = np.linalg.eigh(herm(k))
-    return w[:, -1], _outer(u[..., -1])
+    matrix in the stack ``k``; no eigenvector outlives the call.
+
+    A 2x2 stack is solved in closed form.  With ``a``, ``c`` the diagonal,
+    ``b`` the upper off-diagonal entry, ``h = (a - c)/2`` and
+    ``r = hypot(h, |b|)``, the top eigenvalue is ``(a + c)/2 + r`` and the
+    projector is ``(K - lambda_min I)/(2r)``, its small diagonal entry taken
+    as ``|b|^2 / (2r (r + |h|))`` so it keeps its relative accuracy.  Rows
+    whose gap ``2r`` is at most ``_GAP_FLOOR`` times their spectral radius
+    (scalar and near-scalar matrices, whose top eigenvector is a choice) go
+    through ``eigh``, on those rows only.  Larger stacks always do.
+    """
+    k = herm(k)
+    if k.shape[-1] != 2:
+        w, u = np.linalg.eigh(k)
+        return w[:, -1], _outer(u[..., -1])
+    a, c, b = k[:, 0, 0].real, k[:, 1, 1].real, k[:, 0, 1]
+    h, mean = (a - c) / 2, (a + c) / 2
+    r = np.hypot(h, np.abs(b))
+    top = mean + r
+    kept = 2 * r > _GAP_FLOOR * (np.abs(mean) + r)
+    r, h, b = r[kept], h[kept], b[kept]
+    s = r + np.abs(h)
+    big, small, off = s / (2 * r), np.abs(b) ** 2 / (2 * r * s), b / (2 * r)
+    up = h >= 0
+    closed = np.stack([np.where(up, big, small), off, np.conj(off),
+                       np.where(up, small, big)], axis=-1).reshape(-1, 2, 2)
+    if kept.all():
+        return top, closed
+    proj = np.empty_like(k)
+    proj[kept] = closed
+    w, u = np.linalg.eigh(k[~kept])
+    top[~kept], proj[~kept] = w[:, -1], _outer(u[..., -1])
+    return top, proj
 
 
 def _sweep_operands(ms, db):
@@ -325,7 +356,9 @@ def _product_support(ms, psi, pure):
 
     Each round contracts only the directions with a live start: a direction
     whose starts have all stopped has its best value written out, and the
-    stacks shrink to the directions still held.
+    stacks shrink to the directions still held.  A half step onto a qubit
+    factor takes its top eigenpairs in closed form (``_top``), with ``eigh``
+    kept for the degenerate rows only.
     """
     n, r, db = pure.shape
     da = ms.shape[-1] // db
@@ -394,8 +427,10 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     # entangled frames: (u re, u im, v re, v im) each, as successive single draws
     g = rng.normal(size=(n_ent, 2, 2, n1, n1))
     frames = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])[0]
-    ent = [_outer(np.kron(u, v) @ np.eye(n1).reshape(-1) / np.sqrt(n1)) for u, v in frames]
-    directions = np.concatenate([directions, np.reshape(ent, (n_ent, n1 * n2, n1 * n2))])
+    # (u (x) v) vec(I) = vec(u v^T), as a product and a sum: a matmul rounds
+    # differently, which can move the witness of a certified gap
+    ent = (frames[:, 0, :, None] * frames[:, 1, None]).sum(axis=-1).reshape(n_ent, n1 * n2)
+    directions = np.concatenate([directions, _outer(ent / np.sqrt(n1))])
     ms = herm(tensor(t1, t2).dual_apply(directions))
     cert, swap = _vertex_certificate(t1), False
     if cert is None:

@@ -73,17 +73,20 @@ def amplitude_damping(gamma):
                           np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)])
 
 
-def product_support_full_grid(ms, psi, pure):
+def outer(v):
+    """``v v*`` for each vector along the last axis."""
+    return v[..., :, None] * np.conj(v)[..., None, :]
+
+
+def product_support_full_grid(ms, psi, pure, top=None):
     """Reference for ``entropy._product_support``: every alternating round
     contracts the full grid of directions and starts, with the same half step
-    (``entropy._half_step`` on ``entropy._sweep_operands``), then masks out
-    the starts that have stopped."""
+    (``entropy._half_step`` on ``entropy._sweep_operands``) and the same top
+    eigenpairs (``entropy._top``, looked up at call time, unless ``top`` is
+    given), then masks out the starts that have stopped."""
     n, r, db = pure.shape
     da = ms.shape[-1] // db
-
-    def outer(v):
-        return v[..., :, None] * np.conj(v)[..., None, :]
-
+    top = top or entropy._top
     op_b, op_a = entropy._sweep_operands(ms, db)
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
     mixed = np.broadcast_to(np.eye(db, dtype=complex) / db, (n, 1, db, db))
@@ -94,14 +97,18 @@ def product_support_full_grid(ms, psi, pure):
     for _ in range(20):
         if not active.any():
             break
-        k1 = herm(entropy._half_step(rho_b, op_b, da)[active])
-        rho_a[active] = outer(np.linalg.eigh(k1)[1][..., -1])
-        w, u = np.linalg.eigh(herm(entropy._half_step(rho_a, op_a, db)[active]))
-        rho_b[active] = outer(u[..., -1])
-        gain = w[:, -1] - val[active]
-        val[active] = w[:, -1]
+        rho_a[active] = top(entropy._half_step(rho_b, op_b, da)[active])[1]
+        w, rho_b[active] = top(entropy._half_step(rho_a, op_a, db)[active])
+        gain = w - val[active]
+        val[active] = w
         active[active] = gain >= 1e-10
     return val.max(axis=1)
+
+
+def lapack_top(k):
+    """``entropy._top`` from ``np.linalg.eigh`` alone, at every size."""
+    w, u = np.linalg.eigh(herm(k))
+    return w[:, -1], outer(u[..., -1])
 
 
 def random_cptp(rng, d_in, d_out, env=None):

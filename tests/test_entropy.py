@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import (
     assembled_polytopic_fixture,
     ecq_fixture,
     haar_unitary,
+    lapack_top,
     product_support_full_grid,
     random_cptp,
     random_density,
@@ -274,12 +276,12 @@ def _sweep_input(da, db, n, seed):
     return ms, np.linalg.eigh(ms)[1][:, :, -1], random_pure_vectors(rng, (n, 6), db)
 
 
-def _eigh_rounds(monkeypatch, sweep, ms, psi, pure):
+def _top_rounds(monkeypatch, sweep, ms, psi, pure):
     """The values of ``sweep`` and its number of alternating rounds."""
     calls = []
-    eigh = np.linalg.eigh
+    top = entropy._top
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        m.setattr(entropy, "_top", lambda k: calls.append(1) or top(k))
         return sweep(ms, psi, pure).tolist(), len(calls) // 2
 
 
@@ -298,16 +300,16 @@ def test_product_support_when_every_start_stops_in_round_two(monkeypatch):
     c = np.array([-1.5, 0.0, 0.25, 2.0])
     ms = c[:, None, None] * np.eye(da * db, dtype=complex)
     _, psi, pure = _sweep_input(da, db, len(c), 0)
-    got = _eigh_rounds(monkeypatch, _product_support, ms, psi, pure)
-    assert got == _eigh_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
+    got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
+    assert got == _top_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
     assert got == (c.tolist(), 2)
 
 
 @pytest.mark.parametrize("da, db, n", [(3, 3, 1), (2, 3, 24)])
 def test_product_support_at_the_round_cap(da, db, n, monkeypatch):
     ms, psi, pure = _sweep_input(da, db, n, 0)
-    got = _eigh_rounds(monkeypatch, _product_support, ms, psi, pure)
-    assert got == _eigh_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
+    got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
+    assert got == _top_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
     assert got[1] == 20
 
 
@@ -315,9 +317,9 @@ def _contracted_rows(monkeypatch, sweep):
     """Probe depolarizing 1/2 against the identity with ``sweep`` as the
     product-support solver.  Returns the report, the directions contracted
     in all rounds, and whether each contracted direction owns a row of the
-    ``eigh`` that follows its contraction."""
+    ``_top`` that follows its contraction."""
     events = []
-    half_step, eigh = entropy._half_step, np.linalg.eigh
+    half_step, top = entropy._half_step, entropy._top
 
     def counted_half_step(rho, op, e):
         assert len(rho) == len(op)
@@ -328,16 +330,16 @@ def _contracted_rows(monkeypatch, sweep):
     with monkeypatch.context() as m:
         m.setattr(entropy, "_product_support", sweep)
         m.setattr(entropy, "_half_step", counted_half_step)
-        m.setattr(np.linalg, "eigh", lambda a: events.append(("eigh", a)) or eigh(a))
+        m.setattr(entropy, "_top", lambda k: events.append(("top", k)) or top(k))
         rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
                                    n_directions=400)
     rows, owned = 0, []
-    for (kind, out), (next_kind, a) in zip(events, events[1:]):
+    for (kind, out), (next_kind, k) in zip(events, events[1:]):
         if kind != "contract":
             continue
-        assert next_kind == "eigh"
-        held = {x.tobytes() for x in a}
-        owned += [any(x.tobytes() in held for x in starts) for starts in herm(out)]
+        assert next_kind == "top"
+        held = {x.tobytes() for x in k}
+        owned += [any(x.tobytes() in held for x in starts) for starts in out]
         rows += len(out)
     return rep, rows, owned
 
@@ -350,6 +352,101 @@ def test_product_support_contracts_only_live_directions(monkeypatch):
     assert owned and all(owned)
     # the full grid contracts all 400 directions in each of its 20 rounds
     assert 2 * rows <= ref_rows
+
+
+@pytest.mark.parametrize("n", [1, 24, 200])
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_product_support_matches_an_eigh_reference(da, db, n):
+    # the full grid with every top eigenpair from LAPACK: independent of _top
+    for seed in range(2):
+        ms, psi, pure = _sweep_input(da, db, n, seed)
+        np.testing.assert_allclose(_product_support(ms, psi, pure),
+                                   product_support_full_grid(ms, psi, pure, top=lapack_top),
+                                   rtol=0, atol=1e-12)
+
+
+def _check_top(k, top, proj):
+    """``top`` and ``proj`` are the top eigenpair of each Hermitian 2x2 ``k``."""
+    w = np.linalg.eigvalsh(k)
+    scale = np.abs(w).max(axis=1)
+    assert np.all(np.abs(top - w[:, -1]) <= 1e-14 * scale)
+    residual = k @ proj - top[:, None, None] * proj
+    assert np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-14 * scale)
+    assert np.all(np.linalg.norm(proj @ proj - proj, axis=(1, 2)) <= 1e-14)
+    assert np.all(np.abs(np.trace(proj, axis1=1, axis2=2) - 1) <= 1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_top_solves_2x2_stacks_in_closed_form(scale, monkeypatch):
+    rng = np.random.default_rng(int(np.log10(scale)) + 6)
+    k = scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+    monkeypatch.setattr(np.linalg, "eigh", None)  # no row is degenerate
+    top, proj = entropy._top(k)
+    _check_top(herm(k), top, proj)
+
+
+def test_top_covers_both_diagonal_orders_and_real_off_diagonals(monkeypatch):
+    k = np.array([[[3, 0], [0, 1]], [[1, 0], [0, 3]], [[-1, 0], [0, -2]],
+                  [[2, 1e-9], [1e-9, -1]], [[-1, 1e-9j], [-1e-9j, 2]],
+                  [[1, 1 - 1j], [1 + 1j, 1.5]], [[1.5, 1 - 1j], [1 + 1j, 1]]], dtype=complex)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    top, proj = entropy._top(k)
+    _check_top(k, top, proj)
+    # b = 0: the projector is exact
+    assert top[:3].tolist() == [3, 3, -1]
+    assert proj[:3].tolist() == [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]]
+    # a tiny |b| keeps its relative accuracy in the small diagonal entry
+    np.testing.assert_allclose([proj[3, 1, 1], proj[4, 0, 0]], [1e-18 / 9] * 2, rtol=1e-12)
+
+
+def test_top_sends_degenerate_2x2_rows_to_eigh(monkeypatch):
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    near = u @ np.diag([0.7, 0.7 + 1e-13]) @ np.conj(u.T)
+    k = np.concatenate([rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)),
+                        [np.zeros((2, 2)), 2.5 * np.eye(2), near]]).astype(complex)
+    k = k[[3, 0, 4, 1, 5, 2]]  # degenerate rows mixed in: 0, 2 and 4
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top, proj = entropy._top(k)
+    assert len(seen) == 1 and np.array_equal(seen[0], herm(k)[[0, 2, 4]])
+    ref_top, ref_proj = lapack_top(k[[0, 2, 4]])
+    assert top[[0, 2, 4]].tobytes() == ref_top.tobytes()
+    assert proj[[0, 2, 4]].tobytes() == ref_proj.tobytes()
+    _check_top(herm(k)[[1, 3, 5]], top[[1, 3, 5]], proj[[1, 3, 5]])
+
+
+def test_top_keeps_eigh_beyond_2x2():
+    rng = np.random.default_rng(4)
+    k = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+    top, proj = entropy._top(k)
+    ref_top, ref_proj = lapack_top(k)
+    assert top.tobytes() == ref_top.tobytes() and proj.tobytes() == ref_proj.tobytes()
+
+
+def test_qubit_probe_sends_only_scalar_rows_from_top_to_eigh(monkeypatch):
+    # From the mixed start I/2, a maximally entangled direction gives the
+    # first half step T*(I/2)/2 = I/4 up to roundoff: the one degenerate row
+    # per entangled direction (100 here, and at most 1 in the rerun).  Every
+    # other row of the sweep is solved in closed form.
+    rows = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        if sys._getframe(1).f_code is entropy._top.__code__:
+            rows.extend(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
+                               n_directions=400)
+    assert rep.certified and rep.max_gap == pytest.approx(0.25, abs=1e-6)
+    assert 100 <= len(rows) <= 101
+    np.testing.assert_allclose(rows, np.broadcast_to(np.eye(2) / 4, (len(rows), 2, 2)),
+                               rtol=0, atol=1e-15)
 
 
 def test_build_hiding_channel_accepts_tetrahedron():
