@@ -35,14 +35,13 @@ from .channels import (
     map_distance,
     povm_channel,
 )
-from .geometry import _adjoint_range, hull_excess, polytopic_decompose
+from .geometry import VERDICT_TOL, _adjoint_range, hull_containment, polytopic_decompose
 from .linalg import (
     canonical_phase,
     herm,
     hvec,
     op_norm,
     partial_transpose,
-    random_directions,
     subspace_projector,
     unhvec,
     vec,
@@ -232,9 +231,9 @@ def _dilation_obstruction(t, sigmas):
     negative Choi or partial-transpose eigenvalue of the dilated map is
     therefore a conclusive obstruction.  Returns a witness dict or None.
 
-    Only meaningful when the supplied states dominate the image; a cheap
-    support-function sweep guards against a caller passing a vertex set
-    that misses part of the image.
+    Only meaningful when the supplied states dominate the image, so it
+    returns None unless :func:`~.geometry.hull_containment` finds the image
+    inside their hull.
     """
     n, d = t.d_out, t.d_in
     lam = min(float(np.linalg.eigvalsh(herm(s))[0]) for s in sigmas)
@@ -243,8 +242,7 @@ def _dilation_obstruction(t, sigmas):
     head = 1.0 - n * lam
     cap = n * lam / head if head > 1e-12 else 1.0
     eps = min(0.999 * cap, 1.0)
-    rng = np.random.default_rng(0)
-    if hull_excess(t, sigmas, random_directions(rng, 64, n))[0] > 1e-7:
+    if hull_containment(t, sigmas)[0] > VERDICT_TOL:
         return None
     # (1+eps) T(x) - eps Tr(x) I/n, with Tr(x) = vec(I_d) . vec(x)
     dilated = _natural_channel(
@@ -340,9 +338,9 @@ def is_universally_image_additive(t):
     verdict under ``"reconstruction"`` (its certificate is
     ``witness["reconstruction"].witness["certificate"]``), and a "yes" adds
     ``"retraction"`` and ``"retraction_deviation"``.  Otherwise the witness
-    holds the decomposition's ``"checks"`` and its sampled ``"direction"``
-    (None when the characters of range(T*) decided).  Nothing is sampled
-    unless the decomposition samples its residual block.
+    holds the decomposition's ``"checks"`` and its ``"direction"``: the
+    facet that the residual block's image crosses, or None when the
+    characters of range(T*) decided.  Nothing is sampled.
 
     The verdict is computed once per channel and kept on ``t``.
     """

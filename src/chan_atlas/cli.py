@@ -5,9 +5,9 @@ Exit codes: 0 when the requested analysis ran (verdicts, including "no" and
 invalid usage, 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
 
 The default seed comes from ``CHAN_ATLAS_SEED`` and is overridden by
-``--seed``; the sampled analyses (entropies, fixed points, image
-additivity) derive their randomness from it, while ``decompose`` and
-``classify`` do not depend on it.
+``--seed``; the sampled analyses (entropies and image additivity) derive
+their randomness from it, while ``decompose``, ``classify`` and
+``fixed-points`` draw no random number and do not depend on it.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def cmd_image_additivity(args):
 
 def cmd_fixed_points(args):
     t = load_channel(args.spec)
-    _emit(args, fixed_point_stage(t, args.seed))
+    _emit(args, fixed_point_stage(t))
 
 
 def cmd_report(args):

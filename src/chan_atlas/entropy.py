@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import _natural_channel, cq_channel, direct_sum, tensor
 from .classify import YES, is_cq, is_universally_image_additive
-from .geometry import _adjoint_range, hull_excess
+from .geometry import VERDICT_TOL, _adjoint_range, hull_containment
 from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
 
 _P_MAX = 50.0
@@ -470,23 +470,23 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
 
 
 class ContainmentError(ValueError):
-    """Raised when the inner image is not contained in the vertex hull."""
+    """The inner image leaves the vertex hull: the facet, the excess and an input."""
 
-    def __init__(self, direction, excess):
+    def __init__(self, direction, excess, x):
         self.direction = direction
         self.excess = float(excess)
-        super().__init__(f"inner image exceeds the vertex hull by {excess:.3e} "
-                         "along a sampled direction")
+        self.input = x
+        super().__init__(f"inner image exceeds the vertex hull by {excess:.3e}")
 
 
-def build_hiding_channel(vertex_states, inner, n_directions=200):
+def build_hiding_channel(vertex_states, inner):
     """Embed ``inner`` behind a polytopic face so its image is invisible.
 
     The result acts on ``C^k (+) C^{d_inner}``: the first ``k`` coordinates
     dephase onto the vertex states, the trailing block feeds ``inner``.  The
     image equals the hull of ``vertex_states`` provided ``Im(inner)`` lies
-    inside that hull; containment is checked on sampled support directions
-    and a violation raises :class:`ContainmentError` with the witness.
+    inside that hull, which :func:`~.geometry.hull_containment` decides; a
+    violation raises :class:`ContainmentError` with the facet and the input.
 
     Minimal output entropy then splits: ``H_min = min(min_i H(sigma_i),
     H_min(inner))``, because every pure input yields a convex mixture of
@@ -498,12 +498,9 @@ def build_hiding_channel(vertex_states, inner, n_directions=200):
     if inner.d_out != n:
         raise ValueError("inner channel must share the vertex output space")
     inner.require_cptp()
-    if n_directions < 1:
-        raise ValueError("need at least one direction")
-    rng = np.random.default_rng(0)
-    excess, h = hull_excess(inner, states, random_directions(rng, n_directions, n))
-    if excess > 1e-8:
-        raise ContainmentError(h, excess)
+    excess, h, x = hull_containment(inner, states)
+    if excess > VERDICT_TOL:
+        raise ContainmentError(h, excess, x)
     both = direct_sum(cq_channel(np.eye(len(states), dtype=complex), states, validate=False),
                       inner)
     # handed out as a plain Choi container: callers see one opaque map

@@ -15,7 +15,8 @@ untwisted algebra (``m`` elements on the ``dv``-dimensional support) is the
 commutant of two generic elements, which generate it, so it is one
 ``(4 dv^2) x m`` null space.  One generic central element cuts the blocks,
 and the cut is certified by requiring every algebra element and the fixed
-state to be block diagonal in it.
+state to be block diagonal in it.  Generic elements are fixed ``cos(j)`` /
+``sin(j)`` combinations, so nothing is drawn at random.
 
 Everything here is verified a posteriori; a construction that fails its own
 verification, the Cesaro projection included, reports ``indeterminate``
@@ -143,12 +144,13 @@ def _hermitian_fixed_basis(k, d):
     return herm(vt[:rank].view(complex).reshape(rank, d, d))
 
 
-def _generic(rng, stack, k=1):
-    """``k`` random real combinations of a stack of Hermitian matrices."""
-    return herm(np.einsum("kj,jab->kab", rng.normal(size=(k, len(stack))), stack))
+def _generic(stack, k=1):
+    """``k`` real combinations, by ``cos(j)`` then ``sin(j)``, of a stack of Hermitian matrices."""
+    j = np.arange(1, len(stack) + 1)
+    return herm(np.einsum("kj,jab->kab", np.array([np.cos(j), np.sin(j)])[:k], stack))
 
 
-def fixed_point_structure(t, seed=0):
+def fixed_point_structure(t):
     """Block data of the fixed-point space of ``t``.
 
     On the support of ``omega = T_inf(I/d)`` the fixed space untwists to an
@@ -196,8 +198,7 @@ def fixed_point_structure(t, seed=0):
     alg = alg / np.maximum(norms, 1e-12)[:, None, None]
 
     # center: elements commuting with a generating pair, a (4 dv^2) x m system
-    rng = np.random.default_rng(seed)
-    gens = _generic(rng, alg, 2)
+    gens = _generic(alg, 2)
     gens = gens / np.linalg.svd(gens, compute_uv=False)[:, :1, None]
     comm = alg[:, None] @ gens - gens @ alg[:, None]
     # genuine non-commutation registers at order one; the absolute floor
@@ -207,7 +208,7 @@ def fixed_point_structure(t, seed=0):
     if n_blocks == 0:
         result.reason = "commutant computation returned an empty center"
         return result
-    gw, gv = np.linalg.eigh(_generic(rng, np.einsum("jl,jab->lab", z, alg))[0])
+    gw, gv = np.linalg.eigh(_generic(np.einsum("jl,jab->lab", z, alg))[0])
     clusters = eig_clusters(gw)
     if len(clusters) != n_blocks:
         result.reason = "generic central element did not separate the blocks"
@@ -235,7 +236,7 @@ def fixed_point_structure(t, seed=0):
             result.reason = f"block of size {h_b} has algebra dimension {dim_b}, not a square"
             return result
         s_b = h_b // d_b
-        u_b = _factor_block(alg_b, d_b, s_b, rng)
+        u_b = _factor_block(alg_b, d_b, s_b)
         if u_b is None:
             result.reason = "block factorization failed to produce intertwiners"
             return result
@@ -275,7 +276,7 @@ def fixed_point_structure(t, seed=0):
     return result
 
 
-def _factor_block(alg_b, d_b, s_b, rng):
+def _factor_block(alg_b, d_b, s_b):
     """Unitary aligning a factor ``M_{d_b} (x) I_{s_b}`` with coordinates, or None.
 
     A generic element's eigenspaces are the multiplicity frames; the polar
@@ -283,7 +284,7 @@ def _factor_block(alg_b, d_b, s_b, rng):
     """
     if d_b == 1:
         return np.eye(s_b, dtype=complex)
-    a, y = _generic(rng, alg_b, 2)
+    a, y = _generic(alg_b, 2)
     aw, av = np.linalg.eigh(a)
     clusters = eig_clusters(aw)
     if len(clusters) != d_b or any(c.size != s_b for c in clusters):

@@ -12,14 +12,16 @@ Vertices are computed, not sampled.  If the image is a polytope, every
 vertex preimage is a common eigenvector (a *character*) of the range of the
 adjoint ``{T*(H)}``, which one SVD of the natural matrix gives; the vertices
 are the character points ``T(vv*)`` outside the hull of the others, and the
-image spans ``rank(N) - 1`` affine dimensions.  Only a residual block that
-characters do not span is compared with the vertex hull on sampled
-directions.
+image spans ``rank(N) - 1`` affine dimensions.  A residual block is checked
+against the normals and facets of the vertex hull (:func:`hull_containment`),
+so nothing here draws a random number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -33,13 +35,12 @@ from .linalg import (
     null_space,
     op_norm,
     orthogonal_complement,
-    random_directions,
+    unhvec,
     vec,
 )
 
 VERDICT_TOL = 1e-8
-EXCESS_WITNESS_TOL = 1e-6
-VERIFY_DIRECTIONS = 200  # directions that check a residual block against the hull
+MAX_FACET_CANDIDATES = 20_000  # subsets of states one containment check may try
 
 
 @dataclass
@@ -51,11 +52,6 @@ class SupportValue:
 def _spectra(t, hs):
     """Stacked eigendecompositions of ``T*(H)`` for the directions ``hs``."""
     return np.linalg.eigh(herm(t.dual_apply(hs)))
-
-
-def _pairing(hs, states):
-    """``Tr(H sigma)`` for every direction (rows) and state (columns)."""
-    return np.einsum("nab,kba->nk", hs, np.asarray(states)).real
 
 
 def support_function(t, h):
@@ -72,17 +68,40 @@ def support_function(t, h):
     return SupportValue(value=float(w[-1]), maximizer=canonical_phase(u[:, -1]))
 
 
-def hull_excess(t, states, directions):
-    """How far ``Im(T)`` reaches beyond the convex hull of ``states``.
+def hull_containment(t, states):
+    """How far ``Im(T)`` reaches beyond the hull of ``states``, decided exactly.
 
-    Returns ``(excess, direction)``: the largest ``h_T(H) - max_i Tr(H
-    sigma_i)`` over ``directions`` and the first direction attaining it.
-    An excess above zero means the image is not inside the hull.
+    ``Im(T)`` is inside exactly when ``T*(Q) = Tr(Q sigma_1) I`` for every
+    Hermitian ``Q`` normal to the states' affine span (of dimension ``m``)
+    and ``lambda_max(T*(F)) <= b`` on every facet ``(F, b)``.  The candidates
+    are the hyperplanes through ``m`` states with all states on one side,
+    ``b`` the largest ``Tr(F sigma_i)``.  Returns ``(margin, F, x)``: the
+    largest ``lambda_max(T*(F)) - b``, its unit functional and top
+    eigenvector, an input whose output lies ``margin`` beyond ``F`` in
+    Hilbert-Schmidt distance.  A normal ``+-Q`` takes the place of ``F`` when
+    its equality fails by more than ``VERDICT_TOL`` or there is no facet.
     """
-    hs = np.asarray(directions, dtype=complex)
-    excess = _spectra(t, hs)[0][:, -1] - _pairing(hs, states).max(axis=1)
-    i = int(np.argmax(excess))
-    return float(excess[i]), hs[i]
+    c = hvec(np.asarray(states))
+    _, s, vt = np.linalg.svd(c - c[0])
+    m = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    if comb(len(c), m) > MAX_FACET_CANDIDATES:
+        raise ValueError(f"{len(c)} states give {comb(len(c), m)} candidate facets, too many")
+    y = (c - c[0]) @ vt[:m].T
+    subsets = np.array(list(combinations(range(len(c)), m))) if m else np.zeros((0, 0), int)
+    # the hyperplane a.y + g = 0 through each subset, |a| = 1, from a null vector of [y_j, 1]
+    g = np.linalg.svd(np.concatenate([y[subsets], np.ones((*subsets.shape, 1))], axis=2))[2][:, -1]
+    g = g / np.linalg.norm(g[:, :m], axis=1, keepdims=True)
+    side = y @ g[:, :m].T + g[:, m]  # signed distances of the states
+    a = np.concatenate([g[side.max(0) <= VERDICT_TOL], -g[side.min(0) >= -VERDICT_TOL]])[:, :m]
+    q = vt[m:]
+    fun = np.concatenate([q, -q, a @ vt[:m]])
+    bound = np.concatenate([q @ c[0], -(q @ c[0]), (a @ vt[:m] @ c.T).max(axis=1)])
+    w, u = _spectra(t, unhvec(fun, t.d_out))
+    excess = w[:, -1] - bound
+    i = int(np.argmax(excess[:2 * len(q)]))
+    if excess[i] <= VERDICT_TOL and len(a):
+        i = 2 * len(q) + int(np.argmax(excess[2 * len(q):]))
+    return float(excess[i]), unhvec(fun[i], t.d_out), canonical_phase(u[i, :, -1])
 
 
 # -- qubit Bloch picture ------------------------------------------------
@@ -278,9 +297,9 @@ class PolytopicDecomposition:
     ``checks`` always holds ``character_affine_dim`` (-1 with no vertex) and
     ``image_affine_dim``.  When they agree it adds
     ``reconstruction_deviation``, ``orthogonality_deviation``,
-    ``max_support_excess`` and ``dominance_deviation``.  ``direction`` is the
-    sampled direction of largest excess of ``Im(t2)`` over the vertex hull,
-    or None when nothing was sampled.
+    ``max_support_excess`` (the :func:`hull_containment` margin of ``t2``)
+    and ``dominance_deviation`` (its positive part).  ``direction`` is the
+    facet that ``Im(t2)`` crosses when that decides ``not_polytopic``, else None.
     """
 
     verdict: str                  # "polytopic" | "not_polytopic" | "indeterminate"
@@ -289,7 +308,7 @@ class PolytopicDecomposition:
     w_basis: np.ndarray           # d_in x dim(W)
     t1: Channel | None            # CQ-like block on V coordinates
     t2: Channel | None            # compression to W coordinates
-    direction: np.ndarray | None  # sampled direction of largest excess
+    direction: np.ndarray | None  # the crossed facet of a residual not_polytopic
     checks: dict                  # the deciding numbers by name
     n_dof: int
     d_in: int
@@ -305,13 +324,10 @@ def polytopic_decompose(t, *, n_directions=None, seed=None):
     (``rho -> sum_i Tr(P_{V_i} rho) sigma_i``), ``t2`` is the compression to
     the residual ``W``, and the block reconstruction and the orthogonality
     of the preimages are checked.  The image is then the hull of the
-    vertices and ``Im(t2)``.  With ``W = 0``, or ``W`` spanned by characters
-    (whose points lie in the hull), the verdict is ``polytopic`` with nothing
-    sampled.  Otherwise one stacked eigensolve of ``t2*`` on
-    ``VERIFY_DIRECTIONS`` directions from a fixed generator compares
-    ``Im(t2)`` with the hull: ``polytopic`` when it stays inside within
-    1e-8, ``not_polytopic`` with the direction when it leaves by at least
-    1e-6, and ``indeterminate`` in between or when a check fails.
+    vertices and ``Im(t2)``, which :func:`hull_containment` compares
+    exactly: ``polytopic`` when ``W = 0`` or its margin is at most
+    ``VERDICT_TOL``, ``not_polytopic`` with the crossed facet otherwise, and
+    ``indeterminate`` when the reconstruction or orthogonality check fails.
 
     The decomposition is a function of the channel alone, computed once and
     kept on ``t``.  ``n_directions`` and ``seed`` are ignored; they remain
@@ -350,26 +366,13 @@ def _decompose(t):
         resid = resid - t2.natural_matrix() @ np.kron(wbasis.conj().T, wbasis.T)
     checks["reconstruction_deviation"] = _max_column_op_norm(resid, t.d_out)
     checks["orthogonality_deviation"] = op_norm(vbasis.conj().T @ vbasis - np.eye(vbasis.shape[1]))
-    checks["max_support_excess"] = checks["dominance_deviation"] = 0.0
-    direction = None
-    if t2 is not None and sum(b.shape[1] for b in _characters(t2)[1]) < dim_w:
-        # some input of W is no character: compare Im(t2) with the hull on
-        # sampled directions
-        fresh = random_directions(np.random.default_rng(0), VERIFY_DIRECTIONS, t.d_out)
-        excess = _spectra(t2, fresh)[0][:, -1] - _pairing(fresh, states).max(axis=1)
-        top = int(np.argmax(excess))
-        direction = fresh[top]
-        checks["max_support_excess"] = float(excess[top])
-        checks["dominance_deviation"] = max(0.0, float(excess[top]))
-
+    margin, facet, _ = hull_containment(t2, states) if t2 is not None else (0.0, None, None)
+    checks["max_support_excess"], checks["dominance_deviation"] = margin, max(0.0, margin)
     verified = (checks["reconstruction_deviation"] <= VERDICT_TOL
                 and checks["orthogonality_deviation"] <= 1e-9)
-    if verified and checks["dominance_deviation"] <= VERDICT_TOL:
-        verdict = "polytopic"
-    elif verified and checks["max_support_excess"] >= EXCESS_WITNESS_TOL:
-        verdict = "not_polytopic"
-    else:
-        verdict = "indeterminate"
+    verdict = ("indeterminate" if not verified
+               else "polytopic" if margin <= VERDICT_TOL else "not_polytopic")
+    direction = facet if verdict == "not_polytopic" else None
     return PolytopicDecomposition(
         verdict=verdict, vertices=records, vertex_basis=vbasis, w_basis=wbasis,
         t1=t1, t2=t2, direction=direction, checks=checks, n_dof=n_dof, d_in=d)
@@ -412,4 +415,4 @@ def image_boundary_2d(t, n_points=256):
     theta = np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)
     hs = np.cos(theta)[:, None, None] * a + np.sin(theta)[:, None, None] * b
     w = t.pure_outputs(_spectra(t, hs)[1][:, :, -1])
-    return np.column_stack([theta, _pairing(w, [a, b])])
+    return np.column_stack([theta, np.einsum("nab,kba->nk", w, np.array([a, b])).real])

@@ -10,7 +10,7 @@ aborts on a verdict.
 Reports are deterministic for a fixed seed and package version: stages use
 derived seeds only, keys are sorted on serialization, and wall-clock timings
 are attached only on request since they break byte-level reproducibility.
-The image and classification stages do not depend on the seed.
+The image, classification and fixed-point stages draw no random number.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), include_timings=False):
     stage("classification", lambda: classification_stage(t))
     stage("entropy", lambda: _entropy_stage(t, seed, p_values))
     if t.d_in == t.d_out:
-        stage("fixed_points", lambda: fixed_point_stage(t, seed))
+        stage("fixed_points", lambda: fixed_point_stage(t))
     else:
         report["fixed_points"] = {"status": "skipped",
                                   "reason": "input and output dimensions differ"}
@@ -161,9 +161,9 @@ def _entropy_stage(t, seed, p_values):
     return {"status": "ok", "min_output": rows}
 
 
-def fixed_point_stage(t, seed):
+def fixed_point_stage(t):
     """Report section of the fixed-point structure of a square channel."""
-    st = fixed_point_structure(t, seed=seed)
+    st = fixed_point_structure(t)
     return {
         "status": st.status,
         "reason": st.reason,

@@ -463,9 +463,26 @@ def test_build_hiding_channel_rejects_large_inner_image():
     assert exc.value.excess > 0.01
     assert exc.value.direction.shape == (2, 2)
     assert "exceeds the vertex hull" in str(exc.value)
-    # an empty direction sample checks nothing, so it is refused
-    with pytest.raises(ValueError, match="at least one direction"):
-        build_hiding_channel(tetra_states(1.0), depolarizing_channel(1 / 3), n_directions=0)
+
+
+@pytest.mark.parametrize("r", [0.36, 0.38])
+def test_build_hiding_channel_rejects_the_ball_past_the_insphere(r):
+    # the tetrahedron's insphere has Bloch radius 1/3: the input with Bloch
+    # vector -(1,1,1)/sqrt(3) leaves through the opposite face by (r - 1/3)
+    # in Bloch units, (r - 1/3)/sqrt(2) in Hilbert-Schmidt distance
+    states, inner = tetra_states(1.0), depolarizing_channel(r)
+    with pytest.raises(ContainmentError) as exc:
+        build_hiding_channel(states, inner)
+    err = exc.value
+    assert err.excess == pytest.approx((r - 1 / 3) / np.sqrt(2), abs=1e-12)
+    f, x = err.direction, err.input
+    assert np.abs(f - f.conj().T).max() < 1e-15
+    assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    # the witness input's output lies beyond the facet by the excess
+    out = inner.apply(np.outer(x, np.conj(x)))
+    hull = max(np.trace(f @ s).real for s in states)
+    assert np.trace(f @ out).real - hull == pytest.approx(err.excess, abs=1e-12)
 
 
 def test_min_output_entropy_reports_minimizer():

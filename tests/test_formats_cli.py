@@ -19,6 +19,7 @@ from chan_atlas.channels import (
     dephasing_channel,
     depolarizing_channel,
     direct_sum,
+    kraus_channel,
     map_distance,
     trine_channel,
     unital_qubit_diag,
@@ -326,25 +327,39 @@ def test_bound_keys_follow_the_certificate(tmp_path, capsys):
 
 
 def test_cli_decompose_takes_no_directions_and_no_seed(tmp_path, capsys):
-    # mixed square vertices (+) a disc block: the residual block is sampled,
-    # from a fixed generator, so the output does not follow --seed
+    # mixed square vertices (+) a disc block, whose residual block the facets
+    # of the square decide, and a pinching, whose fixed algebra needs generic
+    # elements: decompose, classify, fixed-points and the matching report
+    # sections draw nothing, so they do not follow --seed
     square = [bloch_state(0.8, 0, 0), bloch_state(-0.8, 0, 0),
               bloch_state(0, 0.8, 0), bloch_state(0, -0.8, 0)]
     t = direct_sum(cq_channel(np.eye(4, dtype=complex), square),
                    unital_qubit_diag((0.5, 0.5, 0.0)))
     spec = spec_file(tmp_path, channel_to_dict(t))
+    pinching = spec_file(tmp_path, channel_to_dict(kraus_channel(
+        [np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]).astype(complex)])),
+        name="pinching.json")
     with pytest.raises(SystemExit) as exc:
         main(["decompose", spec, "--directions", "30"])
     assert exc.value.code == 2
     capsys.readouterr()
-    outs = []
+    runs = [(command, path) for path in (spec, pinching) for command in ("decompose", "classify")]
+    runs += [("fixed-points", pinching), ("report", spec), ("report", pinching)]
+    outs = {}
     for seed in ("0", "7"):
-        assert main(["--seed", seed, "--format", "json", "decompose", spec]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    out = json.loads(outs[0])
+        for command, path in runs:
+            assert main(["--seed", seed, "--format", "json", command, path]) == 0
+            out = json.loads(capsys.readouterr().out)
+            if command == "report":
+                out = {k: out[k] for k in ("image", "classification", "fixed_points")}
+            outs.setdefault((command, path), []).append(out)
+    for key, (first, second) in outs.items():
+        assert first == second, key
+    out = outs["decompose", spec][0]
     assert (out["status"], out["n_vertices"], out["residual_dim"]) == ("polytopic", 4, 2)
-    assert out["max_support_excess"] < 0
+    assert out["max_support_excess"] == pytest.approx(0.5 / np.sqrt(2) - 0.4, abs=1e-12)
+    blocks = outs["fixed-points", pinching][0]["blocks"]
+    assert sorted((b["dimension"], b["multiplicity"]) for b in blocks) == [(1, 1), (2, 1)]
 
 
 def test_cli_fixed_points(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import (
     haar_unitary,
     random_density,
     subspace_distance,
+    tetra_states,
     trace_norm,
 )
 
@@ -32,11 +33,16 @@ from chan_atlas.geometry import (
     dimension_bound_check,
     find_vertices,
     fujiwara_algoet_check,
+    hull_containment,
     image_boundary_2d,
     polytopic_decompose,
     support_function,
 )
-from chan_atlas.pipeline import image_stage
+from chan_atlas.classify import is_universally_image_additive
+from chan_atlas.entropy import ContainmentError, build_hiding_channel
+from chan_atlas.fixed_points import fixed_point_structure
+from chan_atlas.linalg import PAULI_Z
+from chan_atlas.pipeline import classification_stage, image_stage
 
 
 def test_support_function_on_trine():
@@ -189,8 +195,8 @@ def test_polytopic_decompose_is_computed_once_per_arguments():
 
 
 def test_polytopic_decompose_solves_each_map_once():
-    # one stacked solve of t2* on the sampled directions; the characters
-    # take only single eigensolves
+    # one stacked solve of t2* on the normals and facets of the vertex hull;
+    # the characters take only single eigensolves
     t, sig, k, n, w = assembled_polytopic_fixture(0)
     assert k == 5
     stacked = []
@@ -290,17 +296,107 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the decomposition drew a random number")
 
 
+_SQUARE = [bloch_state(0.8, 0, 0), bloch_state(-0.8, 0, 0),
+           bloch_state(0, 0.8, 0), bloch_state(0, -0.8, 0)]
+
+
+def _square_disc(a):
+    """Square vertices at Bloch radius 0.8 (+) the diagonal map ``(a, a, 0)``,
+    whose image is the disc of radius ``a`` (positive, and CP up to a = 1/2)."""
+    return direct_sum(cq_channel(np.eye(4, dtype=complex), _SQUARE),
+                      unital_qubit_diag((a, a, 0.0)))
+
+
 @pytest.mark.parametrize("build, verdict", [
     (lambda: dephasing_channel(3), "polytopic"),
     (lambda: ecq_fixture(0)[0], "polytopic"),
+    (lambda: assembled_polytopic_fixture(0)[0], "polytopic"),
+    (lambda: _square_disc(0.5), "polytopic"),
+    (lambda: ecq_fixture(0, complement=2)[0], "polytopic"),
     (lambda: depolarizing_channel(0.5), "not_polytopic"),
     (trine_channel, "not_polytopic"),
-], ids=["dephasing3", "ecq0", "depolarizing", "trine"])
+], ids=["dephasing3", "ecq0", "assembled0", "disc", "ecq0-complement2", "depolarizing",
+        "trine"])
 def test_decomposition_draws_no_random_number(build, verdict, monkeypatch):
-    # W = 0, W spanned by characters (ecq0's residual input), or an exact no
+    # W = 0, W spanned by characters (ecq0's residual input), a residual
+    # block that no character spans, or an exact no; the classification and
+    # fixed-point stages draw nothing either
     t = build()
     monkeypatch.setattr(np.random, "default_rng", _refuse)
     assert polytopic_decompose(t).verdict == verdict
+    classification_stage(t)
+    if t.d_in == t.d_out:
+        assert fixed_point_structure(t).status == "ok"
+
+
+def test_hiding_construction_draws_no_random_number(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
+    build_hiding_channel(tetra_states(1.0), depolarizing_channel(1 / 3))
+    with pytest.raises(ContainmentError):
+        build_hiding_channel(tetra_states(1.0), depolarizing_channel(0.36))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.55, 0.6])
+def test_disc_behind_the_square_is_decided_by_an_edge(a):
+    # the square's edges lie at Bloch distance 0.8/sqrt(2) from the centre,
+    # so the disc of radius a crosses them by (a - 0.8/sqrt(2))/sqrt(2) in
+    # Hilbert-Schmidt distance: inside at a = 0.5 and 0.55, outside at 0.6
+    dec = polytopic_decompose(_square_disc(a))
+    margin = dec.checks["max_support_excess"]
+    assert margin == pytest.approx(a / np.sqrt(2) - 0.4, abs=1e-12)
+    assert dec.checks["dominance_deviation"] == max(0.0, margin)
+    if a < 0.6:
+        assert dec.verdict == "polytopic" and dec.direction is None
+    else:
+        assert dec.verdict == "not_polytopic" and margin == pytest.approx(2.43e-2, abs=1e-4)
+        assert np.trace(dec.direction @ PAULI_Z).real == pytest.approx(0.0, abs=1e-12)
+
+
+def test_residual_ball_past_the_insphere_crosses_a_facet():
+    # the tetrahedron's insphere has Bloch radius 1/3; a depolarizing block of
+    # radius 0.36 beside its vertices leaves the hull through one face
+    states = tetra_states(1.0)
+    t = direct_sum(cq_channel(np.eye(4, dtype=complex), states), depolarizing_channel(0.36))
+    dec = polytopic_decompose(t)
+    assert dec.verdict == "not_polytopic"
+    margin = dec.checks["max_support_excess"]
+    assert margin == pytest.approx((0.36 - 1 / 3) / np.sqrt(2), abs=1e-12)
+    # the witness input's output lies beyond the facet, so outside the hull
+    f = dec.direction
+    x = support_function(t, f).maximizer
+    assert np.linalg.norm(dec.w_basis.conj().T @ x) == pytest.approx(1.0, abs=1e-12)
+    out = t.apply(np.outer(x, np.conj(x)))
+    hull = max(np.trace(f @ s).real for s in states)
+    assert np.trace(f @ out).real - hull == pytest.approx(margin, abs=1e-12)
+    uia = is_universally_image_additive(t)
+    assert uia.status == "no" and uia.witness["direction"] is f
+
+
+def test_hull_containment_checks_the_span_of_the_states():
+    # inside the square's plane: the facets decide, 0.1 inside the edges
+    margin = hull_containment(unital_qubit_diag((0.4, 0.4, 0.0)), _SQUARE)[0]
+    assert margin == pytest.approx(0.4 / np.sqrt(2) - 0.4, abs=1e-12)
+    # a ball leaves the plane: a normal Q of the span is the witness
+    t = depolarizing_channel(0.1)
+    margin, q, x = hull_containment(t, _SQUARE)
+    assert 1e-3 < margin <= 0.1 / np.sqrt(2) + 1e-12
+    assert max(abs(np.trace(q @ (s - _SQUARE[0]))) for s in _SQUARE) < 1e-12
+    out = t.apply(np.outer(x, np.conj(x)))
+    assert np.trace(q @ (out - _SQUARE[0])).real == pytest.approx(margin, abs=1e-12)
+    # a single state has no facet: only the normals decide
+    sigma = bloch_state(0.3, 0.0, 0.0)
+    assert abs(hull_containment(constant_channel(sigma, d_in=2), [sigma])[0]) < 1e-12
+    assert hull_containment(constant_channel(bloch_state(0.3, 0.1, 0.0), d_in=2),
+                            [sigma])[0] > 1e-3
+
+
+def test_hull_containment_refuses_too_many_candidate_facets():
+    # 30 generic qutrit states span 8 dimensions: C(30, 8) subsets, refused
+    # before any is formed
+    rng = np.random.default_rng(3)
+    states = [random_density(rng, 3) for _ in range(30)]
+    with pytest.raises(ValueError, match="candidate facets"):
+        hull_containment(dephasing_channel(3), states)
 
 
 def _join_calls(monkeypatch):
