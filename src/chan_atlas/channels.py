@@ -15,6 +15,7 @@ complete positivity can be *checked* rather than assumed; see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,21 @@ class DirectSumForm:
     blocks: list  # channels with a common output dimension
 
 
+def kept(fn):
+    """Compute ``fn(t)`` once per channel and keep it in ``t._kept``.
+
+    Every result that depends on the channel alone goes through here.  The
+    body is called as ``__wrapped__``, so a test can count its runs.
+    """
+    @functools.wraps(fn)
+    def get(t):
+        if get not in t._kept:
+            t._kept[get] = get.__wrapped__(t)
+        return t._kept[get]
+
+    return get
+
+
 class Channel:
     """A linear map between matrix spaces, in one of the concrete forms."""
 
@@ -104,13 +120,7 @@ class Channel:
         self.d_in = int(d_in)
         self.d_out = int(d_out)
         self._natural = None
-        self._choi = None
-        self._kraus = None
-        self._cptp = None
-        self._range = None          # kept by geometry._adjoint_range
-        self._decomposition = None  # kept by polytopic_decompose
-        self._cq = None             # kept by is_cq
-        self._uia = None            # kept by is_universally_image_additive
+        self._kept = {}
 
     def __repr__(self):
         return f"Channel({type(self.form).__name__}, {self.d_in}->{self.d_out})"
@@ -151,12 +161,11 @@ class Channel:
 
     # -- representation changes ----------------------------------------
 
+    @kept
     def to_choi(self):
         """Trace-normalized Choi matrix on C^{d_out} (x) C^{d_in}."""
-        if self._choi is None:
-            j = _choi_from_natural(self.natural_matrix(), self.d_in, self.d_out)
-            self._choi = herm(j) if is_hermitian(j, tol=1e-9) else j
-        return self._choi
+        j = _choi_from_natural(self.natural_matrix(), self.d_in, self.d_out)
+        return herm(j) if is_hermitian(j, tol=1e-9) else j
 
     def kraus_operators(self):
         """Kraus operators extracted from the Choi eigendecomposition.
@@ -166,22 +175,18 @@ class Channel:
         """
         if isinstance(self.form, KrausForm):
             return list(self.form.operators)
-        if self._kraus is None:
-            j = self.to_choi()
-            if not is_hermitian(j, tol=1e-9):
-                raise ValueError("Choi matrix is not Hermitian; map has no Kraus form")
-            w, u = np.linalg.eigh(herm(j))
-            if w[0] < -1e-9:
-                raise ValueError(f"Choi matrix is not PSD (min eig {w[0]:.3e}); no Kraus form")
-            ops = []
-            for lam, v in zip(w, u.T):
-                if lam > 1e-9:
-                    ops.append(np.sqrt(self.d_in * lam) * v.reshape(self.d_out, self.d_in))
-            self._kraus = ops
-        return list(self._kraus)
+        j = self.to_choi()
+        if not is_hermitian(j, tol=1e-9):
+            raise ValueError("Choi matrix is not Hermitian; map has no Kraus form")
+        w, u = np.linalg.eigh(herm(j))
+        if w[0] < -1e-9:
+            raise ValueError(f"Choi matrix is not PSD (min eig {w[0]:.3e}); no Kraus form")
+        return [np.sqrt(self.d_in * lam) * v.reshape(self.d_out, self.d_in)
+                for lam, v in zip(w, u.T) if lam > 1e-9]
 
     # -- verification ---------------------------------------------------
 
+    @kept
     def verify_cptp(self):
         """Check complete positivity (Choi PSD within ``TOL_PSD``) and trace
         preservation (input marginal within ``TOL_TRACE``).
@@ -191,22 +196,20 @@ class Channel:
         eigenvalue bound.  The verdict is computed once per channel; later
         calls return the same frozen object.
         """
-        if self._cptp is None:
-            j = self.to_choi()
-            defect = op_norm(j - dag(j)) / 2
-            min_eig = float(np.linalg.eigvalsh(herm(j))[0]) - defect
-            marg = partial_trace(j, (self.d_out, self.d_in), keep=1)
-            dev = op_norm(marg - np.eye(self.d_in) / self.d_in)
-            is_cp = min_eig >= -TOL_PSD
-            is_tp = dev <= TOL_TRACE
-            self._cptp = CptpVerdict(
-                is_cp=is_cp,
-                is_tp=is_tp,
-                is_cptp=is_cp and is_tp,
-                min_choi_eigenvalue=min_eig,
-                marginal_deviation=float(dev),
-            )
-        return self._cptp
+        j = self.to_choi()
+        defect = op_norm(j - dag(j)) / 2
+        min_eig = float(np.linalg.eigvalsh(herm(j))[0]) - defect
+        marg = partial_trace(j, (self.d_out, self.d_in), keep=1)
+        dev = op_norm(marg - np.eye(self.d_in) / self.d_in)
+        is_cp = min_eig >= -TOL_PSD
+        is_tp = dev <= TOL_TRACE
+        return CptpVerdict(
+            is_cp=is_cp,
+            is_tp=is_tp,
+            is_cptp=is_cp and is_tp,
+            min_choi_eigenvalue=min_eig,
+            marginal_deviation=float(dev),
+        )
 
     def require_cptp(self):
         v = self.verify_cptp()

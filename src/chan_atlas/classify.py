@@ -9,11 +9,12 @@ commute, a reconstructed certificate, the image decomposition's checks);
 "indeterminate" says in ``reason`` which check could not be decided at the
 working tolerance.  Classification never guesses: a PPT Choi outside the
 dimensions where PPT is conclusive stays indeterminate unless a constructive
-separable decomposition is available from the representation, a CQ basis
-or an eCQ certificate.  CQ is decided algebraically, from the range of the
-adjoint, and the image vertices that eCQ and universal image additivity
-rest on come from the common eigenvectors of that range; neither samples.
-The CQ and universal-image-additivity verdicts are kept on the channel.
+separable decomposition is available from the representation or from the
+one :func:`vertex_certificate` that a CQ or eCQ "yes" carries.  CQ is
+decided algebraically, from the range of the adjoint, and the image vertices
+that eCQ and universal image additivity rest on come from the common
+eigenvectors of that range; neither samples.  The CQ and
+universal-image-additivity verdicts are kept on the channel.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .channels import (
     _natural_channel,
     compose,
     cq_channel,
+    kept,
     map_distance,
     povm_channel,
 )
@@ -81,8 +83,7 @@ def is_entanglement_breaking(t, tol=1e-9):
     conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise a
     constructive separable decomposition is read off measure-and-prepare
     representations (and, blockwise, direct sums of them), or else, in any
-    representation, off the basis of a CQ "yes" from :func:`is_cq` or the
-    eCQ certificate of a "yes" from :func:`is_universally_image_additive`.
+    representation, off the :func:`vertex_certificate` of a CQ or eCQ map.
 
     The witness always holds ``"min_pt_eigenvalue"``.  A "no" adds
     ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
@@ -116,19 +117,38 @@ def is_entanglement_breaking(t, tol=1e-9):
             return Verdict(NO, {**base, "blocks": subs, **bad.witness})
         base["blocks"] = subs
         reason = "PPT holds but a block has no separability certificate"
-    cq = is_cq(t)
-    if cq.status == YES:
-        # a CQ basis b_i gives J = sum_i sigma_i (x) conj(b_i b_i*) / d_in
-        pairs = [(s, np.outer(np.conj(b), b) / t.d_in)
-                 for b, s in zip(cq.witness["basis"].T, cq.witness["states"])]
-        return Verdict(YES, {**base, "separable_pairs": pairs})
-    uia = is_universally_image_additive(t)
-    if uia.status == YES:
-        # an eCQ POVM M_i gives J = sum_i sigma_i (x) M_i^T / d_in
-        cert = uia.witness["reconstruction"].witness["certificate"]
+    cert = vertex_certificate(t)
+    if cert is not None:
+        # the certificate's POVM M_i gives J = sum_i sigma_i (x) M_i^T / d_in
         pairs = [(s, m.T / t.d_in) for m, s in zip(cert.effects, cert.states)]
         return Verdict(YES, {**base, "separable_pairs": pairs})
     return Verdict(INDETERMINATE, base, reason)
+
+
+def vertex_certificate(t):
+    """The :class:`EcqCertificate` of a CQ or eCQ map, else None.
+
+    ``Im T = conv{states}`` and ``T(e_i e_i*) = states[i]`` for the
+    certificate's ``vectors``.  It comes from the CQ "yes" (vectors the basis
+    columns ``b_i``, effects ``b_i b_i*``, zero remainders) or, failing that,
+    from the universal image additivity "yes"; None for any other channel, a
+    non-CPTP map included.  No other function reads either witness for it.
+
+    A CQ or eCQ map ``sum_i Tr(M_i .) sigma_i`` has at most ``d_in`` effects,
+    one per orthonormal vector ``e_i``, so its natural matrix has rank at most
+    ``d_in``.  A larger rank, read off the kept range of the adjoint, answers
+    None before any verdict is computed; that spares the identity partner of
+    the report's probe a CPTP check and an image decomposition.
+    """
+    if len(_adjoint_range(t)[1]) > t.d_in or not t.verify_cptp().is_cptp:
+        return None
+    cq = is_cq(t)
+    if cq.status == YES:
+        return cq.witness["certificate"]
+    uia = is_universally_image_additive(t)
+    if uia.status == YES:
+        return uia.witness["reconstruction"].witness["certificate"]
+    return None
 
 
 # -- eCQ reconstruction -------------------------------------------------
@@ -281,9 +301,11 @@ def is_cq(t):
 
     "no" carries ``"directions"`` (the pair ``X_i, X_j``) and
     ``"commutator"``, the Frobenius norm of ``[Y_i, Y_j]``, above 1e-9 and
-    recomputable with ``dual_apply``.  "yes" takes the eigenbasis of one
-    fixed real combination of the Hermitian parts of the ``Y_i`` and
-    verifies it directly: ``"basis"`` (columns ``b_i``), ``"states"``,
+    recomputable with ``dual_apply``.  "yes" takes the eigenbasis ``b_i``
+    of one fixed real combination of the Hermitian parts of the ``Y_i`` and
+    verifies it directly: ``"certificate"`` (an :class:`EcqCertificate` with
+    vectors ``b_i``, effects ``b_i b_i*``, zero remainders, unit norms and
+    the states ``T(b_i b_i*)``; read it with :func:`vertex_certificate`),
     ``"offdiagonal_residual"`` and ``"map_deviation"``.  A commuting range
     whose basis fails that verification is "indeterminate", with the
     largest ``"commutator"`` and both check values.
@@ -291,14 +313,13 @@ def is_cq(t):
     The verdict is computed once per channel and kept on ``t``.
     """
     t.require_cptp()
-    if t._cq is None:
-        t._cq = _cq_verdict(t)
-    return t._cq
+    return _cq_verdict(t)
 
 
+@kept
 def _cq_verdict(t):
     d, n = t.d_in, t.d_out
-    x, y, parts = _adjoint_range(t)
+    x, y, _, (_, b) = _adjoint_range(t)
     r = len(y)
     worst, pair = 0.0, None
     for i in range(r - 1):
@@ -309,7 +330,6 @@ def _cq_verdict(t):
     if worst > 1e-9:
         return Verdict(NO, {"directions": list(x[list(pair)]), "commutator": worst},
                        "the range of the adjoint does not commute")
-    b = np.linalg.eigh(np.tensordot(np.cos(np.arange(1, 2 * r + 1)), parts, axes=1))[1]
     # column i*d+j is vec T(b_i b_j*)
     images = t.natural_matrix() @ np.kron(b, np.conj(b))
     offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], n)
@@ -317,8 +337,11 @@ def _cq_verdict(t):
     rebuilt = cq_channel(b, diag_states, validate=False)
     dist = map_distance(t, rebuilt)
     if offdiag <= 1e-9 and dist <= 1e-9:
-        return Verdict(YES, {"basis": b, "states": diag_states,
-                             "offdiagonal_residual": offdiag, "map_deviation": dist})
+        effects = [np.outer(e, np.conj(e)) for e in b.T]
+        cert = EcqCertificate(vectors=list(b.T), tilde_effects=[np.zeros_like(m) for m in effects],
+                              effects=effects, states=diag_states, norms=[1.0] * d)
+        return Verdict(YES, {"certificate": cert, "offdiagonal_residual": offdiag,
+                             "map_deviation": dist})
     return Verdict(INDETERMINATE, {"commutator": worst, "offdiagonal_residual": offdiag,
                                    "map_deviation": dist},
                    "the range of the adjoint commutes, but the eigenbasis of its "
@@ -345,11 +368,10 @@ def is_universally_image_additive(t):
     The verdict is computed once per channel and kept on ``t``.
     """
     t.require_cptp()
-    if t._uia is None:
-        t._uia = _uia_verdict(t)
-    return t._uia
+    return _uia_verdict(t)
 
 
+@kept
 def _uia_verdict(t):
     dec = polytopic_decompose(t)
     if dec.verdict != "polytopic":

@@ -28,6 +28,7 @@ from .pipeline import (
     fixed_point_stage,
     image_stage,
     jsonable,
+    probe_fields,
     report_json,
     run_pipeline,
     validate_report,
@@ -235,9 +236,7 @@ def cmd_image_additivity(args):
     t2 = load_channel(args.pair) if args.pair else identity_channel(t1.d_in)
     check_joint_budget(t1, t2)
     rep = image_additivity_gap(t1, t2, n_directions=args.directions, seed=args.seed)
-    _emit(args, {"max_gap": rep.max_gap, "lhs": rep.lhs, "rhs": rep.rhs,
-                 "rhs_bound": rep.rhs_bound, "certified_positive": rep.certified,
-                 "n_directions": rep.n_directions})
+    _emit(args, probe_fields(rep))
 
 
 def cmd_fixed_points(args):

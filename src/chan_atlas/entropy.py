@@ -4,9 +4,10 @@ All entropies use the natural logarithm.  Minimal output entropy is computed
 over pure inputs (the minimum over all states is attained on an extreme
 point).
 
-A channel with a CQ "yes" or an eCQ certificate (the universal image
-additivity "yes") has the image ``conv{sigma_i}`` with every ``sigma_i``
-attained (Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities
+A channel with a vertex certificate (:func:`~.classify.vertex_certificate`,
+from a CQ "yes" or the universal image additivity "yes" of an eCQ map) has
+the image ``conv{sigma_i}`` with every ``sigma_i`` attained at
+``T(e_i e_i*)`` (Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities
 have closed forms and are reported with ``bound = "exact"``:
 ``H_min^(p)(T) = min_i H_p(sigma_i)``, since ``H_p`` is quasi-concave;
 ``H_min(T (x) S) = H_min(T) + H_min(S)`` against any partner; and the product
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _natural_channel, cq_channel, direct_sum, tensor
-from .classify import YES, is_cq, is_universally_image_additive
-from .geometry import VERDICT_TOL, _adjoint_range, hull_containment
+from .classify import vertex_certificate
+from .geometry import VERDICT_TOL, hull_containment
 from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
 
 _P_MAX = 50.0
@@ -110,32 +111,7 @@ def _at_input(t, x, p):
     return rho[0], float(np.linalg.norm(grad - np.vdot(x, grad) * x))
 
 
-def _vertex_certificate(t):
-    """``(states, preimage vectors)`` with ``Im T = conv{states}`` and
-    ``T(v_i v_i*) = states[i]``, from the kept CQ "yes" (the basis columns) or,
-    failing that, the eCQ certificate of the universal image additivity
-    "yes"; None for any other channel, a non-CPTP map included.
-
-    A CQ or eCQ map ``sum_i Tr(M_i .) sigma_i`` has at most ``d_in`` effects,
-    one per orthonormal vector ``e_i``, so its natural matrix has rank at most
-    ``d_in``.  A larger rank, read off the SVD that ``is_cq`` keeps on the
-    channel, answers None before any verdict is computed; that spares the
-    identity partner of the report's probe a CPTP check and an image
-    decomposition.
-    """
-    if len(_adjoint_range(t)[1]) > t.d_in or not t.verify_cptp().is_cptp:
-        return None
-    cq = is_cq(t)
-    if cq.status == YES:
-        return cq.witness["states"], cq.witness["basis"].T
-    uia = is_universally_image_additive(t)
-    if uia.status == YES:
-        cert = uia.witness["reconstruction"].witness["certificate"]
-        return cert.states, cert.vectors
-    return None
-
-
-def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts=None):
+def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
     """Minimal output Renyi entropy of ``t`` over pure inputs.
 
     With a vertex certificate (a CQ or eCQ "yes") the answer is exact:
@@ -146,15 +122,15 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64, max_iter=300, extra_starts
     """
     p = _check_p(p)
     t.require_cptp()
-    cert = _vertex_certificate(t)
+    cert = vertex_certificate(t)
     if cert is None:
-        return _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts)
-    states, vectors = cert
-    vals = _entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(states))), p)
+        return _minimize_entropy(t, p, seed, n_starts, 300, None)
+    vals = _entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(cert.states))), p)
     i = int(np.argmin(vals))
-    _, grad_norm = _at_input(t, vectors[i], p)
-    return MinEntropyResult(value=float(vals[i]), minimizer=vectors[i], output_state=states[i],
-                            p=p, converged=True, grad_norm=grad_norm, n_starts=0, bound=EXACT)
+    _, grad_norm = _at_input(t, cert.vectors[i], p)
+    return MinEntropyResult(value=float(vals[i]), minimizer=cert.vectors[i],
+                            output_state=cert.states[i], p=p, converged=True,
+                            grad_norm=grad_norm, n_starts=0, bound=EXACT)
 
 
 def _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts):
@@ -432,9 +408,9 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     ent = (frames[:, 0, :, None] * frames[:, 1, None]).sum(axis=-1).reshape(n_ent, n1 * n2)
     directions = np.concatenate([directions, _outer(ent / np.sqrt(n1))])
     ms = herm(tensor(t1, t2).dual_apply(directions))
-    cert, swap = _vertex_certificate(t1), False
+    cert, swap = vertex_certificate(t1), False
     if cert is None:
-        cert, swap = _vertex_certificate(t2), True
+        cert, swap = vertex_certificate(t2), True
     if cert is None:
         w, u = np.linalg.eigh(ms)
         lhs_all, psi, db = w[:, -1], u[:, :, -1], t2.d_in
@@ -447,7 +423,7 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
             h = directions.reshape(n, n1, n2, n1, n2).transpose(0, 2, 1, 4, 3).reshape(h.shape)
             partner = t1
         lhs_all = np.linalg.eigvalsh(ms)[:, -1]
-        rhs_all = _vertex_product_support(h, cert[0], partner)
+        rhs_all = _vertex_product_support(h, cert.states, partner)
     gaps = lhs_all - rhs_all
     # the first direction within roundoff of the largest gap, so the witness
     # does not hinge on the last bits of the BLAS reduction order

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import Channel, PovmForm, _max_column_op_norm, _natural_channel
+from .channels import Channel, PovmForm, _max_column_op_norm, _natural_channel, kept
 from .linalg import (
     PAULIS,
     canonical_phase,
@@ -79,7 +79,9 @@ def hull_containment(t, states):
     largest ``lambda_max(T*(F)) - b``, its unit functional and top
     eigenvector, an input whose output lies ``margin`` beyond ``F`` in
     Hilbert-Schmidt distance.  A normal ``+-Q`` takes the place of ``F`` when
-    its equality fails by more than ``VERDICT_TOL`` or there is no facet.
+    its equality fails by more than ``VERDICT_TOL`` or there is no facet; its
+    margin is then the worst of the SVD's orthonormal normals, only a lower
+    bound on the worst unit normal's excess, but the verdict is still exact.
     """
     c = hvec(np.asarray(states))
     _, s, vt = np.linalg.svd(c - c[0])
@@ -152,24 +154,25 @@ def fujiwara_algoet_check(lams, band=1e-9):
 # -- vertices from the range of the adjoint ----------------------------
 
 
+@kept
 def _adjoint_range(t):
     """The range of the adjoint, ``{T*(H)}``, from one SVD of ``N^H``.
 
-    Returns ``(x, y, parts)``: the orthonormal output directions ``X_i``
-    (right singular vectors as matrices), the weighted elements
+    Returns ``(x, y, parts, generic)``: the orthonormal output directions
+    ``X_i`` (right singular vectors as matrices), the weighted elements
     ``Y_i = T*(X_i) / s_max`` of the range, where ``s_max`` is the operator
-    norm of the natural matrix ``N``, and the Hermitian parts of ``Y_i`` and
-    ``-i Y_i``, which span the range since it is ``*``-closed.  Singular
-    values below ``1e-10 s_max`` are cut, so ``len(y)`` is the rank of ``N``.
-    Computed once per channel and kept on ``t``.
+    norm of the natural matrix ``N``, the Hermitian parts ``P_k`` of ``Y_i``
+    and ``-i Y_i``, which span the range since it is ``*``-closed, and the
+    ``eigh`` of the fixed combination ``sum_k cos(k) P_k``.  Singular values
+    below ``1e-10 s_max`` are cut, so ``len(y)`` is the rank of ``N``.
     """
-    if t._range is None:
-        d, n = t.d_in, t.d_out
-        u, s, vh = np.linalg.svd(t.natural_matrix().conj().T, full_matrices=False)
-        r = int(np.sum(s > 1e-10 * s[0]))
-        y = (u[:, :r] * (s[:r] / s[0])).T.reshape(r, d, d)
-        t._range = vh[:r].conj().reshape(r, n, n), y, herm(np.concatenate([y, -1j * y]))
-    return t._range
+    d, n = t.d_in, t.d_out
+    u, s, vh = np.linalg.svd(t.natural_matrix().conj().T, full_matrices=False)
+    r = int(np.sum(s > 1e-10 * s[0]))
+    y = (u[:, :r] * (s[:r] / s[0])).T.reshape(r, d, d)
+    parts = herm(np.concatenate([y, -1j * y]))
+    generic = np.linalg.eigh(np.tensordot(np.cos(np.arange(1, 2 * r + 1)), parts, axes=1))
+    return vh[:r].conj().reshape(r, n, n), y, parts, generic
 
 
 @dataclass
@@ -190,10 +193,8 @@ def _characters(t):
     grouped by their point (within ``VERDICT_TOL`` in Frobenius norm).
     Returns the points ``(k, d_out, d_out)`` and the bases.
     """
-    parts = _adjoint_range(t)[2]
-    k = np.arange(1, len(parts) + 1)
-    w, u = np.linalg.eigh(np.tensordot(np.cos(k), parts, axes=1))
-    second = np.tensordot(np.sin(k), parts, axes=1)
+    parts, (w, u) = _adjoint_range(t)[2:]
+    second = np.tensordot(np.sin(np.arange(1, len(parts) + 1)), parts, axes=1)
     found = []
     for idx in eig_clusters(w):
         e = u[:, idx]
@@ -297,8 +298,9 @@ class PolytopicDecomposition:
     ``checks`` always holds ``character_affine_dim`` (-1 with no vertex) and
     ``image_affine_dim``.  When they agree it adds
     ``reconstruction_deviation``, ``orthogonality_deviation``,
-    ``max_support_excess`` (the :func:`hull_containment` margin of ``t2``)
-    and ``dominance_deviation`` (its positive part).  ``direction`` is the
+    ``max_support_excess`` (the :func:`hull_containment` margin of ``t2``; a
+    lower bound when ``Im(t2)`` leaves the vertices' affine span, with the
+    verdict still exact) and ``dominance_deviation`` (its positive part).  ``direction`` is the
     facet that ``Im(t2)`` crosses when that decides ``not_polytopic``, else None.
     """
 
@@ -333,11 +335,10 @@ def polytopic_decompose(t, *, n_directions=None, seed=None):
     kept on ``t``.  ``n_directions`` and ``seed`` are ignored; they remain
     for callers that bind them by name, such as the benchmark's call tracer.
     """
-    if t._decomposition is None:
-        t._decomposition = _decompose(t)
-    return t._decomposition
+    return _decompose(t)
 
 
+@kept
 def _decompose(t):
     records = find_vertices(t)
     d = t.d_in

@@ -176,16 +176,13 @@ def fixed_point_stage(t):
 
 def _identity_probe(t, seed):
     rep = image_additivity_gap(t, identity_channel(t.d_in), n_directions=24, seed=seed)
-    return {
-        "status": "ok",
-        "partner": f"identity ({t.d_in})",
-        "max_gap": rep.max_gap,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "rhs_bound": rep.rhs_bound,
-        "certified_positive": rep.certified,
-        "n_directions": rep.n_directions,
-    }
+    return {"status": "ok", "partner": f"identity ({t.d_in})", **probe_fields(rep)}
+
+
+def probe_fields(rep):
+    """The fields of an image-additivity report, in the order text output prints them."""
+    return {"max_gap": rep.max_gap, "lhs": rep.lhs, "rhs": rep.rhs, "rhs_bound": rep.rhs_bound,
+            "certified_positive": rep.certified, "n_directions": rep.n_directions}
 
 
 def report_json(report):

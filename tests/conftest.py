@@ -73,6 +73,16 @@ def amplitude_damping(gamma):
                           np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)])
 
 
+def count_runs(monkeypatch, get):
+    """Record every run of the body behind the kept accessor ``get``
+    (``channels.kept`` calls it as ``get.__wrapped__``); returns the list of
+    channels it ran on."""
+    runs = []
+    body = get.__wrapped__
+    monkeypatch.setattr(get, "__wrapped__", lambda t: runs.append(t) or body(t))
+    return runs
+
+
 def outer(v):
     """``v v*`` for each vector along the last axis."""
     return v[..., :, None] * np.conj(v)[..., None, :]

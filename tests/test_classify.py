@@ -5,6 +5,7 @@ from conftest import (
     _spread_vertices,
     assembled_polytopic_fixture,
     bloch_state,
+    count_runs,
     ecq_fixture,
     haar_unitary,
     random_povm,
@@ -38,7 +39,7 @@ from chan_atlas.classify import (
     retraction_channel,
 )
 from chan_atlas.linalg import canonical_phase, herm, hvec, op_norm, partial_transpose, unhvec
-from chan_atlas.pipeline import classification_stage, image_stage, run_pipeline
+from chan_atlas.pipeline import classification_stage, run_pipeline
 
 
 def pinching_channel():
@@ -162,15 +163,15 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_cq_verdict_is_computed_once_per_channel(monkeypatch):
-    # bare Kraus dephasing(3): PPT is inconclusive, so EB reads the CQ basis;
-    # after the image stage, the classification stage asks the shared range
-    # helper once (the CQ stage itself), not again for EB
+    # bare Kraus dephasing(3): PPT is inconclusive, so EB reads the CQ
+    # certificate; the classification stage computes the range of the adjoint
+    # and the CQ verdict once each, and EB adds no second computation
     t = kraus_channel(dephasing_channel(3).kraus_operators())
-    image_stage(t)
-    calls = _count_calls(monkeypatch, [geometry, classify], "_adjoint_range")
+    ranges = count_runs(monkeypatch, geometry._adjoint_range)
+    verdicts = count_runs(monkeypatch, classify._cq_verdict)
     out = classification_stage(t)
     assert out["cq"]["status"] == out["entanglement_breaking"]["status"] == YES
-    assert len(calls) == 1
+    assert ranges.count(t) == verdicts.count(t) == 1
     assert is_cq(t) is is_cq(t)
 
 

@@ -132,7 +132,7 @@ def test_min_output_entropy_cap_is_not_convergence():
     # stops it on its own; a fixed input rotation moves the minimizers off
     # the starts, and after one step every start is still moving
     t = compose(kraus_channel([haar_unitary(np.random.default_rng(5), 2)]), trine_channel())
-    assert not min_output_entropy(t, p=1.0, max_iter=1).converged
+    assert not entropy._minimize_entropy(t, 1.0, 0, 64, 1, None).converged
     assert min_output_entropy(t, p=1.0).converged
 
 
@@ -188,7 +188,7 @@ def test_image_additivity_gap_vanishes_for_cq(monkeypatch):
     assert abs(rep.max_gap) <= 1e-12
     assert not rep.certified and rep.rhs_bound == "exact"
     # the sampled product support, with the CQ certificate hidden, finds no gap either
-    monkeypatch.setattr(entropy, "_vertex_certificate", lambda t: None)
+    monkeypatch.setattr(entropy, "vertex_certificate", lambda t: None)
     rep = image_additivity_gap(dephasing_channel(2), identity_channel(2),
                                n_directions=30, seed=1)
     assert rep.max_gap <= 1e-6
@@ -205,7 +205,7 @@ def test_image_additivity_witness_does_not_depend_on_blas_threads():
             "from chan_atlas.channels import identity_channel\n"
             "t = assembled_polytopic_fixture(2)[0]\n"
             "r = entropy.image_additivity_gap(t, identity_channel(t.d_in), n_directions=24)\n"
-            "entropy._vertex_certificate = lambda t: None\n"
+            "entropy.vertex_certificate = lambda t: None\n"
             "s = entropy.image_additivity_gap(t, identity_channel(t.d_in), n_directions=24)\n"
             "print(repr(r.lhs), repr(r.rhs), repr(s.lhs), repr(s.rhs))\n")
     paths = [str(Path(chan_atlas.__file__).resolve().parents[1]), str(Path(__file__).parent),
@@ -235,7 +235,7 @@ def test_image_additivity_gap_runs_one_stack(monkeypatch):
                                            (dephasing_channel(3), identity_channel(3), False)])
 def test_image_additivity_draws_match_the_per_direction_loop(t1, t2, rerun, monkeypatch):
     # dephasing(3) is CQ: hide its certificate to keep it on the sampled path
-    monkeypatch.setattr(entropy, "_vertex_certificate", lambda t: None)
+    monkeypatch.setattr(entropy, "vertex_certificate", lambda t: None)
     seen = []
     run = entropy._product_support
     monkeypatch.setattr(entropy, "_product_support",

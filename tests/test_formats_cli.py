@@ -9,10 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bloch_state, random_cptp
+from conftest import (
+    assembled_polytopic_fixture,
+    bloch_state,
+    count_runs,
+    ecq_fixture,
+    random_cptp,
+)
 
 import chan_atlas
-from chan_atlas import channels, pipeline
+from chan_atlas import channels, classify, geometry, pipeline
 from chan_atlas.channels import (
     NotCptpError,
     cq_channel,
@@ -565,6 +571,20 @@ def test_cptp_verdict_is_computed_once_per_channel(monkeypatch):
     channel_from_dict({"format_version": "1", "kind": "choi", "d_in": 2, "d_out": 2,
                        "choi": choi})
     assert len(made) == 1  # choi_channel checks it; the loader reuses that verdict
+
+
+def test_report_runs_each_kept_body_once_per_channel(monkeypatch):
+    # every result that depends on the channel alone is computed at most once
+    # per channel in a whole report, on every channel the report builds
+    kept = (channels.Channel.to_choi, channels.Channel.verify_cptp, geometry._adjoint_range,
+            geometry._decompose, classify._cq_verdict, classify._uia_verdict)
+    runs = {get.__name__: count_runs(monkeypatch, get) for get in kept}
+    for t in (trine_channel(), depolarizing_channel(0.5), dephasing_channel(3),
+              assembled_polytopic_fixture(0)[0], ecq_fixture(1)[0]):
+        run_pipeline(t)
+        assert all(ran.count(t) == 1 for ran in runs.values()), t
+    for name, ran in runs.items():
+        assert all(ran.count(c) == 1 for c in ran), name
 
 
 def test_run_pipeline_skips_stages_for_non_cptp():

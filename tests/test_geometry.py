@@ -376,18 +376,26 @@ def test_hull_containment_checks_the_span_of_the_states():
     # inside the square's plane: the facets decide, 0.1 inside the edges
     margin = hull_containment(unital_qubit_diag((0.4, 0.4, 0.0)), _SQUARE)[0]
     assert margin == pytest.approx(0.4 / np.sqrt(2) - 0.4, abs=1e-12)
-    # a ball leaves the plane: a normal Q of the span is the witness
-    t = depolarizing_channel(0.1)
-    margin, q, x = hull_containment(t, _SQUARE)
-    assert 1e-3 < margin <= 0.1 / np.sqrt(2) + 1e-12
-    assert max(abs(np.trace(q @ (s - _SQUARE[0]))) for s in _SQUARE) < 1e-12
-    out = t.apply(np.outer(x, np.conj(x)))
-    assert np.trace(q @ (out - _SQUARE[0])).real == pytest.approx(margin, abs=1e-12)
     # a single state has no facet: only the normals decide
     sigma = bloch_state(0.3, 0.0, 0.0)
     assert abs(hull_containment(constant_channel(sigma, d_in=2), [sigma])[0]) < 1e-12
     assert hull_containment(constant_channel(bloch_state(0.3, 0.1, 0.0), d_in=2),
                             [sigma])[0] > 1e-3
+
+
+def test_hull_containment_margin_off_the_span_is_a_lower_bound():
+    # a ball leaves the square's plane: a normal Q of the span is the witness.
+    # The margin is the worst of the SVD's orthonormal normals, not of every
+    # unit normal, so it is at most the excess along sigma_z / sqrt(2)
+    t = depolarizing_channel(0.1)
+    margin, q, x = hull_containment(t, _SQUARE)
+    z = PAULI_Z / np.sqrt(2)
+    worst = support_function(t, z).value - np.trace(z @ _SQUARE[0]).real
+    assert worst == pytest.approx(0.1 / np.sqrt(2), abs=1e-12)
+    assert geometry.VERDICT_TOL < 1e-3 < margin <= worst + 1e-12
+    assert max(abs(np.trace(q @ (s - _SQUARE[0]))) for s in _SQUARE) < 1e-12
+    out = t.apply(np.outer(x, np.conj(x)))
+    assert np.trace(q @ (out - _SQUARE[0])).real == pytest.approx(margin, abs=1e-12)
 
 
 def test_hull_containment_refuses_too_many_candidate_facets():

@@ -37,6 +37,7 @@ from chan_atlas.classify import (
     is_cq,
     is_entanglement_breaking,
     is_universally_image_additive,
+    vertex_certificate,
 )
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
@@ -219,6 +220,31 @@ def test_cq_and_universal_image_additivity_are_unitarily_invariant_property(name
     verdicts = _cq_and_universal(t)
     assert INDETERMINATE not in verdicts
     assert _cq_and_universal(_rotated(t, seed)) == verdicts
+
+
+# the classified channels with a vertex certificate: CQ, then eCQ but not CQ
+_CERTIFIED = ["dephasing3", "ecq0", "ecq2", "ecq1", "assembled0", "assembled1"]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(name=strategies.sampled_from(_CERTIFIED), seed=seeds)
+def test_vertex_certificate_moves_with_the_frames_property(name, seed):
+    # V o T o U prepares V sigma_i V* on the inputs U* e_i: the certificate
+    # follows both frames, up to the order of the vertices and the phase of each vector
+    t = _CLASSIFIED[name]()
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
+    cert = vertex_certificate(t)
+    moved = vertex_certificate(conjugate(compose(kraus_channel([u]), t), v))
+    assert cert is not None and moved is not None
+    states = [v @ s @ v.conj().T for s in cert.states]
+    dist = np.array([[np.linalg.norm(s - r) for r in moved.states] for s in states])
+    match = dist.argmin(axis=1)
+    assert sorted(match) == list(range(len(moved.states)))
+    assert dist.min(axis=1).max() <= 1e-8
+    overlaps = [abs(np.vdot(u.conj().T @ e, moved.vectors[j]))
+                for e, j in zip(cert.vectors, match)]
+    np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-8)
 
 
 def _image_shape(t):
