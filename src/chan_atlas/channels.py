@@ -67,7 +67,8 @@ class EcqForm:
     """POVM form with effects ``e_i e_i* + Mt_i``, the e_i orthonormal.
 
     The remainders satisfy ``Tr(Mt_i e_j e_j*) = 0`` for all i, j, which makes
-    every effect attain operator norm one.
+    every effect attain operator norm one.  It is also the vertex certificate
+    of a CQ or eCQ map (:func:`~.classify.vertex_certificate`).
     """
 
     vectors: list

@@ -10,11 +10,14 @@ commute, a reconstructed certificate, the image decomposition's checks);
 working tolerance.  Classification never guesses: a PPT Choi outside the
 dimensions where PPT is conclusive stays indeterminate unless a constructive
 separable decomposition is available from the representation or from the
-one :func:`vertex_certificate` that a CQ or eCQ "yes" carries.  CQ is
-decided algebraically, from the range of the adjoint, and the image vertices
-that eCQ and universal image additivity rest on come from the common
-eigenvectors of that range; neither samples.  The CQ and
-universal-image-additivity verdicts are kept on the channel.
+one :func:`vertex_certificate` that a CQ or eCQ "yes" carries: the map's
+eCQ form, an :class:`~.channels.EcqForm` (orthonormal ``e_i``, remainders
+``M_i - e_i e_i*`` and vertex states ``sigma_i``; a CQ map is the case of
+zero remainders).  CQ is decided algebraically, from the range of the
+adjoint, and the image vertices that eCQ and universal image additivity rest
+on come from the common eigenvectors of that range; neither samples.  The CQ
+and universal-image-additivity verdicts are kept on the channel.  Every
+tolerance is fixed; the caller sets none.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from .channels import (
     map_distance,
     povm_channel,
 )
-from .geometry import VERDICT_TOL, _adjoint_range, hull_containment, polytopic_decompose
+from .geometry import (
+    VERDICT_TOL,
+    _adjoint_range,
+    _generic_eigh,
+    hull_containment,
+    polytopic_decompose,
+)
 from .linalg import (
     canonical_phase,
     herm,
@@ -57,6 +66,7 @@ INDETERMINATE = "indeterminate"
 _PPT_EXACT = {(2, 2), (2, 3), (3, 2)}
 
 UNIT_NORM_TOL = 1e-7  # bound on | ||M_i|| - 1 | for a unit-norm POVM
+PPT_TOL = 1e-9        # a smaller partial-transpose eigenvalue of the Choi matrix is "no"
 
 
 @dataclass
@@ -76,14 +86,14 @@ class Verdict:
         raise TypeError("three-valued verdict; compare .status explicitly")
 
 
-def is_entanglement_breaking(t, tol=1e-9):
+def is_entanglement_breaking(t):
     """Decide whether the Choi matrix of ``t`` is separable.
 
-    Negative partial transpose is a conclusive "no".  A PPT Choi is
-    conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise a
-    constructive separable decomposition is read off measure-and-prepare
-    representations (and, blockwise, direct sums of them), or else, in any
-    representation, off the :func:`vertex_certificate` of a CQ or eCQ map.
+    Negative partial transpose (below ``-PPT_TOL``) is a conclusive "no".  A
+    PPT Choi is conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise
+    a constructive separable decomposition is read off a measure-and-prepare
+    form: the representation itself, blockwise for direct sums, or else, in
+    any representation, the :func:`vertex_certificate` of a CQ or eCQ map.
 
     The witness always holds ``"min_pt_eigenvalue"``.  A "no" adds
     ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
@@ -95,21 +105,17 @@ def is_entanglement_breaking(t, tol=1e-9):
     jpt = partial_transpose(j, (t.d_out, t.d_in), which=1)
     w, u = np.linalg.eigh(herm(jpt))
     min_pt = float(w[0])
-    if min_pt < -tol:
+    if min_pt < -PPT_TOL:
         return Verdict(NO, {"min_pt_eigenvalue": min_pt,
                             "pt_eigenvector": canonical_phase(u[:, 0])})
     base = {"min_pt_eigenvalue": min_pt}
     if (t.d_in, t.d_out) in _PPT_EXACT:
         return Verdict(YES, {**base, "ppt_exact_regime": True})
     f = t.form
-    if isinstance(f, (PovmForm, EcqForm, CqForm)):
-        # separable Choi decomposition J = sum_k sigma_k (x) M_k^T / d_in
-        pairs = [(s.copy(), m.T.copy() / t.d_in) for m, s in zip(*_measure_prepare(f))]
-        return Verdict(YES, {**base, "separable_pairs": pairs})
     reason = ("PPT holds but dimensions admit PPT-entangled states and the "
               "representation carries no separable decomposition")
     if isinstance(f, DirectSumForm):
-        subs = [is_entanglement_breaking(b, tol=tol) for b in f.blocks]
+        subs = [is_entanglement_breaking(b) for b in f.blocks]
         if all(s.status == YES for s in subs):
             return Verdict(YES, {**base, "blocks": subs})
         if any(s.status == NO for s in subs):
@@ -117,50 +123,40 @@ def is_entanglement_breaking(t, tol=1e-9):
             return Verdict(NO, {**base, "blocks": subs, **bad.witness})
         base["blocks"] = subs
         reason = "PPT holds but a block has no separability certificate"
-    cert = vertex_certificate(t)
-    if cert is not None:
-        # the certificate's POVM M_i gives J = sum_i sigma_i (x) M_i^T / d_in
-        pairs = [(s, m.T / t.d_in) for m, s in zip(cert.effects, cert.states)]
+    mp = f if isinstance(f, (PovmForm, EcqForm, CqForm)) else vertex_certificate(t)
+    if mp is not None:
+        # separable Choi decomposition J = sum_i sigma_i (x) M_i^T / d_in
+        pairs = [(s.copy(), m.T / t.d_in) for m, s in zip(*_measure_prepare(mp))]
         return Verdict(YES, {**base, "separable_pairs": pairs})
     return Verdict(INDETERMINATE, base, reason)
 
 
 def vertex_certificate(t):
-    """The :class:`EcqCertificate` of a CQ or eCQ map, else None.
+    """The eCQ form of a CQ or eCQ map, an :class:`~.channels.EcqForm`, else None.
 
     ``Im T = conv{states}`` and ``T(e_i e_i*) = states[i]`` for the
-    certificate's ``vectors``.  It comes from the CQ "yes" (vectors the basis
-    columns ``b_i``, effects ``b_i b_i*``, zero remainders) or, failing that,
-    from the universal image additivity "yes"; None for any other channel, a
-    non-CPTP map included.  No other function reads either witness for it.
+    certificate's ``vectors``, and ``T = ecq_channel(vectors, tilde_effects,
+    states)``.  It comes from the CQ "yes" (vectors the basis columns
+    ``b_i``, zero remainders) or, failing that, from the universal image
+    additivity "yes"; None for any other channel, a non-CPTP map included.
+    Outside the two verdicts, no other function reads either witness for it.
 
     A CQ or eCQ map ``sum_i Tr(M_i .) sigma_i`` has at most ``d_in`` effects,
     one per orthonormal vector ``e_i``, so its natural matrix has rank at most
-    ``d_in``.  A larger rank, read off the kept range of the adjoint, answers
-    None before any verdict is computed; that spares the identity partner of
-    the report's probe a CPTP check and an image decomposition.
+    ``d_in``.  A larger rank, read off the kept range of the adjoint (one
+    SVD), answers None before any verdict is computed; that spares the
+    identity partner of the report's probe a CPTP check and an image
+    decomposition.
     """
     if len(_adjoint_range(t)[1]) > t.d_in or not t.verify_cptp().is_cptp:
         return None
     cq = is_cq(t)
     if cq.status == YES:
         return cq.witness["certificate"]
-    uia = is_universally_image_additive(t)
-    if uia.status == YES:
-        return uia.witness["reconstruction"].witness["certificate"]
-    return None
+    return is_universally_image_additive(t).witness.get("certificate")
 
 
 # -- eCQ reconstruction -------------------------------------------------
-
-
-@dataclass
-class EcqCertificate:
-    vectors: list          # orthonormal e_i
-    tilde_effects: list    # M_i - e_i e_i*
-    effects: list          # the unit-norm POVM M_i
-    states: list           # the vertex states sigma_i
-    norms: list            # operator norms of the effects
 
 
 def reconstruct_ecq(t, vertices, preimages=None):
@@ -180,8 +176,10 @@ def reconstruct_ecq(t, vertices, preimages=None):
     (``"reproduction"``, ``"sum_to_identity"``, ``"effect_psd"``,
     ``"unit_norms"``, ``"vector_orthonormality"``, ``"tilde_psd"``,
     ``"tilde_support"``, and ``"vector_in_preimage"`` when ``preimages``
-    are given), then ``"certificate"`` (an :class:`EcqCertificate`) on "yes"
-    or ``"failed"`` (the failing check names) on "no".  Affinely dependent
+    are given), then on "yes" ``"certificate"`` (the :class:`~.channels.EcqForm`
+    of the vectors ``e_i``, remainders ``M_i - e_i e_i*`` and the vertices)
+    and ``"effect_norms"`` (the operator norms of the ``M_i``), or on "no"
+    ``"failed"`` (the failing check names).  Affinely dependent
     vertices give ``"singular_values"`` of the frame: "no" when a dilation
     obstruction rules out every POVM (its values are added, see
     ``_dilation_obstruction``), otherwise "indeterminate" since the POVM is
@@ -234,9 +232,8 @@ def reconstruct_ecq(t, vertices, preimages=None):
     if failed:
         return Verdict(NO, {**witness, "failed": failed},
                        "unique candidate POVM violates: " + ", ".join(failed))
-    witness["certificate"] = EcqCertificate(
-        vectors=list(vectors), tilde_effects=list(tilde), effects=list(effects),
-        states=sigmas, norms=norms.tolist())
+    witness["certificate"] = EcqForm(list(vectors), list(tilde), sigmas)
+    witness["effect_norms"] = norms.tolist()
     return Verdict(YES, witness)
 
 
@@ -277,15 +274,16 @@ def _dilation_obstruction(t, sigmas):
     return None
 
 
-def retraction_channel(certificate):
-    """The dephasing-like map ``S(rho) = sum_i Tr(M_i rho) e_i e_i*``."""
-    states = [np.outer(e, np.conj(e)) for e in certificate.vectors]
-    return povm_channel(certificate.effects, states, validate=False)
+def retraction_channel(cert):
+    """The dephasing-like map ``S(rho) = sum_i Tr(M_i rho) e_i e_i*`` of an eCQ form."""
+    states = [np.outer(e, np.conj(e)) for e in cert.vectors]
+    return povm_channel(cert.effects(), states, validate=False)
 
 
 # -- CQ decision --------------------------------------------------------
 
 
+@kept
 def is_cq(t):
     """Decide whether ``t`` dephases in some orthonormal input basis.
 
@@ -303,23 +301,19 @@ def is_cq(t):
     ``"commutator"``, the Frobenius norm of ``[Y_i, Y_j]``, above 1e-9 and
     recomputable with ``dual_apply``.  "yes" takes the eigenbasis ``b_i``
     of one fixed real combination of the Hermitian parts of the ``Y_i`` and
-    verifies it directly: ``"certificate"`` (an :class:`EcqCertificate` with
-    vectors ``b_i``, effects ``b_i b_i*``, zero remainders, unit norms and
-    the states ``T(b_i b_i*)``; read it with :func:`vertex_certificate`),
+    verifies it directly: ``"certificate"`` (the :class:`~.channels.EcqForm`
+    with vectors ``b_i``, zero remainders and the states ``T(b_i b_i*)``;
+    read it with :func:`vertex_certificate`), ``"effect_norms"`` (all one),
     ``"offdiagonal_residual"`` and ``"map_deviation"``.  A commuting range
     whose basis fails that verification is "indeterminate", with the
     largest ``"commutator"`` and both check values.
 
-    The verdict is computed once per channel and kept on ``t``.
+    The verdict is computed once per channel and kept on ``t``; a non-CPTP
+    map raises on every call.
     """
     t.require_cptp()
-    return _cq_verdict(t)
-
-
-@kept
-def _cq_verdict(t):
     d, n = t.d_in, t.d_out
-    x, y, _, (_, b) = _adjoint_range(t)
+    x, y, _ = _adjoint_range(t)
     r = len(y)
     worst, pair = 0.0, None
     for i in range(r - 1):
@@ -330,6 +324,7 @@ def _cq_verdict(t):
     if worst > 1e-9:
         return Verdict(NO, {"directions": list(x[list(pair)]), "commutator": worst},
                        "the range of the adjoint does not commute")
+    b = _generic_eigh(t)[1]
     # column i*d+j is vec T(b_i b_j*)
     images = t.natural_matrix() @ np.kron(b, np.conj(b))
     offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], n)
@@ -337,11 +332,9 @@ def _cq_verdict(t):
     rebuilt = cq_channel(b, diag_states, validate=False)
     dist = map_distance(t, rebuilt)
     if offdiag <= 1e-9 and dist <= 1e-9:
-        effects = [np.outer(e, np.conj(e)) for e in b.T]
-        cert = EcqCertificate(vectors=list(b.T), tilde_effects=[np.zeros_like(m) for m in effects],
-                              effects=effects, states=diag_states, norms=[1.0] * d)
-        return Verdict(YES, {"certificate": cert, "offdiagonal_residual": offdiag,
-                             "map_deviation": dist})
+        cert = EcqForm(list(b.T), list(np.zeros((d, d, d), dtype=complex)), diag_states)
+        return Verdict(YES, {"certificate": cert, "effect_norms": [1.0] * d,
+                             "offdiagonal_residual": offdiag, "map_deviation": dist})
     return Verdict(INDETERMINATE, {"commutator": worst, "offdiagonal_residual": offdiag,
                                    "map_deviation": dist},
                    "the range of the adjoint commutes, but the eigenbasis of its "
@@ -351,6 +344,7 @@ def _cq_verdict(t):
 # -- universal image additivity ----------------------------------------
 
 
+@kept
 def is_universally_image_additive(t):
     """Image additivity against every partner channel.
 
@@ -358,21 +352,20 @@ def is_universally_image_additive(t):
     additive iff it is eCQ, and a "yes" comes with the retraction ``S``
     (a CQ map with ``T o S = T``) that realizes additivity constructively.
     Once the image is polytopic the witness holds the eCQ reconstruction
-    verdict under ``"reconstruction"`` (its certificate is
-    ``witness["reconstruction"].witness["certificate"]``), and a "yes" adds
-    ``"retraction"`` and ``"retraction_deviation"``.  Otherwise the witness
-    holds the decomposition's ``"checks"`` and its ``"direction"``: the
-    facet that the residual block's image crosses, or None when the
-    characters of range(T*) decided.  Nothing is sampled.
+    verdict under ``"reconstruction"``.  When that verdict holds no
+    certificate (affinely dependent vertices leave the POVM open) but the
+    map is CQ, the CQ verdict takes its place, since a CQ map is eCQ with
+    zero remainders.  A "yes" adds the :class:`~.channels.EcqForm` it
+    retracts with as ``"certificate"``, ``"retraction"`` and
+    ``"retraction_deviation"``.  Otherwise the witness holds the
+    decomposition's ``"checks"`` and its ``"direction"``: the facet that the
+    residual block's image crosses, or None when the characters of range(T*)
+    decided.  Nothing is sampled.
 
-    The verdict is computed once per channel and kept on ``t``.
+    The verdict is computed once per channel and kept on ``t``; a non-CPTP
+    map raises on every call.
     """
     t.require_cptp()
-    return _uia_verdict(t)
-
-
-@kept
-def _uia_verdict(t):
     dec = polytopic_decompose(t)
     if dec.verdict != "polytopic":
         witness = {"checks": dec.checks, "direction": dec.direction}
@@ -387,15 +380,18 @@ def _uia_verdict(t):
                                     "vertices, so the channel is not eCQ")
     rec = reconstruct_ecq(t, [r.state for r in dec.vertices],
                           preimages=[r.preimage_basis for r in dec.vertices])
+    if rec.status != YES and is_cq(t).status == YES:
+        rec = is_cq(t)
     if rec.status == NO:
         return Verdict(NO, {"reconstruction": rec},
                        "vertices admit no unit-norm POVM: " + rec.reason)
     if rec.status != YES:
         return Verdict(INDETERMINATE, {"reconstruction": rec}, rec.reason)
-    s = retraction_channel(rec.witness["certificate"])
+    cert = rec.witness["certificate"]
+    s = retraction_channel(cert)
     dev = map_distance(compose(s, t), t)
     if dev <= 1e-9:
-        return Verdict(YES, {"reconstruction": rec, "retraction": s,
+        return Verdict(YES, {"reconstruction": rec, "certificate": cert, "retraction": s,
                              "retraction_deviation": dev})
     return Verdict(INDETERMINATE, {"reconstruction": rec, "retraction_deviation": dev},
                    "retraction failed to reproduce the channel")

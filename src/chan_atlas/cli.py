@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -48,16 +47,6 @@ def _u64(text):
     return v
 
 
-def _tolerance(text):
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
-    if not 0.0 <= v < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
-    return v
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="chan-atlas",
@@ -65,9 +54,6 @@ def _build_parser():
                     "classification, entropies, fixed points.")
     p.add_argument("--seed", type=_u64, default=None,
                    help=f"RNG seed (default: ${ENV_SEED} or 0)")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="tolerance of the entanglement-breaking check in classify "
-                        "(default 1e-9); the other verdicts use fixed tolerances")
     p.add_argument("--format", choices=("json", "text"), default="text",
                    help="output rendering (default text)")
     p.add_argument("--bits", action="store_true",
@@ -186,7 +172,7 @@ def _emit(args, payload):
 
 def cmd_classify(args):
     t = load_channel(args.spec)
-    _emit(args, classification_stage(t, tol=args.tol))
+    _emit(args, classification_stage(t))
 
 
 def cmd_image(args):

@@ -4,11 +4,12 @@ All entropies use the natural logarithm.  Minimal output entropy is computed
 over pure inputs (the minimum over all states is attained on an extreme
 point).
 
-A channel with a vertex certificate (:func:`~.classify.vertex_certificate`,
-from a CQ "yes" or the universal image additivity "yes" of an eCQ map) has
-the image ``conv{sigma_i}`` with every ``sigma_i`` attained at
-``T(e_i e_i*)`` (Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities
-have closed forms and are reported with ``bound = "exact"``:
+A channel with a vertex certificate (:func:`~.classify.vertex_certificate`:
+its eCQ form, an :class:`~.channels.EcqForm`, from a CQ "yes" or the
+universal image additivity "yes" of an eCQ map) has the image
+``conv{sigma_i}`` with every ``sigma_i`` attained at ``T(e_i e_i*)``
+(Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities have closed
+forms and are reported with ``bound = "exact"``:
 ``H_min^(p)(T) = min_i H_p(sigma_i)``, since ``H_p`` is quasi-concave;
 ``H_min(T (x) S) = H_min(T) + H_min(S)`` against any partner; and the product
 support in a direction ``H``, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) H]))``.

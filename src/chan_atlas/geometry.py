@@ -158,21 +158,27 @@ def fujiwara_algoet_check(lams, band=1e-9):
 def _adjoint_range(t):
     """The range of the adjoint, ``{T*(H)}``, from one SVD of ``N^H``.
 
-    Returns ``(x, y, parts, generic)``: the orthonormal output directions
-    ``X_i`` (right singular vectors as matrices), the weighted elements
+    Returns ``(x, y, parts)``: the orthonormal output directions ``X_i``
+    (right singular vectors as matrices), the weighted elements
     ``Y_i = T*(X_i) / s_max`` of the range, where ``s_max`` is the operator
-    norm of the natural matrix ``N``, the Hermitian parts ``P_k`` of ``Y_i``
-    and ``-i Y_i``, which span the range since it is ``*``-closed, and the
-    ``eigh`` of the fixed combination ``sum_k cos(k) P_k``.  Singular values
-    below ``1e-10 s_max`` are cut, so ``len(y)`` is the rank of ``N``.
+    norm of the natural matrix ``N``, and the Hermitian parts ``P_k`` of
+    ``Y_i`` and ``-i Y_i``, which span the range since it is ``*``-closed.
+    Singular values below ``1e-10 s_max`` are cut, so ``len(y)`` is the
+    rank of ``N``.
     """
     d, n = t.d_in, t.d_out
     u, s, vh = np.linalg.svd(t.natural_matrix().conj().T, full_matrices=False)
     r = int(np.sum(s > 1e-10 * s[0]))
     y = (u[:, :r] * (s[:r] / s[0])).T.reshape(r, d, d)
-    parts = herm(np.concatenate([y, -1j * y]))
-    generic = np.linalg.eigh(np.tensordot(np.cos(np.arange(1, 2 * r + 1)), parts, axes=1))
-    return vh[:r].conj().reshape(r, n, n), y, parts, generic
+    return vh[:r].conj().reshape(r, n, n), y, herm(np.concatenate([y, -1j * y]))
+
+
+@kept
+def _generic_eigh(t):
+    """The ``eigh`` of the fixed combination ``sum_k cos(k) P_k`` of the
+    Hermitian parts of :func:`_adjoint_range`."""
+    parts = _adjoint_range(t)[2]
+    return np.linalg.eigh(np.tensordot(np.cos(np.arange(1, len(parts) + 1)), parts, axes=1))
 
 
 @dataclass
@@ -193,7 +199,7 @@ def _characters(t):
     grouped by their point (within ``VERDICT_TOL`` in Frobenius norm).
     Returns the points ``(k, d_out, d_out)`` and the bases.
     """
-    parts, (w, u) = _adjoint_range(t)[2:]
+    parts, (w, u) = _adjoint_range(t)[2], _generic_eigh(t)
     second = np.tensordot(np.sin(np.arange(1, len(parts) + 1)), parts, axes=1)
     found = []
     for idx in eig_clusters(w):

@@ -126,10 +126,10 @@ def image_stage(t):
     }
 
 
-def classification_stage(t, tol=1e-9):
+def classification_stage(t):
     """Report section of the CQ / EB / universal-image-additivity / eCQ verdicts."""
     cq = is_cq(t)
-    eb = is_entanglement_breaking(t, tol=tol)
+    eb = is_entanglement_breaking(t)
     uia = is_universally_image_additive(t)
     out = {
         "cq": {"status": cq.status, "reason": cq.reason},
@@ -143,7 +143,7 @@ def classification_stage(t, tol=1e-9):
     if rec is not None:
         ecq = {"status": rec.status, "reason": rec.reason}
         if rec.status == YES:
-            ecq["effect_norms"] = list(rec.witness["certificate"].norms)
+            ecq["effect_norms"] = rec.witness["effect_norms"]
         out["ecq"] = ecq
     else:
         # without a reconstruction the decomposition decided: no means not polytopic

@@ -307,7 +307,7 @@ def test_criterion_09_fixed_point_structure():
         rep = verify_eb_fixed_point_theorem(t)
         assert rep.status == YES
         assert all(b.dimension == 1 for b in rep.witness["structure"].blocks)
-        assert max(abs(x - 1.0) for x in rep.witness["ecq"].witness["certificate"].norms) <= 1e-7
+        assert max(abs(x - 1.0) for x in rep.witness["ecq"].witness["effect_norms"]) <= 1e-7
         n_eb += 1
     assert n_eb >= 3
     # (c) the cyclic permutation-dephasing averages the diagonal

@@ -11,7 +11,7 @@ from conftest import (
     random_povm,
 )
 
-from chan_atlas import classify, fixed_points, geometry
+from chan_atlas import channels, classify, fixed_points, geometry
 from chan_atlas.channels import (
     NotCptpError,
     compose,
@@ -21,6 +21,7 @@ from chan_atlas.channels import (
     dephasing_channel,
     depolarizing_channel,
     direct_sum,
+    identity_channel,
     kraus_channel,
     linear_map_channel,
     map_distance,
@@ -37,6 +38,7 @@ from chan_atlas.classify import (
     is_universally_image_additive,
     reconstruct_ecq,
     retraction_channel,
+    vertex_certificate,
 )
 from chan_atlas.linalg import canonical_phase, herm, hvec, op_norm, partial_transpose, unhvec
 from chan_atlas.pipeline import classification_stage, run_pipeline
@@ -168,11 +170,22 @@ def test_cq_verdict_is_computed_once_per_channel(monkeypatch):
     # and the CQ verdict once each, and EB adds no second computation
     t = kraus_channel(dephasing_channel(3).kraus_operators())
     ranges = count_runs(monkeypatch, geometry._adjoint_range)
-    verdicts = count_runs(monkeypatch, classify._cq_verdict)
+    verdicts = count_runs(monkeypatch, classify.is_cq)
     out = classification_stage(t)
     assert out["cq"]["status"] == out["entanglement_breaking"]["status"] == YES
     assert ranges.count(t) == verdicts.count(t) == 1
     assert is_cq(t) is is_cq(t)
+
+
+@pytest.mark.parametrize("t", [identity_channel(2), depolarizing_channel(0.5)],
+                         ids=["identity", "depolarizing"])
+def test_vertex_certificate_answers_a_large_rank_from_the_svd_alone(monkeypatch, t):
+    # rank(N) = 4 > d_in rules out CQ and eCQ: no CPTP check, verdict or eigh runs
+    bodies = (channels.Channel.verify_cptp, geometry._generic_eigh, classify.is_cq,
+              classify.is_universally_image_additive)
+    runs = [count_runs(monkeypatch, get) for get in bodies]
+    assert vertex_certificate(t) is None
+    assert runs == [[]] * len(bodies)
 
 
 def test_report_makes_one_ecq_reconstruction(monkeypatch):
@@ -221,8 +234,8 @@ def test_reconstruct_ecq_accepts_fixture():
     rec = reconstruct_ecq(t, sig)
     assert rec.status == YES
     cert = rec.witness["certificate"]
-    assert max(abs(x - 1.0) for x in cert.norms) < 1e-9
-    np.testing.assert_allclose(sum(cert.effects), np.eye(t.d_in), atol=1e-9)
+    assert max(abs(x - 1.0) for x in rec.witness["effect_norms"]) < 1e-9
+    np.testing.assert_allclose(sum(cert.effects()), np.eye(t.d_in), atol=1e-9)
     s = retraction_channel(cert)
     assert map_distance(compose(s, t), t) < 1e-9
 

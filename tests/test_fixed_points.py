@@ -305,7 +305,7 @@ def test_verify_eb_fixed_point_theorem_on_measure_prepare():
     assert rep.status == "yes"
     assert rep.witness["eb"].status == "yes"
     assert all(b.dimension == 1 for b in rep.witness["structure"].blocks)
-    assert max(abs(x - 1.0) for x in rep.witness["ecq"].witness["certificate"].norms) < 1e-7
+    assert max(abs(x - 1.0) for x in rep.witness["ecq"].witness["effect_norms"]) < 1e-7
 
 
 def test_verify_eb_fixed_point_theorem_skips_non_eb():

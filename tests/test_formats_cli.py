@@ -228,16 +228,6 @@ def test_cli_classify_json(tmp_path, capsys):
     assert payload["entanglement_breaking"]["status"] == "yes"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_cli_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
-    # at depolarizing 1/2 (PT eigenvalue -1/8) nan and inf once answered EB yes
-    with pytest.raises(SystemExit) as exc:
-        main([f"--tol={tol}", "classify", spec_file(tmp_path, DEPOL_HALF)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert "--tol" in captured.err and not captured.out
-
-
 def test_cli_bits_renders_hex_floats(tmp_path, capsys):
     rc = main(["--bits", "classify", spec_file(tmp_path, DEPOL_HALF)])
     assert rc == 0
@@ -507,6 +497,26 @@ def test_cli_report_to_file_validates(tmp_path, capsys):
     assert payload["image_additivity_vs_identity"]["max_gap"] > 0.1
 
 
+@pytest.mark.parametrize("spec, n_ran", [(DEPOL_HALF, 5), (TRINE_SPEC, 4),
+                                         (identity_kraus_spec(7), 4),
+                                         ({**NON_CP_SPEC, "allow_non_cptp": True}, 0)],
+                         ids=["all-stages", "not-square", "over-the-budget", "not-cptp"])
+def test_cli_report_timings_hold_the_stages_that_ran(tmp_path, capsys, spec, n_ran):
+    # the benchmark reads its stage times from here
+    path = spec_file(tmp_path, spec)
+    assert main(["report", path]) == 0
+    assert "timings" not in json.loads(capsys.readouterr().out)
+    assert main(["report", path, "--timings"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    validate_report(payload)
+    ran = {name for name in ("image", "classification", "entropy", "fixed_points",
+                             "image_additivity_vs_identity")
+           if payload[name].get("status") != "skipped"}
+    assert len(ran) == n_ran and set(payload["timings"]) == ran
+    assert all(isinstance(v, float) and 0.0 <= v < float("inf")
+               for v in payload["timings"].values())
+
+
 def test_shipped_report_schema_is_valid():
     # the runtime check runs once per process; a broken schema must still fail here
     jsonschema = pytest.importorskip("jsonschema")
@@ -577,7 +587,8 @@ def test_report_runs_each_kept_body_once_per_channel(monkeypatch):
     # every result that depends on the channel alone is computed at most once
     # per channel in a whole report, on every channel the report builds
     kept = (channels.Channel.to_choi, channels.Channel.verify_cptp, geometry._adjoint_range,
-            geometry._decompose, classify._cq_verdict, classify._uia_verdict)
+            geometry._generic_eigh, geometry._decompose, classify.is_cq,
+            classify.is_universally_image_additive)
     runs = {get.__name__: count_runs(monkeypatch, get) for get in kept}
     for t in (trine_channel(), depolarizing_channel(0.5), dephasing_channel(3),
               assembled_polytopic_fixture(0)[0], ecq_fixture(1)[0]):

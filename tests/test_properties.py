@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     assembled_polytopic_fixture,
+    bloch_state,
     ecq_fixture,
     haar_unitary,
     random_cptp,
@@ -187,12 +188,23 @@ def test_conjugate_rotates_the_output_property(kind, d_in, d_out, seed):
                                rtol=0, atol=1e-12)
 
 
+def _square(radius):
+    """CQ on four inputs onto the square of Bloch radius ``radius`` in the xy
+    plane: its vertices are affinely dependent, so the CQ basis alone fixes
+    the unit-norm POVM."""
+    states = [bloch_state(radius, 0, 0), bloch_state(-radius, 0, 0),
+              bloch_state(0, radius, 0), bloch_state(0, -radius, 0)]
+    return cq_channel(np.eye(4, dtype=complex), states)
+
+
 # channels whose CQ and universal image additivity verdicts are decided
 _CLASSIFIED = {
     "trine": trine_channel,
     "depolarizing-1/2": lambda: depolarizing_channel(0.5),
     "depolarizing-1/5": lambda: depolarizing_channel(0.2),
     "dephasing3": lambda: dephasing_channel(3),
+    "square0.8": lambda: _square(0.8),
+    "square1": lambda: _square(1.0),
     **{f"ecq{i}": (lambda i=i: ecq_fixture(i)[0]) for i in range(3)},
     **{f"assembled{i}": (lambda i=i: assembled_polytopic_fixture(i)[0]) for i in range(2)},
 }
@@ -216,14 +228,19 @@ def _rotated(t, seed):
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(seed=seeds)
 def test_cq_and_universal_image_additivity_are_unitarily_invariant_property(name, seed):
+    # and the inclusion chain CQ => eCQ (= universally image additive) => EB holds
     t = _CLASSIFIED[name]()
     verdicts = _cq_and_universal(t)
     assert INDETERMINATE not in verdicts
     assert _cq_and_universal(_rotated(t, seed)) == verdicts
+    cq, uia, eb = verdicts
+    assert cq != YES or uia == YES
+    assert uia != YES or eb == YES
 
 
 # the classified channels with a vertex certificate: CQ, then eCQ but not CQ
-_CERTIFIED = ["dephasing3", "ecq0", "ecq2", "ecq1", "assembled0", "assembled1"]
+_CERTIFIED = ["dephasing3", "square0.8", "square1", "ecq0", "ecq2", "ecq1", "assembled0",
+              "assembled1"]
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -245,6 +262,30 @@ def test_vertex_certificate_moves_with_the_frames_property(name, seed):
     overlaps = [abs(np.vdot(u.conj().T @ e, moved.vectors[j]))
                 for e, j in zip(cert.vectors, match)]
     np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-8)
+
+
+_CERTIFIED_GROUPS = {
+    "classified": [_CLASSIFIED[name] for name in _CERTIFIED],
+    "ecq_fixture": [lambda i=i: ecq_fixture(i)[0] for i in range(20)],
+    "ecq_fixture-complement2": [lambda i=i: ecq_fixture(i, complement=2)[0] for i in range(20)],
+    "assembled": [lambda i=i: assembled_polytopic_fixture(i)[0] for i in range(20)],
+}
+
+
+@pytest.mark.parametrize("group", list(_CERTIFIED_GROUPS))
+def test_vertex_certificate_is_an_ecq_spec(group):
+    # the certificate is the channel's eCQ form: ecq_channel accepts it, it
+    # reproduces T, and it round-trips as an "ecq" spec
+    for i, build in enumerate(_CERTIFIED_GROUPS[group]):
+        t = build()
+        cert = vertex_certificate(t)
+        assert cert is not None, i
+        rebuilt = ecq_channel(cert.vectors, cert.tilde_effects, cert.states)
+        assert channels.map_distance(rebuilt, t) <= 1e-9, i
+        back = channel_from_dict(json.loads(json.dumps(channel_to_dict(rebuilt))))
+        assert form_kind(back) == "ecq"
+        np.testing.assert_allclose(back.natural_matrix(), rebuilt.natural_matrix(),
+                                   rtol=0, atol=1e-12)
 
 
 def _image_shape(t):
