@@ -10,13 +10,12 @@ extracts the block data ``(d_i, s_i, sigma_i)`` constructively, and checks
 the specialization to entanglement-breaking channels (all ``d_i = 1``,
 projection is an eCQ map).
 
-The extraction works on stacks of matrices throughout.  The center of the
-untwisted algebra (``m`` elements on the ``dv``-dimensional support) is the
-commutant of two generic elements, which generate it, so it is one
-``(4 dv^2) x m`` null space.  One generic central element cuts the blocks,
-and the cut is certified by requiring every algebra element and the fixed
-state to be block diagonal in it.  Generic elements are fixed ``cos(j)`` /
-``sin(j)`` combinations, so nothing is drawn at random.
+The extraction works on stacks of matrices throughout.  The eigenspaces of
+one generic element of the untwisted algebra are the multiplicity frames of
+its blocks, and a second generic element couples two of them exactly when
+they lie in the same block; its polar parts between them align the frames.
+Generic elements are fixed ``cos(j)`` / ``sin(j)`` combinations
+(:func:`~.linalg.generic`), so nothing is drawn at random.
 
 Everything here is verified a posteriori; a construction that fails its own
 verification, the Cesaro projection included, reports ``indeterminate``
@@ -39,8 +38,8 @@ from .classify import (
 )
 from .linalg import (
     eig_clusters,
+    generic,
     herm,
-    null_space,
     partial_trace,
     spectral_radius,
 )
@@ -144,25 +143,26 @@ def _hermitian_fixed_basis(k, d):
     return herm(vt[:rank].view(complex).reshape(rank, d, d))
 
 
-def _generic(stack, k=1):
-    """``k`` real combinations, by ``cos(j)`` then ``sin(j)``, of a stack of Hermitian matrices."""
-    j = np.arange(1, len(stack) + 1)
-    return herm(np.einsum("kj,jab->kab", np.array([np.cos(j), np.sin(j)])[:k], stack))
-
-
 def fixed_point_structure(t):
     """Block data of the fixed-point space of ``t``.
 
     On the support of ``omega = T_inf(I/d)`` the fixed space untwists to an
-    honest matrix algebra ``A`` via ``X -> omega^{-1/2} X omega^{-1/2}``.
-    Two generic elements generate ``A``, so its center is the set of
-    elements commuting with both.  The blocks are the eigenspaces of one
-    generic central element; every element of ``A`` and the fixed state
-    must be block diagonal in them, which certifies the partition.  Each
-    block is factorized by intertwiners of one more generic pair, and all
-    claimed structure is verified before it is reported.  A spectral radius
-    above one or a Cesaro projection that fails its verification leaves the
-    result ``indeterminate``, with ``fixed_dim`` taken from the fixed space.
+    honest matrix algebra ``A = (+)_i M_{d_i} (x) I_{s_i}`` via
+    ``X -> omega^{-1/2} X omega^{-1/2}``.  A generic element ``a`` of ``A``
+    has ``d_i`` distinct eigenvalues on block ``i``, each of multiplicity
+    ``s_i``, and a second generic element ``y`` couples two eigenspaces
+    ``F_k``, ``F_l`` of ``a`` (``||F_k* y F_l|| > STRUCTURE_TOL max(1, ||y||)``)
+    exactly when they lie in the same block.  The blocks are the connected
+    components of that coupling; within one, the frames are aligned to the
+    first by the polar parts of ``F_k* y F_0``.  The partition is certified
+    by requiring every algebra element and the fixed state to be block
+    diagonal in it, each element to be ``matrix (x) I`` in the aligned
+    frames, the fixed state to be a product on each block, and
+    ``sum_i d_i^2`` to equal the fixed dimension.  Blocks are sorted by
+    ``(d_i, s_i)``; blocks of equal shape keep the eigenvalue order of ``a``.
+    A spectral radius above one or a Cesaro projection that fails its
+    verification leaves the result ``indeterminate``, with ``fixed_dim``
+    taken from the fixed space.
     """
     d = t.d_in
     try:
@@ -172,6 +172,8 @@ def fixed_point_structure(t):
     k, w = _fixed_spaces(n)
     basis = _hermitian_fixed_basis(k, d)
     m = len(basis)
+    if m == 0 and not reason:
+        reason = "no fixed points found; a channel always fixes at least one state"
     result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, reason=reason)
     if reason:
         return result
@@ -186,9 +188,6 @@ def fixed_point_structure(t):
     q = w_vecs[:, keep]
     omega_v = herm(q.conj().T @ omega @ q)
     result.support_dim = q.shape[1]
-    if m == 0:
-        result.reason = "no fixed points found; a channel always fixes at least one state"
-        return result
 
     # untwist to the honest algebra on the support, elements at unit norm
     ew, ev = np.linalg.eigh(omega_v)
@@ -197,26 +196,22 @@ def fixed_point_structure(t):
     norms = np.linalg.svd(alg, compute_uv=False)[:, 0]
     alg = alg / np.maximum(norms, 1e-12)[:, None, None]
 
-    # center: elements commuting with a generating pair, a (4 dv^2) x m system
-    gens = _generic(alg, 2)
-    gens = gens / np.linalg.svd(gens, compute_uv=False)[:, :1, None]
-    comm = alg[:, None] @ gens - gens @ alg[:, None]
-    # genuine non-commutation registers at order one; the absolute floor
-    # keeps the full null space when everything commutes up to roundoff
-    z = null_space(_real_rows(comm).T, rtol=1e-8, atol=1e-7)
-    n_blocks = z.shape[1]
-    if n_blocks == 0:
-        result.reason = "commutant computation returned an empty center"
-        return result
-    gw, gv = np.linalg.eigh(_generic(np.einsum("jl,jab->lab", z, alg))[0])
-    clusters = eig_clusters(gw)
-    if len(clusters) != n_blocks:
-        result.reason = "generic central element did not separate the blocks"
-        return result
+    # blocks: eigenspaces of a generic element, joined where a second couples them
+    a, y = generic(alg, 2)
+    aw, av = np.linalg.eigh(a)
+    clusters = eig_clusters(aw)
+    sizes = [c.size for c in clusters]
+    member = np.repeat(np.eye(len(clusters)), sizes, axis=1)  # clusters x eigenvectors
+    coupling = member @ np.abs(av.conj().T @ y @ av) ** 2 @ member.T  # squared norms
+    reach = coupling > (STRUCTURE_TOL * max(1.0, np.linalg.norm(y))) ** 2
+    np.fill_diagonal(reach, True)
+    for _ in range(len(clusters).bit_length()):
+        reach = reach @ reach
+    comp = np.argmax(reach, axis=1)  # the first cluster of each one's block
     # certificate: the algebra and the fixed state are block diagonal
-    labels = np.repeat(np.arange(n_blocks), [c.size for c in clusters])
+    labels = np.repeat(comp, sizes)
     stack = np.concatenate([alg, omega_v[None]])
-    rot = gv.conj().T @ stack @ gv
+    rot = av.conj().T @ stack @ av
     leak = np.linalg.norm(rot * (labels[:, None] != labels[None, :]), axis=(1, 2))
     if np.any(leak > STRUCTURE_TOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))):
         result.reason = f"fixed algebra couples blocks (off-block mass {leak.max():.3e})"
@@ -224,24 +219,24 @@ def fixed_point_structure(t):
 
     sq = ev @ np.diag(np.sqrt(np.clip(ew, 0.0, None))) @ ev.conj().T
     blocks = []
-    total_dim = 0
-    for idx in clusters:
-        cb = gv[:, idx]
-        h_b = cb.shape[1]
-        alg_b = herm(cb.conj().T @ alg @ cb)
-        sv = np.linalg.svd(_real_rows(alg_b), compute_uv=False)
-        dim_b = int(np.sum(sv > 1e-8 * max(sv[0], 1e-12)))
-        d_b = int(round(np.sqrt(dim_b)))
-        if d_b == 0 or d_b * d_b != dim_b or h_b % d_b != 0:
-            result.reason = f"block of size {h_b} has algebra dimension {dim_b}, not a square"
+    for first in np.flatnonzero(comp == np.arange(len(comp))):
+        idx = [c for c, b in zip(clusters, comp) if b == first]
+        d_b, s_b = len(idx), idx[0].size
+        if any(c.size != s_b for c in idx):
+            result.reason = "eigenspaces of a generic element differ in size within a block"
             return result
-        s_b = h_b // d_b
-        u_b = _factor_block(alg_b, d_b, s_b)
-        if u_b is None:
-            result.reason = "block factorization failed to produce intertwiners"
-            return result
+        # align every frame to the first by the polar part of its map under y
+        frames = np.stack([av[:, c] for c in idx])  # (d_b, dv, s_b)
+        if d_b > 1:
+            uu, sv, vvh = np.linalg.svd(frames[1:].conj().transpose(0, 2, 1) @ y @ frames[0])
+            if sv[:, -1].min() < 1e-8:
+                result.reason = "block factorization failed to produce intertwiners"
+                return result
+            frames[1:] = frames[1:] @ (uu @ vvh)
+        cb = frames.transpose(1, 0, 2).reshape(-1, d_b * s_b)  # coordinates (factor, mult)
+        alg_b = cb.conj().T @ alg @ cb
         # verify every algebra element is (matrix (x) identity) in this frame
-        r = (u_b.conj().T @ alg_b @ u_b).reshape(m, d_b, s_b, d_b, s_b)
+        r = alg_b.reshape(m, d_b, s_b, d_b, s_b)
         mfac = np.einsum("ajmkm->ajk", r) / s_b
         dev = np.linalg.norm((r - np.einsum("ajk,mn->ajmkn", mfac, np.eye(s_b)))
                              .reshape(m, -1), axis=1)
@@ -250,7 +245,7 @@ def fixed_point_structure(t):
             result.reason = f"algebra element deviates from block form by {dev[bad][0]:.3e}"
             return result
         # sigma_i from the product structure of the fixed state on the block
-        w_b = herm(u_b.conj().T @ (cb.conj().T @ omega_v @ cb) @ u_b)
+        w_b = herm(cb.conj().T @ omega_v @ cb)
         a_fac = partial_trace(w_b, (d_b, s_b), keep=0)
         sigma = herm(partial_trace(w_b, (d_b, s_b), keep=1))
         sigma = sigma / float(np.real(np.trace(sigma)))
@@ -260,13 +255,13 @@ def fixed_point_structure(t):
             return result
         # back to original coordinates: columns span the block inside C^d,
         # conjugated so the twist by omega^{1/2} is restored
-        lift = q @ sq @ cb @ u_b  # d x h_b, not isometric (twisted frame)
-        iso = q @ cb @ u_b        # d x h_b isometry in the untwisted frame
+        lift = q @ sq @ cb  # d x h_b, not isometric (twisted frame)
+        iso = q @ cb        # d x h_b isometry in the untwisted frame
         emb = lift @ np.kron(np.eye(d_b) / d_b, np.eye(s_b)) @ lift.conj().T
         emb = herm(emb) / float(np.real(np.trace(herm(emb))))
         blocks.append(FixedPointBlock(dimension=d_b, multiplicity=s_b, isometry=iso,
                                       state=sigma, embedded_state=emb))
-        total_dim += dim_b
+    total_dim = sum(b.dimension ** 2 for b in blocks)
     if total_dim != m:
         result.reason = f"block dimensions sum to {total_dim}, fixed space has {m}"
         return result
@@ -274,27 +269,6 @@ def fixed_point_structure(t):
     result.status = "ok"
     result.blocks = blocks
     return result
-
-
-def _factor_block(alg_b, d_b, s_b):
-    """Unitary aligning a factor ``M_{d_b} (x) I_{s_b}`` with coordinates, or None.
-
-    A generic element's eigenspaces are the multiplicity frames; the polar
-    parts of a second element's maps between them are the intertwiners.
-    """
-    if d_b == 1:
-        return np.eye(s_b, dtype=complex)
-    a, y = _generic(alg_b, 2)
-    aw, av = np.linalg.eigh(a)
-    clusters = eig_clusters(aw)
-    if len(clusters) != d_b or any(c.size != s_b for c in clusters):
-        return None
-    frames = av.reshape(-1, d_b, s_b).transpose(1, 0, 2)  # (d_b, h_b, s_b)
-    uu, sv, vvh = np.linalg.svd(frames[1:].conj().transpose(0, 2, 1) @ y @ frames[0])
-    if sv[:, -1].min() < 1e-8:
-        return None
-    frames[1:] = frames[1:] @ (uu @ vvh)
-    return frames.transpose(1, 0, 2).reshape(d_b * s_b, d_b * s_b)
 
 
 # -- entanglement-breaking specialization ------------------------------

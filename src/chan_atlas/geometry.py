@@ -30,6 +30,7 @@ from .linalg import (
     PAULIS,
     canonical_phase,
     eig_clusters,
+    generic,
     herm,
     hvec,
     null_space,
@@ -177,8 +178,7 @@ def _adjoint_range(t):
 def _generic_eigh(t):
     """The ``eigh`` of the fixed combination ``sum_k cos(k) P_k`` of the
     Hermitian parts of :func:`_adjoint_range`."""
-    parts = _adjoint_range(t)[2]
-    return np.linalg.eigh(np.tensordot(np.cos(np.arange(1, len(parts) + 1)), parts, axes=1))
+    return np.linalg.eigh(generic(_adjoint_range(t)[2])[0])
 
 
 @dataclass
@@ -200,7 +200,7 @@ def _characters(t):
     Returns the points ``(k, d_out, d_out)`` and the bases.
     """
     parts, (w, u) = _adjoint_range(t)[2], _generic_eigh(t)
-    second = np.tensordot(np.sin(np.arange(1, len(parts) + 1)), parts, axes=1)
+    second = generic(parts, 2)[1]
     found = []
     for idx in eig_clusters(w):
         e = u[:, idx]

@@ -157,6 +157,13 @@ def subspace_projector(b):
     return b @ b.conj().T
 
 
+def generic(stack, k=1):
+    """``k`` fixed real combinations of a stack of matrices, by ``cos(j)`` then
+    ``sin(j)`` of the index ``j = 1, 2, ...``: generic, with no random draw."""
+    j = np.arange(1, len(stack) + 1)
+    return np.array([np.tensordot(f(j), stack, axes=1) for f in (np.cos, np.sin)[:k]])
+
+
 def eig_clusters(w):
     """Index runs of sorted eigenvalues ``w`` split at relative gaps above 1e-6."""
     spread = max(float(w[-1] - w[0]), 1.0)

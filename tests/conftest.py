@@ -5,8 +5,14 @@ conditioned, so every test run sees the same channels.  The helpers are plain
 functions; import them with ``from conftest import ...``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import chan_atlas
 from chan_atlas import entropy
 from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
 from chan_atlas.linalg import herm, hvec, orthogonal_complement, op_norm, subspace_projector
@@ -17,6 +23,21 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # unit Bloch vectors of the regular tetrahedron
 TETRA_DIRECTIONS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+
+
+def blas_thread_outputs(code):
+    """Standard output of the Python source ``code`` run in two child processes,
+    with one and with two BLAS threads; the environment alone sets the count,
+    and the children import ``chan_atlas`` and ``conftest`` from this tree."""
+    paths = [str(Path(chan_atlas.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        outputs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                      check=True, text=True).stdout)
+    return outputs
 
 
 def bloch_state(x, y, z):

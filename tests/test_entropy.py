@@ -1,5 +1,3 @@
-import os
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -9,6 +7,7 @@ import pytest
 
 from conftest import (
     assembled_polytopic_fixture,
+    blas_thread_outputs,
     ecq_fixture,
     haar_unitary,
     lapack_top,
@@ -20,7 +19,6 @@ from conftest import (
     tetra_states,
 )
 
-import chan_atlas
 from chan_atlas import entropy
 from chan_atlas.channels import (
     compose,
@@ -198,8 +196,7 @@ def test_image_additivity_gap_vanishes_for_cq(monkeypatch):
 def test_image_additivity_witness_does_not_depend_on_blas_threads():
     # the fixture is eCQ, so every gap is zero up to roundoff and the witness must not
     # follow the last bits of the BLAS reduction order, on the exact route and on the
-    # sampled path (certificate hidden); each run is a child process whose
-    # environment alone sets the thread count
+    # sampled path (certificate hidden)
     code = ("from conftest import assembled_polytopic_fixture\n"
             "from chan_atlas import entropy\n"
             "from chan_atlas.channels import identity_channel\n"
@@ -208,15 +205,7 @@ def test_image_additivity_witness_does_not_depend_on_blas_threads():
             "entropy.vertex_certificate = lambda t: None\n"
             "s = entropy.image_additivity_gap(t, identity_channel(t.d_in), n_directions=24)\n"
             "print(repr(r.lhs), repr(r.rhs), repr(s.lhs), repr(s.rhs))\n")
-    paths = [str(Path(chan_atlas.__file__).resolve().parents[1]), str(Path(__file__).parent),
-             os.environ.get("PYTHONPATH")]
-    values = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             check=True, text=True)
-        values.append([float(x) for x in run.stdout.split()])
+    values = [[float(x) for x in out.split()] for out in blas_thread_outputs(code)]
     np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-12)
 
 

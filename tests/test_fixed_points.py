@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import amplitude_damping, haar_unitary, random_density, random_pure
+from conftest import (
+    amplitude_damping,
+    blas_thread_outputs,
+    haar_unitary,
+    random_density,
+    random_pure,
+)
 
 from chan_atlas.channels import (
     compose,
@@ -12,6 +18,7 @@ from chan_atlas.channels import (
     depolarizing_channel,
     identity_channel,
     kraus_channel,
+    linear_map_channel,
     map_distance,
     tensor,
     trine_channel,
@@ -55,7 +62,6 @@ def test_transfer_matrix_spectrum_of_depolarizing():
 
 
 def test_transfer_matrix_rejects_expanding_maps():
-    from chan_atlas.channels import linear_map_channel
     grow = linear_map_channel(lambda x: 2.0 * x, 2, 2)
     with pytest.raises(FixedPointError, match="spectral radius"):
         transfer_matrix(grow)
@@ -218,14 +224,28 @@ def block_channel(shape, transient, seed):
     [(2, 3)],
     [(3, 2)],
     [(1, 3), (2, 2)],
+    [(2, 2), (2, 2)],
+    [(1, 1)] * 4,
+    [(3, 1), (3, 1), (1, 1)],
+    [(2, 1), (1, 3), (1, 1)],
 ])
 def test_fixed_point_structure_of_rotated_block_channels(shape, transient, seed):
-    st = fixed_point_structure(block_channel(shape, transient, seed))
+    t = block_channel(shape, transient, seed)
+    st = fixed_point_structure(t)
     assert st.status == "ok", st.reason
     assert [(b.dimension, b.multiplicity) for b in st.blocks] == sorted(shape)
     assert st.fixed_dim == sum(a * a for a, _ in shape)
     assert st.support_dim == sum(a * s for a, s in shape)
     assert np.trace(st.cesaro.natural_matrix()).real == pytest.approx(st.fixed_dim, abs=1e-8)
+    for b in st.blocks:
+        emb = b.embedded_state
+        assert np.trace(emb).real == pytest.approx(1.0, abs=1e-8)
+        assert np.linalg.eigvalsh(emb).min() > -1e-8
+        np.testing.assert_allclose(t.apply(emb), emb, atol=1e-8)
+    # the isometries of all blocks together have orthonormal columns: each block's
+    # columns are orthonormal and different blocks are mutually orthogonal
+    isos = np.hstack([b.isometry for b in st.blocks])
+    np.testing.assert_allclose(isos.conj().T @ isos, np.eye(isos.shape[1]), atol=1e-8)
 
 
 def _unitary_then_inverse(d):
@@ -264,6 +284,14 @@ def test_fixed_point_structure_of_near_identity_depolarizing(r):
     assert st.fixed_dim == 1 and st.support_dim == 2
 
 
+def test_fixed_point_structure_of_a_map_without_fixed_points():
+    # a contraction fixes nothing; the Cesaro projection is never attempted
+    st = fixed_point_structure(linear_map_channel(lambda x: 0.5 * x, 2, 2))
+    assert st.status == "indeterminate"
+    assert st.reason.startswith("no fixed points found")
+    assert st.fixed_dim == 0 and st.blocks == [] and st.cesaro is None
+
+
 def test_fixed_point_structure_solves_for_the_fixed_space_once(monkeypatch):
     t = block_channel([(2, 1), (1, 1)], True, 0)
     a = t.natural_matrix() - np.eye(16)
@@ -283,8 +311,9 @@ def test_fixed_point_structure_solves_for_the_fixed_space_once(monkeypatch):
 
 
 def test_fixed_point_structure_memory_on_identity_12():
-    # the center is the commutant of a generating pair, an O(d^4) system of a
-    # few MiB here; an O(d^6) construction would need over 100 MiB
+    # the blocks come from the eigenspaces of one generic element of the
+    # 144-dimensional algebra, a few MiB here; an O(d^6) construction would
+    # need over 100 MiB
     t = identity_channel(12)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -298,6 +327,17 @@ def test_fixed_point_structure_memory_on_identity_12():
     assert st.status == "ok"
     assert [(b.dimension, b.multiplicity) for b in st.blocks] == [(12, 1)]
     assert peak < 32 * 2 ** 20
+
+
+def test_fixed_point_structure_does_not_depend_on_blas_threads():
+    code = ("from test_fixed_points import block_channel\n"
+            "from chan_atlas.channels import dephasing_channel\n"
+            "from chan_atlas.pipeline import fixed_point_stage\n"
+            "print(fixed_point_stage(block_channel([(2, 1), (1, 2)], True, 0)))\n"
+            "print(fixed_point_stage(dephasing_channel(3)))\n")
+    outputs = blas_thread_outputs(code)
+    assert "'status': 'ok'" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_eb_fixed_point_theorem_on_measure_prepare():
