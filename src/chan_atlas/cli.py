@@ -3,6 +3,10 @@
 Exit codes: 0 when the requested analysis ran (verdicts, including "no" and
 "indeterminate", never drive the exit status), 2 for malformed specs or
 invalid usage, 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
+``classify``, ``entropy``, ``additivity``, ``image-additivity`` and
+``fixed-points`` need a channel and exit 3 on any map that is not CPTP, the
+``allow_non_cptp`` ones included; ``decompose``, ``image`` and ``report``
+(which skips its analysis stages) accept them.
 
 The default seed comes from ``CHAN_ATLAS_SEED`` and is overridden by
 ``--seed``; the sampled analyses (entropies and image additivity) derive
@@ -221,6 +225,8 @@ def cmd_image_additivity(args):
     t1 = load_channel(args.spec)
     t2 = load_channel(args.pair) if args.pair else identity_channel(t1.d_in)
     check_joint_budget(t1, t2)
+    t1.require_cptp()
+    t2.require_cptp()
     rep = image_additivity_gap(t1, t2, n_directions=args.directions, seed=args.seed)
     _emit(args, probe_fields(rep))
 

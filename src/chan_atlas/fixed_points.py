@@ -17,9 +17,11 @@ they lie in the same block; its polar parts between them align the frames.
 Generic elements are fixed ``cos(j)`` / ``sin(j)`` combinations
 (:func:`~.linalg.generic`), so nothing is drawn at random.
 
-Everything here is verified a posteriori; a construction that fails its own
-verification, the Cesaro projection included, reports ``indeterminate``
-rather than guessing.
+Every entry point requires a CPTP map and raises
+:class:`~.channels.NotCptpError` on any other, as the classification and
+entropy functions do.  Everything here is verified a posteriori; a
+construction that fails its own verification, the Cesaro projection
+included, reports ``indeterminate`` rather than guessing.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ from .classify import (
     is_entanglement_breaking,
     reconstruct_ecq,
 )
-from .linalg import (
-    eig_clusters,
-    generic,
-    herm,
-    partial_trace,
-    spectral_radius,
-)
+from .linalg import eig_clusters, generic, herm, partial_trace
 
 
 CESARO_TOL = 1e-8     # bound on every identity the Cesaro projection must satisfy
@@ -54,14 +50,12 @@ class FixedPointError(RuntimeError):
 
 
 def transfer_matrix(t):
-    """Natural matrix of a square channel, with a power-boundedness check."""
+    """Natural matrix of a square channel; a map that is not CPTP raises
+    :class:`~.channels.NotCptpError` (a channel is power-bounded)."""
     if t.d_in != t.d_out:
         raise ValueError("transfer matrix needs equal input and output dimension")
-    n = t.natural_matrix()
-    r = spectral_radius(n)
-    if r > 1.0 + 1e-9:
-        raise FixedPointError(f"spectral radius {r:.6f} exceeds one; map is not a channel")
-    return n
+    t.require_cptp()
+    return t.natural_matrix()
 
 
 def _fixed_spaces(n):
@@ -77,11 +71,12 @@ def cesaro_projection(t):
     """Channel limit of the Cesaro means ``(1/N) sum_{n<N} T^n``.
 
     This is the spectral projection ``K (W* K)^{-1} W*`` onto ``ker(N - I)``
-    along ``ran(N - I)``, with both spaces from one SVD of ``N - I``;
-    eigenvalue one of a power-bounded matrix is semisimple, so the oblique
-    projection exists.  The result must be an idempotent CPTP map with
-    ``N P = P N = P`` within ``CESARO_TOL``; there is no fallback, and a
-    failed verification raises :class:`FixedPointError`.
+    along ``ran(N - I)``, with both spaces from one SVD of ``N - I``.  ``t``
+    must be CPTP (:func:`transfer_matrix`); a channel is power-bounded, so
+    eigenvalue one is semisimple and the oblique projection exists.  The
+    result must be an idempotent CPTP map with ``N P = P N = P`` within
+    ``CESARO_TOL``; there is no fallback, and a failed verification raises
+    :class:`FixedPointError`.
     """
     n = transfer_matrix(t)
     return _projection(n, *_fixed_spaces(n), t.d_in)
@@ -160,23 +155,16 @@ def fixed_point_structure(t):
     frames, the fixed state to be a product on each block, and
     ``sum_i d_i^2`` to equal the fixed dimension.  Blocks are sorted by
     ``(d_i, s_i)``; blocks of equal shape keep the eigenvalue order of ``a``.
-    A spectral radius above one or a Cesaro projection that fails its
-    verification leaves the result ``indeterminate``, with ``fixed_dim``
-    taken from the fixed space.
+    A map that is not CPTP raises :class:`~.channels.NotCptpError`; a
+    Cesaro projection that fails its verification leaves the result
+    ``indeterminate``, with ``fixed_dim`` taken from the fixed space.
     """
     d = t.d_in
-    try:
-        n, reason = transfer_matrix(t), ""
-    except FixedPointError as e:
-        n, reason = t.natural_matrix(), str(e)
+    n = transfer_matrix(t)
     k, w = _fixed_spaces(n)
     basis = _hermitian_fixed_basis(k, d)
     m = len(basis)
-    if m == 0 and not reason:
-        reason = "no fixed points found; a channel always fixes at least one state"
-    result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m, reason=reason)
-    if reason:
-        return result
+    result = FixedPointStructure(status=INDETERMINATE, fixed_dim=m)
     try:
         tinf = result.cesaro = _projection(n, k, w, d)
     except FixedPointError as e:
@@ -189,10 +177,10 @@ def fixed_point_structure(t):
     omega_v = herm(q.conj().T @ omega @ q)
     result.support_dim = q.shape[1]
 
-    # untwist to the honest algebra on the support, elements at unit norm
-    ew, ev = np.linalg.eigh(omega_v)
-    inv_sqrt = ev @ np.diag(1.0 / np.sqrt(np.clip(ew, 1e-15, None))) @ ev.conj().T
-    alg = herm(inv_sqrt @ (q.conj().T @ basis @ q) @ inv_sqrt)
+    # untwist to the honest algebra on the support, elements at unit norm;
+    # q diagonalizes omega there, so omega_v^{1/2} is diag(root)
+    root = np.sqrt(w_eigs[keep])
+    alg = herm((q.conj().T @ basis @ q) / np.outer(root, root))
     norms = np.linalg.svd(alg, compute_uv=False)[:, 0]
     alg = alg / np.maximum(norms, 1e-12)[:, None, None]
 
@@ -217,7 +205,6 @@ def fixed_point_structure(t):
         result.reason = f"fixed algebra couples blocks (off-block mass {leak.max():.3e})"
         return result
 
-    sq = ev @ np.diag(np.sqrt(np.clip(ew, 0.0, None))) @ ev.conj().T
     blocks = []
     for first in np.flatnonzero(comp == np.arange(len(comp))):
         idx = [c for c, b in zip(clusters, comp) if b == first]
@@ -255,7 +242,7 @@ def fixed_point_structure(t):
             return result
         # back to original coordinates: columns span the block inside C^d,
         # conjugated so the twist by omega^{1/2} is restored
-        lift = q @ sq @ cb  # d x h_b, not isometric (twisted frame)
+        lift = q @ (root[:, None] * cb)  # d x h_b, not isometric (twisted frame)
         iso = q @ cb        # d x h_b isometry in the untwisted frame
         emb = lift @ np.kron(np.eye(d_b) / d_b, np.eye(s_b)) @ lift.conj().T
         emb = herm(emb) / float(np.real(np.trace(herm(emb))))

@@ -213,11 +213,7 @@ def _parse_depolarizing(obj, where):
         return depolarizing_channel(r)
     # outside the CP range: keep the map representable so the verdict
     # machinery (not the parser) rejects it
-    eye = np.eye(2, dtype=complex)
-    psi = np.zeros((4, 1), dtype=complex)
-    psi[0] = psi[3] = 1 / np.sqrt(2)
-    j = r * (psi @ psi.conj().T) + (1 - r) * np.kron(eye, eye) / 4
-    return Channel(ChoiForm(j, 2, 2), d_in=2, d_out=2)
+    return unital_qubit_diag([r] * 3)
 
 
 def _parse_unital_qubit_diag(obj, where):

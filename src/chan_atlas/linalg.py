@@ -225,7 +225,3 @@ def check_povm(effects, d=None):
     if op_norm(total - np.eye(dd)) > 1e-8:
         raise ValueError("effects do not sum to the identity")
     return [herm(m) for m in mats]
-
-
-def spectral_radius(a):
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a)))))

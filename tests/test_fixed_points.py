@@ -12,6 +12,7 @@ from conftest import (
 )
 
 from chan_atlas.channels import (
+    NotCptpError,
     compose,
     conjugate,
     dephasing_channel,
@@ -22,16 +23,16 @@ from chan_atlas.channels import (
     map_distance,
     tensor,
     trine_channel,
+    unital_qubit_diag,
 )
 from chan_atlas.fixed_points import (
-    FixedPointError,
     cesaro_projection,
     fixed_point_structure,
     transfer_matrix,
     verify_eb_fixed_point_theorem,
 )
-from chan_atlas import channels
-from chan_atlas.linalg import herm, vec
+from chan_atlas import channels, fixed_points
+from chan_atlas.linalg import generic, herm, vec
 
 
 def permutation_dephasing():
@@ -63,7 +64,7 @@ def test_transfer_matrix_spectrum_of_depolarizing():
 
 def test_transfer_matrix_rejects_expanding_maps():
     grow = linear_map_channel(lambda x: 2.0 * x, 2, 2)
-    with pytest.raises(FixedPointError, match="spectral radius"):
+    with pytest.raises(NotCptpError, match="map is not CPTP"):
         transfer_matrix(grow)
 
 
@@ -211,6 +212,28 @@ def block_channel(shape, transient, seed):
     return kraus_channel([u @ k @ u.conj().T for k in ks])
 
 
+def test_block_certificates_refuse_a_degenerate_generic_pair(monkeypatch):
+    # y = 0 couples no two eigenspaces of a, and a = I has only one: each
+    # wrong split must fail its certificate, not pass as a block structure
+    def pair(first):
+        def fake(alg, k):
+            a = generic(alg)[0] if first == "a" else np.eye(alg.shape[-1])
+            return np.stack([a, np.zeros_like(a)])
+        return fake
+
+    for first, reason in (("a", "fixed algebra couples blocks"),
+                          ("I", "algebra element deviates from block form")):
+        monkeypatch.setattr(fixed_points, "generic", pair(first))
+        for t in (identity_channel(3), block_channel([(2, 1), (1, 2)], True, 0)):
+            st = fixed_point_structure(t)
+            assert st.status == "indeterminate" and st.reason.startswith(reason), st.reason
+    # an abelian algebra needs no coupling, so (a, 0) still splits it
+    monkeypatch.setattr(fixed_points, "generic", pair("a"))
+    st = fixed_point_structure(dephasing_channel(3))
+    assert st.status == "ok", st.reason
+    assert [(b.dimension, b.multiplicity) for b in st.blocks] == [(1, 1)] * 3
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("transient", [False, True])
 @pytest.mark.parametrize("shape", [
@@ -284,12 +307,13 @@ def test_fixed_point_structure_of_near_identity_depolarizing(r):
     assert st.fixed_dim == 1 and st.support_dim == 2
 
 
-def test_fixed_point_structure_of_a_map_without_fixed_points():
-    # a contraction fixes nothing; the Cesaro projection is never attempted
-    st = fixed_point_structure(linear_map_channel(lambda x: 0.5 * x, 2, 2))
-    assert st.status == "indeterminate"
-    assert st.reason.startswith("no fixed points found")
-    assert st.fixed_dim == 0 and st.blocks == [] and st.cesaro is None
+def test_fixed_point_analysis_refuses_maps_that_are_not_channels():
+    # a contraction, which fixes nothing, and a positive trace-preserving map
+    # of spectral radius one that is not CP (min Choi eigenvalue -0.25)
+    for t in (linear_map_channel(lambda x: 0.5 * x, 2, 2), unital_qubit_diag([0.5, -0.5, 1])):
+        for analyse in (transfer_matrix, cesaro_projection, fixed_point_structure):
+            with pytest.raises(NotCptpError, match="map is not CPTP"):
+                analyse(t)
 
 
 def test_fixed_point_structure_solves_for_the_fixed_space_once(monkeypatch):

@@ -154,13 +154,18 @@ def test_ragged_spec_lists_name_the_field(tmp_path, capsys, fields, message):
 
 def test_spec_out_of_range_parameter_hits_the_cptp_gate():
     # the parser keeps the map representable; the CPTP gate rejects it
-    with pytest.raises(NotCptpError):
-        channel_from_dict({"format_version": "1", "kind": "depolarizing", "r": 2.0})
-    t = channel_from_dict({"format_version": "1", "kind": "depolarizing",
-                           "r": 2.0, "allow_non_cptp": True})
-    assert not t.verify_cptp().is_cp
-    rho = np.eye(2, dtype=complex) / 2
-    np.testing.assert_allclose(t.apply(rho), rho, atol=1e-12)
+    for r in (2.0, 1.2, -0.5, -1.0):
+        spec = {"format_version": "1", "kind": "depolarizing", "r": r}
+        with pytest.raises(NotCptpError):
+            channel_from_dict(spec)
+        t = channel_from_dict({**spec, "allow_non_cptp": True})
+        assert form_kind(t) == "choi"
+        v = t.verify_cptp()
+        assert not v.is_cp
+        assert v.min_choi_eigenvalue == pytest.approx(min((1 + 3 * r) / 4, (1 - r) / 4),
+                                                      abs=1e-15)
+        rho = np.eye(2, dtype=complex) / 2
+        np.testing.assert_allclose(t.apply(rho), rho, atol=1e-12)
 
 
 def test_spec_non_cptp_gate():
@@ -419,6 +424,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     nested = {"format_version": "1", "kind": "direct_sum", "blocks": [{"kind": "trine"}, block]}
     assert main(["classify", spec_file(tmp_path, nested, name="noncp_sum.json")]) == 3
     capsys.readouterr()  # drain stderr
+
+
+NON_CHANNEL_SPECS = {
+    "half_identity": {"format_version": "1", "kind": "kraus", "kraus": [_HALF],
+                      "allow_non_cptp": True},
+    "signed_unital": {"format_version": "1", "kind": "unital_qubit_diag",
+                      "lambdas": [0.5, -0.5, 1], "allow_non_cptp": True},
+}
+
+
+@pytest.mark.parametrize("name", NON_CHANNEL_SPECS)
+def test_cli_analyses_need_a_channel(tmp_path, capsys, name):
+    # allow_non_cptp lets a map load; only the channel analyses refuse it
+    spec = spec_file(tmp_path, NON_CHANNEL_SPECS[name])
+    for argv in (["classify", spec], ["entropy", spec], ["additivity", spec, "--pair", spec],
+                 ["image-additivity", spec], ["fixed-points", spec]):
+        assert main(argv) == 3, argv
+        assert "map is not CPTP" in capsys.readouterr().err
+    assert main(["decompose", spec]) == 0
+    assert main(["image", spec, "--out", str(tmp_path / "boundary.csv")]) == 0
+    capsys.readouterr()
+    assert main(["report", spec]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [report[s]["status"] for s in ("image", "classification", "entropy", "fixed_points",
+                                          "image_additivity_vs_identity")] == ["skipped"] * 5
 
 
 def identity_kraus_spec(d):

@@ -28,7 +28,6 @@ from chan_atlas.linalg import (
     partial_transpose,
     random_directions,
     random_pure_vectors,
-    spectral_radius,
     subspace_projector,
     unhvec,
     unvec,
@@ -194,8 +193,3 @@ def test_check_povm():
     check_povm([eye / 2, eye / 2])
     with pytest.raises(ValueError):
         check_povm([eye, eye])
-
-
-def test_spectral_radius():
-    a = np.array([[0.0, 1.0], [0.0, 0.5]])
-    assert spectral_radius(a) == pytest.approx(0.5)
