@@ -15,6 +15,15 @@ forms and are reported with ``bound = "exact"``:
 support in a direction ``H``, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) H]))``.
 Both verdicts are kept on the channel, so a report pays nothing extra.
 
+A qubit-to-qubit map without a certificate still has an exact ``H_min``: a
+qubit output's entropy is a falling function of its Bloch radius, so the
+minimum is ``H_p`` at the largest ``|A x + b|`` over the Bloch ball, with
+``(A, b)`` the map's Bloch picture (:func:`~.geometry.bloch_map`).  That is
+the trust-region subproblem (More and Sorensen, SIAM J. Sci. Stat. Comput.
+4, 553 (1983)), solved from one 3x3 ``eigh`` and its secular equation.  It
+proves nothing about additivity, so only a vertex certificate skips the
+joint minimizer.
+
 Every other channel goes through the iterative minimizer, whose value is an
 upper bound (``bound = "upper"``).  It runs every start at once through the
 natural matrix: each step moves a start to the bottom eigenvector of
@@ -36,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _natural_channel, cq_channel, direct_sum, tensor
+from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor
 from .classify import vertex_certificate
-from .geometry import VERDICT_TOL, hull_containment
+from .geometry import VERDICT_TOL, bloch_map, hull_containment
 from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
 
 _P_MAX = 50.0
@@ -47,6 +56,7 @@ _PURE = 1e-11            # a value this small is a pure output: every start stop
 _DECREASE_TOL = 1e-15    # a start whose step gains no more than this stops
 _RESTARTS = 8            # product-support starts per direction, twice that in the rerun
 _GAP_FLOOR = 1e-10       # a 2x2 row with a smaller relative eigengap goes through eigh
+_PURE_RADIUS = 1.0 - 4 * 2.0 ** -52  # a Bloch radius this close to 1 is a pure output
 
 EXACT = "exact"
 UPPER = "upper"
@@ -64,9 +74,10 @@ def _entropy_from_eigs(w, p):
     """H^(p) of the spectra along the last axis of ``w``."""
     w = np.clip(np.real(w), 0.0, None)
     if abs(p - 1.0) <= 1e-6:
-        return -np.sum(np.where(w > _EIG_FLOOR, w * np.log(np.maximum(w, _EIG_FLOOR)), 0.0),
-                       axis=-1)
-    return np.log(np.sum(w ** p, axis=-1)) / (1.0 - p)
+        h = -np.sum(np.where(w > _EIG_FLOOR, w * np.log(np.maximum(w, _EIG_FLOOR)), 0.0), axis=-1)
+    else:
+        h = np.log(np.sum(w ** p, axis=-1)) / (1.0 - p)
+    return h + 0.0  # a pure spectrum gives -0.0 above; adding +0.0 makes it 0.0
 
 
 def renyi_entropy(rho, p=1.0):
@@ -94,7 +105,7 @@ class MinEntropyResult:
     converged: bool
     grad_norm: float
     n_starts: int
-    bound: str                 # EXACT from a vertex certificate, else UPPER
+    bound: str                 # EXACT from a vertex certificate or the Bloch ball, else UPPER
 
 
 def _linearization(t, w, u, p):
@@ -117,21 +128,89 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
 
     With a vertex certificate (a CQ or eCQ "yes") the answer is exact:
     ``min_i H_p(sigma_i)`` over the vertex states, with that vertex as the
-    output state and its preimage vector as the minimizer; nothing is drawn
-    (``n_starts`` 0) and ``bound`` is ``"exact"``.  Otherwise the iterative
-    minimizer ``_minimize_entropy`` runs, and ``bound`` is ``"upper"``.
+    output state and its preimage vector as the minimizer.  A qubit-to-qubit
+    map without one is exact too: ``H_p`` falls as the output Bloch radius
+    grows, so the minimum is ``H_p`` at the largest ``|A x + b|`` over the
+    Bloch ball, a trust-region subproblem solved by ``_bloch_peak``.  Both
+    draw nothing (``n_starts`` 0) and report ``bound`` ``"exact"``.  Every
+    other map goes through the iterative minimizer ``_minimize_entropy``,
+    and ``bound`` is ``"upper"``.
     """
     p = _check_p(p)
     t.require_cptp()
     cert = vertex_certificate(t)
-    if cert is None:
+    if cert is not None:
+        vals = _entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(cert.states))), p)
+        i = int(np.argmin(vals))
+        value, x = vals[i], cert.vectors[i]
+    elif (t.d_in, t.d_out) == (2, 2):
+        x, r = _bloch_peak(t)
+        value = _entropy_from_eigs(np.array([(1 + r) / 2, (1 - r) / 2]), p)
+    else:
         return _minimize_entropy(t, p, seed, n_starts, 300, None)
-    vals = _entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(cert.states))), p)
-    i = int(np.argmin(vals))
-    _, grad_norm = _at_input(t, cert.vectors[i], p)
-    return MinEntropyResult(value=float(vals[i]), minimizer=cert.vectors[i],
-                            output_state=cert.states[i], p=p, converged=True,
-                            grad_norm=grad_norm, n_starts=0, bound=EXACT)
+    out, grad_norm = _at_input(t, x, p)
+    if cert is not None:
+        out = cert.states[i]  # the certified vertex state itself
+    return MinEntropyResult(value=float(value), minimizer=x, output_state=out, p=p,
+                            converged=True, grad_norm=grad_norm, n_starts=0, bound=EXACT)
+
+
+@kept
+def _bloch_peak(t):
+    """The pure input of a qubit-to-qubit map whose output has the largest
+    Bloch radius, and that radius: ``max |A x + b|`` over the Bloch ball,
+    with ``(A, b)`` from :func:`~.geometry.bloch_map`.
+
+    A convex function peaks on the sphere, where ``A^T A x + A^T b = mu x``
+    with ``mu >= lambda_max(A^T A)``: the trust-region subproblem (More and
+    Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983); Gander, Golub and
+    von Matt, Linear Algebra Appl. 114, 815 (1989)).  In the eigenbasis of
+    ``A^T A``, the right singular vectors of ``A`` with ``lambda_i`` the
+    squared singular values, and with ``g_i = lambda_max - lambda_i`` and
+    ``c = A^T b``, the peak is ``x_i = c_i / (s + g_i)`` at the root
+    ``s = mu - lambda_max`` of the secular equation
+    ``sum_i c_i^2 / (s + g_i)^2 = 1``.  Newton's method on ``1/|x(s)| - 1``,
+    which is concave and increasing, climbs to that root from the lower
+    bound ``max_i (|c_i| - g_i)`` and never overshoots.  When that bound is
+    0 and ``|x(0)| <= 1`` (the hard case: ``c`` has no component on the top
+    eigenspace, as for depolarizing, where ``b = 0``) ``s`` is 0 and the
+    rest of the unit length goes along the first right singular vector that
+    ``svd`` returns, with a positive coefficient.  (A real ``svd`` rather
+    than a real ``eigh``: a report already runs the former, and the first
+    call of the latter pages in about 0.3 MB more of LAPACK.)
+
+    A radius of at least ``_PURE_RADIUS``, four units in the last place
+    below 1, is the roundoff of ``|A x + b|`` on a pure output and is taken
+    as 1, so a pure minimum reads 0.0.
+    """
+    m = bloch_map(t)
+    a, b = m.linear, m.shift
+    # A^T A = V^T diag(sv^2) V, top first
+    _, sv, vt = np.linalg.svd(a)
+    c = vt @ (a.T @ b)
+    g = (sv[0] - sv) * (sv[0] + sv)
+    nz = c != 0  # a zero component adds nothing to the secular sum
+    c, g = c[nz], g[nz]
+    s = max([0.0, *(np.abs(c) - g)])
+    y = np.zeros(3)
+    if s > 0 or np.sum((c / g) ** 2) > 1:
+        for _ in range(100):
+            q = np.sum((c / (s + g)) ** 2)
+            step = (q ** 1.5 - q) / np.sum(c ** 2 / (s + g) ** 3)
+            if not step > 4e-16 * s:  # below the roundoff of s, or not a number
+                break
+            s += step
+        y[nz] = c / (s + g)
+    else:
+        y[nz] = c / g
+        y[0] = np.sqrt(max(0.0, 1.0 - y @ y))
+    x = y @ vt
+    x /= np.linalg.norm(x)
+    r = float(np.linalg.norm(a @ x + b))
+    # the pure state with Bloch vector x, from the better-conditioned pole
+    psi = (np.array([1 + x[2], x[0] + 1j * x[1]]) if x[2] >= 0
+           else np.array([x[0] - 1j * x[1], 1 - x[2]]))
+    return psi / np.linalg.norm(psi), 1.0 if r >= _PURE_RADIUS else r
 
 
 def _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts):
@@ -229,13 +308,15 @@ def entropy_additivity_gap(t1, t2, p=1.0, seed=0):
     points of ``Im(T1 (x) T2)`` are products): the joint result is the
     product of the single ones, its value their sum, and the gap exactly 0;
     no tensor product is built.  Its ``bound`` is ``"exact"`` when both
-    single values are.  Otherwise the joint minimizer runs on ``T1 (x) T2``,
-    seeded with the product of the single minimizers.
+    single values are.  An exact single value alone is not enough: the
+    closed form of a qubit-to-qubit map proves no additivity.  Otherwise the
+    joint minimizer runs on ``T1 (x) T2``, seeded with the product of the
+    single minimizers.
     """
     p = _check_p(p)
     r1 = min_output_entropy(t1, p=p, seed=seed, n_starts=48)
     r2 = min_output_entropy(t2, p=p, seed=seed + 1, n_starts=48)
-    if EXACT in (r1.bound, r2.bound):
+    if vertex_certificate(t1) is not None or vertex_certificate(t2) is not None:
         bound = EXACT if r1.bound == r2.bound == EXACT else UPPER
         rj = MinEntropyResult(value=r1.value + r2.value,
                               minimizer=np.kron(r1.minimizer, r2.minimizer),

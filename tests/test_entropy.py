@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    amplitude_damping,
     assembled_polytopic_fixture,
     blas_thread_outputs,
     ecq_fixture,
@@ -31,7 +32,9 @@ from chan_atlas.channels import (
     kraus_channel,
     tensor,
     trine_channel,
+    unital_qubit_diag,
 )
+from chan_atlas.classify import vertex_certificate
 from chan_atlas.entropy import (
     ContainmentError,
     _product_support,
@@ -49,6 +52,31 @@ LOG2 = np.log(2.0)
 # output spectrum is (2/3, 1/3)
 H1_DEPOL_THIRD = np.log(3.0) - (2 / 3) * LOG2
 H2_DEPOL_THIRD = np.log(9 / 5)
+
+
+def _bloch_radius_entropy(rho, p):
+    """``H_p`` of the qubit spectrum ``((1 + r)/2, (1 - r)/2)``, ``r`` the Bloch
+    radius of ``rho``."""
+    r = np.sqrt(max(0.0, 2 * np.trace(rho @ rho).real - 1))
+    return _radius_entropy(min(r, 1.0), p)
+
+
+def _radius_entropy(r, p):
+    w = np.array([(1 + r) / 2, (1 - r) / 2])
+    w = w[w > 0]
+    return float(-np.sum(w * np.log(w)) if p == 1 else np.log(np.sum(w ** p)) / (1 - p))
+
+
+def _assert_closed_form(t, want, p):
+    res = min_output_entropy(t, p=p)
+    assert res.bound == "exact" and res.n_starts == 0 and res.converged
+    assert res.value == pytest.approx(want, abs=1e-12)
+    # the reported input attains the value, and no gradient is left
+    assert renyi_entropy(t.apply(np.outer(res.minimizer, np.conj(res.minimizer))),
+                         p) == pytest.approx(want, abs=1e-12)
+    assert renyi_entropy(res.output_state, p) == pytest.approx(want, abs=1e-12)
+    assert res.grad_norm <= 1e-6
+    return res
 
 
 def test_renyi_entropy_values():
@@ -74,8 +102,8 @@ def test_renyi_entropy_validates_p():
 def test_min_output_entropy_identity_is_zero():
     for p in (1.0, 2.0):
         res = min_output_entropy(identity_channel(2), p=p)
-        assert res.value == pytest.approx(0.0, abs=1e-9)
-        assert res.converged
+        assert res.value == 0.0 and np.copysign(1.0, res.value) == 1.0
+        assert res.converged and res.bound == "exact"
 
 
 def test_min_output_entropy_depolarizing_third():
@@ -95,9 +123,11 @@ def test_min_output_entropy_trine():
 
 
 def test_min_output_entropy_constant_channel():
-    sigma = np.diag([0.9, 0.1]).astype(complex)
-    res = min_output_entropy(constant_channel(sigma, d_in=2), p=1.0)
-    assert res.value == pytest.approx(renyi_entropy(sigma, 1.0), abs=1e-9)
+    # A = 0 in the Bloch picture: every input is a maximizer
+    for sigma in (np.diag([0.9, 0.1]).astype(complex),
+                  np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])):
+        for p in (1.0, 2.0):
+            _assert_closed_form(constant_channel(sigma, d_in=2), renyi_entropy(sigma, p), p)
 
 
 def test_min_output_entropy_dephasing_is_zero():
@@ -575,11 +605,17 @@ def test_ecq_factor_is_additive_without_a_tensor_product(p, monkeypatch):
     s = random_cptp(np.random.default_rng(11), 2, 2)
     calls = []
     monkeypatch.setattr(entropy, "tensor", lambda *a: calls.append(a) or tensor(*a))
+    upper = entropy._minimize_entropy(s, p, 0, 64, 300, None).value
     for first, second in ((t, s), (s, t)):
         rep = entropy_additivity_gap(first, second, p=p)
         assert rep.gap == 0.0
         assert rep.joint.value == rep.single_first.value + rep.single_second.value
-        assert rep.joint.bound == "upper" and rep.joint.n_starts == 0
+        # the random qubit partner is exact from its Bloch ball, so the joint is too
+        assert rep.joint.bound == "exact" and rep.joint.n_starts == 0
+        qubit = rep.single_first if first is s else rep.single_second
+        assert qubit.value == pytest.approx(_bloch_radius_entropy(qubit.output_state, p),
+                                            abs=1e-12)
+        assert qubit.value <= upper + 1e-12
         np.testing.assert_array_equal(rep.joint.minimizer,
                                       np.kron(rep.single_first.minimizer,
                                               rep.single_second.minimizer))
@@ -610,3 +646,83 @@ def test_half_step_matches_the_einsum_contraction(da, db):
                                np.einsum("najbl,nslj->nsab", m4, rho_b), rtol=0, atol=1e-13)
     np.testing.assert_allclose(entropy._half_step(rho_a, op_a, db),
                                np.einsum("najbl,nsba->nsjl", m4, rho_a), rtol=0, atol=1e-13)
+
+
+# -- the Bloch-ball closed form of qubit-to-qubit maps -------------------
+
+
+@pytest.mark.parametrize("r", [0.0, 0.2, 1 / 3, 0.5, 1.0])
+def test_depolarizing_entropy_is_the_closed_form(r):
+    # b = 0 and A^T A = r^2 I: the hard case on the whole sphere
+    t = depolarizing_channel(r)
+    assert vertex_certificate(t) is None or r == 0.0
+    for p, want in ((1.0, _radius_entropy(r, 1.0)), (2.0, -np.log((1 + r * r) / 2))):
+        _assert_closed_form(t, want, p)
+        _assert_closed_form(_rotated(t, np.random.default_rng(int(10 * r))), want, p)
+
+
+@pytest.mark.parametrize("lams", [(0.6, -0.6, -0.2), (0.5, 0.5, 0.5)])
+def test_pauli_map_with_a_repeated_top_is_the_closed_form(lams):
+    # (0.6, -0.6, -0.2) is (0.6, 0.6, 0.2) after a pi rotation about x, on the
+    # complete-positivity boundary; (0.6, -0.6, +0.2) is not CP
+    r = max(abs(x) for x in lams)
+    for p in (1.0, 2.0):
+        _assert_closed_form(unital_qubit_diag(lams), _radius_entropy(r, p), p)
+
+
+def test_shift_orthogonal_to_the_top_direction_is_the_closed_form():
+    # amplitude damping 1/2, then the Pauli map (0.6, 0.6, 0.2): A = diag(a, a,
+    # 0.1) with a^2 = 0.18 and b = (0, 0, 0.1), so c = A^T b is orthogonal to
+    # the top eigenspace, and |A x + b|^2 = 0.19 - 0.17 z^2 + 0.02 z peaks at
+    # z = 1/17, off the top eigenspace
+    t = compose(amplitude_damping(0.5), unital_qubit_diag((0.6, 0.6, 0.2)))
+    r = np.sqrt(0.19 + 0.02 ** 2 / (4 * 0.17))
+    for p in (1.0, 2.0):
+        res = _assert_closed_form(t, _radius_entropy(r, p), p)
+        z = np.vdot(res.minimizer, np.diag([1, -1]) @ res.minimizer).real
+        assert z == pytest.approx(1 / 17, abs=1e-12)
+        _assert_closed_form(_rotated(t, np.random.default_rng(3)), _radius_entropy(r, p), p)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 0.3, 1.0])
+def test_amplitude_damping_entropy_is_exactly_zero(gamma):
+    for p in (1.0, 2.0):
+        res = min_output_entropy(amplitude_damping(gamma), p=p)
+        assert res.value == 0.0 and np.copysign(1.0, res.value) == 1.0
+        assert res.bound == "exact" and res.n_starts == 0
+
+
+def test_qubit_closed_form_rows_do_not_depend_on_blas_threads():
+    # the report fields of each row, byte for byte, in Haar frames
+    code = (
+        "import numpy as np\n"
+        "from conftest import amplitude_damping, haar_unitary, random_cptp\n"
+        "from chan_atlas.channels import compose, conjugate, depolarizing_channel, kraus_channel\n"
+        "from chan_atlas.entropy import min_output_entropy\n"
+        "rng = np.random.default_rng(5)\n"
+        "for t in (amplitude_damping(0.3), depolarizing_channel(0.5), random_cptp(rng, 2, 2)):\n"
+        "    t = conjugate(compose(kraus_channel([haar_unitary(rng, 2)]), t),\n"
+        "                  haar_unitary(rng, 2))\n"
+        "    for p in (1.0, 2.0):\n"
+        "        r = min_output_entropy(t, p=p)\n"
+        "        print(repr(r.value), repr(r.grad_norm), r.bound)\n"
+    )
+    one, two = blas_thread_outputs(code)
+    assert one == two and one.count("exact") == 6
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_uncertified_qubit_pair_still_runs_the_joint_minimizer(p, monkeypatch):
+    # both single values are exact, but neither factor has a vertex
+    # certificate, so nothing proves the pair additive
+    t, s = amplitude_damping(0.3), random_cptp(np.random.default_rng(7), 2, 2)
+    assert vertex_certificate(t) is None and vertex_certificate(s) is None
+    calls, runs = [], []
+    monkeypatch.setattr(entropy, "tensor", lambda *a: calls.append(a) or tensor(*a))
+    inner = entropy._minimize_entropy
+    monkeypatch.setattr(entropy, "_minimize_entropy", lambda *a: runs.append(a) or inner(*a))
+    rep = entropy_additivity_gap(t, s, p=p)
+    assert rep.single_first.bound == rep.single_second.bound == "exact"
+    assert len(calls) == 1 and len(runs) == 1 and runs[0][0].d_in == 4
+    assert rep.joint.bound == "upper" and rep.joint.n_starts > 0
+    assert rep.gap == pytest.approx(0.0, abs=1e-9)

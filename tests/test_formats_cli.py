@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    amplitude_damping,
     assembled_polytopic_fixture,
     bloch_state,
     count_runs,
@@ -319,12 +320,25 @@ def test_bound_keys_follow_the_certificate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["min_output"][0]["bound"] == "exact"
     assert main(["--format", "json", "additivity", cq, "--pair", third, "--p", "2"]) == 0
     row = json.loads(capsys.readouterr().out)["additivity"][0]
-    assert row["gap"] == 0.0 and row["bound"] == "upper"
+    # the qubit partner is exact from its Bloch ball, -log((1 + r^2)/2) at r = 1/3
+    assert row["gap"] == 0.0 and row["bound"] == "exact"
+    assert row["single_second"] == pytest.approx(-np.log((1 + 1 / 9) / 2), abs=1e-12)
     assert main(["--format", "json", "image-additivity", third, "--directions", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["rhs_bound"] == "lower"
     assert main(["--format", "json", "image-additivity", third, "--pair", cq,
                  "--directions", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["rhs_bound"] == "exact"
+
+
+def test_pure_minimal_entropies_print_as_positive_zero():
+    # a pure minimum is 0.0, never -0.0: dephasing(3) through its vertex
+    # certificate, amplitude damping through its Bloch ball
+    for t in (dephasing_channel(3), amplitude_damping(0.3)):
+        report = run_pipeline(t)
+        assert "-0.0" not in report_json(report)
+        for row in report["entropy"]["min_output"]:
+            assert row["value"] == 0.0 and np.copysign(1.0, row["value"]) == 1.0
+            assert row["bound"] == "exact"
 
 
 def test_cli_decompose_takes_no_directions_and_no_seed(tmp_path, capsys):

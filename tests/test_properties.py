@@ -16,7 +16,7 @@ from conftest import (
     random_povm,
 )
 
-from chan_atlas import channels, classify
+from chan_atlas import channels, classify, entropy
 from chan_atlas.channels import (
     choi_channel,
     compose,
@@ -40,6 +40,7 @@ from chan_atlas.classify import (
     is_universally_image_additive,
     vertex_certificate,
 )
+from chan_atlas.entropy import min_output_entropy
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
 from chan_atlas.geometry import polytopic_decompose
@@ -236,6 +237,20 @@ def test_cq_and_universal_image_additivity_are_unitarily_invariant_property(name
     cq, uia, eb = verdicts
     assert cq != YES or uia == YES
     assert uia != YES or eb == YES
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(env=strategies.integers(1, 4), seed=seeds, frame=seeds)
+def test_qubit_min_entropy_closed_form_property(env, seed, frame):
+    # a random qubit channel in Haar input and output frames: the Bloch-ball
+    # closed form is exact, never above the iterative minimizer, and does
+    # not move under T -> V o T o U
+    t = _rotated(random_cptp(np.random.default_rng(seed), 2, 2, env=env), seed + 1)
+    for p in (1.0, 2.0):
+        res = min_output_entropy(t, p=p)
+        assert res.bound == "exact" and res.n_starts == 0
+        assert res.value <= entropy._minimize_entropy(t, p, 0, 64, 300, None).value + 1e-12
+        assert abs(min_output_entropy(_rotated(t, frame), p=p).value - res.value) <= 1e-12
 
 
 # the classified channels with a vertex certificate: CQ, then eCQ but not CQ
