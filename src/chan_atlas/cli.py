@@ -23,7 +23,7 @@ import sys
 
 from .channels import NotCptpError, identity_channel
 from .entropy import entropy_additivity_gap, image_additivity_gap, min_output_entropy
-from .formats import SpecFormatError, load_channel
+from .formats import load_channel
 from .geometry import image_boundary_2d
 from .pipeline import (
     check_joint_budget,
@@ -124,9 +124,6 @@ def main(argv=None):
     except NotCptpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except SpecFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

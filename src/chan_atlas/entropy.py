@@ -11,9 +11,10 @@ universal image additivity "yes" of an eCQ map) has the image
 (Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities have closed
 forms and are reported with ``bound = "exact"``:
 ``H_min^(p)(T) = min_i H_p(sigma_i)``, since ``H_p`` is quasi-concave;
-``H_min(T (x) S) = H_min(T) + H_min(S)`` against any partner; and the product
-support in a direction ``H``, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) H]))``.
-Both verdicts are kept on the channel, so a report pays nothing extra.
+``H_min(T (x) S) = H_min(T) + H_min(S)`` against any partner; and, since the
+channel is universally image additive, the product support of ``T (x) S`` in
+every direction, which is its joint support.  Both verdicts are kept on the
+channel, so a report pays nothing extra.
 
 A qubit-to-qubit map without a certificate still has an exact ``H_min``: a
 qubit output's entropy is a falling function of its Bloch radius, so the
@@ -54,6 +55,7 @@ _P_MAX = 50.0
 _EIG_FLOOR = 1e-18
 _PURE = 1e-11            # a value this small is a pure output: every start stops
 _DECREASE_TOL = 1e-15    # a start whose step gains no more than this stops
+_MAX_STEPS = 300         # steps of the iterative minimizer
 _RESTARTS = 8            # product-support starts per direction, twice that in the rerun
 _GAP_FLOOR = 1e-10       # a 2x2 row with a smaller relative eigengap goes through eigh
 _PURE_RADIUS = 1.0 - 4 * 2.0 ** -52  # a Bloch radius this close to 1 is a pure output
@@ -147,7 +149,7 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
         x, r = _bloch_peak(t)
         value = _entropy_from_eigs(np.array([(1 + r) / 2, (1 - r) / 2]), p)
     else:
-        return _minimize_entropy(t, p, seed, n_starts, 300, None)
+        return _minimize_entropy(t, p, seed, n_starts)
     out, grad_norm = _at_input(t, x, p)
     if cert is not None:
         out = cert.states[i]  # the certified vertex state itself
@@ -213,7 +215,7 @@ def _bloch_peak(t):
     return psi / np.linalg.norm(psi), 1.0 if r >= _PURE_RADIUS else r
 
 
-def _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts):
+def _minimize_entropy(t, p, seed, n_starts, start=None):
     """The iterative minimizer: an upper bound on the minimal output entropy.
 
     Every start runs the linearization step together: ``x`` moves to the
@@ -227,19 +229,19 @@ def _minimize_entropy(t, p, seed, n_starts, max_iter, extra_starts):
     and resets to 1 when it loses.  A start stops when neither candidate lowers its
     value by more than ``_DECREASE_TOL``; every start stops once the best
     value is at most ``_PURE``.  ``converged`` is the winning start's own
-    stop reason; hitting ``max_iter`` is not convergence.
+    stop reason; hitting ``_MAX_STEPS`` is not convergence.  The starts are
+    the standard basis, ``n_starts`` random vectors and ``start``, if given.
     """
     rng = np.random.default_rng(seed)
     d = t.d_in
-    extra = [np.asarray(v, dtype=complex).reshape(-1) for v in extra_starts or ()]
     x = np.concatenate([np.eye(d, dtype=complex), random_pure_vectors(rng, n_starts, d),
-                        np.reshape(extra, (-1, d))])
+                        np.reshape([] if start is None else start, (-1, d))])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     w, u = np.linalg.eigh(herm(t.pure_outputs(x)))
     val = _entropy_from_eigs(w, p)
     beta = np.ones(len(x))
     active = np.ones(len(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         idx = np.flatnonzero(active)
         if idx.size == 0 or val.min() <= _PURE:
             break
@@ -327,7 +329,7 @@ def entropy_additivity_gap(t1, t2, p=1.0, seed=0):
         return EntropyAdditivityReport(gap=0.0, single_first=r1, single_second=r2, joint=rj,
                                        p=p)
     seed_vec = np.kron(r1.minimizer, r2.minimizer)
-    rj = _minimize_entropy(tensor(t1, t2), p, seed + 2, 48, 300, [seed_vec])
+    rj = _minimize_entropy(tensor(t1, t2), p, seed + 2, 48, seed_vec)
     gap = r1.value + r2.value - rj.value
     return EntropyAdditivityReport(gap=float(gap), single_first=r1, single_second=r2,
                                    joint=rj, p=p)
@@ -341,10 +343,10 @@ class ImageAdditivityReport:
     max_gap: float
     direction: np.ndarray      # witness direction on the joint output space
     lhs: float                 # support of Im(T1 x T2)
-    rhs: float                 # support over product inputs: exact, or a lower bound
-    certified: bool            # lhs - rhs > 1e-6, with rhs exact or reproduced by a rerun
+    rhs: float                 # support over product inputs: lhs itself, or a lower bound
+    certified: bool            # lhs - rhs > 1e-6, with rhs reproduced by a rerun
     n_directions: int
-    rhs_bound: str             # EXACT from a vertex certificate, else LOWER
+    rhs_bound: str             # EXACT (rhs == lhs) from a vertex certificate, else LOWER
 
 
 def _outer(v):
@@ -446,15 +448,6 @@ def _product_support(ms, psi, pure):
     return best
 
 
-def _vertex_product_support(h, states, s):
-    """The product support of ``conv{states} (x) Im S`` in each direction ``h``
-    on the joint output space, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) h]))``,
-    from one stacked ``eigvalsh``."""
-    n, na, nb = len(h), states[0].shape[0], s.d_out
-    reduced = np.einsum("iac,ncjal->nijl", np.asarray(states), h.reshape(n, na, nb, na, nb))
-    return np.linalg.eigvalsh(herm(s.dual_apply(reduced)))[..., -1].max(axis=1)
-
-
 def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     """Largest observed gap between joint and product support functions.
 
@@ -464,17 +457,18 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     factors have equal dimension, since those expose non-product extreme
     points most sharply.
 
-    When ``T1``, or else ``T2`` (with the tensor factors of ``H`` swapped),
-    carries a vertex certificate (a CQ or eCQ "yes") the right side is the
-    exact product support, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) H]))``
-    over its vertex states, and ``rhs_bound`` is ``"exact"``; the true gap of
-    such a pair is 0, by universal image additivity.  Otherwise the right
-    side is the best value ``_product_support`` finds, a lower bound on the
+    When either factor carries a vertex certificate (a CQ or eCQ "yes") it
+    is universally image additive (Fukuda, Nechita and Wolf), so
+    ``Im(T1 (x) T2) = conv(Im T1 (x) Im T2)`` and the product support is the
+    joint support in every direction: both sides are ``lambda_max`` of
+    ``(T1 (x) T2)*(H)``, ``max_gap`` is exactly 0, the first direction is
+    the witness, and ``rhs_bound`` is ``"exact"``.  Otherwise the right side
+    is the best value ``_product_support`` finds, a lower bound on the
     product support (``rhs_bound`` ``"lower"``), and a positive gap is rerun
-    from 16 starts, two of them the first run's own.  ``certified`` means
-    ``lhs - rhs > 1e-6``, with ``rhs`` exact or reproduced by that rerun
-    within 1e-8; on the sampled path this is not an independent check, and
-    not a proof.
+    from 16 starts, two of them the first run's own; ``rhs`` keeps the
+    larger of the two values.  ``certified`` means ``lhs - rhs > 1e-6`` with
+    ``rhs`` reproduced by that rerun within 1e-8; this is not an
+    independent check, and not a proof.
     """
     if n_directions < 1:
         raise ValueError("need at least one direction")
@@ -490,29 +484,21 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     ent = (frames[:, 0, :, None] * frames[:, 1, None]).sum(axis=-1).reshape(n_ent, n1 * n2)
     directions = np.concatenate([directions, _outer(ent / np.sqrt(n1))])
     ms = herm(tensor(t1, t2).dual_apply(directions))
-    cert, swap = vertex_certificate(t1), False
-    if cert is None:
-        cert, swap = vertex_certificate(t2), True
-    if cert is None:
+    additive = vertex_certificate(t1) is not None or vertex_certificate(t2) is not None
+    if additive:  # the product support is the joint one, by the theorem
+        lhs_all = rhs_all = np.linalg.eigvalsh(ms)[:, -1]
+    else:
         w, u = np.linalg.eigh(ms)
         lhs_all, psi, db = w[:, -1], u[:, :, -1], t2.d_in
         pure = random_pure_vectors(rng, (n_directions, _RESTARTS - 2), db)
         rhs_all = _product_support(ms, psi, pure)
-    else:
-        h, partner = directions, t2
-        if swap:  # the second factor is certified: swap the tensor factors of each H
-            n = len(directions)
-            h = directions.reshape(n, n1, n2, n1, n2).transpose(0, 2, 1, 4, 3).reshape(h.shape)
-            partner = t1
-        lhs_all = np.linalg.eigvalsh(ms)[:, -1]
-        rhs_all = _vertex_product_support(h, cert.states, partner)
     gaps = lhs_all - rhs_all
     # the first direction within roundoff of the largest gap, so the witness
     # does not hinge on the last bits of the BLAS reduction order
     i = int(np.flatnonzero(gaps >= gaps.max() - 1e-12)[0])
     gap, lhs, rhs = gaps[i], lhs_all[i], rhs_all[i]
     certified = bool(gap > 1e-6)
-    if certified and cert is None:
+    if certified:
         pure = random_pure_vectors(np.random.default_rng(seed + 9091), (1, 2 * _RESTARTS - 2), db)
         redo = _product_support(ms[i:i + 1], psi[i:i + 1], pure)[0]
         stable = abs(redo - rhs) <= 1e-8
@@ -521,7 +507,7 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
         certified = bool(stable and gap > 1e-6)
     return ImageAdditivityReport(max_gap=float(gap), direction=directions[i], lhs=float(lhs),
                                  rhs=float(rhs), certified=certified, n_directions=n_directions,
-                                 rhs_bound=LOWER if cert is None else EXACT)
+                                 rhs_bound=EXACT if additive else LOWER)
 
 
 # -- hiding construction ------------------------------------------------

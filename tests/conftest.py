@@ -25,19 +25,21 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 TETRA_DIRECTIONS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
 
 
-def blas_thread_outputs(code):
-    """Standard output of the Python source ``code`` run in two child processes,
-    with one and with two BLAS threads; the environment alone sets the count,
-    and the children import ``chan_atlas`` and ``conftest`` from this tree."""
+def fresh_output(code, **env):
+    """Standard output of the Python source ``code`` run in a child process,
+    with ``env`` added to the environment; the child imports ``chan_atlas``
+    and ``conftest`` from this tree."""
     paths = [str(Path(chan_atlas.__file__).resolve().parents[1]), str(Path(__file__).parent),
              os.environ.get("PYTHONPATH")]
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        outputs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                      check=True, text=True).stdout)
-    return outputs
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True, text=True).stdout
+
+
+def blas_thread_outputs(code):
+    """Standard output of ``code`` run in two child processes (``fresh_output``),
+    with one and with two BLAS threads; the environment alone sets the count."""
+    return [fresh_output(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
 
 
 def bloch_state(x, y, z):
@@ -134,6 +136,15 @@ def product_support_full_grid(ms, psi, pure, top=None):
         val[active] = w
         active[active] = gain >= 1e-10
     return val.max(axis=1)
+
+
+def vertex_product_support(h, states, s):
+    """Reference product support of ``conv{states} (x) Im S`` in each direction
+    ``h`` on the joint output space, ``max_i lambda_max(S*(Tr_1[(sigma_i (x) I) h]))``:
+    a linear functional peaks on a vertex of the first factor's hull."""
+    n, na, nb = len(h), states[0].shape[0], s.d_out
+    reduced = np.einsum("iac,ncjal->nijl", np.asarray(states), h.reshape(n, na, nb, na, nb))
+    return np.linalg.eigvalsh(herm(s.dual_apply(reduced)))[..., -1].max(axis=1)
 
 
 def lapack_top(k):

@@ -18,6 +18,7 @@ from conftest import (
     random_direction,
     random_pure,
     tetra_states,
+    vertex_product_support,
 )
 
 from chan_atlas import entropy
@@ -147,7 +148,7 @@ def test_min_output_entropy_rotated_dephasing_reaches_vertex():
     # the channel is CQ, so min_output_entropy itself reads the vertex off
     for seed in range(3):
         t = _rotated(dephasing_channel(3), np.random.default_rng(seed))
-        res = entropy._minimize_entropy(t, 2.0, 0, 64, 300, None)
+        res = entropy._minimize_entropy(t, 2.0, 0, 64)
         assert res.value <= 1e-9
         assert res.converged and res.bound == "upper"
         exact = min_output_entropy(t, p=2.0)
@@ -155,12 +156,14 @@ def test_min_output_entropy_rotated_dephasing_reaches_vertex():
         assert exact.converged and exact.bound == "exact" and exact.n_starts == 0
 
 
-def test_min_output_entropy_cap_is_not_convergence():
+def test_min_output_entropy_cap_is_not_convergence(monkeypatch):
     # the standard-basis start |1> is an exact trine minimizer, so one step
     # stops it on its own; a fixed input rotation moves the minimizers off
     # the starts, and after one step every start is still moving
     t = compose(kraus_channel([haar_unitary(np.random.default_rng(5), 2)]), trine_channel())
-    assert not entropy._minimize_entropy(t, 1.0, 0, 64, 1, None).converged
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_MAX_STEPS", 1)
+        assert not entropy._minimize_entropy(t, 1.0, 0, 64).converged
     assert min_output_entropy(t, p=1.0).converged
 
 
@@ -538,17 +541,30 @@ _FAMILIES = ["ecq", "ecq_complement2", "assembled"]
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_certified_probe_has_no_gap_on_any_direction(family, monkeypatch):
     seen = []
-    exact = entropy._vertex_product_support
-    monkeypatch.setattr(entropy, "_vertex_product_support",
-                        lambda h, states, s: seen.append((h, exact(h, states, s))) or seen[-1][1])
-    monkeypatch.setattr(entropy, "_product_support", None)  # the exact route never samples
-    for t, _ in _certified_frames(family):
+
+    class Recorded:  # the joint map, recording the directions of the probe
+        def __init__(self, joint):
+            self.joint = joint
+
+        def dual_apply(self, h):
+            seen.append(h)
+            return self.joint.dual_apply(h)
+
+    monkeypatch.setattr(entropy, "tensor", lambda *a: Recorded(tensor(*a)))
+    monkeypatch.setattr(entropy, "_product_support", None)  # the theorem route never samples
+    for t, sig in _certified_frames(family):
         seen.clear()
-        rep = image_additivity_gap(t, identity_channel(t.d_in), n_directions=24, seed=0)
+        partner = identity_channel(t.d_in)
+        rep = image_additivity_gap(t, partner, n_directions=24, seed=0)
+        assert rep.max_gap == 0.0 and rep.rhs == rep.lhs
         assert not rep.certified and rep.rhs_bound == "exact"
-        (h, rhs), = seen
-        lhs = np.linalg.eigvalsh(herm(tensor(t, identity_channel(t.d_in)).dual_apply(h)))[:, -1]
-        assert np.abs(lhs - rhs).max() <= 1e-12
+        # the theorem, direction by direction: the joint support is the
+        # product support over the vertex states
+        (h,) = seen
+        assert len(h) == 24
+        lhs = np.linalg.eigvalsh(herm(tensor(t, partner).dual_apply(h)))[:, -1]
+        assert np.abs(lhs - vertex_product_support(h, sig, partner)).max() <= 1e-12
+        assert rep.lhs == lhs[0]
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -560,8 +576,7 @@ def test_exact_product_support_bounds_the_sampled_one(family):
         ms = herm(tensor(t, partner).dual_apply(h))
         psi = np.linalg.eigh(ms)[1][:, :, -1]
         sampled = _product_support(ms, psi, random_pure_vectors(rng, (12, 6), t.d_in))
-        exact = entropy._vertex_product_support(h, sig, partner)
-        assert np.all(exact >= sampled - 1e-12)
+        assert np.all(vertex_product_support(h, sig, partner) >= sampled - 1e-12)
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -573,7 +588,7 @@ def test_exact_entropy_is_the_smallest_vertex_entropy(family):
             assert res.value == pytest.approx(min(renyi_entropy(s, p) for s in sig), abs=1e-12)
             assert renyi_entropy(t.apply(np.outer(res.minimizer, res.minimizer.conj())), p) == \
                 pytest.approx(res.value, abs=1e-9)
-            iterated = entropy._minimize_entropy(t, p, 0, 8, 300, None)
+            iterated = entropy._minimize_entropy(t, p, 0, 8)
             assert iterated.bound == "upper" and iterated.value >= res.value - 1e-9
 
 
@@ -589,14 +604,15 @@ def test_frame_4_ecq_channel_has_no_gap_against_the_identity():
 def test_swapped_certified_factor_gives_the_exact_product_support():
     t, _, _, sig = ecq_fixture(1)
     s = random_cptp(np.random.default_rng(3), 2, t.d_out)
-    rep = image_additivity_gap(s, t, n_directions=40, seed=2)
-    assert abs(rep.max_gap) <= 1e-12
-    assert not rep.certified and rep.rhs_bound == "exact"
-    # the same direction with its tensor factors swapped, seen from the other side
+    for first, second in ((t, s), (s, t)):
+        rep = image_additivity_gap(first, second, n_directions=40, seed=2)
+        assert rep.max_gap == 0.0 and rep.rhs == rep.lhs
+        assert not rep.certified and rep.rhs_bound == "exact"
+    # the witness of the certificate on the second factor, with its tensor
+    # factors swapped: the product support from the vertex states is lhs
     n1, n2 = s.d_out, t.d_out
     h = rep.direction.reshape(n1, n2, n1, n2).transpose(1, 0, 3, 2).reshape(n1 * n2, -1)
-    rhs = entropy._vertex_product_support(h[None], sig, s)[0]
-    assert rhs == pytest.approx(rep.rhs, abs=1e-12)
+    assert vertex_product_support(h[None], sig, s)[0] == pytest.approx(rep.lhs, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -605,7 +621,7 @@ def test_ecq_factor_is_additive_without_a_tensor_product(p, monkeypatch):
     s = random_cptp(np.random.default_rng(11), 2, 2)
     calls = []
     monkeypatch.setattr(entropy, "tensor", lambda *a: calls.append(a) or tensor(*a))
-    upper = entropy._minimize_entropy(s, p, 0, 64, 300, None).value
+    upper = entropy._minimize_entropy(s, p, 0, 64).value
     for first, second in ((t, s), (s, t)):
         rep = entropy_additivity_gap(first, second, p=p)
         assert rep.gap == 0.0

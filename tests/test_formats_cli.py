@@ -15,6 +15,7 @@ from conftest import (
     bloch_state,
     count_runs,
     ecq_fixture,
+    fresh_output,
     random_cptp,
 )
 
@@ -703,3 +704,18 @@ def test_report_and_classify_search_vertices_once(tmp_path, capsys, monkeypatch)
     calls.clear()
     assert main(["classify", spec_file(tmp_path, DEPOL_HALF)]) == 0
     assert len(calls) == 1
+
+
+def test_runtime_imports_numpy_alone():
+    # the command line and a full report load no test-side or optional
+    # package; jsonschema is imported only inside validate_report
+    code = (
+        "import sys\n"
+        "import chan_atlas.cli\n"
+        "from chan_atlas.channels import trine_channel\n"
+        "from chan_atlas.pipeline import run_pipeline\n"
+        "run_pipeline(trine_channel())\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+        "             & {'scipy', 'jsonschema', 'hypothesis', 'pytest'}))\n"
+    )
+    assert fresh_output(code) == "[]\n"

@@ -249,7 +249,7 @@ def test_qubit_min_entropy_closed_form_property(env, seed, frame):
     for p in (1.0, 2.0):
         res = min_output_entropy(t, p=p)
         assert res.bound == "exact" and res.n_starts == 0
-        assert res.value <= entropy._minimize_entropy(t, p, 0, 64, 300, None).value + 1e-12
+        assert res.value <= entropy._minimize_entropy(t, p, 0, 64).value + 1e-12
         assert abs(min_output_entropy(_rotated(t, frame), p=p).value - res.value) <= 1e-12
 
 
