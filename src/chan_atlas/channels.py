@@ -413,6 +413,25 @@ def tensor(t1, t2):
     return _natural_channel(n, t1.d_in * t2.d_in, t1.d_out * t2.d_out)
 
 
+def tensor_dual_apply(t1, t2, h):
+    """``(T1 (x) T2)*(h)`` of a stack ``h`` of observables on ``C^{n1} (x) C^{n2}``,
+    without the joint map: ``T1*`` acts on the first output factor, then
+    ``T2*`` on the second, each one ``dual_apply`` on a 2-D stack, so one
+    matmul with inner length ``n1^2`` and then ``n2^2``."""
+    (n1, d1), (n2, d2) = (t1.d_out, t1.d_in), (t2.d_out, t2.d_in)
+    h = np.asarray(h, dtype=complex)
+    if h.shape[-2:] != (n1 * n2, n1 * n2):
+        raise ValueError(f"observable has shape {h.shape}, expected "
+                         f"(..., {n1 * n2}, {n1 * n2})")
+    lead = h.shape[:-2]
+    # h[a b, a' b'] -> (b, b', a, a'); T1* gives (b, b', i, i')
+    g = t1.dual_apply(h.reshape(-1, n1, n2, n1, n2).transpose(0, 2, 4, 1, 3).reshape(-1, n1, n1))
+    # -> (i, i', b, b'); T2* gives (i, i', j, j')
+    g = t2.dual_apply(g.reshape(-1, n2, n2, d1, d1).transpose(0, 3, 4, 1, 2).reshape(-1, n2, n2))
+    g = g.reshape(-1, d1, d1, d2, d2).transpose(0, 1, 3, 2, 4)
+    return g.reshape(*lead, d1 * d2, d1 * d2)
+
+
 def compose(t1, t2):
     """Composite ``rho -> T2(T1(rho))`` (T1 acts first)."""
     if t1.d_out != t2.d_in:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor
+from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor, tensor_dual_apply
 from .classify import vertex_certificate
 from .geometry import VERDICT_TOL, bloch_map, hull_containment
 from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
@@ -452,10 +452,12 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     """Largest observed gap between joint and product support functions.
 
     For each Hermitian direction ``H`` on the joint output space the left
-    side is the support of ``Im(T1 (x) T2)``.  Random directions are mixed
-    with projectors onto rotated maximally entangled vectors when the output
-    factors have equal dimension, since those expose non-product extreme
-    points most sharply.
+    side is the support of ``Im(T1 (x) T2)``, ``lambda_max`` of
+    ``(T1 (x) T2)*(H)``; that adjoint is applied factor by factor
+    (:func:`~.channels.tensor_dual_apply`), so no joint map is built.  Random
+    directions are mixed with projectors onto rotated maximally entangled
+    vectors when the output factors have equal dimension, since those expose
+    non-product extreme points most sharply.
 
     When either factor carries a vertex certificate (a CQ or eCQ "yes") it
     is universally image additive (Fukuda, Nechita and Wolf), so
@@ -483,7 +485,7 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     # differently, which can move the witness of a certified gap
     ent = (frames[:, 0, :, None] * frames[:, 1, None]).sum(axis=-1).reshape(n_ent, n1 * n2)
     directions = np.concatenate([directions, _outer(ent / np.sqrt(n1))])
-    ms = herm(tensor(t1, t2).dual_apply(directions))
+    ms = herm(tensor_dual_apply(t1, t2, directions))
     additive = vertex_certificate(t1) is not None or vertex_certificate(t2) is not None
     if additive:  # the product support is the joint one, by the theorem
         lhs_all = rhs_all = np.linalg.eigvalsh(ms)[:, -1]

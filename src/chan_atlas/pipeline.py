@@ -31,7 +31,7 @@ from .geometry import dimension_bound_check, polytopic_decompose
 
 REPORT_VERSION = "1"
 
-_MAX_JOINT_DIM = 36  # budget of every tensor product; joint spaces grow quadratically
+_MAX_JOINT_DIM = 36  # desk-scale limit of each joint dimension; joint operators grow quadratically
 
 
 def check_joint_budget(t1, t2):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     assembled_polytopic_fixture,
+    blas_thread_outputs,
     bloch_state,
     random_cptp,
     random_density,
@@ -34,13 +35,14 @@ from chan_atlas.channels import (
     map_distance,
     povm_channel,
     tensor,
+    tensor_dual_apply,
     trine_channel,
     unital_qubit_diag,
 )
 from chan_atlas.classify import is_cq
 from chan_atlas.entropy import build_hiding_channel
 from chan_atlas.geometry import polytopic_decompose
-from chan_atlas.linalg import PAULIS, herm, matrix_units
+from chan_atlas.linalg import PAULIS, herm, matrix_units, random_directions
 
 
 def test_identity_channel():
@@ -208,6 +210,47 @@ def test_tensor_on_product_inputs():
     np.testing.assert_allclose(tt.apply(np.kron(a, b)),
                                np.kron(t1.apply(a), t2.apply(b)), atol=1e-11)
     assert tt.verify_cptp().is_cptp
+
+
+def _disc_counterexample():
+    """The paper's 6 -> 2 counterexample: a CQ square of Bloch radius 0.8 (+) a
+    Pauli disc map."""
+    square = [bloch_state(*w) for w in ((0.8, 0, 0), (-0.8, 0, 0), (0, 0.8, 0), (0, -0.8, 0))]
+    return direct_sum(cq_channel(np.eye(4), square), unital_qubit_diag((0.5, 0.5, 0.0)))
+
+
+@pytest.mark.parametrize("pair", ["2to3_3to2", "3to3_2to2", "disc_id6"])
+def test_tensor_dual_apply_matches_the_joint_map(pair):
+    rng = np.random.default_rng(["2to3_3to2", "3to3_2to2", "disc_id6"].index(pair))
+    for _ in range(4):
+        if pair == "disc_id6":
+            t1, t2 = _disc_counterexample(), identity_channel(6)
+        else:
+            dims = (2, 3, 3, 2) if pair == "2to3_3to2" else (3, 3, 2, 2)
+            t1, t2 = random_cptp(rng, *dims[:2]), random_cptp(rng, *dims[2:])
+        h = random_directions(rng, 24, t1.d_out * t2.d_out)
+        got, want = tensor_dual_apply(t1, t2, h), tensor(t1, t2).dual_apply(h)
+        assert got.shape == want.shape == (24, t1.d_in * t2.d_in, t1.d_in * t2.d_in)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    # one observable, without a stack axis
+    np.testing.assert_array_equal(tensor_dual_apply(t1, t2, h[0]), got[0])
+    with pytest.raises(ValueError, match="observable has shape"):
+        tensor_dual_apply(t1, t2, h[:, 1:, 1:])
+
+
+def test_tensor_dual_apply_does_not_depend_on_blas_threads():
+    code = ("import hashlib\n"
+            "import numpy as np\n"
+            "from conftest import assembled_polytopic_fixture\n"
+            "from chan_atlas.channels import identity_channel, tensor_dual_apply\n"
+            "from chan_atlas.linalg import random_directions\n"
+            "t = assembled_polytopic_fixture(11)[0]\n"
+            "assert (t.d_in, t.d_out) == (5, 3)\n"
+            "h = random_directions(np.random.default_rng(0), 24, 15)\n"
+            "g = tensor_dual_apply(t, identity_channel(5), h)\n"
+            "print(hashlib.sha256(g.tobytes()).hexdigest())\n")
+    one, two = blas_thread_outputs(code)
+    assert one == two
 
 
 def test_conjugate_by_unitary():

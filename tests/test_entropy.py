@@ -32,6 +32,7 @@ from chan_atlas.channels import (
     identity_channel,
     kraus_channel,
     tensor,
+    tensor_dual_apply,
     trine_channel,
     unital_qubit_diag,
 )
@@ -238,8 +239,8 @@ def test_image_additivity_witness_does_not_depend_on_blas_threads():
             "entropy.vertex_certificate = lambda t: None\n"
             "s = entropy.image_additivity_gap(t, identity_channel(t.d_in), n_directions=24)\n"
             "print(repr(r.lhs), repr(r.rhs), repr(s.lhs), repr(s.rhs))\n")
-    values = [[float(x) for x in out.split()] for out in blas_thread_outputs(code)]
-    np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-12)
+    one, two = blas_thread_outputs(code)
+    assert one == two
 
 
 def test_image_additivity_gap_runs_one_stack(monkeypatch):
@@ -273,7 +274,9 @@ def test_image_additivity_draws_match_the_per_direction_loop(t1, t2, rerun, monk
         psi = np.kron(u, v) @ np.eye(n).reshape(-1) / np.sqrt(n)
         directions.append(psi[:, None] * np.conj(psi)[None, :])
     pure = [[random_pure(rng, db) for _ in range(6)] for _ in range(12)]
-    assert np.array_equal(seen[0][0], herm(tensor(t1, t2).dual_apply(np.array(directions))))
+    assert np.array_equal(seen[0][0], herm(tensor_dual_apply(t1, t2, np.array(directions))))
+    joint = herm(tensor(t1, t2).dual_apply(np.array(directions)))
+    assert np.abs(seen[0][0] - joint).max() <= 1e-15 * np.abs(joint).max()
     assert np.array_equal(seen[0][1], np.array(pure))
     assert len(seen) == 1 + rerun
     if rerun:  # from its own stream
@@ -541,16 +544,9 @@ _FAMILIES = ["ecq", "ecq_complement2", "assembled"]
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_certified_probe_has_no_gap_on_any_direction(family, monkeypatch):
     seen = []
-
-    class Recorded:  # the joint map, recording the directions of the probe
-        def __init__(self, joint):
-            self.joint = joint
-
-        def dual_apply(self, h):
-            seen.append(h)
-            return self.joint.dual_apply(h)
-
-    monkeypatch.setattr(entropy, "tensor", lambda *a: Recorded(tensor(*a)))
+    monkeypatch.setattr(entropy, "tensor_dual_apply",  # recording the directions of the probe
+                        lambda t1, t2, h: seen.append(h) or tensor_dual_apply(t1, t2, h))
+    monkeypatch.setattr(entropy, "tensor", None)  # the probe builds no joint map
     monkeypatch.setattr(entropy, "_product_support", None)  # the theorem route never samples
     for t, sig in _certified_frames(family):
         seen.clear()
@@ -562,7 +558,7 @@ def test_certified_probe_has_no_gap_on_any_direction(family, monkeypatch):
         # product support over the vertex states
         (h,) = seen
         assert len(h) == 24
-        lhs = np.linalg.eigvalsh(herm(tensor(t, partner).dual_apply(h)))[:, -1]
+        lhs = np.linalg.eigvalsh(herm(tensor_dual_apply(t, partner, h)))[:, -1]
         assert np.abs(lhs - vertex_product_support(h, sig, partner)).max() <= 1e-12
         assert rep.lhs == lhs[0]
 

@@ -11,9 +11,13 @@ from conftest import (
     bloch_state,
     ecq_fixture,
     haar_unitary,
+    lapack_top,
+    outer,
+    product_support_full_grid,
     random_cptp,
     random_density,
     random_povm,
+    random_pure,
 )
 
 from chan_atlas import channels, classify, entropy
@@ -44,6 +48,7 @@ from chan_atlas.entropy import min_output_entropy
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
 from chan_atlas.geometry import polytopic_decompose
+from chan_atlas.linalg import random_directions, random_pure_vectors
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, strategies = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -348,3 +353,38 @@ def test_is_cq_draws_no_sample(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     for name, t in built.items():
         assert is_cq(t).status in (YES, NO), name
+
+
+def _qubit_pair_directions(rng, kinds):
+    """One two-qubit observable per entry of ``kinds``, each turned by a Haar
+    frame ``U (x) V``: a GUE direction, a multiple of the identity, or the
+    projector onto a product or a random (entangled) unit vector."""
+    out = []
+    for kind in kinds:
+        if kind == "gue":
+            m = random_directions(rng, 1, 4)[0]
+        elif kind == "scalar":
+            m = rng.normal() * np.eye(4, dtype=complex)
+        else:
+            v = (np.kron(random_pure(rng, 2), random_pure(rng, 2)) if kind == "product"
+                 else random_pure(rng, 4))
+            m = outer(v)
+        w = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        out.append(w @ m @ w.conj().T)
+    return np.array(out)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(kinds=strategies.lists(strategies.sampled_from(["gue", "scalar", "product", "entangled"]),
+                              min_size=1, max_size=12),
+       seed=seeds)
+def test_qubit_product_support_matches_the_eigh_full_grid_property(kinds, seed):
+    # the sweep of a qubit pair, with its closed-form 2x2 top eigenpairs,
+    # against the full grid with every top eigenpair from LAPACK
+    rng = np.random.default_rng(seed)
+    ms = _qubit_pair_directions(rng, kinds)
+    psi = np.linalg.eigh(ms)[1][:, :, -1]
+    pure = random_pure_vectors(rng, (len(ms), 6), 2)
+    np.testing.assert_allclose(entropy._product_support(ms, psi, pure),
+                               product_support_full_grid(ms, psi, pure, top=lapack_top),
+                               rtol=0, atol=1e-12)
