@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested analysis ran (verdicts, including "no" and
 "indeterminate", never drive the exit status), 2 for malformed specs or
-invalid usage, 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
+invalid usage (a ``--directions`` or ``--points`` count over the size budget
+included), 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
 ``classify``, ``entropy``, ``additivity``, ``image-additivity`` and
 ``fixed-points`` need a channel and exit 3 on any map that is not CPTP, the
 ``allow_non_cptp`` ones included; ``decompose``, ``image`` and ``report``
@@ -27,6 +28,7 @@ from .formats import load_channel
 from .geometry import image_boundary_2d
 from .pipeline import (
     check_joint_budget,
+    check_stack_budget,
     classification_stage,
     fixed_point_stage,
     image_stage,
@@ -178,6 +180,7 @@ def cmd_classify(args):
 
 def cmd_image(args):
     t = load_channel(args.spec)
+    check_stack_budget("--points", args.points, max(t.d_in, t.d_out))
     rows = image_boundary_2d(t, n_points=args.points)
     write_boundary_csv(args.out, rows)
     written = {"csv": args.out, "points": int(rows.shape[0])}
@@ -222,6 +225,7 @@ def cmd_image_additivity(args):
     t1 = load_channel(args.spec)
     t2 = load_channel(args.pair) if args.pair else identity_channel(t1.d_in)
     check_joint_budget(t1, t2)
+    check_stack_budget("--directions", args.directions, max(t1.d_in * t2.d_in, t1.d_out * t2.d_out))
     t1.require_cptp()
     t2.require_cptp()
     rep = image_additivity_gap(t1, t2, n_directions=args.directions, seed=args.seed)

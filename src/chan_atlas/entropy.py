@@ -1,47 +1,27 @@
 """Output entropies, their minimization, and additivity diagnostics.
 
-All entropies use the natural logarithm.  Minimal output entropy is computed
-over pure inputs (the minimum over all states is attained on an extreme
-point).
+All entropies use the natural logarithm, and minimal output entropies are
+taken over pure inputs, where the minimum is attained.  Each value says what
+it is in ``bound``: ``"exact"`` from a vertex certificate (a CQ or eCQ "yes",
+whose image is ``conv{sigma_i}``; Fukuda, Nechita and Wolf,
+arXiv:1408.2340) or, for a qubit-to-qubit map, from the Bloch-ball
+trust-region solve (``_bloch_peak``); ``"upper"`` from the iterative
+minimizer (``_minimize_entropy``) on every other map.  A certified factor
+makes a pair additive, in entropy and in image, so no joint optimizer runs
+for it.
 
-A channel with a vertex certificate (:func:`~.classify.vertex_certificate`:
-its eCQ form, an :class:`~.channels.EcqForm`, from a CQ "yes" or the
-universal image additivity "yes" of an eCQ map) has the image
-``conv{sigma_i}`` with every ``sigma_i`` attained at ``T(e_i e_i*)``
-(Fukuda, Nechita and Wolf, arXiv:1408.2340), so three quantities have closed
-forms and are reported with ``bound = "exact"``:
-``H_min^(p)(T) = min_i H_p(sigma_i)``, since ``H_p`` is quasi-concave;
-``H_min(T (x) S) = H_min(T) + H_min(S)`` against any partner; and, since the
-channel is universally image additive, the product support of ``T (x) S`` in
-every direction, which is its joint support.  Both verdicts are kept on the
-channel, so a report pays nothing extra.
-
-A qubit-to-qubit map without a certificate still has an exact ``H_min``: a
-qubit output's entropy is a falling function of its Bloch radius, so the
-minimum is ``H_p`` at the largest ``|A x + b|`` over the Bloch ball, with
-``(A, b)`` the map's Bloch picture (:func:`~.geometry.bloch_map`).  That is
-the trust-region subproblem (More and Sorensen, SIAM J. Sci. Stat. Comput.
-4, 553 (1983)), solved from one 3x3 ``eigh`` and its secular equation.  It
-proves nothing about additivity, so only a vertex certificate skips the
-joint minimizer.
-
-Every other channel goes through the iterative minimizer, whose value is an
-upper bound (``bound = "upper"``).  It runs every start at once through the
-natural matrix: each step moves a start to the bottom eigenvector of
-``T*(G)``, with ``G`` the entropy gradient at its current output, which by
-the tangent bound never raises the value; one over-relaxed candidate per
-step along the same great circle speeds up the slow approach to pure
-outputs.  No step size, line search or input grid is involved.
-
-Entropy additivity gaps are reported as ``H_min(T1) + H_min(T2) -
-H_min(T1 (x) T2)``.  Without a certified factor the joint optimizer is seeded
-with the product of the single-channel minimizers, so the reported gap is
-nonnegative up to evaluation roundoff and vanishes for additive pairs
-whenever the single-channel optima are found.
+Entropy additivity gaps are ``H_min(T1) + H_min(T2) - H_min(T1 (x) T2)``;
+without a certified factor the joint minimizer is seeded with the product
+of the single minimizers, so the gap is nonnegative up to roundoff.  Image
+additivity compares, per direction, the support of ``Im(T1 (x) T2)`` with a
+lower bound on its product support: an alternating sweep over product
+inputs run in the real Hilbert-Schmidt coordinates of :func:`~.linalg.hvec`
+(``_product_support``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +29,8 @@ import numpy as np
 from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor, tensor_dual_apply
 from .classify import vertex_certificate
 from .geometry import VERDICT_TOL, bloch_map, hull_containment
-from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors
+from .linalg import (check_density_matrix, herm, hvec, random_directions, random_pure_vectors,
+                     unhvec)
 
 _P_MAX = 50.0
 _EIG_FLOOR = 1e-18
@@ -349,103 +330,128 @@ class ImageAdditivityReport:
     rhs_bound: str             # EXACT (rhs == lhs) from a vertex certificate, else LOWER
 
 
-def _outer(v):
-    return v[..., :, None] * np.conj(v)[..., None, :]
+@functools.cache
+def _hvec_basis(d):
+    """The Hermitian basis behind :func:`~.linalg.hvec`, one flattened ``B_k``
+    per row, so ``v @ basis`` flattens the matrix with coordinates ``v``; and
+    the index pairs ``i < j`` of its off-diagonal coordinates.  Read-only."""
+    basis = unhvec(np.eye(d * d), d).reshape(d * d, d * d)
+    pairs = np.triu_indices(d, k=1)
+    for a in (basis, *pairs):
+        a.flags.writeable = False
+    return basis, pairs
 
 
-def _half_step(rho, op, e):
-    """One half step of the product-support sweep as one batched ``@``: the
-    flattened ``rho`` ``(n, s, d, d)`` against ``op`` ``(n, d*d, e*e)``."""
-    n, s, d, _ = rho.shape
-    return (rho.reshape(n, s, d * d) @ op).reshape(n, s, e, e)
+def _hvec_outer(u):
+    """``hvec(u u*)`` of each vector along the last axis, from the vector."""
+    i, j = _hvec_basis(u.shape[-1])[1]
+    q = np.sqrt(2.0) * u[..., i] * np.conj(u[..., j])
+    return np.concatenate([u.real ** 2 + u.imag ** 2, q.real, q.imag], axis=-1)
 
 
-def _top(k):
-    """The top eigenvalue and eigenprojector of the Hermitian part of each
-    matrix in the stack ``k``; no eigenvector outlives the call.
+def _coordinates(ms, da, db):
+    """Each observable ``m`` on ``C^da (x) C^db`` as the real ``da^2 x db^2``
+    matrix ``R[k, l] = Tr(m (B_k (x) B_l))`` (``_hvec_basis``), so that
+    ``Tr(m rho_a (x) rho_b) = hvec(rho_a) @ R @ hvec(rho_b)``: one matmul
+    per factor, the second real up to roundoff since ``m`` is Hermitian."""
+    n = len(ms)
+    m = ms.reshape(n, da, db, da, db).transpose(0, 2, 4, 1, 3).reshape(n * db * db, da * da)
+    m = (m @ _hvec_basis(da)[0].conj().T).reshape(n, db * db, da * da).transpose(0, 2, 1)
+    # the real part of x @ conj(B)^T, as a real matmul on the interleaved parts of x
+    m = np.ascontiguousarray(m.reshape(n * da * da, db * db)).view(float)
+    return (m @ _hvec_basis(db)[0].view(float).T).reshape(n, da * da, db * db)
 
-    A 2x2 stack is solved in closed form.  With ``a``, ``c`` the diagonal,
-    ``b`` the upper off-diagonal entry, ``h = (a - c)/2`` and
-    ``r = hypot(h, |b|)``, the top eigenvalue is ``(a + c)/2 + r`` and the
-    projector is ``(K - lambda_min I)/(2r)``, its small diagonal entry taken
-    as ``|b|^2 / (2r (r + |h|))`` so it keeps its relative accuracy.  Rows
-    whose gap ``2r`` is at most ``_GAP_FLOOR`` times their spectral radius
-    (scalar and near-scalar matrices, whose top eigenvector is a choice) go
-    through ``eigh``, on those rows only.  Larger stacks always do.
+
+def _top(v, d):
+    """The top eigenvalue of each ``d x d`` Hermitian matrix given by its
+    ``hvec`` row in ``v``, and the ``hvec`` of its top eigenprojector.
+
+    A qubit row ``(a, c, sqrt2 Re b, sqrt2 Im b)`` is solved in closed form:
+    with ``h = (a - c)/2`` and ``r = hypot(h, |b|)`` the top eigenvalue is
+    ``(a + c)/2 + r``, and the projector ``(K - lambda_min I)/(2r)`` has the
+    row's off-diagonal coordinates over ``2r`` and its small diagonal entry
+    taken as ``|b|^2 / (2r (r + |h|))``, which keeps its relative accuracy.
+    Rows whose gap ``2r`` is at most ``_GAP_FLOOR`` times their spectral
+    radius (scalar and near-scalar matrices, whose top eigenvector is a
+    choice) go through ``eigh``, on those rows only, as do all rows with
+    ``d > 2``; the projector's ``hvec`` is read off the eigenvector.
     """
-    k = herm(k)
-    if k.shape[-1] != 2:
-        w, u = np.linalg.eigh(k)
-        return w[:, -1], _outer(u[..., -1])
-    a, c, b = k[:, 0, 0].real, k[:, 1, 1].real, k[:, 0, 1]
-    h, mean = (a - c) / 2, (a + c) / 2
-    r = np.hypot(h, np.abs(b))
-    top = mean + r
-    kept = 2 * r > _GAP_FLOOR * (np.abs(mean) + r)
-    r, h, b = r[kept], h[kept], b[kept]
-    s = r + np.abs(h)
-    big, small, off = s / (2 * r), np.abs(b) ** 2 / (2 * r * s), b / (2 * r)
-    up = h >= 0
-    closed = np.stack([np.where(up, big, small), off, np.conj(off),
-                       np.where(up, small, big)], axis=-1).reshape(-1, 2, 2)
-    if kept.all():
-        return top, closed
-    proj = np.empty_like(k)
-    proj[kept] = closed
-    w, u = np.linalg.eigh(k[~kept])
-    top[~kept], proj[~kept] = w[:, -1], _outer(u[..., -1])
+    if d == 2:
+        a, c, re, im = v.T
+        h, mean = (a - c) / 2, (a + c) / 2
+        b = np.hypot(re, im) * np.sqrt(0.5)
+        r = np.hypot(h, b)
+        s, gap = r + np.abs(h), 2 * r
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows go to eigh below
+            big, small = s / gap, b * b / (gap * s)
+            up = h >= 0
+            proj = np.column_stack([np.where(up, big, small), np.where(up, small, big),
+                                    re / gap, im / gap])
+        top = mean + r
+        kept = gap > _GAP_FLOOR * (np.abs(mean) + r)
+        if kept.all():
+            return top, proj
+        v = v[~kept]
+    k = v @ _hvec_basis(d)[0].view(float)  # the matrices, real and imaginary parts interleaved
+    w, u = np.linalg.eigh(k.view(complex).reshape(-1, d, d))
+    if d > 2:
+        return w[:, -1], _hvec_outer(u[..., -1])
+    top[~kept], proj[~kept] = w[:, -1], _hvec_outer(u[..., -1])
     return top, proj
 
 
-def _sweep_operands(ms, db):
-    """The observables ``m[a j, b l]`` permuted once for the two half steps:
-    ``(l j) x (a b)``, contracted against ``rho_b``, and ``(b a) x (j l)``,
-    contracted against ``rho_a``."""
-    n = len(ms)
-    da = ms.shape[-1] // db
-    m4 = ms.reshape(n, da, db, da, db)
-    return (m4.transpose(0, 4, 2, 1, 3).reshape(n, db * db, da * da),
-            m4.transpose(0, 3, 1, 2, 4).reshape(n, da * da, db * db))
+def _contract(op, slot, v, s):
+    """The rows ``v`` times the ``op`` of their direction: scattered at their
+    ``slot`` into a zero grid of ``len(op)`` directions by ``s`` starts, one
+    matmul per direction, and gathered back."""
+    grid = np.zeros((len(op) * s, v.shape[1]))
+    grid[slot] = v
+    return (grid.reshape(len(op), s, -1) @ op).reshape(-1, op.shape[-1])[slot]
 
 
 def _product_support(ms, psi, pure):
     """Per direction, the best ``Tr(m rho_a (x) rho_b)`` found by alternating
     top-eigenvector updates from the best product approximation of the joint
     maximizer ``psi``, from ``I/d_b`` and from the rows of ``pure``
-    ``(n, r, d_b)``, all in one stack; a start stops when it gains < 1e-10.
+    ``(n, r, d_b)``; a start stops when it gains < 1e-10, or at 20 rounds.
 
-    Each round contracts only the directions with a live start: a direction
-    whose starts have all stopped has its best value written out, and the
-    stacks shrink to the directions still held.  A half step onto a qubit
-    factor takes its top eigenpairs in closed form (``_top``), with ``eigh``
-    kept for the degenerate rows only.
+    Each ``m`` is its real ``_coordinates`` matrix ``R`` and each state its
+    ``hvec`` row, so a half step is ``R y`` onto the first factor or
+    ``R^T x`` onto the second, then ``_top``.  Every live start is one row of
+    the stack, at its (direction, start) slot.  A start that stops leaves the
+    stack with its value kept, and a direction with no live start drops its
+    ``R``, so ``_contract`` sees held directions only; each direction's best
+    is the largest value of its starts.
     """
     n, r, db = pure.shape
     da = ms.shape[-1] // db
-    op_b, op_a = _sweep_operands(ms, db)
+    s = r + 2  # starts per direction
+    to_b = _coordinates(ms, da, db)  # R: the rows x @ R are the half step onto the second factor
+    to_a = np.ascontiguousarray(to_b.transpose(0, 2, 1))  # R^T: the rows y @ R^T are R y
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
-    mixed = np.broadcast_to(np.eye(db, dtype=complex) / db, (n, 1, db, db))
-    rho_b = np.concatenate([_outer(vb)[:, None], mixed, _outer(pure)], axis=1)
-    rho_a = np.zeros((n, r + 2, da, da), dtype=complex)
-    val = np.full((n, r + 2), -np.inf)
-    active = np.ones((n, r + 2), dtype=bool)
-    best = np.empty(n)
-    rows = np.arange(n)  # the direction of each held row
+    mixed = np.broadcast_to(hvec(np.eye(db)) / db, (n, 1, db * db))
+    y = np.concatenate([_hvec_outer(vb)[:, None], mixed, _hvec_outer(pure)], axis=1)
+    y = y.reshape(n * s, db * db)
+    start = slot = np.arange(n * s)  # each row's start, and its place in the held grid
+    val, final = np.full(n * s, -np.inf), np.empty(n * s)
     for _ in range(20):
-        live = active.any(axis=1)
-        if not live.all():
-            best[rows[~live]] = val[~live].max(axis=1)
-            op_a, op_b, rho_a, rho_b, val, active, rows = (
-                x[live] for x in (op_a, op_b, rho_a, rho_b, val, active, rows))
-        if not rows.size:
+        x = _top(_contract(to_a, slot, y, s), da)[1]
+        top, y = _top(_contract(to_b, slot, x, s), db)
+        live = top - val >= 1e-10
+        val = top
+        if live.all():
+            continue
+        final[start[~live]] = val[~live]
+        y, val, slot, start = y[live], val[live], slot[live], start[live]
+        if not slot.size:
             break
-        rho_a[active] = _top(_half_step(rho_b, op_b, da)[active])[1]
-        top, rho_b[active] = _top(_half_step(rho_a, op_a, db)[active])
-        gain = top - val[active]
-        val[active] = top
-        active[active] = gain >= 1e-10
-    best[rows] = val.max(axis=1)
-    return best
+        keep = np.zeros(len(to_b), dtype=bool)
+        keep[slot // s] = True
+        if not keep.all():
+            to_a, to_b = to_a[keep], to_b[keep]
+            slot = (np.cumsum(keep) - 1)[slot // s] * s + slot % s
+    final[start] = val
+    return final.reshape(n, s).max(axis=1)
 
 
 def image_additivity_gap(t1, t2, n_directions=40, seed=0):
@@ -484,7 +490,8 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     # (u (x) v) vec(I) = vec(u v^T), as a product and a sum: a matmul rounds
     # differently, which can move the witness of a certified gap
     ent = (frames[:, 0, :, None] * frames[:, 1, None]).sum(axis=-1).reshape(n_ent, n1 * n2)
-    directions = np.concatenate([directions, _outer(ent / np.sqrt(n1))])
+    ent /= np.sqrt(n1)
+    directions = np.concatenate([directions, ent[:, :, None] * np.conj(ent)[:, None, :]])
     ms = herm(tensor_dual_apply(t1, t2, directions))
     additive = vertex_certificate(t1) is not None or vertex_certificate(t2) is not None
     if additive:  # the product support is the joint one, by the theorem

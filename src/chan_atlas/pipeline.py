@@ -32,6 +32,7 @@ from .geometry import dimension_bound_check, polytopic_decompose
 REPORT_VERSION = "1"
 
 _MAX_JOINT_DIM = 36  # desk-scale limit of each joint dimension; joint operators grow quadratically
+_MAX_STACK = 2 ** 20  # desk-scale limit of the matrix entries a count flag asks for
 
 
 def check_joint_budget(t1, t2):
@@ -40,6 +41,15 @@ def check_joint_budget(t1, t2):
     if max(d_in, d_out) > _MAX_JOINT_DIM:
         raise ValueError(f"joint map d_in = {d_in}, d_out = {d_out} exceeds the limit "
                          f"of {_MAX_JOINT_DIM}")
+
+
+def check_stack_budget(flag, count, dim):
+    """Raise ``ValueError`` naming ``flag`` when ``count`` matrices of side ``dim`` exceed
+    ``_MAX_STACK`` entries: ``--directions`` at the larger joint dimension (400 at 4 take
+    6,400, 24 at 36 take 31,104), ``--points`` at the larger dimension of the map."""
+    if count * dim * dim > _MAX_STACK:
+        raise ValueError(f"{flag} {count} needs {count} x {dim}^2 matrix entries, over the "
+                         f"limit of {_MAX_STACK}")
 
 
 def jsonable(x):

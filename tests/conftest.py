@@ -111,16 +111,15 @@ def outer(v):
     return v[..., :, None] * np.conj(v)[..., None, :]
 
 
-def product_support_full_grid(ms, psi, pure, top=None):
-    """Reference for ``entropy._product_support``: every alternating round
-    contracts the full grid of directions and starts, with the same half step
-    (``entropy._half_step`` on ``entropy._sweep_operands``) and the same top
-    eigenpairs (``entropy._top``, looked up at call time, unless ``top`` is
-    given), then masks out the starts that have stopped."""
+def product_support_full_grid(ms, psi, pure):
+    """Independent reference for ``entropy._product_support``, on complex
+    matrices and sharing none of its code: every alternating round contracts
+    the full grid of directions and starts against the observables (einsum),
+    takes every top eigenpair from LAPACK (``lapack_top``), then masks out the
+    starts that have stopped."""
     n, r, db = pure.shape
     da = ms.shape[-1] // db
-    top = top or entropy._top
-    op_b, op_a = entropy._sweep_operands(ms, db)
+    m4 = ms.reshape(n, da, db, da, db)
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
     mixed = np.broadcast_to(np.eye(db, dtype=complex) / db, (n, 1, db, db))
     rho_b = np.concatenate([outer(vb)[:, None], mixed, outer(pure)], axis=1)
@@ -130,8 +129,36 @@ def product_support_full_grid(ms, psi, pure, top=None):
     for _ in range(20):
         if not active.any():
             break
-        rho_a[active] = top(entropy._half_step(rho_b, op_b, da)[active])[1]
-        w, rho_b[active] = top(entropy._half_step(rho_a, op_a, db)[active])
+        rho_a[active] = lapack_top(np.einsum("najbl,nslj->nsab", m4, rho_b)[active])[1]
+        w, rho_b[active] = lapack_top(np.einsum("najbl,nsba->nsjl", m4, rho_a)[active])
+        gain = w - val[active]
+        val[active] = w
+        active[active] = gain >= 1e-10
+    return val.max(axis=1)
+
+
+def product_support_hvec_grid(ms, psi, pure):
+    """Reference for the compaction of ``entropy._product_support``: the same
+    real coordinates (``entropy._coordinates``), starts and top eigenpairs
+    (``entropy._top``, looked up at call time), but every alternating round
+    contracts the full grid of directions and starts, then masks out the
+    starts that have stopped."""
+    n, r, db = pure.shape
+    da = ms.shape[-1] // db
+    to_b = entropy._coordinates(ms, da, db)
+    to_a = np.ascontiguousarray(to_b.transpose(0, 2, 1))
+    vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
+    mixed = np.broadcast_to(hvec(np.eye(db)) / db, (n, 1, db * db))
+    y = np.concatenate([entropy._hvec_outer(vb)[:, None], mixed, entropy._hvec_outer(pure)],
+                       axis=1)
+    x = np.zeros((n, r + 2, da * da))
+    val = np.full((n, r + 2), -np.inf)
+    active = np.ones((n, r + 2), dtype=bool)
+    for _ in range(20):
+        if not active.any():
+            break
+        x[active] = entropy._top((y @ to_a)[active], da)[1]
+        w, y[active] = entropy._top((x @ to_b)[active], db)
         gain = w - val[active]
         val[active] = w
         active[active] = gain >= 1e-10
@@ -148,7 +175,8 @@ def vertex_product_support(h, states, s):
 
 
 def lapack_top(k):
-    """``entropy._top`` from ``np.linalg.eigh`` alone, at every size."""
+    """The top eigenvalue and eigenprojector of each matrix's Hermitian part,
+    from ``np.linalg.eigh`` alone."""
     w, u = np.linalg.eigh(herm(k))
     return w[:, -1], outer(u[..., -1])
 

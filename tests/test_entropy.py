@@ -13,6 +13,7 @@ from conftest import (
     haar_unitary,
     lapack_top,
     product_support_full_grid,
+    product_support_hvec_grid,
     random_cptp,
     random_density,
     random_direction,
@@ -47,7 +48,7 @@ from chan_atlas.entropy import (
     renyi_entropy,
 )
 from chan_atlas.formats import load_channel
-from chan_atlas.linalg import herm, random_directions, random_pure_vectors
+from chan_atlas.linalg import herm, hvec, random_directions, random_pure_vectors, unhvec
 
 LOG2 = np.log(2.0)
 # closed forms for the r = 1/3 depolarizing qubit channel: the minimizing
@@ -292,7 +293,7 @@ def test_product_support_frozen_starts_stay_put():
     pure = np.array([[random_pure(rng, db) for _ in range(6)] for _ in range(3)])
     stacked = _product_support(ms, psi, pure)
     single = [_product_support(ms[i:i + 1], psi[i:i + 1], pure[i:i + 1])[0] for i in range(3)]
-    assert stacked.tolist() == single
+    assert stacked.tolist() == single == product_support_hvec_grid(ms, psi, pure).tolist()
 
 
 def _sweep_input(da, db, n, seed):
@@ -306,7 +307,7 @@ def _top_rounds(monkeypatch, sweep, ms, psi, pure):
     calls = []
     top = entropy._top
     with monkeypatch.context() as m:
-        m.setattr(entropy, "_top", lambda k: calls.append(1) or top(k))
+        m.setattr(entropy, "_top", lambda v, d: calls.append(1) or top(v, d))
         return sweep(ms, psi, pure).tolist(), len(calls) // 2
 
 
@@ -316,7 +317,7 @@ def test_product_support_matches_the_full_grid(da, db, n):
     for seed in range(2):
         ms, psi, pure = _sweep_input(da, db, n, seed)
         assert _product_support(ms, psi, pure).tolist() == \
-            product_support_full_grid(ms, psi, pure).tolist()
+            product_support_hvec_grid(ms, psi, pure).tolist()
 
 
 def test_product_support_when_every_start_stops_in_round_two(monkeypatch):
@@ -326,7 +327,7 @@ def test_product_support_when_every_start_stops_in_round_two(monkeypatch):
     ms = c[:, None, None] * np.eye(da * db, dtype=complex)
     _, psi, pure = _sweep_input(da, db, len(c), 0)
     got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
-    assert got == _top_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
+    assert got == _top_rounds(monkeypatch, product_support_hvec_grid, ms, psi, pure)
     assert got == (c.tolist(), 2)
 
 
@@ -334,64 +335,67 @@ def test_product_support_when_every_start_stops_in_round_two(monkeypatch):
 def test_product_support_at_the_round_cap(da, db, n, monkeypatch):
     ms, psi, pure = _sweep_input(da, db, n, 0)
     got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
-    assert got == _top_rounds(monkeypatch, product_support_full_grid, ms, psi, pure)
+    assert got == _top_rounds(monkeypatch, product_support_hvec_grid, ms, psi, pure)
     assert got[1] == 20
 
 
-def _contracted_rows(monkeypatch, sweep):
+def _contracted_directions(monkeypatch, sweep):
     """Probe depolarizing 1/2 against the identity with ``sweep`` as the
-    product-support solver.  Returns the report, the directions contracted
-    in all rounds, and whether each contracted direction owns a row of the
-    ``_top`` that follows its contraction."""
-    events = []
-    half_step, top = entropy._half_step, entropy._top
+    product-support solver.  Returns the report, the directions and half
+    steps of each sweep call, and, for each ``_contract`` call, whether each
+    direction it contracts holds a live start."""
+    calls, held, tops = [], [], []
+    contract, top = entropy._contract, entropy._top
 
-    def counted_half_step(rho, op, e):
-        assert len(rho) == len(op)
-        out = half_step(rho, op, e)
-        events.append(("contract", out))
+    def counted_contract(op, slot, v, s):
+        assert len(slot) == len(v)
+        held.append(np.isin(np.arange(len(op)), slot // s))
+        return contract(op, slot, v, s)
+
+    def counted_sweep(ms, psi, pure):
+        before = len(tops)
+        out = sweep(ms, psi, pure)
+        calls.append((len(ms), len(tops) - before))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(entropy, "_product_support", sweep)
-        m.setattr(entropy, "_half_step", counted_half_step)
-        m.setattr(entropy, "_top", lambda k: events.append(("top", k)) or top(k))
+        m.setattr(entropy, "_product_support", counted_sweep)
+        m.setattr(entropy, "_contract", counted_contract)
+        m.setattr(entropy, "_top", lambda v, d: tops.append(1) or top(v, d))
         rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
                                    n_directions=400)
-    rows, owned = 0, []
-    for (kind, out), (next_kind, k) in zip(events, events[1:]):
-        if kind != "contract":
-            continue
-        assert next_kind == "top"
-        held = {x.tobytes() for x in k}
-        owned += [any(x.tobytes() in held for x in starts) for starts in out]
-        rows += len(out)
-    return rep, rows, owned
+    return rep, calls, held
 
 
 def test_product_support_contracts_only_live_directions(monkeypatch):
-    rep, rows, owned = _contracted_rows(monkeypatch, entropy._product_support)
-    ref, ref_rows, _ = _contracted_rows(monkeypatch, product_support_full_grid)
+    rep, calls, held = _contracted_directions(monkeypatch, entropy._product_support)
+    ref, ref_calls, ref_held = _contracted_directions(monkeypatch, product_support_hvec_grid)
     assert (rep.max_gap, rep.lhs, rep.rhs, rep.certified) == \
         (ref.max_gap, ref.lhs, ref.rhs, ref.certified)
-    assert owned and all(owned)
-    # the full grid contracts all 400 directions in each of its 20 rounds
-    assert 2 * rows <= ref_rows
+    assert calls == ref_calls and ref_held == []
+    assert held and all(h.all() for h in held)
+    # the full grid contracts every direction in each of its half steps
+    assert 2 * sum(len(h) for h in held) <= sum(n * steps for n, steps in ref_calls)
 
 
-@pytest.mark.parametrize("n", [1, 24, 200])
-@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+_SWEEP_SIZES = [(da, db, n) for da, db in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+                for n in (1, 24, 200)]
+
+
+@pytest.mark.parametrize("da, db, n", _SWEEP_SIZES + [(6, 6, 1), (6, 6, 24)])
 def test_product_support_matches_an_eigh_reference(da, db, n):
-    # the full grid with every top eigenpair from LAPACK: independent of _top
+    # the complex full grid with every top eigenpair from LAPACK: no shared code
     for seed in range(2):
         ms, psi, pure = _sweep_input(da, db, n, seed)
         np.testing.assert_allclose(_product_support(ms, psi, pure),
-                                   product_support_full_grid(ms, psi, pure, top=lapack_top),
+                                   product_support_full_grid(ms, psi, pure),
                                    rtol=0, atol=1e-12)
 
 
 def _check_top(k, top, proj):
-    """``top`` and ``proj`` are the top eigenpair of each Hermitian 2x2 ``k``."""
+    """``top`` and ``proj`` are the top eigenpair of each Hermitian 2x2 ``k``,
+    with ``proj`` given by its ``hvec`` row."""
+    proj = unhvec(proj, 2)
     w = np.linalg.eigvalsh(k)
     scale = np.abs(w).max(axis=1)
     assert np.all(np.abs(top - w[:, -1]) <= 1e-14 * scale)
@@ -404,10 +408,10 @@ def _check_top(k, top, proj):
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_top_solves_2x2_stacks_in_closed_form(scale, monkeypatch):
     rng = np.random.default_rng(int(np.log10(scale)) + 6)
-    k = scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+    k = herm(scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))))
     monkeypatch.setattr(np.linalg, "eigh", None)  # no row is degenerate
-    top, proj = entropy._top(k)
-    _check_top(herm(k), top, proj)
+    top, proj = entropy._top(hvec(k), 2)
+    _check_top(k, top, proj)
 
 
 def test_top_covers_both_diagonal_orders_and_real_off_diagonals(monkeypatch):
@@ -415,13 +419,13 @@ def test_top_covers_both_diagonal_orders_and_real_off_diagonals(monkeypatch):
                   [[2, 1e-9], [1e-9, -1]], [[-1, 1e-9j], [-1e-9j, 2]],
                   [[1, 1 - 1j], [1 + 1j, 1.5]], [[1.5, 1 - 1j], [1 + 1j, 1]]], dtype=complex)
     monkeypatch.setattr(np.linalg, "eigh", None)
-    top, proj = entropy._top(k)
+    top, proj = entropy._top(hvec(k), 2)
     _check_top(k, top, proj)
     # b = 0: the projector is exact
     assert top[:3].tolist() == [3, 3, -1]
-    assert proj[:3].tolist() == [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]]
+    assert proj[:3].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     # a tiny |b| keeps its relative accuracy in the small diagonal entry
-    np.testing.assert_allclose([proj[3, 1, 1], proj[4, 0, 0]], [1e-18 / 9] * 2, rtol=1e-12)
+    np.testing.assert_allclose([proj[3, 1], proj[4, 0]], [1e-18 / 9] * 2, rtol=1e-12)
 
 
 def test_top_sends_degenerate_2x2_rows_to_eigh(monkeypatch):
@@ -430,33 +434,40 @@ def test_top_sends_degenerate_2x2_rows_to_eigh(monkeypatch):
     near = u @ np.diag([0.7, 0.7 + 1e-13]) @ np.conj(u.T)
     k = np.concatenate([rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)),
                         [np.zeros((2, 2)), 2.5 * np.eye(2), near]]).astype(complex)
-    k = k[[3, 0, 4, 1, 5, 2]]  # degenerate rows mixed in: 0, 2 and 4
+    k = herm(k[[3, 0, 4, 1, 5, 2]])  # degenerate rows mixed in: 0, 2 and 4
     seen = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        top, proj = entropy._top(k)
-    assert len(seen) == 1 and np.array_equal(seen[0], herm(k)[[0, 2, 4]])
-    ref_top, ref_proj = lapack_top(k[[0, 2, 4]])
+        warnings.simplefilter("error")  # the closed form never divides by r = 0
+        top, proj = entropy._top(hvec(k), 2)
+    assert len(seen) == 1
+    np.testing.assert_allclose(seen[0], k[[0, 2, 4]], rtol=0, atol=1e-16)
+    ref_top, ref_proj = lapack_top(seen[0])
     assert top[[0, 2, 4]].tobytes() == ref_top.tobytes()
-    assert proj[[0, 2, 4]].tobytes() == ref_proj.tobytes()
-    _check_top(herm(k)[[1, 3, 5]], top[[1, 3, 5]], proj[[1, 3, 5]])
+    np.testing.assert_allclose(unhvec(proj[[0, 2, 4]], 2), ref_proj, rtol=0, atol=1e-15)
+    _check_top(k[[1, 3, 5]], top[[1, 3, 5]], proj[[1, 3, 5]])
 
 
-def test_top_keeps_eigh_beyond_2x2():
+def test_top_keeps_eigh_beyond_2x2(monkeypatch):
     rng = np.random.default_rng(4)
-    k = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
-    top, proj = entropy._top(k)
-    ref_top, ref_proj = lapack_top(k)
-    assert top.tobytes() == ref_top.tobytes() and proj.tobytes() == ref_proj.tobytes()
+    k = herm(rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3)))
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+    top, proj = entropy._top(hvec(k), 3)
+    assert len(seen) == 1
+    np.testing.assert_allclose(seen[0], k, rtol=0, atol=1e-15)
+    ref_top, ref_proj = lapack_top(seen[0])
+    assert top.tobytes() == ref_top.tobytes()
+    np.testing.assert_allclose(unhvec(proj, 3), ref_proj, rtol=0, atol=1e-15)
 
 
 def test_qubit_probe_sends_only_scalar_rows_from_top_to_eigh(monkeypatch):
     # From the mixed start I/2, a maximally entangled direction gives the
     # first half step T*(I/2)/2 = I/4 up to roundoff: the one degenerate row
     # per entangled direction (100 here, and at most 1 in the rerun).  Every
-    # other row of the sweep is solved in closed form.
+    # other row of the sweep is solved in closed form, with no warning.
     rows = []
     eigh = np.linalg.eigh
 
@@ -466,8 +477,10 @@ def test_qubit_probe_sends_only_scalar_rows_from_top_to_eigh(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
-                               n_directions=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
+                                   n_directions=400)
     assert rep.certified and rep.max_gap == pytest.approx(0.25, abs=1e-6)
     assert 100 <= len(rows) <= 101
     np.testing.assert_allclose(rows, np.broadcast_to(np.eye(2) / 4, (len(rows), 2, 2)),
@@ -648,16 +661,26 @@ def test_product_grad_norm_matches_the_joint_gradient(p):
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_half_step_matches_the_einsum_contraction(da, db):
+    # R y and R^T x in hvec coordinates against Tr_b[m (I (x) rho_b)] and
+    # Tr_a[m (rho_a (x) I)] on matrices
     rng = np.random.default_rng([da, db])
     ms = random_directions(rng, 30, da * db)
     m4 = ms.reshape(30, da, db, da, db)
     rho_a = herm(random_directions(rng, (30, 5), da))
     rho_b = herm(random_directions(rng, (30, 5), db))
-    op_b, op_a = entropy._sweep_operands(ms, db)
-    np.testing.assert_allclose(entropy._half_step(rho_b, op_b, da),
-                               np.einsum("najbl,nslj->nsab", m4, rho_b), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(entropy._half_step(rho_a, op_a, db),
-                               np.einsum("najbl,nsba->nsjl", m4, rho_a), rtol=0, atol=1e-13)
+    coords = entropy._coordinates(ms, da, db)
+    assert coords.dtype == float
+    slot = np.arange(150)
+    to_a = entropy._contract(coords.transpose(0, 2, 1), slot, hvec(rho_b).reshape(150, -1), 5)
+    to_b = entropy._contract(coords, slot, hvec(rho_a).reshape(150, -1), 5)
+    ref_a = hvec(np.einsum("najbl,nslj->nsab", m4, rho_b)).reshape(150, -1)
+    ref_b = hvec(np.einsum("najbl,nsba->nsjl", m4, rho_a)).reshape(150, -1)
+    np.testing.assert_allclose(to_a, ref_a, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(to_b, ref_b, rtol=0, atol=1e-13)
+    # rows held at a subset of the slots come back as in the full grid
+    held = np.sort(rng.choice(150, size=40, replace=False))
+    assert entropy._contract(coords, held, hvec(rho_a).reshape(150, -1)[held], 5).tolist() == \
+        to_b[held].tolist()
 
 
 # -- the Bloch-ball closed form of qubit-to-qubit maps -------------------

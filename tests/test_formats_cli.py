@@ -493,6 +493,22 @@ def test_cli_pair_commands_refuse_joint_maps_over_the_budget(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_image_additivity_refuses_directions_over_the_budget(tmp_path, capsys):
+    spec = spec_file(tmp_path, DEPOL_HALF)
+    assert main(["image-additivity", spec, "--directions", "100000000"]) == 2
+    assert capsys.readouterr().err == ("error: --directions 100000000 needs 100000000 x 4^2 "
+                                       "matrix entries, over the limit of 1048576\n")
+
+
+def test_cli_image_refuses_points_over_the_budget(tmp_path, capsys):
+    out = tmp_path / "boundary.csv"
+    argv = ["image", spec_file(tmp_path, TRINE_SPEC), "--out", str(out)]
+    assert main([*argv, "--points", "1000000000000"]) == 2
+    assert capsys.readouterr().err == ("error: --points 1000000000000 needs 1000000000000 x 3^2 "
+                                       "matrix entries, over the limit of 1048576\n")
+    assert not out.exists()
+
+
 def test_cli_report_deterministic(tmp_path, capsys, monkeypatch):
     spec = spec_file(tmp_path, TRINE_SPEC)
     assert main(["report", spec]) == 0

@@ -11,7 +11,6 @@ from conftest import (
     bloch_state,
     ecq_fixture,
     haar_unitary,
-    lapack_top,
     outer,
     product_support_full_grid,
     random_cptp,
@@ -355,21 +354,21 @@ def test_is_cq_draws_no_sample(monkeypatch):
         assert is_cq(t).status in (YES, NO), name
 
 
-def _qubit_pair_directions(rng, kinds):
-    """One two-qubit observable per entry of ``kinds``, each turned by a Haar
-    frame ``U (x) V``: a GUE direction, a multiple of the identity, or the
-    projector onto a product or a random (entangled) unit vector."""
+def _pair_directions(rng, kinds, da, db):
+    """One observable on ``C^da (x) C^db`` per entry of ``kinds``, each turned
+    by a Haar frame ``U (x) V``: a GUE direction, a multiple of the identity,
+    or the projector onto a product or a random (entangled) unit vector."""
     out = []
     for kind in kinds:
         if kind == "gue":
-            m = random_directions(rng, 1, 4)[0]
+            m = random_directions(rng, 1, da * db)[0]
         elif kind == "scalar":
-            m = rng.normal() * np.eye(4, dtype=complex)
+            m = rng.normal() * np.eye(da * db, dtype=complex)
         else:
-            v = (np.kron(random_pure(rng, 2), random_pure(rng, 2)) if kind == "product"
-                 else random_pure(rng, 4))
+            v = (np.kron(random_pure(rng, da), random_pure(rng, db)) if kind == "product"
+                 else random_pure(rng, da * db))
             m = outer(v)
-        w = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        w = np.kron(haar_unitary(rng, da), haar_unitary(rng, db))
         out.append(w @ m @ w.conj().T)
     return np.array(out)
 
@@ -377,14 +376,17 @@ def _qubit_pair_directions(rng, kinds):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(kinds=strategies.lists(strategies.sampled_from(["gue", "scalar", "product", "entangled"]),
                               min_size=1, max_size=12),
+       dims=strategies.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
        seed=seeds)
-def test_qubit_product_support_matches_the_eigh_full_grid_property(kinds, seed):
-    # the sweep of a qubit pair, with its closed-form 2x2 top eigenpairs,
-    # against the full grid with every top eigenpair from LAPACK
+def test_qubit_product_support_matches_the_eigh_full_grid_property(kinds, dims, seed):
+    # the sweep of a pair of factors of dimension 2 or 3, with the qubit
+    # factors' closed-form top eigenpairs, against the complex full grid with
+    # every top eigenpair from LAPACK
     rng = np.random.default_rng(seed)
-    ms = _qubit_pair_directions(rng, kinds)
+    da, db = dims
+    ms = _pair_directions(rng, kinds, da, db)
     psi = np.linalg.eigh(ms)[1][:, :, -1]
-    pure = random_pure_vectors(rng, (len(ms), 6), 2)
+    pure = random_pure_vectors(rng, (len(ms), 6), db)
     np.testing.assert_allclose(entropy._product_support(ms, psi, pure),
-                               product_support_full_grid(ms, psi, pure, top=lapack_top),
+                               product_support_full_grid(ms, psi, pure),
                                rtol=0, atol=1e-12)
