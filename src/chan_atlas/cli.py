@@ -10,14 +10,22 @@ included), 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
 (which skips its analysis stages) accept them.
 
 The default seed comes from ``CHAN_ATLAS_SEED`` and is overridden by
-``--seed``; the sampled analyses (entropies and image additivity) derive
-their randomness from it, while ``decompose``, ``classify`` and
-``fixed-points`` draw no random number and do not depend on it.
+``--seed``; both must be integers in ``[0, 2**64)``, and a bad value of
+either exits 2 naming it.  The sampled analyses (entropies and image
+additivity) derive their randomness from the seed, while ``decompose``,
+``classify`` and ``fixed-points`` draw no random number and do not depend
+on it.
+
+:func:`main` may be called many times in one process (the tests and the
+benchmark do): the argument parser is built on its first call and reused,
+and each call looks its subcommand's ``cmd_*`` handler up by name, so a
+handler replaced on this module is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,10 +57,12 @@ def _u64(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
     if not 0 <= v < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+        raise argparse.ArgumentTypeError(
+            f"seed must fit in an unsigned 64-bit integer, got {text!r}")
     return v
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="chan-atlas",
@@ -68,47 +78,39 @@ def _build_parser():
 
     sc = sub.add_parser("classify", help="CQ / eCQ / EB / image-additivity verdicts")
     sc.add_argument("spec")
-    sc.set_defaults(func=cmd_classify)
 
     si = sub.add_parser("image", help="planar boundary samples (CSV, optional SVG)")
     si.add_argument("spec")
     si.add_argument("--out", required=True, help="CSV output path")
     si.add_argument("--svg", help="also render a cosmetic SVG here")
     si.add_argument("--points", type=int, default=256)
-    si.set_defaults(func=cmd_image)
 
     sd = sub.add_parser("decompose", help="image vertices and polytopic decomposition")
     sd.add_argument("spec")
-    sd.set_defaults(func=cmd_decompose)
 
     se = sub.add_parser("entropy", help="minimal output entropies")
     se.add_argument("spec")
     se.add_argument("--p", type=float, action="append",
                     help="Renyi order, repeatable (default 1 and 2)")
-    se.set_defaults(func=cmd_entropy)
 
     sa = sub.add_parser("additivity", help="minimal output entropy additivity gap")
     sa.add_argument("spec")
     sa.add_argument("--pair", required=True, help="spec of the partner channel")
     sa.add_argument("--p", type=float, action="append")
-    sa.set_defaults(func=cmd_additivity)
 
     sg = sub.add_parser("image-additivity", help="joint versus product support gap")
     sg.add_argument("spec")
     sg.add_argument("--pair", help="partner spec (default: identity on d_in)")
     sg.add_argument("--directions", type=int, default=40)
-    sg.set_defaults(func=cmd_image_additivity)
 
     sf = sub.add_parser("fixed-points", help="Cesaro projection and fixed-point blocks")
     sf.add_argument("spec")
-    sf.set_defaults(func=cmd_fixed_points)
 
     sr = sub.add_parser("report", help="full pipeline report (canonical JSON)")
     sr.add_argument("spec")
     sr.add_argument("--out", help="write the report here instead of stdout")
     sr.add_argument("--timings", action="store_true",
                     help="attach wall-clock timings (breaks byte reproducibility)")
-    sr.set_defaults(func=cmd_report)
     return p
 
 
@@ -117,12 +119,14 @@ def main(argv=None):
     if args.seed is None:
         env = os.environ.get(ENV_SEED, "")
         try:
-            args.seed = int(env) if env else 0
-        except ValueError:
-            print(f"error: {ENV_SEED}={env!r} is not an integer", file=sys.stderr)
+            args.seed = _u64(env) if env else 0
+        except argparse.ArgumentTypeError as e:
+            print(f"error: {ENV_SEED}: {e}", file=sys.stderr)
             return 2
+    # by name, so that a handler replaced on this module after the build runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        handler(args)
     except NotCptpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -6,10 +6,17 @@ fields for that kind.  Complex entries are written as two-element arrays
 
 Kinds: ``kraus``, ``choi``, ``povm``, ``ecq``, ``cq``, ``direct_sum``,
 ``depolarizing``, ``unital_qubit_diag``, ``trine`` (alias ``example_eq4``).
-Specs are rejected as malformed with :class:`SpecFormatError`, also when
-``d_in * d_out`` exceeds :data:`MAX_DIM_PRODUCT`; maps that parse but fail
-complete positivity or trace preservation raise
+Specs are rejected as malformed with :class:`SpecFormatError`, naming the
+field: a number that is NaN, infinite or above :data:`MAX_MAGNITUDE` in
+size, a boolean where a number is expected, an ``allow_non_cptp`` that is
+not ``true`` or ``false``, a Choi ``d_in`` / ``d_out`` that is not a
+positive integer, and ``d_in * d_out`` above :data:`MAX_DIM_PRODUCT`.  Maps
+that parse but fail complete positivity or trace preservation raise
 :class:`~.channels.NotCptpError` unless the spec sets ``allow_non_cptp``.
+
+The number reader is on every command's path, so it keeps the common case
+cheap: exact ``float`` and ``int`` skip the ``numbers.Real`` check, and an
+entry's path (``spec.kraus[0] row 1[2]``) is formed only for an error message.
 """
 
 from __future__ import annotations
@@ -46,54 +53,87 @@ FORMAT_VERSION = "1"
 # dimensions (the fixed-point stage alone holds O(d^6) numbers).
 MAX_DIM_PRODUCT = 144
 
+# Largest magnitude of a spec number (real and imaginary parts alike).  A
+# Kraus entry enters the natural matrix squared, and norms and eigensolvers
+# square again, so 1e50 keeps such products near 1e200, far below the float
+# overflow at 1.8e308; an entry of about 1.3e154 overflows when squared.
+MAX_MAGNITUDE = 1e50
+
 
 class SpecFormatError(ValueError):
     pass
 
 
-def _is_real(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _real_number(x):
+    """``x`` as a real number (exact float and int skip the ABC check), or None."""
+    if type(x) is float or type(x) is int:
+        return x
+    return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else None
 
 
-def _finite(x, where):
-    """``x`` itself; JSON's NaN and Infinity are rejected with the field path."""
-    if not math.isfinite(x):
-        raise SpecFormatError(f"{where}: non-finite number {x!r}")
-    return x
+def _bounded(x):
+    """The real ``x`` itself; NaN, infinities and numbers above
+    :data:`MAX_MAGNITUDE` are refused, and the caller adds the field path."""
+    if -MAX_MAGNITUDE <= x <= MAX_MAGNITUDE:
+        return x
+    if x != x or abs(x) == math.inf:
+        raise SpecFormatError(f"non-finite number {x!r}")
+    raise SpecFormatError(f"number {x!r} exceeds the magnitude limit of {MAX_MAGNITUDE:g}")
 
 
-def _scalar(x, where):
-    if _is_real(x):
-        return complex(_finite(x, where))
-    if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_real(v) for v in x):
-        return complex(_finite(x[0], where), _finite(x[1], where))
-    raise SpecFormatError(f"{where}: expected a number or [re, im], got {x!r}")
+def _scalar(x):
+    re, im = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0)
+    re, im = _real_number(re), _real_number(im)
+    if re is None or im is None:
+        raise SpecFormatError(f"expected a number or [re, im], got {x!r}")
+    return complex(_bounded(re), _bounded(im))
 
 
 def _real(obj, key, where):
-    x = obj.get(key)
-    if not _is_real(x):
+    x = _real_number(obj.get(key))
+    if x is None:
         raise SpecFormatError(f"{where}: field {key!r} must be a real number")
-    return float(_finite(x, f"{where}.{key}"))
+    try:
+        return float(_bounded(x))
+    except SpecFormatError as e:
+        raise SpecFormatError(f"{where}.{key}: {e}") from None
+
+
+def _flag(obj, key, where):
+    x = obj.get(key, False)
+    if type(x) is not bool:
+        raise SpecFormatError(f"{where}: field {key!r} must be true or false")
+    return x
+
+
+def _positive_int(obj, key, where):
+    x = obj.get(key)
+    if type(x) is not int or x < 1:
+        raise SpecFormatError(f"{where}: field {key!r} must be a positive integer")
+    return x
 
 
 def _vector(x, where):
+    """A nonempty list of spec numbers as a complex array."""
     if not isinstance(x, (list, tuple)) or not x:
         raise SpecFormatError(f"{where}: expected a nonempty array")
-    return np.array([_scalar(v, f"{where}[{i}]") for i, v in enumerate(x)])
+    out = []
+    try:
+        for v in x:
+            out.append(_scalar(v))
+    except SpecFormatError as e:
+        raise SpecFormatError(f"{where}[{len(out)}]: {e}") from None
+    return np.array(out)
 
 
 def _matrix(x, where):
     if not isinstance(x, (list, tuple)) or not x:
         raise SpecFormatError(f"{where}: expected a nonempty array of rows")
     rows = []
-    width = None
     for i, row in enumerate(x):
         r = _vector(row, f"{where} row {i}")
-        if width is None:
-            width = r.size
-        elif r.size != width:
-            raise SpecFormatError(f"{where}: ragged rows ({r.size} vs {width})")
+        if rows and r.size != rows[0].size:
+            raise SpecFormatError(f"{where}: ragged rows ({r.size} vs {rows[0].size})")
         rows.append(r)
     return np.array(rows)
 
@@ -146,13 +186,14 @@ def channel_from_dict(obj):
 def _from_dict_inner(obj, where):
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a JSON object")
+    allow = _flag(obj, "allow_non_cptp", where)
     kind = obj.get("kind")
     parser = _PARSERS.get(kind)
     if parser is None:
         known = ", ".join(sorted(_PARSERS))
         raise SpecFormatError(f"{where}: unknown kind {kind!r} (known: {known})")
     try:
-        ch = parser(obj, where)
+        ch = parser(obj, where, allow)
     except (SpecFormatError, NotCptpError):  # a CPTP verdict keeps its own exit code
         raise
     except ValueError as e:
@@ -160,46 +201,44 @@ def _from_dict_inner(obj, where):
     if ch.d_in * ch.d_out > MAX_DIM_PRODUCT:
         raise SpecFormatError(f"{where}: d_in * d_out = {ch.d_in} * {ch.d_out} exceeds the "
                               f"limit of {MAX_DIM_PRODUCT}")
-    if not obj.get("allow_non_cptp", False):
+    if not allow:
         ch.require_cptp()
     return ch
 
 
-def _parse_kraus(obj, where):
+def _parse_kraus(obj, where, allow):
     return kraus_channel(_array_list(obj, "kraus", where))
 
 
-def _parse_choi(obj, where):
-    d_in = obj.get("d_in")
-    d_out = obj.get("d_out")
-    if not isinstance(d_in, int) or not isinstance(d_out, int) or d_in < 1 or d_out < 1:
-        raise SpecFormatError(f"{where}: choi spec needs positive integer d_in and d_out")
+def _parse_choi(obj, where, allow):
+    d_in = _positive_int(obj, "d_in", where)
+    d_out = _positive_int(obj, "d_out", where)
     j = _matrix(obj.get("choi"), f"{where}.choi")
     if j.shape != (d_in * d_out, d_in * d_out):
         raise SpecFormatError(f"{where}: Choi matrix shape {j.shape} does not match "
                               f"d_in*d_out = {d_in * d_out}")
-    if obj.get("allow_non_cptp", False):
+    if allow:
         return Channel(ChoiForm(j, d_in, d_out), d_in=d_in, d_out=d_out)
     return choi_channel(j, d_in, d_out)
 
 
-def _parse_povm(obj, where):
+def _parse_povm(obj, where, allow):
     return povm_channel(_array_list(obj, "effects", where),
                         _array_list(obj, "states", where))
 
 
-def _parse_ecq(obj, where):
+def _parse_ecq(obj, where, allow):
     return ecq_channel(_array_list(obj, "vectors", where, _vector),
                        _array_list(obj, "tilde_effects", where),
                        _array_list(obj, "states", where))
 
 
-def _parse_cq(obj, where):
+def _parse_cq(obj, where, allow):
     return cq_channel(_matrix(obj.get("basis"), f"{where}.basis"),
                       _array_list(obj, "states", where))
 
 
-def _parse_direct_sum(obj, where):
+def _parse_direct_sum(obj, where, allow):
     blocks = obj.get("blocks")
     if not isinstance(blocks, (list, tuple)) or len(blocks) < 2:
         raise SpecFormatError(f"{where}: direct_sum needs at least two blocks")
@@ -207,7 +246,7 @@ def _parse_direct_sum(obj, where):
     return direct_sum(*parsed)
 
 
-def _parse_depolarizing(obj, where):
+def _parse_depolarizing(obj, where, allow):
     r = _real(obj, "r", where)
     if -1 / 3 <= r <= 1:
         return depolarizing_channel(r)
@@ -216,17 +255,15 @@ def _parse_depolarizing(obj, where):
     return unital_qubit_diag([r] * 3)
 
 
-def _parse_unital_qubit_diag(obj, where):
+def _parse_unital_qubit_diag(obj, where, allow):
     lams = obj.get("lambdas")
-    if not isinstance(lams, (list, tuple)) or len(lams) != 3:
+    if (not isinstance(lams, (list, tuple)) or len(lams) != 3
+            or any(_real_number(x) is None for x in lams)):
         raise SpecFormatError(f"{where}: field 'lambdas' must be three real numbers")
-    if not all(_is_real(x) for x in lams):
-        raise SpecFormatError(f"{where}: field 'lambdas' must be three real numbers")
-    return unital_qubit_diag([float(_finite(x, f"{where}.lambdas[{i}]"))
-                              for i, x in enumerate(lams)])
+    return unital_qubit_diag(_vector(lams, f"{where}.lambdas").real)
 
 
-def _parse_trine(obj, where):
+def _parse_trine(obj, where, allow):
     return trine_channel()
 
 

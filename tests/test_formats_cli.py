@@ -20,7 +20,7 @@ from conftest import (
 )
 
 import chan_atlas
-from chan_atlas import channels, classify, geometry, pipeline
+from chan_atlas import channels, classify, cli, geometry, pipeline
 from chan_atlas.channels import (
     NotCptpError,
     cq_channel,
@@ -215,6 +215,84 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, extra):
 def test_spec_rejects_non_finite_fields(obj):
     with pytest.raises(SpecFormatError, match="non-finite"):
         channel_from_dict(obj)
+
+
+def kraus_entry_spec(entry, **extra):
+    return {"format_version": "1", "kind": "kraus", "kraus": [[[1, 0], [0, entry]]], **extra}
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e308, -1e51, [0, 1e160], 10 ** 400],
+                         ids=["1e160", "1e308", "-1e51", "imaginary-1e160", "int-1e400"])
+@pytest.mark.parametrize("extra", [{}, {"allow_non_cptp": True}], ids=["cptp", "allow"])
+def test_cli_rejects_numbers_over_the_magnitude_bound(tmp_path, capsys, entry, extra):
+    # a huge finite entry is refused by the reader, naming it, before any
+    # analysis could overflow; the test configuration turns RuntimeWarning
+    # into an error, so a warning fails here too
+    path = spec_file(tmp_path, kraus_entry_spec(entry, **extra))
+    for command in ("report", "decompose"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec.kraus[0] row 1[1]: number ")
+        assert err.endswith(" exceeds the magnitude limit of 1e+50\n")
+
+
+@pytest.mark.parametrize("obj, path", [
+    ({"format_version": "1", "kind": "depolarizing", "r": -1e60}, r"spec\.r: number -1e\+60 "),
+    ({"format_version": "1", "kind": "unital_qubit_diag", "lambdas": [0.5, 1e60, 0.1]},
+     r"spec\.lambdas\[1\]: number 1e\+60 "),
+    ({"format_version": "1", "kind": "cq", "basis": [[1, 0], [0, [1, 2e50]]],
+      "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}, r"spec\.basis row 1\[1\]: number 2e\+50 "),
+])
+def test_spec_rejects_numbers_over_the_magnitude_bound(obj, path):
+    with pytest.raises(SpecFormatError, match=path + "exceeds the magnitude limit of 1e\\+50$"):
+        channel_from_dict(obj)
+
+
+def test_spec_numbers_at_the_magnitude_bound_load(tmp_path, capsys):
+    # the bound itself is a number; a map with such an entry is analysed
+    # without overflow, or refused by the CPTP gate
+    path = spec_file(tmp_path, kraus_entry_spec(1e50))
+    assert main(["report", path]) == 3
+    assert "map is not CPTP" in capsys.readouterr().err
+    allowed = spec_file(tmp_path, kraus_entry_spec(-1e50, allow_non_cptp=True), name="allow.json")
+    for argv in (["decompose", allowed], ["report", allowed],
+                 ["image", allowed, "--out", str(tmp_path / "b.csv")]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, value", [("allow_non_cptp", "no"), ("allow_non_cptp", 0),
+                                          ("allow_non_cptp", None), ("d_in", True),
+                                          ("d_out", True), ("d_in", 2.0), ("d_out", 0)])
+def test_cli_spec_flags_and_dimensions_must_have_their_type(tmp_path, capsys, field, value):
+    # "no" is a true value in Python, and True an int equal to 1: neither may
+    # stand in for a JSON boolean or integer
+    twice_identity = {"format_version": "1", "kind": "kraus", "kraus": [[[2, 0], [0, 2]]]}
+    choi = {"format_version": "1", "kind": "choi", "d_in": 2, "d_out": 2,
+            "choi": matrix_to_json(depolarizing_channel(0.5).to_choi())}
+    spec = {**(twice_identity if field == "allow_non_cptp" else choi), field: value}
+    path = spec_file(tmp_path, spec)
+    expected = "true or false" if field == "allow_non_cptp" else "a positive integer"
+    assert main(["report", path]) == 2
+    assert capsys.readouterr().err == f"error: spec: field {field!r} must be {expected}\n"
+    # a direct-sum block is read by the same rule and named by its path
+    block = {k: v for k, v in spec.items() if k != "format_version"}
+    nested = {"format_version": "1", "kind": "direct_sum", "blocks": [{"kind": "trine"}, block]}
+    with pytest.raises(SpecFormatError, match=rf"^spec\.blocks\[1\]: field {field!r} must be"):
+        channel_from_dict(nested)
+
+
+def test_spec_reads_numpy_scalars_and_refuses_booleans():
+    # exact float and int take the fast path; other real types still load,
+    # and a JSON true or false is no number
+    spec = {"format_version": "1", "kind": "kraus",
+            "kraus": [[[np.float64(1.0), np.int64(0)], [0, [np.float32(1.0), 0.0]]]]}
+    assert map_distance(channel_from_dict(spec), kraus_channel([np.eye(2)])) == 0.0
+    for entry in (True, [1, False]):
+        spec["kraus"][0][1][1] = entry
+        with pytest.raises(SpecFormatError,
+                           match=r"^spec\.kraus\[0\] row 1\[1\]: expected a number or \[re, im\]"):
+            channel_from_dict(spec)
 
 
 # -- command line -------------------------------------------------------
@@ -529,6 +607,79 @@ def test_cli_report_deterministic(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["seed"] == 7
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("-1", "fit in an unsigned 64-bit integer, got '-1'"),
+    (str(2 ** 64), f"fit in an unsigned 64-bit integer, got '{2 ** 64}'"),
+    ("abc", "be an integer, got 'abc'"),
+])
+def test_cli_env_seed_follows_the_seed_range(tmp_path, capsys, monkeypatch, value, reason):
+    # the variable is read by the same rule as --seed, for every command
+    spec = spec_file(tmp_path, DEPOL_HALF)
+    csv = tmp_path / "boundary.csv"
+    commands = (["classify", spec], ["image", spec, "--out", str(csv)], ["decompose", spec],
+                ["entropy", spec], ["additivity", spec, "--pair", spec],
+                ["image-additivity", spec], ["fixed-points", spec], ["report", spec])
+    monkeypatch.setenv("CHAN_ATLAS_SEED", value)
+    for argv in commands:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: CHAN_ATLAS_SEED: seed must {reason}\n")
+    assert not csv.exists()
+    # --seed overrides the variable, which is then not read
+    assert main(["--seed", "7", "report", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", value, "report", spec])
+    assert exc.value.code == 2
+    assert f"argument --seed: seed must {reason}" in capsys.readouterr().err
+
+
+def cli_call(capsys, argv):
+    """Exit code, standard output and standard error of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_calls_in_one_process_leak_no_option(tmp_path, capsys):
+    # the parser is built once per process; an option given to one call must
+    # not reach the next, so each second call prints what it prints first
+    spec = spec_file(tmp_path, DEPOL_THIRD)
+    written = tmp_path / "report.json"
+    pairs = [(["entropy", spec, "--p", "2"], ["entropy", spec]),
+             (["report", spec, "--timings"], ["report", spec]),
+             (["report", spec, "--out", str(written)], ["report", spec]),
+             (["--format", "json", "--bits", "classify", spec], ["classify", spec]),
+             (["entropy"], ["entropy", spec]),
+             (["report", spec, "--bogus"], ["--format", "json", "report", spec])]
+    cli._build_parser.cache_clear()
+    for before, after in pairs:
+        alone = cli_call(capsys, after)
+        assert alone[0] == 0 and alone[1] and not alone[2], after
+        cli_call(capsys, before)
+        assert cli_call(capsys, after) == alone, (before, after)
+    assert cli._build_parser.cache_info().misses == 1
+    assert json.loads(written.read_text())["seed"] == 0
+    rows = json.loads(cli_call(capsys, ["--format", "json", "entropy", spec])[1])["min_output"]
+    assert [row["p"] for row in rows] == [1.0, 2.0]
+    assert cli_call(capsys, ["entropy"])[0] == 2
+
+
+def test_cli_runs_the_handler_on_the_module(tmp_path, capsys, monkeypatch):
+    # handlers are looked up by name at call time, so one replaced after the
+    # parser was built (a test double, the benchmark's tracer) is the one run
+    spec = spec_file(tmp_path, TRINE_SPEC)
+    assert main(["decompose", spec]) == 0
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: ran.append((args.command, args.spec)))
+    assert main(["report", spec]) == 0
+    assert ran == [("report", spec)]
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("t", [depolarizing_channel(0.5), trine_channel(), dephasing_channel(3),
                                direct_sum(dephasing_channel(2), depolarizing_channel(0.2))],
                          ids=["depolarizing", "trine", "dephasing-3", "dephasing-depolarizing"])
@@ -735,3 +886,17 @@ def test_runtime_imports_numpy_alone():
         "             & {'scipy', 'jsonschema', 'hypothesis', 'pytest'}))\n"
     )
     assert fresh_output(code) == "[]\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first call of main, so the import (which the
+    # benchmark times as set-up) pays nothing for it
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import chan_atlas.cli\n"
+        "print(len(built), chan_atlas.cli._build_parser.cache_info().currsize)\n"
+    )
+    assert fresh_output(code) == "0 0\n"
