@@ -19,7 +19,8 @@ on it.
 :func:`main` may be called many times in one process (the tests and the
 benchmark do): the argument parser is built on its first call and reused,
 and each call looks its subcommand's ``cmd_*`` handler up by name, so a
-handler replaced on this module is the one that runs.
+handler replaced on this module is the one that runs.  It returns every
+exit code, a usage error's 2 included, and raises no ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error and 0 after --help
+        return e.code
     if args.seed is None:
         env = os.environ.get(ENV_SEED, "")
         try:

@@ -7,12 +7,12 @@ whose image is ``conv{sigma_i}``; Fukuda, Nechita and Wolf,
 arXiv:1408.2340) or, for a qubit-to-qubit map, from the Bloch-ball
 trust-region solve (``_bloch_peak``); ``"upper"`` from the iterative
 minimizer (``_minimize_entropy``) on every other map.  A certified factor
-makes a pair additive, in entropy and in image, so no joint optimizer runs
-for it.
+makes a pair additive, in entropy and in image, and a unital qubit factor
+in entropy (King), so no joint optimizer runs for such a pair.
 
 Entropy additivity gaps are ``H_min(T1) + H_min(T2) - H_min(T1 (x) T2)``;
-without a certified factor the joint minimizer is seeded with the product
-of the single minimizers, so the gap is nonnegative up to roundoff.  Image
+without such a factor the joint minimizer is seeded with the product of
+the single minimizers, so the gap is nonnegative up to roundoff.  Image
 additivity compares, per direction, the support of ``Im(T1 (x) T2)`` with a
 lower bound on its product support: an alternating sweep over product
 inputs run in the real Hilbert-Schmidt coordinates of :func:`~.linalg.hvec`
@@ -40,6 +40,7 @@ _MAX_STEPS = 300         # steps of the iterative minimizer
 _RESTARTS = 8            # product-support starts per direction, twice that in the rerun
 _GAP_FLOOR = 1e-10       # a 2x2 row with a smaller relative eigengap goes through eigh
 _PURE_RADIUS = 1.0 - 4 * 2.0 ** -52  # a Bloch radius this close to 1 is a pure output
+_UNITAL_BAND = 16 * 2.0 ** -52  # a qubit map's Bloch shift this small is a unital map's roundoff
 
 EXACT = "exact"
 UPPER = "upper"
@@ -283,23 +284,33 @@ def _product_grad_norm(g1, g2, p):
     return float(np.sqrt(g1 ** 2 + g2 ** 2 + ((1.0 - p) / (2.0 * p) * g1 * g2) ** 2))
 
 
+def _additive_factor(t):
+    """A vertex certificate, or a unital qubit map: one whose Bloch shift is
+    within ``_UNITAL_BAND``, 16 eps, the roundoff band of a unital map in
+    any frame (200 depolarizing maps in Haar frames reach 3.25 eps)."""
+    return vertex_certificate(t) is not None or (
+        (t.d_in, t.d_out) == (2, 2) and np.linalg.norm(bloch_map(t).shift) <= _UNITAL_BAND)
+
+
 def entropy_additivity_gap(t1, t2, p=1.0, seed=0):
     """``H_min(T1) + H_min(T2) - H_min(T1 (x) T2)`` at order ``p``.
 
-    When either factor carries a vertex certificate the pair is additive
+    The pair is additive when either factor carries a vertex certificate
     (the certified factor is universally image additive, so the extreme
-    points of ``Im(T1 (x) T2)`` are products): the joint result is the
-    product of the single ones, its value their sum, and the gap exactly 0;
-    no tensor product is built.  Its ``bound`` is ``"exact"`` when both
-    single values are.  An exact single value alone is not enough: the
-    closed form of a qubit-to-qubit map proves no additivity.  Otherwise the
-    joint minimizer runs on ``T1 (x) T2``, seeded with the product of the
-    single minimizers.
+    points of ``Im(T1 (x) T2)`` are products) or is a unital qubit map
+    (King, J. Math. Phys. 43, 4641 (2002): its maximal ``p``-norm is
+    multiplicative for every ``p >= 1``; a unital qutrit map breaks that
+    for ``p > 4.79``, Werner and Holevo, J. Math. Phys. 43, 4353 (2002)).
+    Then the joint result is the product of the single ones, its value
+    their sum, and the gap exactly 0; no tensor product is built.  Its
+    ``bound`` is ``"exact"`` when both single values are.  Otherwise (an
+    exact single value proves no additivity) the joint minimizer runs on
+    ``T1 (x) T2``, seeded with the product of the single minimizers.
     """
     p = _check_p(p)
     r1 = min_output_entropy(t1, p=p, seed=seed, n_starts=48)
     r2 = min_output_entropy(t2, p=p, seed=seed + 1, n_starts=48)
-    if vertex_certificate(t1) is not None or vertex_certificate(t2) is not None:
+    if _additive_factor(t1) or _additive_factor(t2):
         bound = EXACT if r1.bound == r2.bound == EXACT else UPPER
         rj = MinEntropyResult(value=r1.value + r2.value,
                               minimizer=np.kron(r1.minimizer, r2.minimizer),

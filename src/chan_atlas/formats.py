@@ -46,6 +46,7 @@ from .channels import (
     trine_channel,
     unital_qubit_diag,
 )
+from .linalg import is_hermitian
 
 FORMAT_VERSION = "1"
 
@@ -217,6 +218,8 @@ def _parse_choi(obj, where, allow):
     if j.shape != (d_in * d_out, d_in * d_out):
         raise SpecFormatError(f"{where}: Choi matrix shape {j.shape} does not match "
                               f"d_in*d_out = {d_in * d_out}")
+    if not is_hermitian(j, tol=1e-9):
+        raise SpecFormatError(f"{where}.choi: Choi matrix is not Hermitian")
     if allow:
         return Channel(ChoiForm(j, d_in, d_out), d_in=d_in, d_out=d_out)
     return choi_channel(j, d_in, d_out)
@@ -289,6 +292,8 @@ def load_channel(path):
         raise SpecFormatError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise SpecFormatError(f"{path} is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, too many digits, nested too deep
+        raise SpecFormatError(f"cannot read {path}: {e}") from e
     return channel_from_dict(obj)
 
 

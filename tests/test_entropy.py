@@ -48,6 +48,7 @@ from chan_atlas.entropy import (
     renyi_entropy,
 )
 from chan_atlas.formats import load_channel
+from chan_atlas.geometry import bloch_map
 from chan_atlas.linalg import herm, hvec, random_directions, random_pure_vectors, unhvec
 
 LOG2 = np.log(2.0)
@@ -760,4 +761,59 @@ def test_uncertified_qubit_pair_still_runs_the_joint_minimizer(p, monkeypatch):
     assert rep.single_first.bound == rep.single_second.bound == "exact"
     assert len(calls) == 1 and len(runs) == 1 and runs[0][0].d_in == 4
     assert rep.joint.bound == "upper" and rep.joint.n_starts > 0
+    assert rep.gap == pytest.approx(0.0, abs=1e-9)
+
+
+def _joint_runs(monkeypatch):
+    """Record every tensor product and every joint minimizer run."""
+    calls, runs = [], []
+    monkeypatch.setattr(entropy, "tensor", lambda *a: calls.append(a) or tensor(*a))
+    inner = entropy._minimize_entropy
+    monkeypatch.setattr(entropy, "_minimize_entropy", lambda *a: runs.append(a) or inner(*a))
+    return calls, runs
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_unital_qubit_pair_is_additive_without_a_tensor_product(p, monkeypatch):
+    # King's theorem keys the pair; both single rows come from the Bloch
+    # ball, so the joint row is exact and the gap exactly 0
+    t = depolarizing_channel(1 / 3)
+    assert vertex_certificate(t) is None
+    calls, runs = _joint_runs(monkeypatch)
+    rep = entropy_additivity_gap(t, t, p=p)
+    assert calls == [] and runs == []
+    assert rep.gap == 0.0 and rep.joint.bound == "exact" and rep.joint.n_starts == 0
+    h = H1_DEPOL_THIRD if p == 1.0 else H2_DEPOL_THIRD
+    assert rep.joint.value == pytest.approx(2 * h, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_nearly_unital_qubit_pair_still_runs_the_joint_minimizer(p, monkeypatch):
+    # (1 - delta) depolarizing(1/3) + delta amplitude_damping(0.3): a Bloch
+    # shift of 3e-13, outside the roundoff band, proves nothing
+    delta = 1e-12
+    ops = depolarizing_channel(1 / 3).kraus_operators()
+    t = kraus_channel([np.sqrt(1 - delta) * k for k in ops]
+                      + [np.sqrt(delta) * k for k in amplitude_damping(0.3).kraus_operators()])
+    shift = np.linalg.norm(bloch_map(t).shift)
+    assert entropy._UNITAL_BAND < shift < 1e-12 and vertex_certificate(t) is None
+    calls, runs = _joint_runs(monkeypatch)
+    rep = entropy_additivity_gap(t, t, p=p)
+    assert len(calls) == 1 and len(runs) == 1 and runs[0][0].d_in == 4
+    assert rep.joint.bound == "upper" and rep.joint.n_starts > 0
+    assert rep.gap == pytest.approx(0.0, abs=1e-9)
+
+
+def test_unital_qutrit_pair_still_runs_the_joint_minimizer(monkeypatch):
+    # the d = 3 Werner-Holevo map (Tr(rho) I - rho^T) / 2 is unital, but it
+    # breaks multiplicativity for p > 4.79, so unitality keys qubits only
+    e = np.eye(3)
+    t = kraus_channel([(np.outer(e[i], e[j]) - np.outer(e[j], e[i])).astype(complex) / np.sqrt(2)
+                       for i in range(3) for j in range(i + 1, 3)])
+    assert vertex_certificate(t) is None
+    calls, runs = _joint_runs(monkeypatch)
+    rep = entropy_additivity_gap(t, t, p=1.0)
+    assert len(calls) == 1 and len(runs) == 3 and runs[-1][0].d_in == 9
+    assert rep.joint.bound == "upper" and rep.joint.n_starts > 0
+    assert rep.single_first.value == pytest.approx(LOG2, abs=1e-9)
     assert rep.gap == pytest.approx(0.0, abs=1e-9)

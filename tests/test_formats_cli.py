@@ -195,6 +195,47 @@ def test_load_channel_missing_file(tmp_path):
         load_channel(str(bad))
 
 
+@pytest.mark.parametrize("content, cause", [
+    (b"\xff" + json.dumps(DEPOL_THIRD).encode(), "'utf-8' codec can't decode byte 0xff in "
+                                                  "position 0: invalid start byte"),
+    (b'{"format_version": "1", "kind": "depolarizing", "r": ' + b"1" * 5000 + b"}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+    (b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded while decoding a JSON array"),
+    (b'{"format_version": "1", "kind": "kraus", "kraus": [' + b"[" * 5000 + b"1" + b"]" * 5001
+     + b"}", "maximum recursion depth exceeded while decoding a JSON array"),
+], ids=["not-utf8", "digit-limit", "nested-1000", "nested-5000"])
+def test_cli_unreadable_spec_exits_2_naming_the_file(tmp_path, capsys, content, cause):
+    # json.load fails without a JSONDecodeError: the file is still named, exit 2
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    with pytest.raises(SpecFormatError) as exc:
+        load_channel(str(path))
+    assert str(exc.value).startswith(f"cannot read {path}: {cause}")
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: {cause}")
+
+
+@pytest.mark.parametrize("extra", [{}, {"allow_non_cptp": True}], ids=["cptp", "allow"])
+def test_cli_non_hermitian_choi_exits_2_naming_the_field(tmp_path, capsys, extra):
+    # a map that does not preserve Hermiticity is refused as malformed, also
+    # under allow_non_cptp, where it used to load and decompose
+    choi = [[0.5, 0, 0, 0.5], [0, 0, 0.3, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]]
+    spec = spec_file(tmp_path, {"format_version": "1", "kind": "choi", "d_in": 2, "d_out": 2,
+                                "choi": choi, **extra})
+    for command in ("decompose", "report"):
+        assert main([command, spec]) == 2
+        assert capsys.readouterr() == ("", "error: spec.choi: Choi matrix is not Hermitian\n")
+
+
+@pytest.mark.parametrize("argv, code", [(["decompose"], 2), (["report", "x", "--bogus"], 2),
+                                        (["--help"], 0), (["decompose", "--help"], 0)])
+def test_cli_main_returns_the_usage_exit_code(capsys, argv, code):
+    # argparse's SystemExit stays inside main: in-process callers get the code
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage: chan-atlas" in out) if code == 0 else err.startswith("usage: chan-atlas")
+
+
 @pytest.mark.parametrize("extra", [{}, {"allow_non_cptp": True}])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, extra):
     path = tmp_path / "nan.json"
@@ -433,9 +474,7 @@ def test_cli_decompose_takes_no_directions_and_no_seed(tmp_path, capsys):
     pinching = spec_file(tmp_path, channel_to_dict(kraus_channel(
         [np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]).astype(complex)])),
         name="pinching.json")
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", spec, "--directions", "30"])
-    assert exc.value.code == 2
+    assert main(["decompose", spec, "--directions", "30"]) == 2
     capsys.readouterr()
     runs = [(command, path) for path in (spec, pinching) for command in ("decompose", "classify")]
     runs += [("fixed-points", pinching), ("report", spec), ("report", pinching)]
@@ -627,18 +666,13 @@ def test_cli_env_seed_follows_the_seed_range(tmp_path, capsys, monkeypatch, valu
     # --seed overrides the variable, which is then not read
     assert main(["--seed", "7", "report", spec]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 7
-    with pytest.raises(SystemExit) as exc:
-        main(["--seed", value, "report", spec])
-    assert exc.value.code == 2
+    assert main(["--seed", value, "report", spec]) == 2
     assert f"argument --seed: seed must {reason}" in capsys.readouterr().err
 
 
 def cli_call(capsys, argv):
     """Exit code, standard output and standard error of one in-process call."""
-    try:
-        code = main(argv)
-    except SystemExit as e:
-        code = e.code
+    code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
 

@@ -33,6 +33,7 @@ from chan_atlas.channels import (
     povm_channel,
     tensor,
     trine_channel,
+    unital_qubit_diag,
 )
 from chan_atlas.classify import (
     INDETERMINATE,
@@ -43,7 +44,7 @@ from chan_atlas.classify import (
     is_universally_image_additive,
     vertex_certificate,
 )
-from chan_atlas.entropy import min_output_entropy
+from chan_atlas.entropy import entropy_additivity_gap, min_output_entropy
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
 from chan_atlas.geometry import polytopic_decompose
@@ -255,6 +256,28 @@ def test_qubit_min_entropy_closed_form_property(env, seed, frame):
         assert res.bound == "exact" and res.n_starts == 0
         assert res.value <= entropy._minimize_entropy(t, p, 0, 64).value + 1e-12
         assert abs(min_output_entropy(_rotated(t, frame), p=p).value - res.value) <= 1e-12
+
+
+# the vertices of the Fujiwara-Algoet tetrahedron: the Pauli-diagonal unital
+# qubit maps are the convex hull of the identity and the three Pauli conjugations
+_FA_VERTICES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=seeds, d_in=strategies.sampled_from([2, 3]), d_out=strategies.sampled_from([2, 3]),
+       p=strategies.sampled_from([1.0, 2.0]))
+def test_unital_qubit_factor_is_additive_property(seed, d_in, d_out, p):
+    # King: a unital qubit factor makes the pair additive at every p >= 1.
+    # The key fires in both orders, and the joint minimizer run directly on
+    # T (x) S never goes below the sum of the single rows
+    rng = np.random.default_rng(seed)
+    t = _rotated(unital_qubit_diag(rng.dirichlet(np.ones(4)) @ _FA_VERTICES), seed + 1)
+    s = random_cptp(rng, d_in, d_out)
+    for first, second in ((t, s), (s, t)):
+        rep = entropy_additivity_gap(first, second, p=p)
+        total = rep.single_first.value + rep.single_second.value
+        assert rep.gap == 0.0 and rep.joint.value == total and rep.joint.n_starts == 0
+    assert entropy._minimize_entropy(tensor(t, s), p, seed, 16).value >= total - 1e-9
 
 
 # the classified channels with a vertex certificate: CQ, then eCQ but not CQ
