@@ -30,7 +30,6 @@ from .linalg import (
     dag,
     herm,
     is_hermitian,
-    matrix_units,
     op_norm,
     partial_trace,
     unvec,
@@ -168,23 +167,6 @@ class Channel:
         j = _choi_from_natural(self.natural_matrix(), self.d_in, self.d_out)
         return herm(j) if is_hermitian(j, tol=1e-9) else j
 
-    def kraus_operators(self):
-        """Kraus operators extracted from the Choi eigendecomposition.
-
-        The number of operators equals the numerical rank of the Choi matrix
-        at 1e-9; raises for maps that are not completely positive.
-        """
-        if isinstance(self.form, KrausForm):
-            return list(self.form.operators)
-        j = self.to_choi()
-        if not is_hermitian(j, tol=1e-9):
-            raise ValueError("Choi matrix is not Hermitian; map has no Kraus form")
-        w, u = np.linalg.eigh(herm(j))
-        if w[0] < -1e-9:
-            raise ValueError(f"Choi matrix is not PSD (min eig {w[0]:.3e}); no Kraus form")
-        return [np.sqrt(self.d_in * lam) * v.reshape(self.d_out, self.d_in)
-                for lam, v in zip(w, u.T) if lam > 1e-9]
-
     # -- verification ---------------------------------------------------
 
     @kept
@@ -265,16 +247,6 @@ def choi_channel(j, d_in, d_out):
     return t
 
 
-def linear_map_channel(apply_fn, d_in, d_out):
-    """Container for an arbitrary linear map given by a callback (no CPTP check).
-
-    Kept for callers and tests; the package itself builds maps from ``N``."""
-    n = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
-    for (i, j), e in matrix_units(d_in):
-        n[:, i * d_in + j] = vec(np.asarray(apply_fn(e), dtype=complex))
-    return _natural_channel(n, d_in, d_out)
-
-
 def povm_channel(effects, states, validate=True):
     if len(effects) != len(states):
         raise ValueError("need one prepared state per effect")
@@ -343,12 +315,6 @@ def direct_sum(*channels):
 
 def identity_channel(d):
     return kraus_channel([np.eye(d, dtype=complex)])
-
-
-def constant_channel(sigma, d_in=None):
-    sigma = check_density_matrix(sigma, name="constant output")
-    d = sigma.shape[0] if d_in is None else int(d_in)
-    return povm_channel([np.eye(d, dtype=complex)], [sigma], validate=False)
 
 
 def dephasing_channel(d):

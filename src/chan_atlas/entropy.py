@@ -64,13 +64,6 @@ def _entropy_from_eigs(w, p):
     return h + 0.0  # a pure spectrum gives -0.0 above; adding +0.0 makes it 0.0
 
 
-def renyi_entropy(rho, p=1.0):
-    """Renyi output entropy H^(p); p=1 is the von Neumann entropy."""
-    p = _check_p(p)
-    w = np.linalg.eigvalsh(herm(np.asarray(rho, dtype=complex)))
-    return float(_entropy_from_eigs(w, p))
-
-
 def _entropy_derivative(w, p):
     """f'(lambda) for H^(p) = Tr f(rho) read through the spectral theorem."""
     w = np.clip(np.real(w), 0.0, None)

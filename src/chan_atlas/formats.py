@@ -10,7 +10,8 @@ Specs are rejected as malformed with :class:`SpecFormatError`, naming the
 field: a number that is NaN, infinite or above :data:`MAX_MAGNITUDE` in
 size, a boolean where a number is expected, an ``allow_non_cptp`` that is
 not ``true`` or ``false``, a Choi ``d_in`` / ``d_out`` that is not a
-positive integer, and ``d_in * d_out`` above :data:`MAX_DIM_PRODUCT`.  Maps
+positive integer, ``d_in * d_out`` above :data:`MAX_DIM_PRODUCT`, and a
+``direct_sum`` nested more than ``MAX_DIM_PRODUCT - 1`` levels deep.  Maps
 that parse but fail complete positivity or trace preservation raise
 :class:`~.channels.NotCptpError` unless the spec sets ``allow_non_cptp``.
 
@@ -61,8 +62,18 @@ MAX_DIM_PRODUCT = 144
 MAX_MAGNITUDE = 1e50
 
 
+# Longest quote of a refused entry in an error message: an entry may be a
+# list of any length, and the message names its field anyway.
+MAX_QUOTE = 60
+
+
 class SpecFormatError(ValueError):
     pass
+
+
+def _quote(x):
+    r = repr(x)
+    return r if len(r) <= MAX_QUOTE else f"{r[:MAX_QUOTE]}... ({len(r)} characters)"
 
 
 def _real_number(x):
@@ -78,15 +89,15 @@ def _bounded(x):
     if -MAX_MAGNITUDE <= x <= MAX_MAGNITUDE:
         return x
     if x != x or abs(x) == math.inf:
-        raise SpecFormatError(f"non-finite number {x!r}")
-    raise SpecFormatError(f"number {x!r} exceeds the magnitude limit of {MAX_MAGNITUDE:g}")
+        raise SpecFormatError(f"non-finite number {_quote(x)}")
+    raise SpecFormatError(f"number {_quote(x)} exceeds the magnitude limit of {MAX_MAGNITUDE:g}")
 
 
 def _scalar(x):
     re, im = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0)
     re, im = _real_number(re), _real_number(im)
     if re is None or im is None:
-        raise SpecFormatError(f"expected a number or [re, im], got {x!r}")
+        raise SpecFormatError(f"expected a number or [re, im], got {_quote(x)}")
     return complex(_bounded(re), _bounded(im))
 
 
@@ -181,12 +192,17 @@ def channel_from_dict(obj):
     if version != FORMAT_VERSION:
         raise SpecFormatError(f"unsupported format_version {version!r}, expected "
                               f"{FORMAT_VERSION!r}")
-    return _from_dict_inner(obj, "spec")
+    return _from_dict_inner(obj, "spec", 0)
 
 
-def _from_dict_inner(obj, where):
+def _from_dict_inner(obj, where, depth):
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected a JSON object")
+    # a block at depth k lies in k direct sums, each adding at least 1 to d_in,
+    # so a deeper block than this breaks MAX_DIM_PRODUCT: refuse before recursing
+    if depth >= MAX_DIM_PRODUCT:
+        raise SpecFormatError(f"{where}: direct_sum nested deeper than "
+                              f"{MAX_DIM_PRODUCT - 1} levels")
     allow = _flag(obj, "allow_non_cptp", where)
     kind = obj.get("kind")
     parser = _PARSERS.get(kind)
@@ -194,7 +210,7 @@ def _from_dict_inner(obj, where):
         known = ", ".join(sorted(_PARSERS))
         raise SpecFormatError(f"{where}: unknown kind {kind!r} (known: {known})")
     try:
-        ch = parser(obj, where, allow)
+        ch = parser(obj, where, allow, depth)
     except (SpecFormatError, NotCptpError):  # a CPTP verdict keeps its own exit code
         raise
     except ValueError as e:
@@ -207,11 +223,11 @@ def _from_dict_inner(obj, where):
     return ch
 
 
-def _parse_kraus(obj, where, allow):
+def _parse_kraus(obj, where, allow, depth):
     return kraus_channel(_array_list(obj, "kraus", where))
 
 
-def _parse_choi(obj, where, allow):
+def _parse_choi(obj, where, allow, depth):
     d_in = _positive_int(obj, "d_in", where)
     d_out = _positive_int(obj, "d_out", where)
     j = _matrix(obj.get("choi"), f"{where}.choi")
@@ -225,31 +241,32 @@ def _parse_choi(obj, where, allow):
     return choi_channel(j, d_in, d_out)
 
 
-def _parse_povm(obj, where, allow):
+def _parse_povm(obj, where, allow, depth):
     return povm_channel(_array_list(obj, "effects", where),
                         _array_list(obj, "states", where))
 
 
-def _parse_ecq(obj, where, allow):
+def _parse_ecq(obj, where, allow, depth):
     return ecq_channel(_array_list(obj, "vectors", where, _vector),
                        _array_list(obj, "tilde_effects", where),
                        _array_list(obj, "states", where))
 
 
-def _parse_cq(obj, where, allow):
+def _parse_cq(obj, where, allow, depth):
     return cq_channel(_matrix(obj.get("basis"), f"{where}.basis"),
                       _array_list(obj, "states", where))
 
 
-def _parse_direct_sum(obj, where, allow):
+def _parse_direct_sum(obj, where, allow, depth):
     blocks = obj.get("blocks")
     if not isinstance(blocks, (list, tuple)) or len(blocks) < 2:
         raise SpecFormatError(f"{where}: direct_sum needs at least two blocks")
-    parsed = [_from_dict_inner(b, f"{where}.blocks[{i}]") for i, b in enumerate(blocks)]
+    parsed = [_from_dict_inner(b, f"{where}.blocks[{i}]", depth + 1)
+              for i, b in enumerate(blocks)]
     return direct_sum(*parsed)
 
 
-def _parse_depolarizing(obj, where, allow):
+def _parse_depolarizing(obj, where, allow, depth):
     r = _real(obj, "r", where)
     if -1 / 3 <= r <= 1:
         return depolarizing_channel(r)
@@ -258,7 +275,7 @@ def _parse_depolarizing(obj, where, allow):
     return unital_qubit_diag([r] * 3)
 
 
-def _parse_unital_qubit_diag(obj, where, allow):
+def _parse_unital_qubit_diag(obj, where, allow, depth):
     lams = obj.get("lambdas")
     if (not isinstance(lams, (list, tuple)) or len(lams) != 3
             or any(_real_number(x) is None for x in lams)):
@@ -266,7 +283,7 @@ def _parse_unital_qubit_diag(obj, where, allow):
     return unital_qubit_diag(_vector(lams, f"{where}.lambdas").real)
 
 
-def _parse_trine(obj, where, allow):
+def _parse_trine(obj, where, allow, depth):
     return trine_channel()
 
 
@@ -313,32 +330,3 @@ _KIND_BY_FORM = {
 def form_kind(t):
     """Spec ``kind`` string of the channel's native representation."""
     return _KIND_BY_FORM[type(t.form)]
-
-
-def channel_to_dict(t, top=True):
-    """Spec object reproducing ``t`` through its native representation."""
-    f = t.form
-    out = {"format_version": FORMAT_VERSION} if top else {}
-    if isinstance(f, KrausForm):
-        out.update(kind="kraus", kraus=[matrix_to_json(k) for k in f.operators])
-    elif isinstance(f, ChoiForm):
-        out.update(kind="choi", choi=matrix_to_json(f.matrix), d_in=f.d_in, d_out=f.d_out)
-        v = t.verify_cptp()
-        if not v.is_cptp:
-            out["allow_non_cptp"] = True
-    elif isinstance(f, PovmForm):
-        out.update(kind="povm", effects=[matrix_to_json(m) for m in f.effects],
-                   states=[matrix_to_json(s) for s in f.states])
-    elif isinstance(f, EcqForm):
-        out.update(kind="ecq", vectors=[vector_to_json(e) for e in f.vectors],
-                   tilde_effects=[matrix_to_json(m) for m in f.tilde_effects],
-                   states=[matrix_to_json(s) for s in f.states])
-    elif isinstance(f, CqForm):
-        out.update(kind="cq", basis=matrix_to_json(f.basis),
-                   states=[matrix_to_json(s) for s in f.states])
-    elif isinstance(f, DirectSumForm):
-        out.update(kind="direct_sum",
-                   blocks=[channel_to_dict(b, top=False) for b in f.blocks])
-    else:  # pragma: no cover - all forms are covered above
-        raise TypeError(f"cannot serialize form {type(f).__name__}")
-    return out

@@ -44,29 +44,9 @@ VERDICT_TOL = 1e-8
 MAX_FACET_CANDIDATES = 20_000  # subsets of states one containment check may try
 
 
-@dataclass
-class SupportValue:
-    value: float
-    maximizer: np.ndarray  # unit vector in the input space, phase-canonical
-
-
 def _spectra(t, hs):
     """Stacked eigendecompositions of ``T*(H)`` for the directions ``hs``."""
     return np.linalg.eigh(herm(t.dual_apply(hs)))
-
-
-def support_function(t, h):
-    """Support function of Im(T) in direction ``h`` with its attaining input.
-
-    ``h`` must be Hermitian.  The value is ``lambda_max(T*(h))`` and the
-    maximizer the corresponding eigenvector (deterministic phase convention;
-    for a degenerate top eigenvalue the eigensolver's last column is used).
-    """
-    h = np.asarray(h, dtype=complex)
-    if op_norm(h - h.conj().T) > 1e-10:
-        raise ValueError("direction must be Hermitian")
-    w, u = _spectra(t, h)
-    return SupportValue(value=float(w[-1]), maximizer=canonical_phase(u[:, -1]))
 
 
 def hull_containment(t, states):
@@ -213,7 +193,8 @@ def _characters(t):
     v = np.concatenate(found, axis=1)
     xv = parts @ v
     lam = np.einsum("am,kam->km", v.conj(), xv)
-    v = v[:, np.linalg.norm(xv - lam[:, None, :] * v, axis=1).max(axis=0) <= VERDICT_TOL]
+    v = v[:, np.linalg.norm(xv - lam[:, None, :] * v, axis=1).max(axis=0, initial=0.0)
+          <= VERDICT_TOL]
     points = herm(t.pure_outputs(v.T))
     if not len(points):
         return points, []
@@ -325,9 +306,9 @@ class PolytopicDecomposition:
 def polytopic_decompose(t, *, n_directions=None, seed=None):
     """Split the input space as ``(+)_i V_i (+) W`` from the vertices of :func:`find_vertices`.
 
-    The image spans the affine dimension ``n_dof = rank(N) - 1``.  Every
-    vertex of a polytopic image is a character point, so character points
-    spanning less is an exact ``not_polytopic``.  Otherwise, on the span of
+    The image spans the affine dimension ``n_dof = rank(N) - 1``, 0 at rank
+    0.  Every vertex of a polytopic image is a character point, so character
+    points spanning less is an exact ``not_polytopic``.  Otherwise, on the span of
     the vertex preimages the channel acts classically
     (``rho -> sum_i Tr(P_{V_i} rho) sigma_i``), ``t2`` is the compression to
     the residual ``W``, and the block reconstruction and the orthogonality
@@ -348,7 +329,7 @@ def polytopic_decompose(t, *, n_directions=None, seed=None):
 def _decompose(t):
     records = find_vertices(t)
     d = t.d_in
-    n_dof = len(_adjoint_range(t)[1]) - 1
+    n_dof = max(len(_adjoint_range(t)[1]) - 1, 0)  # a rank-0 map's image is one point
     states = [r.state for r in records]
     char_dim = _affine_coordinates(np.asarray(states)).shape[1] if records else -1
     checks = {"character_affine_dim": char_dim, "image_affine_dim": n_dof}

@@ -60,15 +60,6 @@ def op_norm(a):
     return float(s[0]) if s.size else 0.0
 
 
-def matrix_units(d):
-    """Iterate ((i, j), E_ij) over the matrix-unit basis of M_d."""
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            yield (i, j), e
-
-
 def partial_trace(x, dims, keep):
     """Partial trace of an operator on C^{dims[0]} (x) C^{dims[1]}.
 

@@ -14,8 +14,12 @@ import numpy as np
 
 import chan_atlas
 from chan_atlas import entropy
-from chan_atlas.channels import cq_channel, direct_sum, ecq_channel, kraus_channel, povm_channel
-from chan_atlas.linalg import herm, hvec, orthogonal_complement, op_norm, subspace_projector
+from chan_atlas.channels import (ChoiForm, CqForm, DirectSumForm, EcqForm, KrausForm, PovmForm,
+                                 _natural_channel, cq_channel, direct_sum, ecq_channel,
+                                 kraus_channel, povm_channel)
+from chan_atlas.formats import FORMAT_VERSION, matrix_to_json, vector_to_json
+from chan_atlas.linalg import (check_density_matrix, herm, hvec, is_hermitian, op_norm,
+                               orthogonal_complement, subspace_projector, vec)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,6 +98,91 @@ def haar_unitary(rng, d):
 def amplitude_damping(gamma):
     return kraus_channel([np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex),
                           np.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)])
+
+
+def matrix_units(d):
+    """Iterate ((i, j), E_ij) over the matrix-unit basis of M_d."""
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            yield (i, j), e
+
+
+def linear_map_channel(apply_fn, d_in, d_out):
+    """The linear map given by the callback ``apply_fn`` (no CPTP check), stored
+    by the natural matrix read off its values on the matrix units."""
+    n = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
+    for (i, j), e in matrix_units(d_in):
+        n[:, i * d_in + j] = vec(np.asarray(apply_fn(e), dtype=complex))
+    return _natural_channel(n, d_in, d_out)
+
+
+def constant_channel(sigma, d_in=None):
+    """The channel ``rho -> Tr(rho) sigma`` as a one-outcome measure-and-prepare map."""
+    sigma = check_density_matrix(sigma, name="constant output")
+    d = sigma.shape[0] if d_in is None else int(d_in)
+    return povm_channel([np.eye(d, dtype=complex)], [sigma], validate=False)
+
+
+def kraus_operators(t):
+    """Kraus operators of ``t``: its own for a Kraus form, else read off the
+    Choi eigendecomposition at rank 1e-9; raises for a map that is not
+    completely positive."""
+    if isinstance(t.form, KrausForm):
+        return list(t.form.operators)
+    j = t.to_choi()
+    if not is_hermitian(j, tol=1e-9):
+        raise ValueError("Choi matrix is not Hermitian; map has no Kraus form")
+    w, u = np.linalg.eigh(herm(j))
+    if w[0] < -1e-9:
+        raise ValueError(f"Choi matrix is not PSD (min eig {w[0]:.3e}); no Kraus form")
+    return [np.sqrt(t.d_in * lam) * v.reshape(t.d_out, t.d_in)
+            for lam, v in zip(w, u.T) if lam > 1e-9]
+
+
+def channel_to_dict(t, top=True):
+    """Spec object reproducing ``t`` through its native representation."""
+    f = t.form
+    out = {"format_version": FORMAT_VERSION} if top else {}
+    if isinstance(f, KrausForm):
+        out.update(kind="kraus", kraus=[matrix_to_json(k) for k in f.operators])
+    elif isinstance(f, ChoiForm):
+        out.update(kind="choi", choi=matrix_to_json(f.matrix), d_in=f.d_in, d_out=f.d_out)
+        if not t.verify_cptp().is_cptp:
+            out["allow_non_cptp"] = True
+    elif isinstance(f, PovmForm):
+        out.update(kind="povm", effects=[matrix_to_json(m) for m in f.effects],
+                   states=[matrix_to_json(s) for s in f.states])
+    elif isinstance(f, EcqForm):
+        out.update(kind="ecq", vectors=[vector_to_json(e) for e in f.vectors],
+                   tilde_effects=[matrix_to_json(m) for m in f.tilde_effects],
+                   states=[matrix_to_json(s) for s in f.states])
+    elif isinstance(f, CqForm):
+        out.update(kind="cq", basis=matrix_to_json(f.basis),
+                   states=[matrix_to_json(s) for s in f.states])
+    elif isinstance(f, DirectSumForm):
+        out.update(kind="direct_sum",
+                   blocks=[channel_to_dict(b, top=False) for b in f.blocks])
+    else:
+        raise TypeError(f"cannot serialize form {type(f).__name__}")
+    return out
+
+
+def renyi_entropy(rho, p=1.0):
+    """Renyi entropy H^(p) of the state ``rho`` (p = 1: von Neumann), from its
+    spectrum through the program's own formula ``entropy._entropy_from_eigs``."""
+    return float(entropy._entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(rho))), p))
+
+
+def support_function(t, h):
+    """Reference support function of Im(T) in the Hermitian direction ``h``:
+    ``(lambda_max(T*(h)), top eigenvector)``, straight from ``eigh``."""
+    h = np.asarray(h, dtype=complex)
+    if op_norm(h - h.conj().T) > 1e-10:
+        raise ValueError("direction must be Hermitian")
+    w, u = np.linalg.eigh(herm(t.dual_apply(h)))
+    return float(w[-1]), u[:, -1]
 
 
 def count_runs(monkeypatch, get):

@@ -14,6 +14,7 @@ from conftest import (
     assembled_polytopic_fixture,
     bloch_state,
     ecq_fixture,
+    linear_map_channel,
     random_cptp,
     subspace_distance,
     tetra_states,
@@ -28,7 +29,6 @@ from chan_atlas.channels import (
     direct_sum,
     identity_channel,
     kraus_channel,
-    linear_map_channel,
     map_distance,
     povm_channel,
     unital_qubit_diag,

@@ -5,6 +5,10 @@ from conftest import (
     assembled_polytopic_fixture,
     blas_thread_outputs,
     bloch_state,
+    constant_channel,
+    kraus_operators,
+    linear_map_channel,
+    matrix_units,
     random_cptp,
     random_density,
     random_hermitian,
@@ -23,7 +27,6 @@ from chan_atlas.channels import (
     choi_channel,
     compose,
     conjugate,
-    constant_channel,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -31,7 +34,6 @@ from chan_atlas.channels import (
     ecq_channel,
     identity_channel,
     kraus_channel,
-    linear_map_channel,
     map_distance,
     povm_channel,
     tensor,
@@ -42,7 +44,7 @@ from chan_atlas.channels import (
 from chan_atlas.classify import is_cq
 from chan_atlas.entropy import build_hiding_channel
 from chan_atlas.geometry import polytopic_decompose
-from chan_atlas.linalg import PAULIS, herm, matrix_units, random_directions
+from chan_atlas.linalg import PAULIS, herm, random_directions
 
 
 def test_identity_channel():
@@ -128,7 +130,7 @@ def test_representation_round_trips():
     j = t.to_choi()
     t2 = choi_channel(j, 3, 2)
     assert map_distance(t, t2) < 1e-10
-    t3 = kraus_channel(t.kraus_operators())
+    t3 = kraus_channel(kraus_operators(t))
     assert map_distance(t, t3) < 1e-10
     rho = random_density(rng, 3)
     np.testing.assert_allclose(t.apply(rho), t2.apply(rho), atol=1e-10)

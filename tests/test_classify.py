@@ -5,9 +5,12 @@ from conftest import (
     _spread_vertices,
     assembled_polytopic_fixture,
     bloch_state,
+    constant_channel,
     count_runs,
     ecq_fixture,
     haar_unitary,
+    kraus_operators,
+    linear_map_channel,
     random_povm,
 )
 
@@ -16,14 +19,12 @@ from chan_atlas.channels import (
     NotCptpError,
     compose,
     conjugate,
-    constant_channel,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
     direct_sum,
     identity_channel,
     kraus_channel,
-    linear_map_channel,
     map_distance,
     povm_channel,
     trine_channel,
@@ -103,7 +104,7 @@ def test_eb_indeterminate_without_certificate():
     # in (3,3) proves nothing, and it is neither CQ nor polytopic, so neither
     # a CQ basis nor an eCQ certificate gives separable pairs
     dep = linear_map_channel(lambda x: 0.2 * x + 0.8 * np.trace(x) * np.eye(3) / 3, 3, 3)
-    bare = kraus_channel(dep.kraus_operators())
+    bare = kraus_channel(kraus_operators(dep))
     assert is_cq(bare).status == NO
     assert is_universally_image_additive(bare).status == NO
     v = is_entanglement_breaking(bare)
@@ -116,7 +117,7 @@ def test_eb_indeterminate_without_certificate():
 def test_eb_yes_from_cq_basis_in_any_frame(frame):
     # bare Kraus dephasing(3), optionally in Haar input and output frames:
     # PPT in (3,3) proves nothing, but the CQ basis gives separable pairs
-    t = kraus_channel(dephasing_channel(3).kraus_operators())
+    t = kraus_channel(kraus_operators(dephasing_channel(3)))
     if frame is not None:
         rng = np.random.default_rng(frame)
         t = conjugate(compose(kraus_channel([haar_unitary(rng, 3)]), t), haar_unitary(rng, 3))
@@ -137,7 +138,7 @@ def test_eb_yes_from_ecq_certificate_in_any_frame(name, frame):
     # eCQ maps that are not CQ, as bare Kraus channels or in Haar input and
     # output frames: PPT proves nothing there, but the eCQ POVM M_i and the
     # vertex states give the separable pairs (sigma_i, M_i^T / d_in)
-    t = kraus_channel(_ECQ_NOT_CQ[name]().kraus_operators())
+    t = kraus_channel(kraus_operators(_ECQ_NOT_CQ[name]()))
     if frame is not None:
         rng = np.random.default_rng(frame)
         t = conjugate(compose(kraus_channel([haar_unitary(rng, t.d_in)]), t),
@@ -168,7 +169,7 @@ def test_cq_verdict_is_computed_once_per_channel(monkeypatch):
     # bare Kraus dephasing(3): PPT is inconclusive, so EB reads the CQ
     # certificate; the classification stage computes the range of the adjoint
     # and the CQ verdict once each, and EB adds no second computation
-    t = kraus_channel(dephasing_channel(3).kraus_operators())
+    t = kraus_channel(kraus_operators(dephasing_channel(3)))
     ranges = count_runs(monkeypatch, geometry._adjoint_range)
     verdicts = count_runs(monkeypatch, classify.is_cq)
     out = classification_stage(t)
@@ -191,7 +192,7 @@ def test_vertex_certificate_answers_a_large_rank_from_the_svd_alone(monkeypatch,
 def test_report_makes_one_ecq_reconstruction(monkeypatch):
     # bare Kraus ecq_fixture(1): EB takes the eCQ pairs from the same
     # universal-image-additivity verdict the classification stage reports
-    t = kraus_channel(ecq_fixture(1)[0].kraus_operators())
+    t = kraus_channel(kraus_operators(ecq_fixture(1)[0]))
     calls = _count_calls(monkeypatch, [classify, fixed_points], "reconstruct_ecq")
     rep = run_pipeline(t)
     assert rep["classification"]["entanglement_breaking"]["status"] == YES

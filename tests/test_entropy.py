@@ -9,8 +9,10 @@ from conftest import (
     amplitude_damping,
     assembled_polytopic_fixture,
     blas_thread_outputs,
+    constant_channel,
     ecq_fixture,
     haar_unitary,
+    kraus_operators,
     lapack_top,
     product_support_full_grid,
     product_support_hvec_grid,
@@ -18,6 +20,7 @@ from conftest import (
     random_density,
     random_direction,
     random_pure,
+    renyi_entropy,
     tetra_states,
     vertex_product_support,
 )
@@ -26,7 +29,6 @@ from chan_atlas import entropy
 from chan_atlas.channels import (
     compose,
     conjugate,
-    constant_channel,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -45,7 +47,6 @@ from chan_atlas.entropy import (
     entropy_additivity_gap,
     image_additivity_gap,
     min_output_entropy,
-    renyi_entropy,
 )
 from chan_atlas.formats import load_channel
 from chan_atlas.geometry import bloch_map
@@ -96,11 +97,11 @@ def test_renyi_entropy_values():
 
 
 def test_renyi_entropy_validates_p():
-    rho = np.eye(2, dtype=complex) / 2
-    with pytest.raises(ValueError):
-        renyi_entropy(rho, 0.5)
-    with pytest.raises(ValueError):
-        renyi_entropy(rho, 100.0)
+    t = depolarizing_channel(0.5)
+    with pytest.raises(ValueError, match="outside supported range"):
+        min_output_entropy(t, 0.5)
+    with pytest.raises(ValueError, match="outside supported range"):
+        min_output_entropy(t, 100.0)
 
 
 def test_min_output_entropy_identity_is_zero():
@@ -792,9 +793,9 @@ def test_nearly_unital_qubit_pair_still_runs_the_joint_minimizer(p, monkeypatch)
     # (1 - delta) depolarizing(1/3) + delta amplitude_damping(0.3): a Bloch
     # shift of 3e-13, outside the roundoff band, proves nothing
     delta = 1e-12
-    ops = depolarizing_channel(1 / 3).kraus_operators()
+    ops = kraus_operators(depolarizing_channel(1 / 3))
     t = kraus_channel([np.sqrt(1 - delta) * k for k in ops]
-                      + [np.sqrt(delta) * k for k in amplitude_damping(0.3).kraus_operators()])
+                      + [np.sqrt(delta) * k for k in kraus_operators(amplitude_damping(0.3))])
     shift = np.linalg.norm(bloch_map(t).shift)
     assert entropy._UNITAL_BAND < shift < 1e-12 and vertex_certificate(t) is None
     calls, runs = _joint_runs(monkeypatch)

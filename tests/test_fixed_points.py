@@ -7,11 +7,13 @@ from conftest import (
     amplitude_damping,
     blas_thread_outputs,
     haar_unitary,
+    linear_map_channel,
     random_density,
     random_pure,
 )
 
 from chan_atlas.channels import (
+    Channel,
     NotCptpError,
     compose,
     conjugate,
@@ -19,7 +21,6 @@ from chan_atlas.channels import (
     depolarizing_channel,
     identity_channel,
     kraus_channel,
-    linear_map_channel,
     map_distance,
     tensor,
     trine_channel,
@@ -31,7 +32,7 @@ from chan_atlas.fixed_points import (
     transfer_matrix,
     verify_eb_fixed_point_theorem,
 )
-from chan_atlas import channels, fixed_points
+from chan_atlas import fixed_points
 from chan_atlas.linalg import generic, herm, vec
 
 
@@ -112,17 +113,12 @@ def test_cesaro_projection_reuses_the_projection_matrix(monkeypatch):
     omega = v[:, np.argmin(np.abs(w - 1))].reshape(2, 2)
     omega = omega / np.trace(omega)
     want = np.outer(vec(omega), vec(np.eye(2)))
-    built = []
-    units = channels.matrix_units
-
-    def counted(d):
-        built.append(d)
-        return units(d)
-
-    monkeypatch.setattr(channels, "matrix_units", counted)
+    calls = []
+    apply = Channel.apply
+    monkeypatch.setattr(Channel, "apply", lambda self, rho: calls.append(self) or apply(self, rho))
     tinf = cesaro_projection(t)
     np.testing.assert_allclose(tinf.natural_matrix(), want, atol=1e-9)
-    assert built == []  # no natural matrix rebuilt from d*d evaluations
+    assert calls == []  # no natural matrix rebuilt from d*d evaluations
 
 
 def test_fixed_point_structure_identity():

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from conftest import (
     amplitude_damping,
     assembled_polytopic_fixture,
     bloch_state,
+    channel_to_dict,
     count_runs,
     ecq_fixture,
     fresh_output,
@@ -36,7 +38,6 @@ from chan_atlas.cli import main
 from chan_atlas.formats import (
     SpecFormatError,
     channel_from_dict,
-    channel_to_dict,
     form_kind,
     load_channel,
     matrix_to_json,
@@ -225,6 +226,51 @@ def test_cli_non_hermitian_choi_exits_2_naming_the_field(tmp_path, capsys, extra
     for command in ("decompose", "report"):
         assert main([command, spec]) == 2
         assert capsys.readouterr() == ("", "error: spec.choi: Choi matrix is not Hermitian\n")
+
+
+def nested_direct_sum(levels):
+    """``levels`` direct sums, each of a 1 -> 1 leaf and the next level."""
+    leaf = {"kind": "kraus", "kraus": [[[1]]]}
+    spec = leaf
+    for _ in range(levels):
+        spec = {"kind": "direct_sum", "blocks": [leaf, spec]}
+    return {"format_version": "1", **spec}
+
+
+def test_cli_direct_sum_nesting_stops_at_the_dimension_budget(tmp_path, capsys):
+    # each level adds at least 1 to d_in, so 143 levels of 1 -> 1 leaves is
+    # the deepest valid spec; a deeper one is refused before the reader
+    # recurses (400 levels used to end in a RecursionError traceback)
+    deepest = load_channel(spec_file(tmp_path, nested_direct_sum(143)))
+    assert (deepest.d_in, deepest.d_out) == (144, 1)
+    assert main(["decompose", spec_file(tmp_path, nested_direct_sum(400), name="deep.json")]) == 2
+    assert capsys.readouterr() == ("", "error: spec" + ".blocks[1]" * 143 + ".blocks[0]: "
+                                   "direct_sum nested deeper than 143 levels\n")
+
+
+@pytest.mark.parametrize("entry", [0, 1e-200], ids=["zero", "underflow"])
+def test_cli_decompose_of_a_rank_0_map_is_one_point(tmp_path, capsys, entry):
+    # the zero map, and a map whose natural matrix underflows to zero, have a
+    # one-point image: the zero matrix, of affine dimension 0
+    path = spec_file(tmp_path, {"format_version": "1", "kind": "kraus", "allow_non_cptp": True,
+                                "kraus": [[[entry, 0], [0, entry]]]})
+    assert main(["--format", "json", "decompose", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["n_vertices"], out["n_dof"]) == ("polytopic", 1, 0)
+    assert (out["character_affine_dim"], out["image_affine_dim"]) == (0, 0)
+    assert out["vertex_states"] == [[[0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_cli_refused_entry_is_quoted_up_to_a_bound(tmp_path, capsys):
+    # an entry that is a list of 100,000 integers used to be quoted whole, a
+    # 689,000-character line; the message names the field and quotes a prefix
+    path = spec_file(tmp_path, kraus_entry_spec(list(range(100_000))))
+    assert main(["decompose", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: spec.kraus[0] row 1[1]: expected a number or [re, im], "
+                          "got [0, 1, 2, 3, ")
+    assert err.endswith("... (688890 characters)\n")
 
 
 @pytest.mark.parametrize("argv, code", [(["decompose"], 2), (["report", "x", "--bogus"], 2),
@@ -934,3 +980,24 @@ def test_importing_the_cli_builds_no_parser():
         "print(len(built), chan_atlas.cli._build_parser.cache_info().currsize)\n"
     )
     assert fresh_output(code) == "0 0\n"
+
+
+def test_public_names_are_used_by_the_package_or_documented():
+    # a public name must be reached from another module of the package, named
+    # in the README or used by an acceptance criterion; a name only the tests
+    # reach belongs in the tests
+    src = Path(chan_atlas.__file__).parent
+    root = src.parents[1]
+    modules = [p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))
+               if p.name != "__init__.py"]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    acceptance = (root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    unused = []
+    for name in chan_atlas.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class) {re.escape(name)}\b")
+        in_src = any(word.search(line) and not own.match(line)
+                     for text in modules for line in text.splitlines())
+        if not (in_src or word.search(readme) or word.search(acceptance)):
+            unused.append(name)
+    assert unused == []

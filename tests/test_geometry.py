@@ -5,10 +5,12 @@ from conftest import (
     amplitude_damping,
     assembled_polytopic_fixture,
     bloch_state,
+    constant_channel,
     ecq_fixture,
     haar_unitary,
     random_density,
     subspace_distance,
+    support_function,
     tetra_states,
     trace_norm,
 )
@@ -17,7 +19,6 @@ from chan_atlas import geometry
 from chan_atlas.channels import (
     compose,
     conjugate,
-    constant_channel,
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -36,7 +37,6 @@ from chan_atlas.geometry import (
     hull_containment,
     image_boundary_2d,
     polytopic_decompose,
-    support_function,
 )
 from chan_atlas.classify import is_universally_image_additive
 from chan_atlas.entropy import ContainmentError, build_hiding_channel
@@ -48,10 +48,10 @@ from chan_atlas.pipeline import classification_stage, image_stage
 def test_support_function_on_trine():
     t = trine_channel()
     h = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    sv = support_function(t, h)
-    assert sv.value == pytest.approx(2 / 3, abs=1e-12)
+    value, x = support_function(t, h)
+    assert value == pytest.approx(2 / 3, abs=1e-12)
     # the maximizer attains the value
-    w = t.apply(np.outer(sv.maximizer, np.conj(sv.maximizer)))
+    w = t.apply(np.outer(x, np.conj(x)))
     assert np.trace(h @ w).real == pytest.approx(2 / 3, abs=1e-12)
     with pytest.raises(ValueError, match="Hermitian"):
         support_function(t, np.array([[0, 1], [0, 0]], dtype=complex))
@@ -363,7 +363,7 @@ def test_residual_ball_past_the_insphere_crosses_a_facet():
     assert margin == pytest.approx((0.36 - 1 / 3) / np.sqrt(2), abs=1e-12)
     # the witness input's output lies beyond the facet, so outside the hull
     f = dec.direction
-    x = support_function(t, f).maximizer
+    x = support_function(t, f)[1]
     assert np.linalg.norm(dec.w_basis.conj().T @ x) == pytest.approx(1.0, abs=1e-12)
     out = t.apply(np.outer(x, np.conj(x)))
     hull = max(np.trace(f @ s).real for s in states)
@@ -390,7 +390,7 @@ def test_hull_containment_margin_off_the_span_is_a_lower_bound():
     t = depolarizing_channel(0.1)
     margin, q, x = hull_containment(t, _SQUARE)
     z = PAULI_Z / np.sqrt(2)
-    worst = support_function(t, z).value - np.trace(z @ _SQUARE[0]).real
+    worst = support_function(t, z)[0] - np.trace(z @ _SQUARE[0]).real
     assert worst == pytest.approx(0.1 / np.sqrt(2), abs=1e-12)
     assert geometry.VERDICT_TOL < 1e-3 < margin <= worst + 1e-12
     assert max(abs(np.trace(q @ (s - _SQUARE[0]))) for s in _SQUARE) < 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    matrix_units,
     random_density,
     random_direction,
     random_hermitian,
@@ -20,7 +21,6 @@ from chan_atlas.linalg import (
     herm,
     hvec,
     is_hermitian,
-    matrix_units,
     null_space,
     op_norm,
     orthogonal_complement,

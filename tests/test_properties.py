@@ -9,8 +9,10 @@ import pytest
 from conftest import (
     assembled_polytopic_fixture,
     bloch_state,
+    channel_to_dict,
     ecq_fixture,
     haar_unitary,
+    kraus_operators,
     outer,
     product_support_full_grid,
     random_cptp,
@@ -46,7 +48,7 @@ from chan_atlas.classify import (
 )
 from chan_atlas.entropy import entropy_additivity_gap, min_output_entropy
 from chan_atlas.fixed_points import fixed_point_structure
-from chan_atlas.formats import channel_from_dict, channel_to_dict, form_kind
+from chan_atlas.formats import channel_from_dict, form_kind
 from chan_atlas.geometry import polytopic_decompose
 from chan_atlas.linalg import random_directions, random_pure_vectors
 
@@ -63,7 +65,7 @@ def test_fixed_point_structure_near_identity_property(d, log_eps, seed):
     eps = 10.0 ** log_eps
     r = random_cptp(np.random.default_rng(seed), d, d)
     t = kraus_channel([np.sqrt(1 - eps) * np.eye(d, dtype=complex),
-                       *(np.sqrt(eps) * k for k in r.kraus_operators())])
+                       *(np.sqrt(eps) * k for k in kraus_operators(r))])
     st = fixed_point_structure(t)
     assert st.status in ("ok", "indeterminate")
     if st.cesaro is not None:
@@ -85,7 +87,7 @@ def test_kraus_choi_natural_round_trip_property(d_in, d_out, extra, seed):
     n = t.natural_matrix()
     via_choi = choi_channel(t.to_choi(), d_in, d_out)
     np.testing.assert_allclose(via_choi.natural_matrix(), n, rtol=0, atol=1e-12)
-    ops = via_choi.kraus_operators()
+    ops = kraus_operators(via_choi)
     assert 1 <= len(ops) <= min(env, d_in * d_out)
     back = kraus_channel(ops)
     np.testing.assert_allclose(back.natural_matrix(), n, rtol=0, atol=1e-10)
