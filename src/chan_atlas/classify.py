@@ -28,7 +28,6 @@ import numpy as np
 
 from .channels import (
     CqForm,
-    DirectSumForm,
     EcqForm,
     PovmForm,
     _max_column_op_norm,
@@ -44,7 +43,9 @@ from .geometry import (
     VERDICT_TOL,
     _adjoint_range,
     _generic_eigh,
+    block_restrictions,
     hull_containment,
+    input_blocks,
     polytopic_decompose,
 )
 from .linalg import (
@@ -90,14 +91,19 @@ def is_entanglement_breaking(t):
     """Decide whether the Choi matrix of ``t`` is separable.
 
     Negative partial transpose (below ``-PPT_TOL``) is a conclusive "no".  A
-    PPT Choi is conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes; otherwise
-    a constructive separable decomposition is read off a measure-and-prepare
-    form: the representation itself, blockwise for direct sums, or else, in
-    any representation, the :func:`vertex_certificate` of a CQ or eCQ map.
+    PPT Choi is conclusive "yes" in the (2,2)/(2,3)/(3,2) regimes.
+    Otherwise a constructive separable decomposition is read off a
+    measure-and-prepare representation.  In any other representation a map
+    that splits into input blocks (:func:`~.geometry.input_blocks`, in any
+    input frame) is EB exactly when every block restriction is; a 1-dim
+    block always is, its Choi state being a product.  A "no" block decides
+    "no", and all "yes" decides "yes".  The :func:`vertex_certificate` of a
+    CQ or eCQ map, when there is one, still supplies the decomposition.
 
     The witness always holds ``"min_pt_eigenvalue"``.  A "no" adds
     ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
-    ``"separable_pairs"``; a direct sum adds the block verdicts as
+    ``"separable_pairs"``, unless its blocks decided it; a map with several
+    input blocks adds the verdicts of those of dimension 2 or more as
     ``"blocks"``.
     """
     t.require_cptp()
@@ -112,23 +118,28 @@ def is_entanglement_breaking(t):
     if (t.d_in, t.d_out) in _PPT_EXACT:
         return Verdict(YES, {**base, "ppt_exact_regime": True})
     f = t.form
-    reason = ("PPT holds but dimensions admit PPT-entangled states and the "
-              "representation carries no separable decomposition")
-    if isinstance(f, DirectSumForm):
-        subs = [is_entanglement_breaking(b) for b in f.blocks]
-        if all(s.status == YES for s in subs):
-            return Verdict(YES, {**base, "blocks": subs})
-        if any(s.status == NO for s in subs):
-            bad = next(s for s in subs if s.status == NO)
-            return Verdict(NO, {**base, "blocks": subs, **bad.witness})
-        base["blocks"] = subs
-        reason = "PPT holds but a block has no separability certificate"
-    mp = f if isinstance(f, (PovmForm, EcqForm, CqForm)) else vertex_certificate(t)
+    if isinstance(f, (PovmForm, EcqForm, CqForm)):
+        mp = f
+    else:
+        if len(input_blocks(t)) > 1:
+            # a 1-dim block's Choi state is a product: only the others are decided
+            base["blocks"] = subs = [is_entanglement_breaking(b) for b in block_restrictions(t)
+                                     if b.d_in > 1]
+            bad = [s for s in subs if s.status == NO]
+            if bad:
+                return Verdict(NO, {**base, **bad[0].witness})
+        mp = vertex_certificate(t)
     if mp is not None:
         # separable Choi decomposition J = sum_i sigma_i (x) M_i^T / d_in
         pairs = [(s.copy(), m.T / t.d_in) for m, s in zip(*_measure_prepare(mp))]
         return Verdict(YES, {**base, "separable_pairs": pairs})
-    return Verdict(INDETERMINATE, base, reason)
+    if "blocks" not in base:
+        return Verdict(INDETERMINATE, base, "PPT holds but dimensions admit PPT-entangled "
+                                            "states and the representation carries no "
+                                            "separable decomposition")
+    if all(s.status == YES for s in base["blocks"]):
+        return Verdict(YES, base)
+    return Verdict(INDETERMINATE, base, "PPT holds but a block has no separability certificate")
 
 
 def vertex_certificate(t):

@@ -3,7 +3,9 @@
 Exit codes: 0 when the requested analysis ran (verdicts, including "no" and
 "indeterminate", never drive the exit status), 2 for malformed specs or
 invalid usage (a ``--directions`` or ``--points`` count over the size budget
-included), 3 when a spec without ``allow_non_cptp`` fails the CPTP check.
+included), 3 when a spec without ``allow_non_cptp`` fails the CPTP check,
+and 4 when a linear-algebra routine of the analysis fails
+(``numpy.linalg.LinAlgError``, printed as ``error: <command>: <cause>``).
 ``classify``, ``entropy``, ``additivity``, ``image-additivity`` and
 ``fixed-points`` need a channel and exit 3 on any map that is not CPTP, the
 ``allow_non_cptp`` ones included; ``decompose``, ``image`` and ``report``
@@ -30,6 +32,8 @@ import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from .channels import NotCptpError, identity_channel
 from .entropy import entropy_additivity_gap, image_additivity_gap, min_output_entropy
@@ -134,6 +138,9 @@ def main(argv=None):
     except NotCptpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as e:  # a ValueError too, but no fault of the spec
+        print(f"error: {args.command}: {e}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

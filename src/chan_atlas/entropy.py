@@ -4,9 +4,11 @@ All entropies use the natural logarithm, and minimal output entropies are
 taken over pure inputs, where the minimum is attained.  Each value says what
 it is in ``bound``: ``"exact"`` from a vertex certificate (a CQ or eCQ "yes",
 whose image is ``conv{sigma_i}``; Fukuda, Nechita and Wolf,
-arXiv:1408.2340) or, for a qubit-to-qubit map, from the Bloch-ball
-trust-region solve (``_bloch_peak``); ``"upper"`` from the iterative
-minimizer (``_minimize_entropy``) on every other map.  A certified factor
+arXiv:1408.2340), for a qubit-to-qubit map from the Bloch-ball
+trust-region solve (``_bloch_peak``), or from the input blocks of a map
+that splits (:func:`~.geometry.input_blocks`) when every block is exact;
+``"upper"`` from the iterative minimizer (``_minimize_entropy``) on every
+other map or block.  A certified factor
 makes a pair additive, in entropy and in image, and a unital qubit factor
 in entropy (King), so no joint optimizer runs for such a pair.
 
@@ -16,7 +18,8 @@ the single minimizers, so the gap is nonnegative up to roundoff.  Image
 additivity compares, per direction, the support of ``Im(T1 (x) T2)`` with a
 lower bound on its product support: an alternating sweep over product
 inputs run in the real Hilbert-Schmidt coordinates of :func:`~.linalg.hvec`
-(``_product_support``).
+(``_product_support``).  A factor that splits into input blocks is reduced
+to them exactly, in both questions (``_block_minimum``, ``_block_supports``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor, tensor_dual_apply
 from .classify import vertex_certificate
-from .geometry import VERDICT_TOL, bloch_map, hull_containment
+from .geometry import VERDICT_TOL, block_restrictions, bloch_map, hull_containment, input_blocks
 from .linalg import (check_density_matrix, herm, hvec, random_directions, random_pure_vectors,
                      unhvec)
 
@@ -109,9 +112,12 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
     map without one is exact too: ``H_p`` falls as the output Bloch radius
     grows, so the minimum is ``H_p`` at the largest ``|A x + b|`` over the
     Bloch ball, a trust-region subproblem solved by ``_bloch_peak``.  Both
-    draw nothing (``n_starts`` 0) and report ``bound`` ``"exact"``.  Every
-    other map goes through the iterative minimizer ``_minimize_entropy``,
-    and ``bound`` is ``"upper"``.
+    draw nothing (``n_starts`` 0) and report ``bound`` ``"exact"``.  A map
+    with several :func:`~.geometry.input_blocks` has ``Im T = conv(U_k Im
+    T_k)``, so its minimum is the least block minimum, since ``H_p`` is
+    quasi-concave (``_block_minimum``); a 1-dim block is exact, and each
+    other block takes these same routes.  Every other map goes through the
+    iterative minimizer ``_minimize_entropy``, and ``bound`` is ``"upper"``.
     """
     p = _check_p(p)
     t.require_cptp()
@@ -123,6 +129,8 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
     elif (t.d_in, t.d_out) == (2, 2):
         x, r = _bloch_peak(t)
         value = _entropy_from_eigs(np.array([(1 + r) / 2, (1 - r) / 2]), p)
+    elif len(input_blocks(t)) > 1:
+        return _block_minimum(t, p, seed, n_starts)
     else:
         return _minimize_entropy(t, p, seed, n_starts)
     out, grad_norm = _at_input(t, x, p)
@@ -130,6 +138,30 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
         out = cert.states[i]  # the certified vertex state itself
     return MinEntropyResult(value=float(value), minimizer=x, output_state=out, p=p,
                             converged=True, grad_norm=grad_norm, n_starts=0, bound=EXACT)
+
+
+def _block_minimum(t, p, seed, n_starts):
+    """The least of the block minima of :func:`~.geometry.input_blocks`, with
+    its minimizer carried back to the input of ``t``.
+
+    A 1-dim block's output is constant, so its value is exact; any other
+    block restriction goes through :func:`min_output_entropy`.  The result is
+    ``"exact"`` when every block is, and counts the starts of all blocks.
+    """
+    rows = []
+    for v, b in zip(input_blocks(t), block_restrictions(t)):
+        if b.d_in == 1:
+            value = _entropy_from_eigs(np.linalg.eigvalsh(herm(b.pure_outputs(np.ones(1)))), p)
+            rows.append((value, v[:, 0], True, 0, EXACT))
+        else:
+            r = min_output_entropy(b, p, seed, n_starts)
+            rows.append((r.value, v @ r.minimizer, r.converged, r.n_starts, r.bound))
+    value, x, converged, _, _ = min(rows, key=lambda row: row[0])
+    out, grad_norm = _at_input(t, x, p)
+    return MinEntropyResult(value=float(value), minimizer=x, output_state=out, p=p,
+                            converged=converged, grad_norm=grad_norm,
+                            n_starts=sum(row[3] for row in rows),
+                            bound=EXACT if all(row[4] == EXACT for row in rows) else UPPER)
 
 
 @kept
@@ -458,6 +490,48 @@ def _product_support(ms, psi, pure):
     return final.reshape(n, s).max(axis=1)
 
 
+def _block_supports(ms, blocks1, blocks2, rng):
+    """Per direction, the joint support and a lower bound on the product
+    support, from the input blocks of both factors.
+
+    ``(T1 (x) T2)*(H)`` is block diagonal in the blocks ``V_k (x) W_l``, so
+    both supports are the largest over block pairs of those of its
+    compression ``M_kl``, each with its own ``eigh``.  A pair with a 1-dim
+    side holds only product states, so its support is exact.  Any other pair
+    goes through ``_product_support``, with ``_RESTARTS - 2`` random starts,
+    on the directions where its ``lambda_max`` exceeds the best value found
+    so far, since its product support can only be smaller.  With one block
+    each, ``M`` itself is swept on every direction.  Returns the joint
+    supports, the product-support bounds, the exact part of them and each
+    swept pair as ``(M_kl, lambda_max, top eigenvector, dim W_l)``.
+    """
+    n = len(ms)
+    lhs, exact, sweeps = np.full(n, -np.inf), np.full(n, -np.inf), []
+    for v in blocks1:
+        for w in blocks2:
+            if len(blocks1) == len(blocks2) == 1:
+                m = ms
+            else:
+                c = np.kron(v, w)
+                m = herm(c.conj().T @ ms @ c)
+            if min(v.shape[1], w.shape[1]) == 1:
+                top = np.linalg.eigvalsh(m)[:, -1]
+                exact = np.maximum(exact, top)
+            else:
+                e, u = np.linalg.eigh(m)
+                top = e[:, -1]
+                sweeps.append((m, top, u[:, :, -1], w.shape[1]))
+            lhs = np.maximum(lhs, top)
+    rhs = exact.copy()
+    for m, top, psi, db in sweeps:
+        live = top > rhs
+        if live.any():
+            live = slice(None) if live.all() else live  # a view, not a copy, of a whole stack
+            pure = random_pure_vectors(rng, (len(top[live]), _RESTARTS - 2), db)
+            rhs[live] = np.maximum(rhs[live], _product_support(m[live], psi[live], pure))
+    return lhs, rhs, exact, sweeps
+
+
 def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     """Largest observed gap between joint and product support functions.
 
@@ -474,10 +548,15 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     ``Im(T1 (x) T2) = conv(Im T1 (x) Im T2)`` and the product support is the
     joint support in every direction: both sides are ``lambda_max`` of
     ``(T1 (x) T2)*(H)``, ``max_gap`` is exactly 0, the first direction is
-    the witness, and ``rhs_bound`` is ``"exact"``.  Otherwise the right side
-    is the best value ``_product_support`` finds, a lower bound on the
-    product support (``rhs_bound`` ``"lower"``), and a positive gap is rerun
-    from 16 starts, two of them the first run's own; ``rhs`` keeps the
+    the witness, and ``rhs_bound`` is ``"exact"``.  Otherwise both sides
+    are taken over the pairs of :func:`~.geometry.input_blocks` of the two
+    factors (``_block_supports``), exactly: a pair with a 1-dim side is
+    exact, and any other pair is swept by ``_product_support`` where its
+    ``lambda_max`` exceeds the best value so far.  With one block each,
+    the whole observable is swept on every direction.
+    The right side is then a lower bound on the product support
+    (``rhs_bound`` ``"lower"``), and a positive gap is rerun from 16 starts
+    per swept pair, two of them the first run's own; ``rhs`` keeps the
     larger of the two values.  ``certified`` means ``lhs - rhs > 1e-6`` with
     ``rhs`` reproduced by that rerun within 1e-8; this is not an
     independent check, and not a proof.
@@ -499,12 +578,11 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     ms = herm(tensor_dual_apply(t1, t2, directions))
     additive = vertex_certificate(t1) is not None or vertex_certificate(t2) is not None
     if additive:  # the product support is the joint one, by the theorem
-        lhs_all = rhs_all = np.linalg.eigvalsh(ms)[:, -1]
+        lhs_all = rhs_all = exact = np.linalg.eigvalsh(ms)[:, -1]
+        sweeps = []
     else:
-        w, u = np.linalg.eigh(ms)
-        lhs_all, psi, db = w[:, -1], u[:, :, -1], t2.d_in
-        pure = random_pure_vectors(rng, (n_directions, _RESTARTS - 2), db)
-        rhs_all = _product_support(ms, psi, pure)
+        lhs_all, rhs_all, exact, sweeps = _block_supports(ms, input_blocks(t1),
+                                                          input_blocks(t2), rng)
     gaps = lhs_all - rhs_all
     # the first direction within roundoff of the largest gap, so the witness
     # does not hinge on the last bits of the BLAS reduction order
@@ -512,8 +590,11 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     gap, lhs, rhs = gaps[i], lhs_all[i], rhs_all[i]
     certified = bool(gap > 1e-6)
     if certified:
-        pure = random_pure_vectors(np.random.default_rng(seed + 9091), (1, 2 * _RESTARTS - 2), db)
-        redo = _product_support(ms[i:i + 1], psi[i:i + 1], pure)[0]
+        rerun, redo = np.random.default_rng(seed + 9091), exact[i]
+        for m, top, psi, db in sweeps:
+            if top[i] > redo:
+                pure = random_pure_vectors(rerun, (1, 2 * _RESTARTS - 2), db)
+                redo = max(redo, _product_support(m[i:i + 1], psi[i:i + 1], pure)[0])
         stable = abs(redo - rhs) <= 1e-8
         rhs = max(rhs, redo)
         gap = lhs - rhs

@@ -38,7 +38,7 @@ from .classify import (
     is_entanglement_breaking,
     reconstruct_ecq,
 )
-from .linalg import eig_clusters, generic, herm, partial_trace
+from .linalg import align_frames, eig_clusters, generic, herm, join_coupled, partial_trace
 
 
 CESARO_TOL = 1e-8     # bound on every identity the Cesaro projection must satisfy
@@ -188,16 +188,9 @@ def fixed_point_structure(t):
     a, y = generic(alg, 2)
     aw, av = np.linalg.eigh(a)
     clusters = eig_clusters(aw)
-    sizes = [c.size for c in clusters]
-    member = np.repeat(np.eye(len(clusters)), sizes, axis=1)  # clusters x eigenvectors
-    coupling = member @ np.abs(av.conj().T @ y @ av) ** 2 @ member.T  # squared norms
-    reach = coupling > (STRUCTURE_TOL * max(1.0, np.linalg.norm(y))) ** 2
-    np.fill_diagonal(reach, True)
-    for _ in range(len(clusters).bit_length()):
-        reach = reach @ reach
-    comp = np.argmax(reach, axis=1)  # the first cluster of each one's block
+    comp = join_coupled(av, clusters, y, STRUCTURE_TOL * max(1.0, np.linalg.norm(y)))
     # certificate: the algebra and the fixed state are block diagonal
-    labels = np.repeat(comp, sizes)
+    labels = np.repeat(comp, [c.size for c in clusters])
     stack = np.concatenate([alg, omega_v[None]])
     rot = av.conj().T @ stack @ av
     leak = np.linalg.norm(rot * (labels[:, None] != labels[None, :]), axis=(1, 2))
@@ -212,14 +205,10 @@ def fixed_point_structure(t):
         if any(c.size != s_b for c in idx):
             result.reason = "eigenspaces of a generic element differ in size within a block"
             return result
-        # align every frame to the first by the polar part of its map under y
-        frames = np.stack([av[:, c] for c in idx])  # (d_b, dv, s_b)
-        if d_b > 1:
-            uu, sv, vvh = np.linalg.svd(frames[1:].conj().transpose(0, 2, 1) @ y @ frames[0])
-            if sv[:, -1].min() < 1e-8:
-                result.reason = "block factorization failed to produce intertwiners"
-                return result
-            frames[1:] = frames[1:] @ (uu @ vvh)
+        frames, smallest = align_frames(np.stack([av[:, c] for c in idx]), y)  # (d_b, dv, s_b)
+        if smallest < 1e-8:
+            result.reason = "block factorization failed to produce intertwiners"
+            return result
         cb = frames.transpose(1, 0, 2).reshape(-1, d_b * s_b)  # coordinates (factor, mult)
         alg_b = cb.conj().T @ alg @ cb
         # verify every algebra element is (matrix (x) identity) in this frame

@@ -14,6 +14,8 @@ positive integer, ``d_in * d_out`` above :data:`MAX_DIM_PRODUCT`, and a
 ``direct_sum`` nested more than ``MAX_DIM_PRODUCT - 1`` levels deep.  Maps
 that parse but fail complete positivity or trace preservation raise
 :class:`~.channels.NotCptpError` unless the spec sets ``allow_non_cptp``.
+A ``direct_sum`` whose blocks all passed that check is CPTP and is not
+checked again; one holding an ``allow_non_cptp`` block checks itself.
 
 The number reader is on every command's path, so it keeps the common case
 cheap: exact ``float`` and ``int`` skip the ``numbers.Real`` check, and an
@@ -218,7 +220,10 @@ def _from_dict_inner(obj, where, depth):
     if ch.d_in * ch.d_out > MAX_DIM_PRODUCT:
         raise SpecFormatError(f"{where}: d_in * d_out = {ch.d_in} * {ch.d_out} exceeds the "
                               f"limit of {MAX_DIM_PRODUCT}")
-    if not allow:
+    # a direct sum of CPTP maps is CPTP, and a block without allow_non_cptp
+    # has passed its own check: only a sum holding an unchecked block checks itself
+    checked = kind == "direct_sum" and not any(b.get("allow_non_cptp") for b in obj["blocks"])
+    if not (allow or checked):
         ch.require_cptp()
     return ch
 

@@ -28,11 +28,13 @@ import numpy as np
 from .channels import Channel, PovmForm, _max_column_op_norm, _natural_channel, kept
 from .linalg import (
     PAULIS,
+    align_frames,
     canonical_phase,
     eig_clusters,
     generic,
     herm,
     hvec,
+    join_coupled,
     null_space,
     op_norm,
     orthogonal_complement,
@@ -41,6 +43,8 @@ from .linalg import (
 )
 
 VERDICT_TOL = 1e-8
+BLOCK_TOL = 1e-9  # coupling and leak, relative to a range element, that still split the input
+BLOCK_ROUNDOFF = 1e-14  # a larger relative leak of a split is polished (``_polish``)
 MAX_FACET_CANDIDATES = 20_000  # subsets of states one containment check may try
 
 
@@ -159,6 +163,103 @@ def _generic_eigh(t):
     """The ``eigh`` of the fixed combination ``sum_k cos(k) P_k`` of the
     Hermitian parts of :func:`_adjoint_range`."""
     return np.linalg.eigh(generic(_adjoint_range(t)[2])[0])
+
+
+@kept
+def input_blocks(t):
+    """Orthonormal bases ``V_k`` (columns) of input blocks that split ``T``:
+    ``T(rho) = sum_k T(P_k rho P_k)`` with ``P_k = V_k V_k*``.
+
+    Projectors ``P_k`` split ``T`` exactly when every element of the range
+    of the adjoint is block diagonal in them.  The blocks are the
+    eigenspaces of one generic element of the range (:func:`_generic_eigh`),
+    joined where a second couples them by more than ``BLOCK_TOL``
+    (:func:`~.linalg.join_coupled`).  Equal blocks share their eigenvalues,
+    so a joined block of ``n`` eigenspaces of one dimension ``s > 1`` is
+    also tried as ``s`` blocks of dimension ``n``: the eigenspaces aligned to
+    the first by the polar parts of the second element between them
+    (:func:`~.linalg.align_frames`, as for a fixed-point multiplicity).
+    Every Hermitian part of :func:`_adjoint_range` must leak at most
+    ``BLOCK_TOL`` of its norm (or of 1) off the blocks, after a
+    :func:`_polish` of a leak above ``BLOCK_ROUNDOFF``; the finer split is
+    taken when it holds, else the joined blocks, else one block.  A full
+    range, rank ``d_in^2``, is one block at once, with no ``eigh``.  Blocks
+    may come out coarser than the finest split, never wrong.
+    """
+    d = t.d_in
+    _, elements, parts = _adjoint_range(t)
+    one = [np.eye(d, dtype=complex)]
+    if len(elements) == d * d:
+        return one
+    w, u = _generic_eigh(t)
+    clusters = eig_clusters(w)
+    gens = generic(parts, 2)
+    cut = BLOCK_TOL * max(1.0, np.linalg.norm(gens[1]))
+    comp = join_coupled(u, clusters, gens[1], cut)
+    joined, split = [], []
+    for first in np.flatnonzero(comp == np.arange(len(comp))):
+        frames = [u[:, c] for c, b in zip(clusters, comp) if b == first]
+        joined.append(np.concatenate(frames, axis=1))
+        split += _multiplicity_split(frames, gens[1], cut) or joined[-1:]
+    scale = np.maximum(1.0, np.linalg.norm(parts, axis=(1, 2)))
+
+    def leak(v, labels):  # each part's norm off the blocks, over its scale
+        off = (v.conj().T @ parts @ v) * (labels[:, None] != labels)
+        return np.linalg.norm(off, axis=(1, 2)) / scale
+
+    for bases in ([split] if len(split) > len(joined) else []) + [joined]:
+        if len(bases) == 1:
+            break
+        labels = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+        v = np.concatenate(bases, axis=1)
+        if leak(v, labels).max() > BLOCK_ROUNDOFF:
+            v = _polish(v, labels, gens)
+        if leak(v, labels).max() <= BLOCK_TOL:
+            return [v[:, labels == k] for k in range(len(bases))]
+    return one
+
+
+def _polish(v, labels, gens):
+    """The unitary ``v`` turned by the first-order rotation ``I + G`` that
+    makes each element ``X`` of ``gens`` block diagonal (blocks by
+    ``labels``) in least squares: ``G D - D G`` is the off-block part of
+    ``v* X v``, ``D`` its block-diagonal part; then its polar part.  Blocks
+    cut along a nearly degenerate eigenvalue of the first element, whose
+    eigenvectors mix across them by roundoff over the gap, come back to
+    roundoff."""
+    d = len(v)
+    x = v.conj().T @ gens @ v
+    off = (labels[:, None] != labels).ravel()
+    dg = np.where(off.reshape(d, d), 0, x)
+    eye = np.eye(d)
+    ops = np.einsum("ij,xba->xiajb", eye, dg) - np.einsum("xij,ab->xiajb", dg, eye)
+    ops = ops.reshape(len(x), d * d, d * d)[:, off][:, :, off]
+    g = np.zeros(d * d, dtype=complex)
+    g[off] = np.linalg.lstsq(ops.reshape(-1, off.sum()), x.reshape(len(x), -1)[:, off].ravel(),
+                             rcond=None)[0]
+    uu, _, vvh = np.linalg.svd(eye + g.reshape(d, d))
+    return v @ (uu @ vvh)
+
+
+def _multiplicity_split(frames, y, cut):
+    """Eigenspaces ``F_0, ..., F_{n-1}`` of one dimension ``s > 1`` as ``s``
+    bases of dimension ``n``: column ``m`` of each frame after
+    :func:`~.linalg.align_frames`.  None when ``n`` or ``s`` is 1, the
+    dimensions differ, or ``y`` does not couple every ``F_k`` to ``F_0`` by
+    more than ``cut``."""
+    s = frames[0].shape[1]
+    if len(frames) == 1 or s == 1 or any(f.shape[1] != s for f in frames):
+        return None
+    f, smallest = align_frames(np.stack(frames), y)
+    return list(f.transpose(2, 1, 0)) if smallest > cut else None
+
+
+@kept
+def block_restrictions(t):
+    """The restriction ``T_k(rho) = T(V_k rho V_k*)`` to each of :func:`input_blocks`."""
+    n = t.natural_matrix()
+    return [_natural_channel(n @ np.kron(v, v.conj()), v.shape[1], t.d_out)
+            for v in input_blocks(t)]
 
 
 @dataclass

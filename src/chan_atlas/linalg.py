@@ -161,6 +161,31 @@ def eig_clusters(w):
     return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-6 * spread) + 1)
 
 
+def join_coupled(v, clusters, y, cut):
+    """The block of each eigenvector cluster of ``v`` (the first cluster of
+    its block): clusters ``F_k``, ``F_l`` are joined where
+    ``||F_k* y F_l|| > cut``, and so on transitively."""
+    sizes = [c.size for c in clusters]
+    member = np.repeat(np.eye(len(clusters)), sizes, axis=1)  # clusters x eigenvectors
+    coupling = member @ np.abs(v.conj().T @ y @ v) ** 2 @ member.T  # squared norms
+    reach = coupling > cut ** 2
+    np.fill_diagonal(reach, True)
+    for _ in range(len(clusters).bit_length()):
+        reach = reach @ reach
+    return np.argmax(reach, axis=1)
+
+
+def align_frames(f, y):
+    """Turn each frame ``F_k`` of the stack ``f`` ``(n, d, s)`` after the
+    first, in place, by the polar part of ``F_k* y F_0``; returns ``f`` and
+    the smallest singular value of those maps (infinite for one frame)."""
+    if len(f) == 1:
+        return f, np.inf
+    uu, sv, vvh = np.linalg.svd(f[1:].conj().transpose(0, 2, 1) @ y @ f[0])
+    f[1:] = f[1:] @ (uu @ vvh)
+    return f, sv[:, -1].min()
+
+
 def null_space(a, rtol=1e-8, atol=0.0):
     """Orthonormal basis of ker(a); threshold relative to the top singular value.
 

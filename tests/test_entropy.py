@@ -9,6 +9,7 @@ from conftest import (
     amplitude_damping,
     assembled_polytopic_fixture,
     blas_thread_outputs,
+    bloch_state,
     constant_channel,
     ecq_fixture,
     haar_unitary,
@@ -32,6 +33,7 @@ from chan_atlas.channels import (
     cq_channel,
     dephasing_channel,
     depolarizing_channel,
+    direct_sum,
     identity_channel,
     kraus_channel,
     tensor,
@@ -39,7 +41,7 @@ from chan_atlas.channels import (
     trine_channel,
     unital_qubit_diag,
 )
-from chan_atlas.classify import vertex_certificate
+from chan_atlas.classify import YES, is_entanglement_breaking, vertex_certificate
 from chan_atlas.entropy import (
     ContainmentError,
     _product_support,
@@ -49,7 +51,7 @@ from chan_atlas.entropy import (
     min_output_entropy,
 )
 from chan_atlas.formats import load_channel
-from chan_atlas.geometry import bloch_map
+from chan_atlas.geometry import bloch_map, input_blocks
 from chan_atlas.linalg import herm, hvec, random_directions, random_pure_vectors, unhvec
 
 LOG2 = np.log(2.0)
@@ -260,8 +262,10 @@ def test_image_additivity_gap_runs_one_stack(monkeypatch):
 @pytest.mark.parametrize("t1, t2, rerun", [(depolarizing_channel(0.5), identity_channel(2), True),
                                            (dephasing_channel(3), identity_channel(3), False)])
 def test_image_additivity_draws_match_the_per_direction_loop(t1, t2, rerun, monkeypatch):
-    # dephasing(3) is CQ: hide its certificate to keep it on the sampled path
+    # dephasing(3) is CQ: hide its certificate and its three 1-dim input
+    # blocks to keep it on the single-block sampled path
     monkeypatch.setattr(entropy, "vertex_certificate", lambda t: None)
+    monkeypatch.setattr(entropy, "input_blocks", lambda t: [np.eye(t.d_in)])
     seen = []
     run = entropy._product_support
     monkeypatch.setattr(entropy, "_product_support",
@@ -818,3 +822,79 @@ def test_unital_qutrit_pair_still_runs_the_joint_minimizer(monkeypatch):
     assert rep.joint.bound == "upper" and rep.joint.n_starts > 0
     assert rep.single_first.value == pytest.approx(LOG2, abs=1e-9)
     assert rep.gap == pytest.approx(0.0, abs=1e-9)
+
+
+def disc_counterexample():
+    """The paper's CQ square (Bloch radius 0.8) (+) the Pauli (0.5, 0.5, 0) disc."""
+    square = [bloch_state(0.8, 0, 0), bloch_state(-0.8, 0, 0),
+              bloch_state(0, 0.8, 0), bloch_state(0, -0.8, 0)]
+    return direct_sum(cq_channel(np.eye(4, dtype=complex), square),
+                      unital_qubit_diag((0.5, 0.5, 0.0)))
+
+
+# the blocks, and the minimal entropies at p = 1 and 2: a vertex of Bloch
+# radius 0.8, and the pure outputs of dephasing(2)
+DIRECT_SUMS = {
+    "disc": (disc_counterexample, [1, 1, 1, 1, 2],
+             (-0.9 * np.log(0.9) - 0.1 * np.log(0.1), -np.log(0.82))),
+    "dephasing_depolarizing": (lambda: direct_sum(dephasing_channel(2), depolarizing_channel(0.2)),
+                               [1, 1, 2], (0.0, 0.0)),
+}
+
+
+def _input_frame(t, seed):
+    """``rho -> T(U rho U*)`` for a Haar unitary ``U``."""
+    return compose(kraus_channel([haar_unitary(np.random.default_rng(seed), t.d_in)]), t)
+
+
+@pytest.mark.parametrize("name", DIRECT_SUMS)
+@pytest.mark.parametrize("frame", range(4))
+def test_direct_sum_entropy_is_exact_per_block_in_any_input_frame(name, frame):
+    make, sizes, values = DIRECT_SUMS[name]
+    t = _input_frame(make(), frame)
+    assert vertex_certificate(t) is None  # neither map is CQ or eCQ
+    assert sorted(v.shape[1] for v in input_blocks(t)) == sorted(sizes)
+    for p, want in zip((1.0, 2.0), values):
+        r = min_output_entropy(t, p=p)
+        assert r.bound == "exact" and r.n_starts == 0 and r.converged
+        assert r.value == pytest.approx(want, abs=1e-12)
+        # the minimizer is an input of t, and its output is the minimizing state
+        np.testing.assert_allclose(t.apply(np.outer(r.minimizer, r.minimizer.conj())),
+                                   r.output_state, atol=1e-12)
+    # every block is EB, so the map is, where the whole-map test stays open
+    v = is_entanglement_breaking(t)
+    assert v.status == YES and [b.status for b in v.witness["blocks"]] == [YES]
+
+
+@pytest.mark.parametrize("frame", range(4))
+def test_disc_counterexample_probe_needs_no_sweep_in_any_input_frame(frame, monkeypatch):
+    # at the report's seed 0 every direction is settled by an exact 1-dim
+    # block: the qubit block's lambda_max never exceeds it, so no product
+    # support sweep runs and no rerun either (the whole map's 8-start sweep
+    # fell short and relied on its rerun)
+    calls = []
+    run = entropy._product_support
+    monkeypatch.setattr(entropy, "_product_support",
+                        lambda ms, psi, pure: calls.append(len(ms)) or run(ms, psi, pure))
+    t = _input_frame(disc_counterexample(), frame)
+    rep = image_additivity_gap(t, identity_channel(6), n_directions=24, seed=0)
+    assert rep.max_gap == 0.0 and not rep.certified and rep.rhs_bound == "lower"
+    assert calls == []
+
+
+def test_disc_counterexample_gap_against_the_identity_is_real():
+    # at seed 1 one direction separates the disc block (x) id from every
+    # product input: the gap is certified, and a fine grid over the qubit
+    # block's pure inputs (a convex function peaks on them) finds no product
+    # value above rhs, which the 1-dim blocks give exactly
+    t = disc_counterexample()
+    rep = image_additivity_gap(t, identity_channel(6), n_directions=24, seed=1)
+    assert rep.certified and rep.max_gap > 5e-3
+    m = herm(tensor_dual_apply(t, identity_channel(6), rep.direction[None]))[0]
+    m = m.reshape(6, 6, 6, 6)
+    theta, phi = np.meshgrid(np.linspace(0, np.pi, 200), np.linspace(0, 2 * np.pi, 400))
+    a = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], -1).reshape(-1, 2)
+    qubit = np.einsum("ni,iajb,nj->nab", a.conj(), m[4:, :, 4:], a)  # the disc block's rows
+    ones = [np.linalg.eigvalsh(m[i, :, i])[-1] for i in range(4)]
+    assert max(ones) == pytest.approx(rep.rhs, abs=1e-12)
+    assert np.linalg.eigvalsh(qubit)[:, -1].max() < rep.rhs

@@ -237,6 +237,37 @@ def nested_direct_sum(levels):
     return {"format_version": "1", **spec}
 
 
+def test_direct_sum_of_checked_blocks_is_not_checked_again(tmp_path, monkeypatch, capsys):
+    # a direct sum of CPTP maps is CPTP: the 143-level spec checks its 144
+    # leaves once each and none of its sums (287 checks, 0.27 s before)
+    runs = count_runs(monkeypatch, channels.Channel.verify_cptp)
+    deepest = load_channel(spec_file(tmp_path, nested_direct_sum(143)))
+    assert len(runs) == 144 and all(t.d_in == 1 for t in runs)
+    assert deepest.d_in == 144
+    # a sum holding an allow_non_cptp block checks itself, and a non-CPTP
+    # one still exits 3
+    runs.clear()
+    leaf = {"kind": "kraus", "kraus": [[[1]]]}
+    spec = {"format_version": "1", "kind": "direct_sum",
+            "blocks": [{**leaf, "allow_non_cptp": True}, leaf]}
+    assert load_channel(spec_file(tmp_path, spec, name="allowed.json")).d_in == 2
+    assert [t.d_in for t in runs] == [1, 2]  # the checked leaf, then the sum
+    half = {"kind": "kraus", "kraus": [[[0.5]]], "allow_non_cptp": True}
+    spec["blocks"][0] = half
+    assert main(["classify", spec_file(tmp_path, spec, name="half.json")]) == 3
+    assert "map is not CPTP" in capsys.readouterr().err
+
+
+def test_cli_linear_algebra_failure_exits_4_naming_the_command(tmp_path, monkeypatch, capsys):
+    # a LinAlgError is a ValueError, but no fault of the spec: not exit 2
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["entropy", spec_file(tmp_path, TRINE_SPEC)]) == 4
+    assert capsys.readouterr() == ("", "error: entropy: Eigenvalues did not converge\n")
+
+
 def test_cli_direct_sum_nesting_stops_at_the_dimension_budget(tmp_path, capsys):
     # each level adds at least 1 to d_in, so 143 levels of 1 -> 1 leaves is
     # the deepest valid spec; a deeper one is refused before the reader
@@ -867,7 +898,9 @@ def test_cptp_verdict_is_computed_once_per_channel(monkeypatch):
         t.verify_cptp().is_cptp = False
     made.clear()
     run_pipeline(direct_sum(dephasing_channel(2), depolarizing_channel(0.2)))
-    assert len(made) == 3  # the map, and each block once in the EB stage
+    # the map, and its 2-dim input block once in the EB stage (its input
+    # blocks are 1 + 1 + 2, and a 1-dim block needs no check)
+    assert len(made) == 2
     made.clear()
     choi = matrix_to_json(depolarizing_channel(0.5).to_choi())
     channel_from_dict({"format_version": "1", "kind": "choi", "d_in": 2, "d_out": 2,

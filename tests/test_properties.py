@@ -10,6 +10,7 @@ from conftest import (
     assembled_polytopic_fixture,
     bloch_state,
     channel_to_dict,
+    count_runs,
     ecq_fixture,
     haar_unitary,
     kraus_operators,
@@ -21,7 +22,7 @@ from conftest import (
     random_pure,
 )
 
-from chan_atlas import channels, classify, entropy
+from chan_atlas import channels, classify, entropy, geometry
 from chan_atlas.channels import (
     choi_channel,
     compose,
@@ -49,7 +50,7 @@ from chan_atlas.classify import (
 from chan_atlas.entropy import entropy_additivity_gap, min_output_entropy
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, form_kind
-from chan_atlas.geometry import polytopic_decompose
+from chan_atlas.geometry import input_blocks, polytopic_decompose
 from chan_atlas.linalg import random_directions, random_pure_vectors
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -154,6 +155,39 @@ def test_direct_sum_entanglement_breaking_property(kinds, rs, seed):
     both = is_entanglement_breaking(direct_sum(a, b)).status
     assert (both == YES) == (blocks == [YES, YES])
     assert (both == NO) == (NO in blocks)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(sizes=strategies.lists(dims, min_size=2, max_size=3), d_out=strategies.integers(2, 3),
+       seed=seeds)
+def test_input_blocks_of_a_rotated_direct_sum_property(sizes, d_out, seed):
+    # random CPTP blocks in a Haar input frame: every true block lies inside
+    # one found block (the found ones may be coarser), and the found blocks
+    # reproduce the map, T(rho) = sum_k T(P_k rho P_k)
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng, sum(sizes))
+    t = compose(kraus_channel([u]), direct_sum(*(random_cptp(rng, d, d_out) for d in sizes)))
+    found = input_blocks(t)
+    assert sum(v.shape[1] for v in found) == t.d_in
+    n = t.natural_matrix()
+    split = sum(n @ np.kron(v @ v.conj().T, (v @ v.conj().T).conj()) for v in found)
+    assert np.linalg.norm(split - n, 2) <= 1e-12
+    ends = np.cumsum(sizes)
+    for a, b in zip(ends - sizes, ends):
+        true = u.conj().T[:, a:b]  # the block's basis in the frame of t
+        inside = max(np.linalg.norm(v.conj().T @ true) ** 2 for v in found)
+        assert inside >= (b - a) - 1e-9
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(d=strategies.integers(1, 3), seed=seeds)
+def test_full_range_map_is_one_input_block_without_an_eigensolve_property(d, seed):
+    t = random_cptp(np.random.default_rng(seed), d, d)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_runs(mp, geometry._generic_eigh)
+        blocks = input_blocks(t)
+    assert len(blocks) == 1 and runs == []
+    np.testing.assert_array_equal(blocks[0], np.eye(d))
 
 
 forms = strategies.sampled_from(["kraus", "povm", "cq", "ecq", "direct_sum"])
