@@ -104,7 +104,10 @@ def is_entanglement_breaking(t):
     ``"pt_eigenvector"``; a "yes" adds ``"ppt_exact_regime"`` or
     ``"separable_pairs"``, unless its blocks decided it; a map with several
     input blocks adds the verdicts of those of dimension 2 or more as
-    ``"blocks"``.
+    ``"blocks"``.  Both partial-transpose entries are always the map's own,
+    from its own Choi matrix; a "no" that a block decided names that block,
+    by its place in ``"blocks"``, in ``reason``, and its own eigenpair stays
+    in its verdict there.
     """
     t.require_cptp()
     j = t.to_choi()
@@ -125,9 +128,12 @@ def is_entanglement_breaking(t):
             # a 1-dim block's Choi state is a product: only the others are decided
             base["blocks"] = subs = [is_entanglement_breaking(b) for b in block_restrictions(t)
                                      if b.d_in > 1]
-            bad = [s for s in subs if s.status == NO]
+            bad = [i for i, s in enumerate(subs) if s.status == NO]
             if bad:
-                return Verdict(NO, {**base, **bad[0].witness})
+                # the map's own partial-transpose eigenpair; the block's stays in "blocks"
+                return Verdict(NO, {**base, "pt_eigenvector": canonical_phase(u[:, 0])},
+                               f"input block {bad[0]} of dimension 2 or more is not "
+                               f"entanglement breaking")
         mp = vertex_certificate(t)
     if mp is not None:
         # separable Choi decomposition J = sum_i sigma_i (x) M_i^T / d_in

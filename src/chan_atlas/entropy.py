@@ -17,9 +17,11 @@ without such a factor the joint minimizer is seeded with the product of
 the single minimizers, so the gap is nonnegative up to roundoff.  Image
 additivity compares, per direction, the support of ``Im(T1 (x) T2)`` with a
 lower bound on its product support: an alternating sweep over product
-inputs run in the real Hilbert-Schmidt coordinates of :func:`~.linalg.hvec`
-(``_product_support``).  A factor that splits into input blocks is reduced
-to them exactly, in both questions (``_block_minimum``, ``_block_supports``).
+inputs run in real coordinates (``_product_support``), Bloch coordinates
+``(1, x)`` on a qubit factor, where a half step's top eigenpair is closed
+form, and those of :func:`~.linalg.hvec` on a larger one.  A factor that
+splits into input blocks is reduced to them exactly, in both questions
+(``_block_minimum``, ``_block_supports``).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import numpy as np
 from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor, tensor_dual_apply
 from .classify import vertex_certificate
 from .geometry import VERDICT_TOL, block_restrictions, bloch_map, hull_containment, input_blocks
-from .linalg import (check_density_matrix, herm, hvec, random_directions, random_pure_vectors,
-                     unhvec)
+from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors, unhvec
 
 _P_MAX = 50.0
 _EIG_FLOOR = 1e-18
@@ -367,79 +368,96 @@ class ImageAdditivityReport:
 
 
 @functools.cache
-def _hvec_basis(d):
-    """The Hermitian basis behind :func:`~.linalg.hvec`, one flattened ``B_k``
-    per row, so ``v @ basis`` flattens the matrix with coordinates ``v``; and
-    the index pairs ``i < j`` of its off-diagonal coordinates.  Read-only."""
-    basis = unhvec(np.eye(d * d), d).reshape(d * d, d * d)
+def _sweep_basis(d):
+    """The Hermitian basis ``B_k`` of the sweep's coordinates on ``d x d``
+    matrices, one flattened ``B_k`` per row, so ``v @ basis`` flattens the
+    state with coordinates ``v``; the basis dual to it, so ``k @ dual``
+    flattens the matrix ``K`` of the row ``k_k = Tr(K B_k)``; and the index
+    pairs ``i < j`` of the off-diagonal coordinates.  Read-only.
+
+    A qubit takes ``sigma_mu / 2`` with the identity first: a state is
+    ``(1, x)``, with ``x`` its Bloch vector, and the dual basis is
+    ``sigma_mu``.  A larger ``d`` takes the orthonormal basis behind
+    :func:`~.linalg.hvec`, its own dual.
+    """
+    if d == 2:
+        basis = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]) / 2
+        dual = 2 * basis
+    else:
+        basis = dual = unhvec(np.eye(d * d), d).reshape(d * d, d * d)
     pairs = np.triu_indices(d, k=1)
-    for a in (basis, *pairs):
+    for a in (basis, dual, *pairs):
         a.flags.writeable = False
-    return basis, pairs
+    return basis, dual, pairs
 
 
-def _hvec_outer(u):
-    """``hvec(u u*)`` of each vector along the last axis, from the vector."""
-    i, j = _hvec_basis(u.shape[-1])[1]
+def _sweep_outer(u):
+    """The sweep coordinates of ``u u*`` for each vector along the last axis,
+    from the vector: ``(|u|^2, x)`` for a qubit, else ``hvec(u u*)``."""
+    sq = u.real ** 2 + u.imag ** 2
+    if u.shape[-1] == 2:
+        q = 2 * np.conj(u[..., 0]) * u[..., 1]
+        return np.stack([sq[..., 0] + sq[..., 1], q.real, q.imag, sq[..., 0] - sq[..., 1]],
+                        axis=-1)
+    i, j = _sweep_basis(u.shape[-1])[2]
     q = np.sqrt(2.0) * u[..., i] * np.conj(u[..., j])
-    return np.concatenate([u.real ** 2 + u.imag ** 2, q.real, q.imag], axis=-1)
+    return np.concatenate([sq, q.real, q.imag], axis=-1)
 
 
 def _coordinates(ms, da, db):
     """Each observable ``m`` on ``C^da (x) C^db`` as the real ``da^2 x db^2``
-    matrix ``R[k, l] = Tr(m (B_k (x) B_l))`` (``_hvec_basis``), so that
-    ``Tr(m rho_a (x) rho_b) = hvec(rho_a) @ R @ hvec(rho_b)``: one matmul
-    per factor, the second real up to roundoff since ``m`` is Hermitian."""
+    matrix ``R[k, l] = Tr(m (B_k (x) B_l))`` in the bases of ``_sweep_basis``,
+    so that ``Tr(m rho_a (x) rho_b) = v_a @ R @ v_b`` with ``v`` the sweep
+    coordinates of each state: one matmul per factor, the second real up to
+    roundoff since ``m`` is Hermitian.  A qubit basis is scaled by 1/2 only,
+    so ``R`` of ``c I`` holds ``c`` exactly."""
     n = len(ms)
     m = ms.reshape(n, da, db, da, db).transpose(0, 2, 4, 1, 3).reshape(n * db * db, da * da)
-    m = (m @ _hvec_basis(da)[0].conj().T).reshape(n, db * db, da * da).transpose(0, 2, 1)
+    m = (m @ _sweep_basis(da)[0].conj().T).reshape(n, db * db, da * da).transpose(0, 2, 1)
     # the real part of x @ conj(B)^T, as a real matmul on the interleaved parts of x
     m = np.ascontiguousarray(m.reshape(n * da * da, db * db)).view(float)
-    return (m @ _hvec_basis(db)[0].view(float).T).reshape(n, da * da, db * db)
+    return (m @ _sweep_basis(db)[0].view(float).T).reshape(n, da * da, db * db)
 
 
 def _top(v, d):
-    """The top eigenvalue of each ``d x d`` Hermitian matrix given by its
-    ``hvec`` row in ``v``, and the ``hvec`` of its top eigenprojector.
+    """The top eigenvalue of each ``d x d`` Hermitian matrix ``K`` given by
+    its row ``v_k = Tr(K B_k)`` (``_sweep_basis``), and the sweep
+    coordinates of its top eigenprojector.
 
-    A qubit row ``(a, c, sqrt2 Re b, sqrt2 Im b)`` is solved in closed form:
-    with ``h = (a - c)/2`` and ``r = hypot(h, |b|)`` the top eigenvalue is
-    ``(a + c)/2 + r``, and the projector ``(K - lambda_min I)/(2r)`` has the
-    row's off-diagonal coordinates over ``2r`` and its small diagonal entry
-    taken as ``|b|^2 / (2r (r + |h|))``, which keeps its relative accuracy.
-    Rows whose gap ``2r`` is at most ``_GAP_FLOOR`` times their spectral
-    radius (scalar and near-scalar matrices, whose top eigenvector is a
-    choice) go through ``eigh``, on those rows only, as do all rows with
-    ``d > 2``; the projector's ``hvec`` is read off the eigenvector.
+    A qubit row ``(k0, k)`` is the matrix ``k0 I + k . sigma``, solved in
+    closed form: its top eigenvalue is ``k0 + |k|`` and its top projector
+    the state ``(1, k / |k|)``.  Rows whose gap ``2 |k|`` is at most
+    ``_GAP_FLOOR`` times their spectral radius (scalar and near-scalar
+    matrices, whose top eigenvector is a choice) go through ``eigh``, on
+    those rows only, as do all rows with ``d > 2``; the projector's
+    coordinates are read off the eigenvector.
     """
     if d == 2:
-        a, c, re, im = v.T
-        h, mean = (a - c) / 2, (a + c) / 2
-        b = np.hypot(re, im) * np.sqrt(0.5)
-        r = np.hypot(h, b)
-        s, gap = r + np.abs(h), 2 * r
+        k0 = v[:, 0]
+        r = np.sqrt(np.einsum("ij,ij->i", v[:, 1:], v[:, 1:]))
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows go to eigh below
-            big, small = s / gap, b * b / (gap * s)
-            up = h >= 0
-            proj = np.column_stack([np.where(up, big, small), np.where(up, small, big),
-                                    re / gap, im / gap])
-        top = mean + r
-        kept = gap > _GAP_FLOOR * (np.abs(mean) + r)
+            proj = v / r[:, None]
+        proj[:, 0] = 1.0
+        top = k0 + r
+        kept = 2 * r > _GAP_FLOOR * (np.abs(k0) + r)
         if kept.all():
             return top, proj
         v = v[~kept]
-    k = v @ _hvec_basis(d)[0].view(float)  # the matrices, real and imaginary parts interleaved
+    k = v @ _sweep_basis(d)[1].view(float)  # the matrices, real and imaginary parts interleaved
     w, u = np.linalg.eigh(k.view(complex).reshape(-1, d, d))
     if d > 2:
-        return w[:, -1], _hvec_outer(u[..., -1])
-    top[~kept], proj[~kept] = w[:, -1], _hvec_outer(u[..., -1])
+        return w[:, -1], _sweep_outer(u[..., -1])
+    top[~kept], proj[~kept] = w[:, -1], _sweep_outer(u[..., -1])
     return top, proj
 
 
 def _contract(op, slot, v, s):
     """The rows ``v`` times the ``op`` of their direction: scattered at their
     ``slot`` into a zero grid of ``len(op)`` directions by ``s`` starts, one
-    matmul per direction, and gathered back."""
+    matmul per direction, and gathered back.  When every slot is held the
+    rows are that grid already."""
+    if len(v) == len(op) * s:
+        return (v.reshape(len(op), s, -1) @ op).reshape(-1, op.shape[-1])
     grid = np.zeros((len(op) * s, v.shape[1]))
     grid[slot] = v
     return (grid.reshape(len(op), s, -1) @ op).reshape(-1, op.shape[-1])[slot]
@@ -452,8 +470,9 @@ def _product_support(ms, psi, pure):
     ``(n, r, d_b)``; a start stops when it gains < 1e-10, or at 20 rounds.
 
     Each ``m`` is its real ``_coordinates`` matrix ``R`` and each state its
-    ``hvec`` row, so a half step is ``R y`` onto the first factor or
-    ``R^T x`` onto the second, then ``_top``.  Every live start is one row of
+    row of ``_sweep_basis`` coordinates (``(1, x)`` on a qubit, the mixed
+    start ``(1, 0, 0, 0)``), so a half step is ``R y`` onto the first factor
+    or ``R^T x`` onto the second, then ``_top``.  Every live start is one row of
     the stack, at its (direction, start) slot.  A start that stops leaves the
     stack with its value kept, and a direction with no live start drops its
     ``R``, so ``_contract`` sees held directions only; each direction's best
@@ -465,8 +484,8 @@ def _product_support(ms, psi, pure):
     to_b = _coordinates(ms, da, db)  # R: the rows x @ R are the half step onto the second factor
     to_a = np.ascontiguousarray(to_b.transpose(0, 2, 1))  # R^T: the rows y @ R^T are R y
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
-    mixed = np.broadcast_to(hvec(np.eye(db)) / db, (n, 1, db * db))
-    y = np.concatenate([_hvec_outer(vb)[:, None], mixed, _hvec_outer(pure)], axis=1)
+    mixed = np.broadcast_to(_sweep_outer(np.eye(db)).mean(axis=0), (n, 1, db * db))
+    y = np.concatenate([_sweep_outer(vb)[:, None], mixed, _sweep_outer(pure)], axis=1)
     y = y.reshape(n * s, db * db)
     start = slot = np.arange(n * s)  # each row's start, and its place in the held grid
     val, final = np.full(n * s, -np.inf), np.empty(n * s)

@@ -5,7 +5,9 @@ entanglement breaking / universal image additivity), minimal output
 entropies, fixed-point structure (square channels), and an image-additivity
 probe against the identity channel.  A stage that cannot run records a
 status of ``skipped`` or ``error`` with a reason; the pipeline itself never
-aborts on a verdict.
+aborts on a verdict.  An error's reason names its type, the innermost
+function of this package it passed through and its message
+(``_stage_error``).
 
 Reports are deterministic for a fixed seed and package version: stages use
 derived seeds only, keys are sorted on serialization, and wall-clock timings
@@ -82,7 +84,7 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), include_timings=False):
         try:
             out = fn()
         except Exception as e:  # noqa: BLE001 - verdict pipelines report, never abort
-            out = {"status": "error", "reason": f"{type(e).__name__}: {e}"}
+            out = {"status": "error", "reason": _stage_error(e)}
         timings[name] = time.perf_counter() - t0
         report[name] = jsonable(out)
 
@@ -119,6 +121,19 @@ def run_pipeline(t, seed=0, p_values=(1.0, 2.0), include_timings=False):
     if include_timings:
         report["timings"] = jsonable(timings)
     return report
+
+
+def _stage_error(e):
+    """``<Type> in <module>.<function>: <message>`` of an exception a stage
+    raised, naming the innermost frame of this package it passed through."""
+    where, tb = None, e.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith(__package__ + "."):
+            code = tb.tb_frame.f_code
+            where = f"{module[len(__package__) + 1:]}.{getattr(code, 'co_qualname', code.co_name)}"
+        tb = tb.tb_next
+    return f"{type(e).__name__} in {where}: {e}"
 
 
 def image_stage(t):

@@ -226,9 +226,10 @@ def product_support_full_grid(ms, psi, pure):
     return val.max(axis=1)
 
 
-def product_support_hvec_grid(ms, psi, pure):
+def product_support_sweep_grid(ms, psi, pure):
     """Reference for the compaction of ``entropy._product_support``: the same
-    real coordinates (``entropy._coordinates``), starts and top eigenpairs
+    real coordinates (``entropy._coordinates``), starts (``entropy._sweep_outer``,
+    the mixed one too) and top eigenpairs
     (``entropy._top``, looked up at call time), but every alternating round
     contracts the full grid of directions and starts, then masks out the
     starts that have stopped."""
@@ -237,8 +238,8 @@ def product_support_hvec_grid(ms, psi, pure):
     to_b = entropy._coordinates(ms, da, db)
     to_a = np.ascontiguousarray(to_b.transpose(0, 2, 1))
     vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
-    mixed = np.broadcast_to(hvec(np.eye(db)) / db, (n, 1, db * db))
-    y = np.concatenate([entropy._hvec_outer(vb)[:, None], mixed, entropy._hvec_outer(pure)],
+    mixed = np.broadcast_to(entropy._sweep_outer(np.eye(db)).mean(axis=0), (n, 1, db * db))
+    y = np.concatenate([entropy._sweep_outer(vb)[:, None], mixed, entropy._sweep_outer(pure)],
                        axis=1)
     x = np.zeros((n, r + 2, da * da))
     val = np.full((n, r + 2), -np.inf)

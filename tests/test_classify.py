@@ -94,6 +94,26 @@ def test_eb_direct_sum_recursion():
     assert [b.status for b in v.witness["blocks"]] == [YES, YES]
 
 
+def test_eb_no_decided_by_a_block_keeps_the_maps_own_witness():
+    # the map's own partial-transpose minimum, -7.5e-10, lies inside PPT_TOL;
+    # its depolarizing block, in its own frame and scale, reads -1.5e-9 and
+    # decides "no", which stays the verdict
+    t = direct_sum(depolarizing_channel(1 / 3 + 2e-9), dephasing_channel(2))
+    v = is_entanglement_breaking(t)
+    assert v.status == NO
+    jpt = herm(partial_transpose(t.to_choi(), (t.d_out, t.d_in), which=1))
+    w = np.linalg.eigvalsh(jpt)
+    assert v.witness["min_pt_eigenvalue"] == w[0]
+    assert v.witness["min_pt_eigenvalue"] == pytest.approx(-7.5e-10, rel=1e-6)
+    x = v.witness["pt_eigenvector"]
+    assert x.shape == (8,) and np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(jpt @ x - w[0] * x) <= 1e-15
+    (block,) = v.witness["blocks"]
+    assert block.status == NO and block.witness["pt_eigenvector"].shape == (4,)
+    assert block.witness["min_pt_eigenvalue"] == pytest.approx(-1.5e-9, rel=1e-6)
+    assert v.reason == "input block 0 of dimension 2 or more is not entanglement breaking"
+
+
 def test_eb_pinching_with_coherent_block_is_not_eb():
     v = is_entanglement_breaking(pinching_channel())
     assert v.status == NO

@@ -15,8 +15,9 @@ from conftest import (
     haar_unitary,
     kraus_operators,
     lapack_top,
+    outer,
     product_support_full_grid,
-    product_support_hvec_grid,
+    product_support_sweep_grid,
     random_cptp,
     random_density,
     random_direction,
@@ -299,7 +300,7 @@ def test_product_support_frozen_starts_stay_put():
     pure = np.array([[random_pure(rng, db) for _ in range(6)] for _ in range(3)])
     stacked = _product_support(ms, psi, pure)
     single = [_product_support(ms[i:i + 1], psi[i:i + 1], pure[i:i + 1])[0] for i in range(3)]
-    assert stacked.tolist() == single == product_support_hvec_grid(ms, psi, pure).tolist()
+    assert stacked.tolist() == single == product_support_sweep_grid(ms, psi, pure).tolist()
 
 
 def _sweep_input(da, db, n, seed):
@@ -323,25 +324,25 @@ def test_product_support_matches_the_full_grid(da, db, n):
     for seed in range(2):
         ms, psi, pure = _sweep_input(da, db, n, seed)
         assert _product_support(ms, psi, pure).tolist() == \
-            product_support_hvec_grid(ms, psi, pure).tolist()
+            product_support_sweep_grid(ms, psi, pure).tolist()
 
 
 def test_product_support_when_every_start_stops_in_round_two(monkeypatch):
     # Tr(c I rho_a (x) rho_b) = c for every start: round 2 gains nothing
-    da, db = 2, 3
     c = np.array([-1.5, 0.0, 0.25, 2.0])
-    ms = c[:, None, None] * np.eye(da * db, dtype=complex)
-    _, psi, pure = _sweep_input(da, db, len(c), 0)
-    got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
-    assert got == _top_rounds(monkeypatch, product_support_hvec_grid, ms, psi, pure)
-    assert got == (c.tolist(), 2)
+    for da, db in ((2, 3), (2, 2)):
+        ms = c[:, None, None] * np.eye(da * db, dtype=complex)
+        _, psi, pure = _sweep_input(da, db, len(c), 0)
+        got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
+        assert got == _top_rounds(monkeypatch, product_support_sweep_grid, ms, psi, pure)
+        assert got == (c.tolist(), 2)
 
 
 @pytest.mark.parametrize("da, db, n", [(3, 3, 1), (2, 3, 24)])
 def test_product_support_at_the_round_cap(da, db, n, monkeypatch):
     ms, psi, pure = _sweep_input(da, db, n, 0)
     got = _top_rounds(monkeypatch, _product_support, ms, psi, pure)
-    assert got == _top_rounds(monkeypatch, product_support_hvec_grid, ms, psi, pure)
+    assert got == _top_rounds(monkeypatch, product_support_sweep_grid, ms, psi, pure)
     assert got[1] == 20
 
 
@@ -375,7 +376,7 @@ def _contracted_directions(monkeypatch, sweep):
 
 def test_product_support_contracts_only_live_directions(monkeypatch):
     rep, calls, held = _contracted_directions(monkeypatch, entropy._product_support)
-    ref, ref_calls, ref_held = _contracted_directions(monkeypatch, product_support_hvec_grid)
+    ref, ref_calls, ref_held = _contracted_directions(monkeypatch, product_support_sweep_grid)
     assert (rep.max_gap, rep.lhs, rep.rhs, rep.certified) == \
         (ref.max_gap, ref.lhs, ref.rhs, ref.certified)
     assert calls == ref_calls and ref_held == []
@@ -398,10 +399,46 @@ def test_product_support_matches_an_eigh_reference(da, db, n):
                                    rtol=0, atol=1e-12)
 
 
+def _rows(k, d):
+    """The sweep rows ``Tr(K B_k)`` of the matrices ``k`` (``entropy._sweep_basis``)."""
+    return (k.reshape(-1, d * d) @ entropy._sweep_basis(d)[0].conj().T).real
+
+
+def _coords(rho, d):
+    """The sweep coordinates ``v`` of the matrices ``rho = sum_k v_k B_k``."""
+    return (rho.reshape(-1, d * d) @ entropy._sweep_basis(d)[1].conj().T).real
+
+
+def _states(v, d):
+    """The matrices ``sum_k v_k B_k`` of the sweep coordinates ``v``."""
+    return (v @ entropy._sweep_basis(d)[0]).reshape(-1, d, d)
+
+
+def _matrices(k, d):
+    """The matrices ``K`` of the sweep rows ``k_k = Tr(K B_k)``."""
+    return (k @ entropy._sweep_basis(d)[1]).reshape(-1, d, d)
+
+
+def test_sweep_coordinates_of_a_qubit_are_its_bloch_vector():
+    basis, dual, _ = entropy._sweep_basis(2)
+    pauli = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    assert basis.tolist() == (pauli.reshape(4, 4) / 2).tolist()
+    assert dual.tolist() == pauli.reshape(4, 4).tolist()
+    rng = np.random.default_rng(2)
+    u = random_pure_vectors(rng, 50, 2)
+    v = entropy._sweep_outer(u)
+    np.testing.assert_allclose(v[:, 0], 1, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v, _coords(outer(u), 2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_states(v, 2), outer(u), rtol=0, atol=1e-15)
+    # the mixed start I/2 is (1, 0, 0, 0) exactly, and I/3 is hvec(I)/3 exactly
+    assert entropy._sweep_outer(np.eye(2)).mean(axis=0).tolist() == [1, 0, 0, 0]
+    assert entropy._sweep_outer(np.eye(3)).mean(axis=0).tolist() == (hvec(np.eye(3)) / 3).tolist()
+
+
 def _check_top(k, top, proj):
     """``top`` and ``proj`` are the top eigenpair of each Hermitian 2x2 ``k``,
-    with ``proj`` given by its ``hvec`` row."""
-    proj = unhvec(proj, 2)
+    with ``proj`` given by its sweep coordinates."""
+    proj = _states(proj, 2)
     w = np.linalg.eigvalsh(k)
     scale = np.abs(w).max(axis=1)
     assert np.all(np.abs(top - w[:, -1]) <= 1e-14 * scale)
@@ -416,7 +453,7 @@ def test_top_solves_2x2_stacks_in_closed_form(scale, monkeypatch):
     rng = np.random.default_rng(int(np.log10(scale)) + 6)
     k = herm(scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))))
     monkeypatch.setattr(np.linalg, "eigh", None)  # no row is degenerate
-    top, proj = entropy._top(hvec(k), 2)
+    top, proj = entropy._top(_rows(k, 2), 2)
     _check_top(k, top, proj)
 
 
@@ -425,13 +462,14 @@ def test_top_covers_both_diagonal_orders_and_real_off_diagonals(monkeypatch):
                   [[2, 1e-9], [1e-9, -1]], [[-1, 1e-9j], [-1e-9j, 2]],
                   [[1, 1 - 1j], [1 + 1j, 1.5]], [[1.5, 1 - 1j], [1 + 1j, 1]]], dtype=complex)
     monkeypatch.setattr(np.linalg, "eigh", None)
-    top, proj = entropy._top(hvec(k), 2)
+    top, proj = entropy._top(_rows(k, 2), 2)
     _check_top(k, top, proj)
-    # b = 0: the projector is exact
+    # a diagonal matrix: the projector is exact
     assert top[:3].tolist() == [3, 3, -1]
-    assert proj[:3].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-    # a tiny |b| keeps its relative accuracy in the small diagonal entry
-    np.testing.assert_allclose([proj[3, 1], proj[4, 0]], [1e-18 / 9] * 2, rtol=1e-12)
+    assert proj[:3].tolist() == [[1, 0, 0, 1], [1, 0, 0, -1], [1, 0, 0, 1]]
+    # a tiny transverse Bloch component keeps its relative accuracy: the
+    # Bloch vectors are (1e-9, 0, 1.5) / |.| and (0, -1e-9, -1.5) / |.|
+    np.testing.assert_allclose([proj[3, 1], proj[4, 2]], [1e-9 / 1.5, -1e-9 / 1.5], rtol=1e-12)
 
 
 def test_top_sends_degenerate_2x2_rows_to_eigh(monkeypatch):
@@ -441,17 +479,19 @@ def test_top_sends_degenerate_2x2_rows_to_eigh(monkeypatch):
     k = np.concatenate([rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)),
                         [np.zeros((2, 2)), 2.5 * np.eye(2), near]]).astype(complex)
     k = herm(k[[3, 0, 4, 1, 5, 2]])  # degenerate rows mixed in: 0, 2 and 4
+    rows = _rows(k, 2)
+    k = _matrices(rows, 2)  # the matrices these rows hold exactly
     seen = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the closed form never divides by r = 0
-        top, proj = entropy._top(hvec(k), 2)
+        top, proj = entropy._top(rows, 2)
     assert len(seen) == 1
     np.testing.assert_allclose(seen[0], k[[0, 2, 4]], rtol=0, atol=1e-16)
     ref_top, ref_proj = lapack_top(seen[0])
     assert top[[0, 2, 4]].tobytes() == ref_top.tobytes()
-    np.testing.assert_allclose(unhvec(proj[[0, 2, 4]], 2), ref_proj, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_states(proj[[0, 2, 4]], 2), ref_proj, rtol=0, atol=1e-15)
     _check_top(k[[1, 3, 5]], top[[1, 3, 5]], proj[[1, 3, 5]])
 
 
@@ -667,7 +707,7 @@ def test_product_grad_norm_matches_the_joint_gradient(p):
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_half_step_matches_the_einsum_contraction(da, db):
-    # R y and R^T x in hvec coordinates against Tr_b[m (I (x) rho_b)] and
+    # R y and R^T x in sweep coordinates against Tr_b[m (I (x) rho_b)] and
     # Tr_a[m (rho_a (x) I)] on matrices
     rng = np.random.default_rng([da, db])
     ms = random_directions(rng, 30, da * db)
@@ -677,15 +717,19 @@ def test_half_step_matches_the_einsum_contraction(da, db):
     coords = entropy._coordinates(ms, da, db)
     assert coords.dtype == float
     slot = np.arange(150)
-    to_a = entropy._contract(coords.transpose(0, 2, 1), slot, hvec(rho_b).reshape(150, -1), 5)
-    to_b = entropy._contract(coords, slot, hvec(rho_a).reshape(150, -1), 5)
-    ref_a = hvec(np.einsum("najbl,nslj->nsab", m4, rho_b)).reshape(150, -1)
-    ref_b = hvec(np.einsum("najbl,nsba->nsjl", m4, rho_a)).reshape(150, -1)
+    to_a = entropy._contract(coords.transpose(0, 2, 1), slot, _coords(rho_b, db), 5)
+    to_b = entropy._contract(coords, slot, _coords(rho_a, da), 5)
+    ref_a = _rows(np.einsum("najbl,nslj->nsab", m4, rho_b), da)
+    ref_b = _rows(np.einsum("najbl,nsba->nsjl", m4, rho_a), db)
     np.testing.assert_allclose(to_a, ref_a, rtol=0, atol=1e-13)
     np.testing.assert_allclose(to_b, ref_b, rtol=0, atol=1e-13)
+    # with every slot held the rows skip the scatter, bit for bit: one more
+    # direction, with no start held, sends the same rows through it
+    extra = np.concatenate([coords, coords[:1]])
+    assert entropy._contract(extra, slot, _coords(rho_a, da), 5).tobytes() == to_b.tobytes()
     # rows held at a subset of the slots come back as in the full grid
     held = np.sort(rng.choice(150, size=40, replace=False))
-    assert entropy._contract(coords, held, hvec(rho_a).reshape(150, -1)[held], 5).tolist() == \
+    assert entropy._contract(coords, held, _coords(rho_a, da)[held], 5).tolist() == \
         to_b[held].tolist()
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -930,6 +931,29 @@ def test_run_pipeline_skips_stages_for_non_cptp():
     for name in ("image", "classification", "entropy", "fixed_points",
                  "image_additivity_vs_identity"):
         assert rep[name] == {"status": "skipped", "reason": "map is not CPTP"}
+    validate_report(rep)
+
+
+def test_report_stage_error_names_the_innermost_function(monkeypatch):
+    # a LAPACK failure inside the qubit entropy solve, and a failure raised
+    # below the fixed-point stage by a function outside the package
+    from chan_atlas import entropy
+
+    nan_map = types.SimpleNamespace(linear=np.full((3, 3), np.nan), shift=np.zeros(3))
+    monkeypatch.setattr(entropy, "bloch_map", lambda t: nan_map)
+
+    def fail(t):
+        raise RuntimeError("no structure")
+
+    monkeypatch.setattr(pipeline, "fixed_point_structure", fail)
+    rep = run_pipeline(amplitude_damping(0.3))
+    assert rep["entropy"] == {"status": "error",
+                              "reason": "LinAlgError in entropy._bloch_peak: "
+                                        "SVD did not converge"}
+    assert rep["fixed_points"] == {"status": "error",
+                                   "reason": "RuntimeError in pipeline.fixed_point_stage: "
+                                             "no structure"}
+    assert rep["classification"]["cq"]["status"] == "no"
     validate_report(rep)
 
 

@@ -432,15 +432,16 @@ def _pair_directions(rng, kinds, da, db):
     return np.array(out)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(kinds=strategies.lists(strategies.sampled_from(["gue", "scalar", "product", "entangled"]),
                               min_size=1, max_size=12),
-       dims=strategies.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+       dims=strategies.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]),
        seed=seeds)
 def test_qubit_product_support_matches_the_eigh_full_grid_property(kinds, dims, seed):
-    # the sweep of a pair of factors of dimension 2 or 3, with the qubit
-    # factors' closed-form top eigenpairs, against the complex full grid with
-    # every top eigenpair from LAPACK
+    # the sweep of a pair of factors with a qubit among them (or two qutrits),
+    # with the qubit factors' closed-form top eigenpairs in Bloch
+    # coordinates, against the complex full grid with every top eigenpair
+    # from LAPACK
     rng = np.random.default_rng(seed)
     da, db = dims
     ms = _pair_directions(rng, kinds, da, db)
