@@ -5,7 +5,9 @@ Exit codes: 0 when the requested analysis ran (verdicts, including "no" and
 invalid usage (a ``--directions`` or ``--points`` count over the size budget
 included), 3 when a spec without ``allow_non_cptp`` fails the CPTP check,
 and 4 when a linear-algebra routine of the analysis fails
-(``numpy.linalg.LinAlgError``, printed as ``error: <command>: <cause>``).
+(``numpy.linalg.LinAlgError``, printed as ``error: <command>: <Type> in
+<module>.<function>: <cause>``, naming the innermost function of the
+package the failure passed through).
 ``classify``, ``entropy``, ``additivity``, ``image-additivity`` and
 ``fixed-points`` need a channel and exit 3 on any map that is not CPTP, the
 ``allow_non_cptp`` ones included; ``decompose``, ``image`` and ``report``
@@ -40,6 +42,7 @@ from .entropy import entropy_additivity_gap, image_additivity_gap, min_output_en
 from .formats import load_channel
 from .geometry import image_boundary_2d
 from .pipeline import (
+    _stage_error,
     check_joint_budget,
     check_stack_budget,
     classification_stage,
@@ -139,7 +142,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 3
     except np.linalg.LinAlgError as e:  # a ValueError too, but no fault of the spec
-        print(f"error: {args.command}: {e}", file=sys.stderr)
+        print(f"error: {args.command}: {_stage_error(e)}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

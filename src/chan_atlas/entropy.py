@@ -5,10 +5,11 @@ taken over pure inputs, where the minimum is attained.  Each value says what
 it is in ``bound``: ``"exact"`` from a vertex certificate (a CQ or eCQ "yes",
 whose image is ``conv{sigma_i}``; Fukuda, Nechita and Wolf,
 arXiv:1408.2340), for a qubit-to-qubit map from the Bloch-ball
-trust-region solve (``_bloch_peak``), or from the input blocks of a map
-that splits (:func:`~.geometry.input_blocks`) when every block is exact;
-``"upper"`` from the iterative minimizer (``_minimize_entropy``) on every
-other map or block.  A certified factor
+trust-region solve (``_bloch_peak``), for a qubit-input map at p = 2 from
+the same solve on its purity (``_qubit_pencil``), or from the input blocks
+of a map that splits (:func:`~.geometry.input_blocks`) when every block is
+exact; ``"upper"`` from the iterative minimizer (``_minimize_entropy``) on
+every other map or block, unless it meets that exact ``H_2``.  A certified factor
 makes a pair additive, in entropy and in image, and a unital qubit factor
 in entropy (King), so no joint optimizer runs for such a pair.
 
@@ -34,7 +35,8 @@ import numpy as np
 from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor, tensor_dual_apply
 from .classify import vertex_certificate
 from .geometry import VERDICT_TOL, block_restrictions, bloch_map, hull_containment, input_blocks
-from .linalg import check_density_matrix, herm, random_directions, random_pure_vectors, unhvec
+from .linalg import (PAULIS, check_density_matrix, herm, hvec, random_directions,
+                     random_pure_vectors, unhvec)
 
 _P_MAX = 50.0
 _EIG_FLOOR = 1e-18
@@ -45,6 +47,7 @@ _RESTARTS = 8            # product-support starts per direction, twice that in t
 _GAP_FLOOR = 1e-10       # a 2x2 row with a smaller relative eigengap goes through eigh
 _PURE_RADIUS = 1.0 - 4 * 2.0 ** -52  # a Bloch radius this close to 1 is a pure output
 _UNITAL_BAND = 16 * 2.0 ** -52  # a qubit map's Bloch shift this small is a unital map's roundoff
+_FLOOR_BAND = 16 * 2.0 ** -52   # relative: a value this close above a certified floor is its roundoff
 
 EXACT = "exact"
 UPPER = "upper"
@@ -86,7 +89,7 @@ class MinEntropyResult:
     converged: bool
     grad_norm: float
     n_starts: int
-    bound: str                 # EXACT from a vertex certificate or the Bloch ball, else UPPER
+    bound: str                 # EXACT from a certificate, the Bloch ball or a met floor, else UPPER
 
 
 def _linearization(t, w, u, p):
@@ -117,8 +120,12 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
     with several :func:`~.geometry.input_blocks` has ``Im T = conv(U_k Im
     T_k)``, so its minimum is the least block minimum, since ``H_p`` is
     quasi-concave (``_block_minimum``); a 1-dim block is exact, and each
-    other block takes these same routes.  Every other map goes through the
-    iterative minimizer ``_minimize_entropy``, and ``bound`` is ``"upper"``.
+    other block takes these same routes.  Any other qubit-input map has its
+    purity ``|A x + b|^2`` on the Bloch ball (``_qubit_pencil``), so ``H_2``
+    is exact the same way; ``H_p`` does not increase with ``p``, so ``H_2``
+    floors every ``p < 2``.  Every other order and map goes through the
+    iterative minimizer ``_minimize_entropy``, and ``bound`` is ``"upper"``
+    unless its value meets that floor.
     """
     p = _check_p(p)
     t.require_cptp()
@@ -132,6 +139,11 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
         value = _entropy_from_eigs(np.array([(1 + r) / 2, (1 - r) / 2]), p)
     elif len(input_blocks(t)) > 1:
         return _block_minimum(t, p, seed, n_starts)
+    elif t.d_in == 2 and p == 2.0:
+        x, purity = _qubit_pencil(t)
+        value = 0.0 - np.log(purity)  # 0.0, not -0.0, on a pure output
+    elif t.d_in == 2 and p < 2.0:
+        return _minimize_entropy(t, p, seed, n_starts, floor=-np.log(_qubit_pencil(t)[1]))
     else:
         return _minimize_entropy(t, p, seed, n_starts)
     out, grad_norm = _at_input(t, x, p)
@@ -168,8 +180,27 @@ def _block_minimum(t, p, seed, n_starts):
 @kept
 def _bloch_peak(t):
     """The pure input of a qubit-to-qubit map whose output has the largest
-    Bloch radius, and that radius: ``max |A x + b|`` over the Bloch ball,
-    with ``(A, b)`` from :func:`~.geometry.bloch_map`.
+    Bloch radius, and that radius: ``_sphere_peak`` on the ``(A, b)`` of
+    :func:`~.geometry.bloch_map`."""
+    m = bloch_map(t)
+    return _sphere_peak(m.linear, m.shift)
+
+
+@kept
+def _qubit_pencil(t):
+    """The pure input of a qubit-input map with the purest output, and that
+    purity ``max Tr T(rho)^2``: ``_sphere_peak`` on ``A = [hvec(T(sigma_i / 2))]``
+    (``d_out^2 x 3``) and ``b = hvec(T(I / 2))``, since ``hvec`` is a
+    Hilbert-Schmidt isometry and ``T(rho) = T(I / 2) + sum_i x_i T(sigma_i / 2)``."""
+    q = np.reshape([np.eye(2), *PAULIS], (4, 4)) / 2  # vec(I / 2), vec(sigma_i / 2) as rows
+    hv = hvec((q @ t.natural_matrix().T).reshape(4, t.d_out, t.d_out))
+    psi, r = _sphere_peak(hv[1:].T, hv[0])
+    return psi, r * r
+
+
+def _sphere_peak(a, b):
+    """The unit vector ``x`` with the largest ``|A x + b|``, as the pure qubit
+    state with Bloch vector ``x``, and that norm.
 
     A convex function peaks on the sphere, where ``A^T A x + A^T b = mu x``
     with ``mu >= lambda_max(A^T A)``: the trust-region subproblem (More and
@@ -189,14 +220,12 @@ def _bloch_peak(t):
     than a real ``eigh``: a report already runs the former, and the first
     call of the latter pages in about 0.3 MB more of LAPACK.)
 
-    A radius of at least ``_PURE_RADIUS``, four units in the last place
-    below 1, is the roundoff of ``|A x + b|`` on a pure output and is taken
-    as 1, so a pure minimum reads 0.0.
+    A norm of at least ``_PURE_RADIUS``, four units in the last place below
+    1, is the roundoff of ``|A x + b|`` on a pure output and is taken as 1,
+    so a pure minimum reads 0.0.
     """
-    m = bloch_map(t)
-    a, b = m.linear, m.shift
     # A^T A = V^T diag(sv^2) V, top first
-    _, sv, vt = np.linalg.svd(a)
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
     c = vt @ (a.T @ b)
     g = (sv[0] - sv) * (sv[0] + sv)
     nz = c != 0  # a zero component adds nothing to the secular sum
@@ -223,7 +252,7 @@ def _bloch_peak(t):
     return psi / np.linalg.norm(psi), 1.0 if r >= _PURE_RADIUS else r
 
 
-def _minimize_entropy(t, p, seed, n_starts, start=None):
+def _minimize_entropy(t, p, seed, n_starts, start=None, floor=None):
     """The iterative minimizer: an upper bound on the minimal output entropy.
 
     Every start runs the linearization step together: ``x`` moves to the
@@ -236,9 +265,11 @@ def _minimize_entropy(t, p, seed, n_starts, start=None):
     ``2 beta`` times their angle; ``beta`` doubles while that point wins
     and resets to 1 when it loses.  A start stops when neither candidate lowers its
     value by more than ``_DECREASE_TOL``; every start stops once the best
-    value is at most ``_PURE``.  ``converged`` is the winning start's own
-    stop reason; hitting ``_MAX_STEPS`` is not convergence.  The starts are
-    the standard basis, ``n_starts`` random vectors and ``start``, if given.
+    value is at most ``_PURE`` or within ``_FLOOR_BAND`` of ``floor``, a
+    certified lower bound if given, and only the latter makes it ``"exact"``.
+    ``converged`` is the winning start's own stop reason; hitting
+    ``_MAX_STEPS`` is not convergence.  The starts are the standard basis,
+    ``n_starts`` random vectors and ``start``, if given.
     """
     rng = np.random.default_rng(seed)
     d = t.d_in
@@ -249,9 +280,11 @@ def _minimize_entropy(t, p, seed, n_starts, start=None):
     val = _entropy_from_eigs(w, p)
     beta = np.ones(len(x))
     active = np.ones(len(x), dtype=bool)
+    top = -np.inf if floor is None else floor + _FLOOR_BAND * max(1.0, abs(floor))
+    stop = max(_PURE, top)  # the floor's band, or a pure output: every start stops
     for _ in range(_MAX_STEPS):
         idx = np.flatnonzero(active)
-        if idx.size == 0 or val.min() <= _PURE:
+        if idx.size == 0 or val.min() <= stop:
             break
         xa = x[idx]
         y = np.linalg.eigh(_linearization(t, w[idx], u[idx], p))[1][:, :, 0]
@@ -282,12 +315,12 @@ def _minimize_entropy(t, p, seed, n_starts, start=None):
         x[step], val[step] = cand[src], new[moved]
         w[step], u[step] = c_w[src], c_u[src]
         active[idx[done]] = False
-    converged = ~active | (val <= _PURE)
+    converged = ~active | (val <= stop)
     i = int(np.argmin(val))
     rho, grad_norm = _at_input(t, x[i], p)
     return MinEntropyResult(value=float(val[i]), minimizer=x[i], output_state=rho, p=p,
                             converged=bool(converged[i]), grad_norm=grad_norm,
-                            n_starts=len(x), bound=UPPER)
+                            n_starts=len(x), bound=EXACT if val[i] <= top else UPPER)
 
 
 # -- entropy additivity -------------------------------------------------
@@ -515,17 +548,18 @@ def _block_supports(ms, blocks1, blocks2, rng):
 
     ``(T1 (x) T2)*(H)`` is block diagonal in the blocks ``V_k (x) W_l``, so
     both supports are the largest over block pairs of those of its
-    compression ``M_kl``, each with its own ``eigh``.  A pair with a 1-dim
-    side holds only product states, so its support is exact.  Any other pair
-    goes through ``_product_support``, with ``_RESTARTS - 2`` random starts,
-    on the directions where its ``lambda_max`` exceeds the best value found
-    so far, since its product support can only be smaller.  With one block
-    each, ``M`` itself is swept on every direction.  Returns the joint
+    compression ``M_kl``.  A pair with a 1-dim side holds only product
+    states, so its support is exact; the compressions of all such pairs of
+    one shape share one ``eigvalsh``.  Any other pair goes through
+    ``_product_support``, with ``_RESTARTS - 2`` random starts, on the
+    directions where its ``lambda_max`` exceeds the best value found so far,
+    since its product support can only be smaller.  With one block each,
+    ``M`` itself is swept on every direction.  Returns the joint
     supports, the product-support bounds, the exact part of them and each
     swept pair as ``(M_kl, lambda_max, top eigenvector, dim W_l)``.
     """
     n = len(ms)
-    lhs, exact, sweeps = np.full(n, -np.inf), np.full(n, -np.inf), []
+    exact, sweeps, flat = np.full(n, -np.inf), [], {}
     for v in blocks1:
         for w in blocks2:
             if len(blocks1) == len(blocks2) == 1:
@@ -534,13 +568,13 @@ def _block_supports(ms, blocks1, blocks2, rng):
                 c = np.kron(v, w)
                 m = herm(c.conj().T @ ms @ c)
             if min(v.shape[1], w.shape[1]) == 1:
-                top = np.linalg.eigvalsh(m)[:, -1]
-                exact = np.maximum(exact, top)
+                flat.setdefault(m.shape, []).append(m)
             else:
                 e, u = np.linalg.eigh(m)
-                top = e[:, -1]
-                sweeps.append((m, top, u[:, :, -1], w.shape[1]))
-            lhs = np.maximum(lhs, top)
+                sweeps.append((m, e[:, -1], u[:, :, -1], w.shape[1]))
+    for group in flat.values():  # one eigvalsh per shape: LAPACK solves each matrix alone
+        exact = np.maximum(exact, np.linalg.eigvalsh(np.stack(group))[..., -1].max(axis=0))
+    lhs = np.maximum.reduce([exact, *(top for _, top, _, _ in sweeps)])
     rhs = exact.copy()
     for m, top, psi, db in sweeps:
         live = top > rhs

@@ -11,6 +11,7 @@ from conftest import (
     blas_thread_outputs,
     bloch_state,
     constant_channel,
+    count_runs,
     ecq_fixture,
     haar_unitary,
     kraus_operators,
@@ -54,6 +55,7 @@ from chan_atlas.entropy import (
 from chan_atlas.formats import load_channel
 from chan_atlas.geometry import bloch_map, input_blocks
 from chan_atlas.linalg import herm, hvec, random_directions, random_pure_vectors, unhvec
+from chan_atlas.pipeline import run_pipeline
 
 LOG2 = np.log(2.0)
 # closed forms for the r = 1/3 depolarizing qubit channel: the minimizing
@@ -128,6 +130,25 @@ def test_min_output_entropy_trine():
     for p in (1.0, 2.0):
         res = min_output_entropy(trine_channel(), p=p)
         assert res.value == pytest.approx(LOG2, abs=1e-8)
+
+
+def test_trine_report_solves_the_qubit_pencil_once_and_draws_no_p2_start(monkeypatch):
+    # both rows of one report share the kept Bloch-ball solve of the purity:
+    # p = 2 reads it off, p = 1 stops its minimizer at it, within the band
+    runs = count_runs(monkeypatch, entropy._qubit_pencil)
+    orders = []
+    inner = entropy._minimize_entropy
+    monkeypatch.setattr(entropy, "_minimize_entropy",
+                        lambda t, p, *a, **k: orders.append(p) or inner(t, p, *a, **k))
+    t = trine_channel()
+    rows = run_pipeline(t)["entropy"]["min_output"]
+    assert len(runs) == 1 and orders == [1.0]
+    assert [row["bound"] for row in rows] == ["exact", "exact"]
+    h1, h2 = min_output_entropy(t, p=1.0), min_output_entropy(t, p=2.0)
+    assert len(runs) == 1 and orders == [1.0, 1.0]
+    assert [h1.value, h2.value] == [row["value"] for row in rows]
+    assert h2.n_starts == 0 and abs(h2.value - LOG2) <= 1e-15
+    assert h2.value - 1e-15 <= h1.value <= h2.value + entropy._FLOOR_BAND
 
 
 def test_min_output_entropy_constant_channel():
@@ -924,6 +945,26 @@ def test_disc_counterexample_probe_needs_no_sweep_in_any_input_frame(frame, monk
     rep = image_additivity_gap(t, identity_channel(6), n_directions=24, seed=0)
     assert rep.max_gap == 0.0 and not rep.certified and rep.rhs_bound == "lower"
     assert calls == []
+
+
+def test_exact_block_pairs_share_one_eigvalsh_per_shape(monkeypatch):
+    # the disc's four 1-dim blocks against id(6) are four pairs of 6 x 6
+    # compressions: one stacked eigvalsh for all, bit-identical to one per pair
+    t, s = _input_frame(disc_counterexample(), 1), identity_channel(6)
+    rng = np.random.default_rng(2)
+    ms = herm(tensor_dual_apply(t, s, random_directions(rng, 24, 12)))
+    blocks = input_blocks(t)
+    ones = [v for v in blocks if v.shape[1] == 1]
+    assert len(ones) == 4
+    want = np.max([np.linalg.eigvalsh(herm(c.conj().T @ ms @ c))[:, -1]
+                   for c in (np.kron(v, np.eye(6)) for v in ones)], axis=0)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    lhs, rhs, exact, sweeps = entropy._block_supports(ms, blocks, input_blocks(s), rng)
+    assert shapes == [(4, 24, 6, 6)]
+    assert np.array_equal(exact, want)
+    assert np.array_equal(lhs, np.maximum(want, sweeps[0][1])) and len(sweeps) == 1
 
 
 def test_disc_counterexample_gap_against_the_identity_is_real():

@@ -36,6 +36,7 @@ from chan_atlas.channels import (
     unital_qubit_diag,
 )
 from chan_atlas.cli import main
+from chan_atlas.entropy import min_output_entropy
 from chan_atlas.formats import (
     SpecFormatError,
     channel_from_dict,
@@ -260,13 +261,15 @@ def test_direct_sum_of_checked_blocks_is_not_checked_again(tmp_path, monkeypatch
 
 
 def test_cli_linear_algebra_failure_exits_4_naming_the_command(tmp_path, monkeypatch, capsys):
-    # a LinAlgError is a ValueError, but no fault of the spec: not exit 2
+    # a LinAlgError is a ValueError, but no fault of the spec: not exit 2;
+    # the message names the command and the innermost function of the package
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     assert main(["entropy", spec_file(tmp_path, TRINE_SPEC)]) == 4
-    assert capsys.readouterr() == ("", "error: entropy: Eigenvalues did not converge\n")
+    assert capsys.readouterr() == ("", "error: entropy: LinAlgError in geometry._generic_eigh: "
+                                       "Eigenvalues did not converge\n")
 
 
 def test_cli_direct_sum_nesting_stops_at_the_dimension_budget(tmp_path, capsys):
@@ -496,12 +499,20 @@ def test_cli_image_additivity_defaults_to_identity(tmp_path, capsys):
 
 
 def test_bound_keys_follow_the_certificate(tmp_path, capsys):
-    # trine has no vertex certificate: sampled probe, minimizer entropies
+    # trine has no vertex certificate: a sampled probe, but a qubit input, so
+    # H_2 is exact from the Bloch ball and closes the p = 1 minimizer's bracket
     report = run_pipeline(trine_channel())
     validate_report(report)
     probe = report["image_additivity_vs_identity"]
     assert probe["certified_positive"] and probe["rhs_bound"] == "lower"
-    assert {row["bound"] for row in report["entropy"]["min_output"]} == {"upper"}
+    assert [row["bound"] for row in report["entropy"]["min_output"]] == ["exact", "exact"]
+    # a random 3 -> 3 map has no certificate, no blocks and no qubit input:
+    # minimizer entropies at every order
+    t = random_cptp(np.random.default_rng(7), 3, 3)
+    report = run_pipeline(t)
+    validate_report(report)
+    assert [row["bound"] for row in report["entropy"]["min_output"]] == ["upper", "upper"]
+    assert all(min_output_entropy(t, p).n_starts > 0 for p in (1.0, 2.0))
     # dephasing(3) is CQ: exact probe and exact entropies
     report = run_pipeline(dephasing_channel(3))
     validate_report(report)
@@ -948,7 +959,7 @@ def test_report_stage_error_names_the_innermost_function(monkeypatch):
     monkeypatch.setattr(pipeline, "fixed_point_structure", fail)
     rep = run_pipeline(amplitude_damping(0.3))
     assert rep["entropy"] == {"status": "error",
-                              "reason": "LinAlgError in entropy._bloch_peak: "
+                              "reason": "LinAlgError in entropy._sphere_peak: "
                                         "SVD did not converge"}
     assert rep["fixed_points"] == {"status": "error",
                                    "reason": "RuntimeError in pipeline.fixed_point_stage: "

@@ -55,6 +55,7 @@ from chan_atlas.linalg import random_directions, random_pure_vectors
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, strategies = hypothesis.given, hypothesis.settings, hypothesis.strategies
+assume = hypothesis.assume
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -292,6 +293,50 @@ def test_qubit_min_entropy_closed_form_property(env, seed, frame):
         assert res.bound == "exact" and res.n_starts == 0
         assert res.value <= entropy._minimize_entropy(t, p, 0, 64).value + 1e-12
         assert abs(min_output_entropy(_rotated(t, frame), p=p).value - res.value) <= 1e-12
+
+
+def _h2_band(h2):
+    """The band above an exact ``H_2`` inside which a ``p < 2`` row reads exact."""
+    return entropy._FLOOR_BAND * max(1.0, abs(h2))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(d_out=strategies.sampled_from([3, 4]), env=strategies.integers(1, 4), seed=seeds,
+       frame=seeds)
+def test_qubit_input_h2_is_exact_and_floors_p1_property(d_out, env, seed, frame):
+    # a random qubit-input map with a larger output, in Haar frames: the
+    # purity is |A x + b|^2 over the Bloch ball, so H_2 is exact, never above
+    # the iterative minimizer, attained by its own output and unmoved by
+    # T -> V o T o U; H_p does not increase with p, so it floors the p = 1 row
+    t = _rotated(random_cptp(np.random.default_rng(seed), 2, d_out, env=env), seed + 1)
+    h2 = min_output_entropy(t, p=2.0)
+    assert h2.bound == "exact" and h2.n_starts == 0 and h2.converged
+    assert h2.value <= entropy._minimize_entropy(t, 2.0, 0, 64).value + 1e-12
+    assert abs(h2.value + np.log(np.trace(h2.output_state @ h2.output_state).real)) <= 1e-12
+    assert abs(min_output_entropy(_rotated(t, frame), p=2.0).value - h2.value) <= 1e-12
+    h1 = min_output_entropy(t, p=1.0)
+    assert h1.value >= h2.value - 1e-12
+    assert h1.n_starts > 0
+    if h1.bound == "exact":
+        assert h1.converged and h1.value <= h2.value + _h2_band(h2.value)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(d_out=strategies.sampled_from([3, 4]), env=strategies.integers(2, 4), seed=seeds)
+def test_an_unreached_floor_changes_nothing_property(d_out, env, seed):
+    # a mixing qubit-input map whose p = 1 minimum lies above its exact H_2
+    # by more than the band: the floor never stops a start, so every field
+    # of the minimizer's result is bit-identical with and without it
+    t = _rotated(random_cptp(np.random.default_rng(seed), 2, d_out, env=env), seed + 1)
+    floor = min_output_entropy(t, p=2.0).value
+    plain = entropy._minimize_entropy(t, 1.0, seed, 16)
+    assume(plain.value > floor + _h2_band(floor))
+    floored = entropy._minimize_entropy(t, 1.0, seed, 16, floor=floor)
+    for field in ("value", "converged", "grad_norm", "n_starts", "bound", "p"):
+        assert getattr(floored, field) == getattr(plain, field)
+    assert plain.bound == "upper"
+    for field in ("minimizer", "output_state"):
+        assert np.array_equal(getattr(floored, field), getattr(plain, field))
 
 
 # the vertices of the Fujiwara-Algoet tetrahedron: the Pauli-diagonal unital
