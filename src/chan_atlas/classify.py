@@ -42,7 +42,6 @@ from .channels import (
 from .geometry import (
     VERDICT_TOL,
     _adjoint_range,
-    _generic_eigh,
     block_restrictions,
     hull_containment,
     input_blocks,
@@ -316,9 +315,9 @@ def is_cq(t):
 
     "no" carries ``"directions"`` (the pair ``X_i, X_j``) and
     ``"commutator"``, the Frobenius norm of ``[Y_i, Y_j]``, above 1e-9 and
-    recomputable with ``dual_apply``.  "yes" takes the eigenbasis ``b_i``
-    of one fixed real combination of the Hermitian parts of the ``Y_i`` and
-    verifies it directly: ``"certificate"`` (the :class:`~.channels.EcqForm`
+    recomputable with ``dual_apply``.  "yes" takes the basis ``b_i`` of the
+    concatenated :func:`~.geometry.input_blocks`, the one structure of the
+    range, and verifies it directly: ``"certificate"`` (the :class:`~.channels.EcqForm`
     with vectors ``b_i``, zero remainders and the states ``T(b_i b_i*)``;
     read it with :func:`vertex_certificate`), ``"effect_norms"`` (all one),
     ``"offdiagonal_residual"`` and ``"map_deviation"``.  A commuting range
@@ -341,7 +340,7 @@ def is_cq(t):
     if worst > 1e-9:
         return Verdict(NO, {"directions": list(x[list(pair)]), "commutator": worst},
                        "the range of the adjoint does not commute")
-    b = _generic_eigh(t)[1]
+    b = np.concatenate(input_blocks(t), axis=1)
     # column i*d+j is vec T(b_i b_j*)
     images = t.natural_matrix() @ np.kron(b, np.conj(b))
     offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], n)
@@ -354,8 +353,8 @@ def is_cq(t):
                              "offdiagonal_residual": offdiag, "map_deviation": dist})
     return Verdict(INDETERMINATE, {"commutator": worst, "offdiagonal_residual": offdiag,
                                    "map_deviation": dist},
-                   "the range of the adjoint commutes, but the eigenbasis of its "
-                   "generic element fails verification")
+                   "the range of the adjoint commutes, but the basis of its input "
+                   "blocks fails verification")
 
 
 # -- universal image additivity ----------------------------------------

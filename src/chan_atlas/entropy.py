@@ -71,6 +71,12 @@ def _entropy_from_eigs(w, p):
     return h + 0.0  # a pure spectrum gives -0.0 above; adding +0.0 makes it 0.0
 
 
+def _state_entropies(states, p):
+    """H^(p) of the stacked ``states``, 0.0 at a top eigenvalue of at least ``_PURE_RADIUS``."""
+    w = np.linalg.eigvalsh(herm(states))
+    return np.where(w[..., -1] >= _PURE_RADIUS, 0.0, _entropy_from_eigs(w, p))
+
+
 def _entropy_derivative(w, p):
     """f'(lambda) for H^(p) = Tr f(rho) read through the spectral theorem."""
     w = np.clip(np.real(w), 0.0, None)
@@ -131,7 +137,7 @@ def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
     t.require_cptp()
     cert = vertex_certificate(t)
     if cert is not None:
-        vals = _entropy_from_eigs(np.linalg.eigvalsh(herm(np.asarray(cert.states))), p)
+        vals = _state_entropies(np.asarray(cert.states), p)
         i = int(np.argmin(vals))
         value, x = vals[i], cert.vectors[i]
     elif (t.d_in, t.d_out) == (2, 2):
@@ -164,7 +170,7 @@ def _block_minimum(t, p, seed, n_starts):
     rows = []
     for v, b in zip(input_blocks(t), block_restrictions(t)):
         if b.d_in == 1:
-            value = _entropy_from_eigs(np.linalg.eigvalsh(herm(b.pure_outputs(np.ones(1)))), p)
+            value = _state_entropies(b.pure_outputs(np.ones(1)), p)
             rows.append((value, v[:, 0], True, 0, EXACT))
         else:
             r = min_output_entropy(b, p, seed, n_starts)

@@ -10,11 +10,12 @@ directions through the natural matrix, one stacked ``eigh``, and the outputs
 
 Vertices are computed, not sampled.  If the image is a polytope, every
 vertex preimage is a common eigenvector (a *character*) of the range of the
-adjoint ``{T*(H)}``, which one SVD of the natural matrix gives; the vertices
-are the character points ``T(vv*)`` outside the hull of the others, and the
-image spans ``rank(N) - 1`` affine dimensions.  A residual block is checked
-against the normals and facets of the vertex hull (:func:`hull_containment`),
-so nothing here draws a random number.
+adjoint ``{T*(H)}``, which one SVD of the natural matrix gives; a character
+spans an input block of its own (:func:`input_blocks`, the one structure of
+that range), the vertices are the character points ``T(vv*)`` outside the
+hull of the others, and the image spans ``rank(N) - 1`` affine dimensions.
+A residual block is checked against the normals and facets of the vertex
+hull (:func:`hull_containment`), so nothing here draws a random number.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .linalg import (
     herm,
     hvec,
     join_coupled,
-    null_space,
     op_norm,
     orthogonal_complement,
     unhvec,
@@ -159,48 +159,54 @@ def _adjoint_range(t):
 
 
 @kept
-def _generic_eigh(t):
-    """The ``eigh`` of the fixed combination ``sum_k cos(k) P_k`` of the
-    Hermitian parts of :func:`_adjoint_range`."""
-    return np.linalg.eigh(generic(_adjoint_range(t)[2])[0])
-
-
-@kept
 def input_blocks(t):
     """Orthonormal bases ``V_k`` (columns) of input blocks that split ``T``:
     ``T(rho) = sum_k T(P_k rho P_k)`` with ``P_k = V_k V_k*``.
 
-    Projectors ``P_k`` split ``T`` exactly when every element of the range
-    of the adjoint is block diagonal in them.  The blocks are the
-    eigenspaces of one generic element of the range (:func:`_generic_eigh`),
-    joined where a second couples them by more than ``BLOCK_TOL``
-    (:func:`~.linalg.join_coupled`).  Equal blocks share their eigenvalues,
-    so a joined block of ``n`` eigenspaces of one dimension ``s > 1`` is
-    also tried as ``s`` blocks of dimension ``n``: the eigenspaces aligned to
-    the first by the polar parts of the second element between them
-    (:func:`~.linalg.align_frames`, as for a fixed-point multiplicity).
-    Every Hermitian part of :func:`_adjoint_range` must leak at most
-    ``BLOCK_TOL`` of its norm (or of 1) off the blocks, after a
-    :func:`_polish` of a leak above ``BLOCK_ROUNDOFF``; the finer split is
-    taken when it holds, else the joined blocks, else one block.  A full
-    range, rank ``d_in^2``, is one block at once, with no ``eigh``.  Blocks
-    may come out coarser than the finest split, never wrong.
+    The one structure of the range of the adjoint: :func:`_characters` and
+    the CQ basis of :func:`~.classify.is_cq` read it.  Projectors ``P_k``
+    split ``T`` exactly when every range element is block diagonal in them.
+    Each eigenvalue cluster of one generic element of the range is cut into
+    the part that every Hermitian part of :func:`_adjoint_range` keeps inside
+    it (a stacked null space, cut at ``BLOCK_TOL``) and the rest, so a
+    character sharing its eigenvalue gets a block of its own.  The parts are
+    joined where a second generic element couples them by more than
+    ``BLOCK_TOL`` (:func:`~.linalg.join_coupled`).  A joined block of ``n``
+    parts of one dimension ``s > 1`` (equal blocks share their eigenvalues)
+    is also tried as ``s`` blocks of dimension ``n``, aligned by the polar
+    parts of the second element between them (:func:`~.linalg.align_frames`).
+    Every Hermitian part must leak at most ``BLOCK_TOL`` of its norm (or of
+    1) off the blocks, after a :func:`_polish` of a leak above
+    ``BLOCK_ROUNDOFF``; the finer split is taken when it holds, else the
+    joined blocks, else one block.  A full range, rank ``d_in^2``, is one
+    block at once, with no ``eigh``.  Blocks may come out coarser than the
+    finest split, never wrong.
     """
     d = t.d_in
     _, elements, parts = _adjoint_range(t)
     one = [np.eye(d, dtype=complex)]
     if len(elements) == d * d:
         return one
-    w, u = _generic_eigh(t)
-    clusters = eig_clusters(w)
     gens = generic(parts, 2)
+    w, u = np.linalg.eigh(gens[0])
+    frames = []
+    for idx in eig_clusters(w):
+        e, r = u[:, idx], 0
+        if len(idx) > 1:  # the rank r of the leak out of the cluster; its null space is kept
+            xe = parts @ e
+            _, s, vh = np.linalg.svd((xe - e @ (e.conj().T @ xe)).reshape(-1, len(idx)),
+                                     full_matrices=False)
+            r = int(np.sum(s > BLOCK_TOL))
+        frames += [e @ vh[r:].conj().T, e @ vh[:r].conj().T] if 0 < r < len(idx) else [e]
+    u = np.concatenate(frames, axis=1)
+    clusters = np.split(np.arange(d), np.cumsum([f.shape[1] for f in frames])[:-1])
     cut = BLOCK_TOL * max(1.0, np.linalg.norm(gens[1]))
     comp = join_coupled(u, clusters, gens[1], cut)
     joined, split = [], []
     for first in np.flatnonzero(comp == np.arange(len(comp))):
-        frames = [u[:, c] for c, b in zip(clusters, comp) if b == first]
-        joined.append(np.concatenate(frames, axis=1))
-        split += _multiplicity_split(frames, gens[1], cut) or joined[-1:]
+        group = [f for f, b in zip(frames, comp) if b == first]
+        joined.append(np.concatenate(group, axis=1))
+        split += _multiplicity_split(group, gens[1], cut) or joined[-1:]
     scale = np.maximum(1.0, np.linalg.norm(parts, axis=(1, 2)))
 
     def leak(v, labels):  # each part's norm off the blocks, over its scale
@@ -272,26 +278,18 @@ def _characters(t):
     """Every character point of ``T`` with an orthonormal basis of its preimage.
 
     A character is a common eigenvector ``v`` of the range of the adjoint;
-    its point is ``T(vv*)``.  The eigenvalue clusters of one fixed
-    combination ``A`` of the range elements ``X_k`` are cut down to the
-    vectors ``X_k`` keeps inside the cluster (a stacked null space with an
-    absolute floor) and split by a second fixed combination.  Vectors with
-    ``||X_k v - <v, X_k v> v|| <= VERDICT_TOL`` for every ``k`` are kept and
-    grouped by their point (within ``VERDICT_TOL`` in Frobenius norm).
-    Returns the points ``(k, d_out, d_out)`` and the bases.
+    its point is ``T(vv*)``.  Its span is invariant under the ``*``-closed
+    range, so it lies in one of :func:`input_blocks`; a block of dimension
+    above 1 is split by a second fixed combination of the range elements
+    ``X_k``.  Vectors with ``||X_k v - <v, X_k v> v|| <= VERDICT_TOL`` for
+    every ``k`` are kept and grouped by their point (within ``VERDICT_TOL``
+    in Frobenius norm, closed transitively).  Returns the points
+    ``(k, d_out, d_out)`` and the bases.
     """
-    parts, (w, u) = _adjoint_range(t)[2], _generic_eigh(t)
+    parts = _adjoint_range(t)[2]
     second = generic(parts, 2)[1]
-    found = []
-    for idx in eig_clusters(w):
-        e = u[:, idx]
-        if len(idx) > 1:  # a single eigenvector needs only the check below
-            xe = parts @ e
-            e = e @ null_space((xe - e @ (e.conj().T @ xe)).reshape(-1, len(idx)),
-                               atol=VERDICT_TOL)
-            e = e @ np.linalg.eigh(herm(e.conj().T @ second @ e))[1]
-        found.append(e)
-    v = np.concatenate(found, axis=1)
+    v = np.concatenate([b @ np.linalg.eigh(herm(b.conj().T @ second @ b))[1] if b.shape[1] > 1
+                        else b for b in input_blocks(t)], axis=1)
     xv = parts @ v
     lam = np.einsum("am,kam->km", v.conj(), xv)
     v = v[:, np.linalg.norm(xv - lam[:, None, :] * v, axis=1).max(axis=0, initial=0.0)
@@ -300,7 +298,9 @@ def _characters(t):
     if not len(points):
         return points, []
     near = np.linalg.norm(points[:, None] - points[None], axis=(2, 3)) <= VERDICT_TOL
-    label = np.argmax(near, axis=1)  # the first vector with the same point
+    for _ in range(len(near).bit_length()):  # closed transitively, as in join_coupled
+        near = near @ near
+    label = np.argmax(near, axis=1)  # the first vector of the group
     firsts = np.flatnonzero(label == np.arange(len(label)))
     return points[firsts], [v[:, label == i] for i in firsts]
 

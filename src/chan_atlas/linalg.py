@@ -186,20 +186,6 @@ def align_frames(f, y):
     return f, sv[:, -1].min()
 
 
-def null_space(a, rtol=1e-8, atol=0.0):
-    """Orthonormal basis of ker(a); threshold relative to the top singular value.
-
-    ``atol`` puts an absolute floor under the cut, for matrices whose entries
-    are pure roundoff around zero; a relative cut alone would read the noise
-    as full rank.
-    """
-    a = np.asarray(a)
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    scale = s[0] if s.size else 0.0
-    r = int(np.sum(s > max(rtol * max(scale, 1e-300), atol)))
-    return vh[r:].conj().T
-
-
 def check_density_matrix(rho, name="state"):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:

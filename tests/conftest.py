@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 
 import chan_atlas
-from chan_atlas import entropy
+from chan_atlas import entropy, geometry
 from chan_atlas.channels import (ChoiForm, CqForm, DirectSumForm, EcqForm, KrausForm, PovmForm,
                                  _natural_channel, cq_channel, direct_sum, ecq_channel,
                                  kraus_channel, povm_channel)
 from chan_atlas.formats import FORMAT_VERSION, matrix_to_json, vector_to_json
-from chan_atlas.linalg import (check_density_matrix, herm, hvec, is_hermitian, op_norm,
-                               orthogonal_complement, subspace_projector, vec)
+from chan_atlas.linalg import (check_density_matrix, eig_clusters, generic, herm, hvec,
+                               is_hermitian, op_norm, orthogonal_complement, subspace_projector,
+                               vec)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -183,6 +184,97 @@ def support_function(t, h):
         raise ValueError("direction must be Hermitian")
     w, u = np.linalg.eigh(herm(t.dual_apply(h)))
     return float(w[-1]), u[:, -1]
+
+
+def null_space(a, rtol=1e-8, atol=0.0):
+    """Orthonormal basis of ker(a); threshold relative to the top singular value.
+
+    ``atol`` puts an absolute floor under the cut, for matrices whose entries
+    are pure roundoff around zero; a relative cut alone would read the noise
+    as full rank.
+    """
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    scale = s[0] if s.size else 0.0
+    r = int(np.sum(s > max(rtol * max(scale, 1e-300), atol)))
+    return vh[r:].conj().T
+
+
+def reference_characters(t):
+    """Reference for ``geometry._characters``: the cluster pass it made before
+    it read the input blocks.  Each eigenvalue cluster of one generic element
+    of range(T*) is cut to the vectors every range element keeps inside it
+    (stacked null space, floor ``VERDICT_TOL``) and split by a second generic
+    element; every vector whose range images stay within ``VERDICT_TOL`` of
+    multiples of it is a character, grouped with the first vector whose point
+    lies within ``VERDICT_TOL`` (not transitively).  Returns the points and
+    the preimage bases."""
+    parts = geometry._adjoint_range(t)[2]
+    first, second = generic(parts, 2)
+    w, u = np.linalg.eigh(first)
+    found = []
+    for idx in eig_clusters(w):
+        e = u[:, idx]
+        if len(idx) > 1:
+            xe = parts @ e
+            e = e @ null_space((xe - e @ (e.conj().T @ xe)).reshape(-1, len(idx)),
+                               atol=geometry.VERDICT_TOL)
+            e = e @ np.linalg.eigh(herm(e.conj().T @ second @ e))[1]
+        found.append(e)
+    v = np.concatenate(found, axis=1)
+    xv = parts @ v
+    lam = np.einsum("am,kam->km", v.conj(), xv)
+    v = v[:, np.linalg.norm(xv - lam[:, None, :] * v, axis=1).max(axis=0, initial=0.0)
+          <= geometry.VERDICT_TOL]
+    points = herm(t.pure_outputs(v.T))
+    if not len(points):
+        return points, []
+    near = np.linalg.norm(points[:, None] - points[None], axis=(2, 3)) <= geometry.VERDICT_TOL
+    label = np.argmax(near, axis=1)
+    firsts = np.flatnonzero(label == np.arange(len(label)))
+    return points[firsts], [v[:, label == i] for i in firsts]
+
+
+def assert_same_characters(t):
+    """``geometry._characters(t)`` against :func:`reference_characters`: the
+    same count, points within 1e-9 in some order, the same preimage
+    dimensions, and every preimage inside one of ``geometry.input_blocks(t)``."""
+    points, bases = geometry._characters(t)
+    ref_points, ref_bases = reference_characters(t)
+    assert len(points) == len(ref_points)
+    if not len(points):
+        return
+    dist = np.linalg.norm(points[:, None] - ref_points[None], axis=(2, 3))
+    match = np.argmin(dist, axis=0)
+    assert sorted(match) == list(range(len(points)))
+    assert dist[match, np.arange(len(points))].max() <= 1e-9
+    assert [bases[i].shape[1] for i in match] == [b.shape[1] for b in ref_bases]
+    blocks = geometry.input_blocks(t)
+    for b in bases:
+        assert max(np.linalg.norm(v.conj().T @ b) ** 2 for v in blocks) >= b.shape[1] - 1e-9
+
+
+def spin_one_channel():
+    """The 4 -> 3 map ``T(rho) = rho_00 sigma + Tr(P_W rho) sigma + sum_a
+    Tr(J_a rho_W) Delta_a`` on ``C^1 (+) W``, ``W = C^3``, with the spin-1
+    matrices ``J_a`` and ``sigma = diag(0.5, 0.3, 0.2)``: CPTP, since the
+    traceless ``Delta_a`` have norm 0.03 and ``||J_a|| = 1``.  The generic
+    element of range(T*) is ``c I + alpha . J`` on ``W``, so the character
+    ``|0>`` shares its eigenvalue ``c`` with the ``m = 0`` vector of ``W``.
+    Returns the channel and ``sigma``."""
+    s = np.sqrt(0.5)
+    spin = [s * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex),
+            s * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]),
+            np.diag([1.0, 0.0, -1.0]).astype(complex)]
+    delta = [0.03 * np.diag([1.0, -1.0, 0.0]), 0.03 * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+             0.03 * np.diag([0.0, 1.0, -1.0])]
+    sigma = np.diag([0.5, 0.3, 0.2]).astype(complex)
+
+    def apply(rho):
+        w = rho[1:, 1:]
+        return np.trace(rho) * sigma + sum(np.trace(j @ w) * dl for j, dl in zip(spin, delta))
+
+    return linear_map_channel(apply, 4, 3), sigma
 
 
 def count_runs(monkeypatch, get):

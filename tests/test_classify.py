@@ -202,7 +202,7 @@ def test_cq_verdict_is_computed_once_per_channel(monkeypatch):
                          ids=["identity", "depolarizing"])
 def test_vertex_certificate_answers_a_large_rank_from_the_svd_alone(monkeypatch, t):
     # rank(N) = 4 > d_in rules out CQ and eCQ: no CPTP check, verdict or eigh runs
-    bodies = (channels.Channel.verify_cptp, geometry._generic_eigh, classify.is_cq,
+    bodies = (channels.Channel.verify_cptp, geometry.input_blocks, classify.is_cq,
               classify.is_universally_image_additive)
     runs = [count_runs(monkeypatch, get) for get in bodies]
     assert vertex_certificate(t) is None

@@ -159,6 +159,27 @@ def test_min_output_entropy_constant_channel():
             _assert_closed_form(constant_channel(sigma, d_in=2), renyi_entropy(sigma, p), p)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_pure_certified_output_reads_zero(p):
+    # the exact spectrum routes clamp a top eigenvalue within _PURE_RADIUS of
+    # 1: the vertex certificate of a qubit-to-scalar trace map (its state
+    # 1 - 1.1e-16 read 1.1e-16 and 2.2e-16), and the 1-dim block of a pure
+    # constant beside depolarizing 1/2 in a Haar input frame (read -8.9e-16
+    # to 2.1e-15 over these seeds)
+    trace_map = random_cptp(np.random.default_rng(0), 2, 1)
+    assert vertex_certificate(trace_map) is not None
+    maps = [trace_map]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        pure = outer(random_pure(rng, 2))
+        t = direct_sum(depolarizing_channel(0.5), constant_channel(pure, d_in=1))
+        maps.append(compose(kraus_channel([haar_unitary(rng, 3)]), t))
+        assert sorted(v.shape[1] for v in input_blocks(maps[-1])) == [1, 2]
+    for t in maps:
+        res = min_output_entropy(t, p)
+        assert (res.value, res.bound, res.n_starts) == (0.0, "exact", 0)
+
+
 def test_min_output_entropy_dephasing_is_zero():
     res = min_output_entropy(dephasing_channel(3), p=1.0)
     assert res.value == pytest.approx(0.0, abs=1e-9)

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from conftest import (
 )
 
 import chan_atlas
-from chan_atlas import channels, classify, cli, geometry, pipeline
+from chan_atlas import channels, cli, geometry, pipeline
 from chan_atlas.channels import (
     NotCptpError,
     cq_channel,
@@ -268,7 +270,7 @@ def test_cli_linear_algebra_failure_exits_4_naming_the_command(tmp_path, monkeyp
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     assert main(["entropy", spec_file(tmp_path, TRINE_SPEC)]) == 4
-    assert capsys.readouterr() == ("", "error: entropy: LinAlgError in geometry._generic_eigh: "
+    assert capsys.readouterr() == ("", "error: entropy: LinAlgError in geometry.input_blocks: "
                                        "Eigenvalues did not converge\n")
 
 
@@ -920,17 +922,32 @@ def test_cptp_verdict_is_computed_once_per_channel(monkeypatch):
     assert len(made) == 1  # choi_channel checks it; the loader reuses that verdict
 
 
+def _kept_bodies():
+    """Every accessor that ``channels.kept`` made in the package, by qualified
+    name: they all share the code of its inner function."""
+    code = channels.kept(lambda t: t).__code__
+    spaces = [vars(importlib.import_module(f"chan_atlas.{m.name}"))
+              for m in pkgutil.iter_modules(chan_atlas.__path__)] + [vars(channels.Channel)]
+    return {f"{f.__module__}.{f.__qualname__}": f for space in spaces for f in space.values()
+            if getattr(f, "__code__", None) is code}
+
+
 def test_report_runs_each_kept_body_once_per_channel(monkeypatch):
     # every result that depends on the channel alone is computed at most once
-    # per channel in a whole report, on every channel the report builds
-    kept = (channels.Channel.to_choi, channels.Channel.verify_cptp, geometry._adjoint_range,
-            geometry._generic_eigh, geometry._decompose, classify.is_cq,
-            classify.is_universally_image_additive)
-    runs = {get.__name__: count_runs(monkeypatch, get) for get in kept}
+    # per channel in a whole report, on every channel the report builds; the
+    # ones every report needs run exactly once on its own channel
+    every = _kept_bodies()
+    needed = [f"chan_atlas.{name}" for name in (
+        "channels.Channel.to_choi", "channels.Channel.verify_cptp", "geometry._adjoint_range",
+        "geometry.input_blocks", "geometry._decompose", "classify.is_cq",
+        "classify.is_universally_image_additive")]
+    unguarded = ["geometry.block_restrictions", "entropy._bloch_peak", "entropy._qubit_pencil"]
+    assert set(needed) | {f"chan_atlas.{name}" for name in unguarded} <= set(every)
+    runs = {name: count_runs(monkeypatch, get) for name, get in every.items()}
     for t in (trine_channel(), depolarizing_channel(0.5), dephasing_channel(3),
               assembled_polytopic_fixture(0)[0], ecq_fixture(1)[0]):
         run_pipeline(t)
-        assert all(ran.count(t) == 1 for ran in runs.values()), t
+        assert all(runs[name].count(t) == 1 for name in needed), t
     for name, ran in runs.items():
         assert all(ran.count(c) == 1 for c in ran), name
 

@@ -4,11 +4,13 @@ import pytest
 from conftest import (
     amplitude_damping,
     assembled_polytopic_fixture,
+    assert_same_characters,
     bloch_state,
     constant_channel,
     ecq_fixture,
     haar_unitary,
     random_density,
+    spin_one_channel,
     subspace_distance,
     support_function,
     tetra_states,
@@ -444,6 +446,7 @@ def test_vertex_clustering_makes_no_trace_norm_per_pair(channel, monkeypatch):
     n = channel.d_out
     basis = [np.diag(e).astype(complex) for e in np.eye(n)]
     t = direct_sum(channel, cq_channel(np.eye(2 * n, dtype=complex), basis + basis))
+    geometry.input_blocks(t)  # kept: the count below is the body of _characters alone
     norms = _join_calls(monkeypatch)
     records = find_vertices(t)
     assert len(records) == n
@@ -484,6 +487,51 @@ def test_close_join_at_the_frobenius_bound(scale, joins, monkeypatch):
     assert [b.shape[1] for b in bases] == ([2] if joins else [1, 1])
     assert min(np.abs(p - y).max() for p in points) < 1e-12
     assert len(find_vertices(t)) == len(bases)
+
+
+def test_a_chain_of_near_points_is_one_character_group():
+    # y, y + D, y + 2D with ||D||_F = 0.6e-8: neighbours lie within
+    # VERDICT_TOL of each other, the two ends do not; grouping each vector
+    # with the first near point left the third vector in no preimage
+    y = random_density(np.random.default_rng(4), 3)
+    a = 0.6e-8 / np.sqrt(2)
+    step = np.diag([a, -a, 0])
+    t = cq_channel(np.eye(3, dtype=complex), [y, y + step, y + 2 * step])
+    points, bases = geometry._characters(t)
+    assert [b.shape[1] for b in bases] == [3]
+    assert np.linalg.norm(points[0] - y) <= 2 * 0.6e-8 + 1e-15
+    # the verdicts are those of the grouping that lost the vector
+    out = classification_stage(t)
+    assert polytopic_decompose(t).verdict == "not_polytopic"
+    assert (out["cq"]["status"], out["universally_image_additive"]["status"]) == ("yes", "no")
+
+
+_FIXTURES = {"dephasing3": dephasing_channel(3), "trine": trine_channel(),
+             "depolarizing": depolarizing_channel(0.3), "damping": amplitude_damping(0.3),
+             "identity": identity_channel(2),
+             "dephasing+depolarizing": direct_sum(dephasing_channel(2), depolarizing_channel(0.2)),
+             **{f"assembled{s}": assembled_polytopic_fixture(s)[0] for s in range(4)},
+             **{f"ecq{s}": ecq_fixture(s)[0] for s in range(4)},
+             **{f"ecq{s}-residual": ecq_fixture(s, complement=2)[0] for s in range(2)}}
+
+
+@pytest.mark.parametrize("t", _FIXTURES.values(), ids=_FIXTURES.keys())
+def test_characters_read_from_the_input_blocks_match_the_cluster_pass(t):
+    assert_same_characters(t)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_input_blocks_split_off_a_character_that_shares_an_eigenvalue(seed):
+    # spin-1 map in a Haar input frame: the character |0> shares the generic
+    # element's eigenvalue with the m = 0 vector of W; the cluster's kept part
+    # is its own block, so the blocks are [3, 1], not one 4-dim block
+    t0, sigma = spin_one_channel()
+    t = compose(kraus_channel([haar_unitary(np.random.default_rng(seed), 4)]), t0)
+    assert [v.shape[1] for v in geometry.input_blocks(t)] == [3, 1]
+    points, bases = geometry._characters(t)
+    assert len(points) == 1 and bases[0].shape[1] == 1
+    assert np.abs(points[0] - sigma).max() <= 1e-12
+    assert_same_characters(t)
 
 
 @pytest.mark.parametrize("t", [dephasing_channel(3), trine_channel(), depolarizing_channel(0.5),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     matrix_units,
+    null_space,
     random_density,
     random_direction,
     random_hermitian,
@@ -21,7 +22,6 @@ from chan_atlas.linalg import (
     herm,
     hvec,
     is_hermitian,
-    null_space,
     op_norm,
     orthogonal_complement,
     partial_trace,

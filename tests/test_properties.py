@@ -8,9 +8,9 @@ import pytest
 
 from conftest import (
     assembled_polytopic_fixture,
+    assert_same_characters,
     bloch_state,
     channel_to_dict,
-    count_runs,
     ecq_fixture,
     haar_unitary,
     kraus_operators,
@@ -22,7 +22,7 @@ from conftest import (
     random_pure,
 )
 
-from chan_atlas import channels, classify, entropy, geometry
+from chan_atlas import channels, classify, entropy
 from chan_atlas.channels import (
     choi_channel,
     compose,
@@ -180,14 +180,40 @@ def test_input_blocks_of_a_rotated_direct_sum_property(sizes, d_out, seed):
         assert inside >= (b - a) - 1e-9
 
 
+block_kinds = strategies.sampled_from(["cq", "stinespring", "repeat"])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kinds=strategies.lists(block_kinds, min_size=2, max_size=3), d_out=strategies.integers(2, 3),
+       seed=seeds)
+def test_characters_read_from_the_input_blocks_match_the_cluster_pass_property(kinds, d_out, seed):
+    # direct sums of CQ blocks, Stinespring blocks and repeats of the block
+    # before (a first "repeat" is a CQ block) in a Haar input frame
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for kind in kinds:
+        if kind == "repeat" and blocks:
+            blocks.append(blocks[-1])
+            continue
+        d = int(rng.integers(1, 4))
+        if kind == "stinespring":
+            blocks.append(random_cptp(rng, d, d_out))
+            continue
+        basis = haar_unitary(rng, d)
+        blocks.append(cq_channel(basis, [random_density(rng, d_out) for _ in range(d)]))
+    u = haar_unitary(rng, sum(b.d_in for b in blocks))
+    assert_same_characters(compose(kraus_channel([u]), direct_sum(*blocks)))
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(d=strategies.integers(1, 3), seed=seeds)
 def test_full_range_map_is_one_input_block_without_an_eigensolve_property(d, seed):
     t = random_cptp(np.random.default_rng(seed), d, d)
+    eighs, eigh = [], np.linalg.eigh
     with pytest.MonkeyPatch.context() as mp:
-        runs = count_runs(mp, geometry._generic_eigh)
+        mp.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
         blocks = input_blocks(t)
-    assert len(blocks) == 1 and runs == []
+    assert len(blocks) == 1 and eighs == []
     np.testing.assert_array_equal(blocks[0], np.eye(d))
 
 
