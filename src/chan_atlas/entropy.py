@@ -20,8 +20,11 @@ additivity compares, per direction, the support of ``Im(T1 (x) T2)`` with a
 lower bound on its product support: an alternating sweep over product
 inputs run in real coordinates (``_product_support``), Bloch coordinates
 ``(1, x)`` on a qubit factor, where a half step's top eigenpair is closed
-form, and those of :func:`~.linalg.hvec` on a larger one.  A factor that
-splits into input blocks is reduced to them exactly, in both questions
+form, and those of :func:`~.linalg.hvec` on a larger one.  The sweep drops
+every direction that can no longer be the witness or one of its ties,
+against a bar proven from finished directions and, on 2 (x) 2 pairs, the
+two-multiplier dual bound (``_dual_bound``).  A factor that splits
+into input blocks is reduced to them exactly, in both questions
 (``_block_minimum``, ``_block_supports``).
 """
 
@@ -45,6 +48,8 @@ _DECREASE_TOL = 1e-15    # a start whose step gains no more than this stops
 _MAX_STEPS = 300         # steps of the iterative minimizer
 _RESTARTS = 8            # product-support starts per direction, twice that in the rerun
 _GAP_FLOOR = 1e-10       # a 2x2 row with a smaller relative eigengap goes through eigh
+_BAR_MARGIN = 2e-12      # above a sweep value's roundoff and the witness's tie band of 1e-12
+_DUAL_SHIFT = 1e-9       # relative: the dual bound needs lambda mu above sigma_1(C)^2 by this
 _PURE_RADIUS = 1.0 - 4 * 2.0 ** -52  # a Bloch radius this close to 1 is a pure output
 _UNITAL_BAND = 16 * 2.0 ** -52  # a qubit map's Bloch shift this small is a unital map's roundoff
 _FLOOR_BAND = 16 * 2.0 ** -52   # relative: a value this close above a certified floor is its roundoff
@@ -502,7 +507,7 @@ def _contract(op, slot, v, s):
     return (grid.reshape(len(op), s, -1) @ op).reshape(-1, op.shape[-1])[slot]
 
 
-def _product_support(ms, psi, pure):
+def _product_support(ms, psi, pure, lhs=None, floor=None, later=None):
     """Per direction, the best ``Tr(m rho_a (x) rho_b)`` found by alternating
     top-eigenvector updates from the best product approximation of the joint
     maximizer ``psi``, from ``I/d_b`` and from the rows of ``pure``
@@ -511,28 +516,74 @@ def _product_support(ms, psi, pure):
     Each ``m`` is its real ``_coordinates`` matrix ``R`` and each state its
     row of ``_sweep_basis`` coordinates (``(1, x)`` on a qubit, the mixed
     start ``(1, 0, 0, 0)``), so a half step is ``R y`` onto the first factor
-    or ``R^T x`` onto the second, then ``_top``.  Every live start is one row of
-    the stack, at its (direction, start) slot.  A start that stops leaves the
-    stack with its value kept, and a direction with no live start drops its
-    ``R``, so ``_contract`` sees held directions only; each direction's best
-    is the largest value of its starts.
+    or ``R^T x`` onto the second, then ``_top``; the first start is ``_top``
+    of ``A* A``, with ``A`` the ``d_a x d_b`` matrix of ``psi``.  Every live
+    start is one row of the stack, at its (direction, start) slot.  A start
+    that stops leaves the stack with its value kept, and a direction with no
+    live start drops its ``R``, so ``_contract`` sees held directions only;
+    each direction's best is the largest value of its starts.
+
+    Given ``lhs``, the joint supports, the sweep also drops every direction
+    that can no longer be the witness of ``image_additivity_gap`` or one of
+    its ties.  A start's value only rises, up to roundoff, so a direction's
+    final gap is at most ``lhs - best``, with ``best`` the larger of its
+    ``floor`` (the product support already found, -inf if not given) and its
+    starts' values so far.  The bar is a proven lower bound on the largest
+    final gap: ``lhs - max(best, later)`` of each direction whose starts have
+    all stopped, where ``later`` bounds what the caller's later block pairs
+    can add, and on a 2 (x) 2 pair ``lhs - max(best, later, D)`` of each
+    running direction, with ``D`` the two-multiplier dual bound
+    (``_dual_bound``) at its best start; a fixed few dozen array operations,
+    it runs while its last evaluation dropped a direction and two or more
+    directions are held.  A running direction is dropped, its best kept as
+    its value, once ``lhs - best`` falls more than ``_BAR_MARGIN`` below the
+    bar and no later pair can reach its best, so the caller's later sweeps
+    draw the same starts.
     """
     n, r, db = pure.shape
     da = ms.shape[-1] // db
     s = r + 2  # starts per direction
     to_b = _coordinates(ms, da, db)  # R: the rows x @ R are the half step onto the second factor
     to_a = np.ascontiguousarray(to_b.transpose(0, 2, 1))  # R^T: the rows y @ R^T are R y
-    vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
+    first = _top(_sweep_outer(psi.reshape(n, da, db).conj()).sum(axis=1), db)[1]
     mixed = np.broadcast_to(_sweep_outer(np.eye(db)).mean(axis=0), (n, 1, db * db))
-    y = np.concatenate([_sweep_outer(vb)[:, None], mixed, _sweep_outer(pure)], axis=1)
+    y = np.concatenate([first[:, None], mixed, _sweep_outer(pure)], axis=1)
     y = y.reshape(n * s, db * db)
     start = slot = np.arange(n * s)  # each row's start, and its place in the held grid
     val, final = np.full(n * s, -np.inf), np.empty(n * s)
+    if lhs is not None:  # per held direction, like to_a and to_b
+        best = np.full(n, -np.inf) if floor is None else floor
+        later = np.full(n, -np.inf) if later is None else later
+        bar, dual_pays = -np.inf, da == db == 2
     for _ in range(20):
         x = _top(_contract(to_a, slot, y, s), da)[1]
         top, y = _top(_contract(to_b, slot, x, s), db)
         live = top - val >= 1e-10
         val = top
+        # the bar acts where a start stopped, and with the dual while its
+        # last evaluation dropped a direction and another one is held
+        dual = lhs is not None and dual_pays and len(to_b) > 1
+        if lhs is not None and (dual or not live.all()):
+            grid = np.full(len(to_b) * s, -np.inf)
+            grid[slot] = val
+            grid = grid.reshape(-1, s)
+            best = np.maximum(best, grid.max(axis=1))
+            running = np.zeros(len(to_b), dtype=bool)
+            running[slot[live] // s] = True
+            if dual or not running.all():  # a new bound on the bar
+                low = np.maximum(best, later)
+                if not running.all():
+                    bar = max(bar, (lhs - low)[~running].max())
+                if dual and running.any():
+                    row = np.empty(len(to_b) * s, dtype=int)
+                    row[slot] = np.arange(len(slot))
+                    row = row[np.flatnonzero(running) * s + grid[running].argmax(axis=1)]
+                    bound = _dual_bound(to_b[running], x[row], y[row])
+                    bar = max(bar, (lhs[running] - np.maximum(low[running], bound)).max())
+                out = (lhs - best < bar - _BAR_MARGIN) & (later < best - _BAR_MARGIN)
+                live &= ~out[slot // s]
+                if dual:
+                    dual_pays = bool((out & running).any())
         if live.all():
             continue
         final[start[~live]] = val[~live]
@@ -544,8 +595,50 @@ def _product_support(ms, psi, pure):
         if not keep.all():
             to_a, to_b = to_a[keep], to_b[keep]
             slot = (np.cumsum(keep) - 1)[slot // s] * s + slot % s
+            if lhs is not None:
+                lhs, best, later = lhs[keep], best[keep], later[keep]
     final[start] = val
     return final.reshape(n, s).max(axis=1)
+
+
+def _dual_bound(r, x, y):
+    """Upper bounds on the product support of 2 (x) 2 observables from the
+    two-multiplier dual, at the multipliers of the sweep point ``(x, y)``
+    (rows of ``_sweep_basis`` coordinates ``(1, x)``); +inf where refused.
+
+    With ``R = [[r00, b], [a, C]]`` the product value of the Bloch vectors
+    ``x`` and ``y`` is ``f = r00 + a.x + b.y + x.C y``.  For multipliers
+    ``lambda, mu > 0`` with ``lambda mu > sigma_1(C)^2`` its Lagrangian is
+    concave on all of R^3 x R^3, and its maximum
+    ``D = r00 + (lambda + mu) / 2 + (|a|^2 + w^T A^-1 w) / (2 lambda)``, with
+    ``A = lambda mu I - C^T C`` and ``w = lambda b + C^T a``, bounds ``f`` on
+    the spheres (weak duality; More and Sorensen's sufficient condition on two
+    spheres).  At a maximizer whose own multipliers ``lambda = |a + C y|`` and
+    ``mu = |b + C^T x|`` keep it concave, ``D = f``.  ``A`` is factored as
+    ``L diag(d) L^T`` in closed form, shifted down by ``_DUAL_SHIFT lambda mu``:
+    a row is refused unless every pivot is positive, so ``A`` is positive
+    definite by a margin far above its roundoff, and the shift only raises
+    ``D``: the computed bound stays above the exact one, up to the rounding
+    of its last sums, far below ``_BAR_MARGIN``.
+    """
+    t = np.ascontiguousarray(r.transpose(1, 2, 0))  # elementwise over the stack: no 3 x 3 matmuls
+    a, b, c = t[1:, 0], t[0, 1:], t[1:, 1:]
+    lam = np.sqrt(np.sum((a + np.sum(c * y.T[None, 1:], axis=1)) ** 2, axis=0))  # |a + C y|
+    mu = np.sqrt(np.sum((b + np.sum(c * x.T[1:, None], axis=0)) ** 2, axis=0))   # |b + C^T x|
+    g = -np.sum(c[:, :, None] * c[:, None, :], axis=0)  # -C^T C
+    g[[0, 1, 2], [0, 1, 2]] += (1 - _DUAL_SHIFT) * lam * mu
+    w = lam * b + np.sum(c * a[:, None], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0 = g[0, 0]
+        l10, l20 = g[1, 0] / d0, g[2, 0] / d0
+        d1 = g[1, 1] - l10 * g[1, 0]
+        l21 = (g[2, 1] - l20 * g[1, 0]) / d1
+        d2 = g[2, 2] - l20 * g[2, 0] - l21 * l21 * d1
+        z1 = w[1] - l10 * w[0]
+        z2 = w[2] - l20 * w[0] - l21 * z1
+        q = w[0] ** 2 / d0 + z1 ** 2 / d1 + z2 ** 2 / d2
+        dual = t[0, 0] + (lam + mu) / 2 + (np.sum(a * a, axis=0) + q) / (2 * lam)
+    return np.where((d0 > 0) & (d1 > 0) & (d2 > 0), dual, np.inf)
 
 
 def _block_supports(ms, blocks1, blocks2, rng):
@@ -560,9 +653,14 @@ def _block_supports(ms, blocks1, blocks2, rng):
     ``_product_support``, with ``_RESTARTS - 2`` random starts, on the
     directions where its ``lambda_max`` exceeds the best value found so far,
     since its product support can only be smaller.  With one block each,
-    ``M`` itself is swept on every direction.  Returns the joint
-    supports, the product-support bounds, the exact part of them and each
-    swept pair as ``(M_kl, lambda_max, top eigenvector, dim W_l)``.
+    ``M`` itself is swept on every direction.  Each sweep gets the joint
+    supports, the best value so far as its floor and the largest
+    ``lambda_max`` of the pairs still to come, so its bar drops directions
+    that cannot be the witness without moving a later pair's draws; such a
+    direction's bound stays below the one an unbarred sweep would give.
+    Returns the joint supports, the product-support bounds, the exact part
+    of them and each swept pair as ``(M_kl, lambda_max, top eigenvector,
+    dim W_l)``.
     """
     n = len(ms)
     exact, sweeps, flat = np.full(n, -np.inf), [], {}
@@ -582,12 +680,14 @@ def _block_supports(ms, blocks1, blocks2, rng):
         exact = np.maximum(exact, np.linalg.eigvalsh(np.stack(group))[..., -1].max(axis=0))
     lhs = np.maximum.reduce([exact, *(top for _, top, _, _ in sweeps)])
     rhs = exact.copy()
-    for m, top, psi, db in sweeps:
+    for k, (m, top, psi, db) in enumerate(sweeps):
         live = top > rhs
         if live.any():
+            later = np.maximum.reduce([np.full(n, -np.inf), *(t for _, t, _, _ in sweeps[k + 1:])])
             live = slice(None) if live.all() else live  # a view, not a copy, of a whole stack
             pure = random_pure_vectors(rng, (len(top[live]), _RESTARTS - 2), db)
-            rhs[live] = np.maximum(rhs[live], _product_support(m[live], psi[live], pure))
+            rhs[live] = np.maximum(rhs[live], _product_support(m[live], psi[live], pure, lhs[live],
+                                                               rhs[live], later[live]))
     return lhs, rhs, exact, sweeps
 
 
@@ -612,7 +712,10 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     factors (``_block_supports``), exactly: a pair with a 1-dim side is
     exact, and any other pair is swept by ``_product_support`` where its
     ``lambda_max`` exceeds the best value so far.  With one block each,
-    the whole observable is swept on every direction.
+    the whole observable is swept on every direction.  The sweep drops each
+    direction whose gap can no longer come within 2e-12 of the largest, so
+    only the witness and its ties run to the end; the report is the same
+    bits as without that bar.
     The right side is then a lower bound on the product support
     (``rhs_bound`` ``"lower"``), and a positive gap is rerun from 16 starts
     per swept pair, two of them the first run's own; ``rhs`` keeps the

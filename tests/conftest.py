@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import chan_atlas
 from chan_atlas import entropy, geometry
@@ -19,8 +20,8 @@ from chan_atlas.channels import (ChoiForm, CqForm, DirectSumForm, EcqForm, Kraus
                                  kraus_channel, povm_channel)
 from chan_atlas.formats import FORMAT_VERSION, matrix_to_json, vector_to_json
 from chan_atlas.linalg import (check_density_matrix, eig_clusters, generic, herm, hvec,
-                               is_hermitian, op_norm, orthogonal_complement, subspace_projector,
-                               vec)
+                               is_hermitian, op_norm, orthogonal_complement, random_pure_vectors,
+                               subspace_projector, vec)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -329,10 +330,10 @@ def product_support_sweep_grid(ms, psi, pure):
     da = ms.shape[-1] // db
     to_b = entropy._coordinates(ms, da, db)
     to_a = np.ascontiguousarray(to_b.transpose(0, 2, 1))
-    vb = np.conj(np.linalg.svd(psi.reshape(n, da, db))[2][:, 0])
+    # the top eigenprojector of A* A, A the d_a x d_b matrix of psi
+    first = entropy._top(entropy._sweep_outer(psi.reshape(n, da, db).conj()).sum(axis=1), db)[1]
     mixed = np.broadcast_to(entropy._sweep_outer(np.eye(db)).mean(axis=0), (n, 1, db * db))
-    y = np.concatenate([entropy._sweep_outer(vb)[:, None], mixed, entropy._sweep_outer(pure)],
-                       axis=1)
+    y = np.concatenate([first[:, None], mixed, entropy._sweep_outer(pure)], axis=1)
     x = np.zeros((n, r + 2, da * da))
     val = np.full((n, r + 2), -np.inf)
     active = np.ones((n, r + 2), dtype=bool)
@@ -345,6 +346,65 @@ def product_support_sweep_grid(ms, psi, pure):
         val[active] = w
         active[active] = gain >= 1e-10
     return val.max(axis=1)
+
+
+def reference_block_supports(ms, blocks1, blocks2, rng):
+    """Reference for ``entropy._block_supports``: the same block pairs,
+    exact pairs and draws, but every swept pair runs ``entropy._product_support``
+    (looked up at call time) to the end on every direction where its
+    ``lambda_max`` exceeds the best value so far, with no bar."""
+    n = len(ms)
+    exact, sweeps, flat = np.full(n, -np.inf), [], {}
+    for v in blocks1:
+        for w in blocks2:
+            if len(blocks1) == len(blocks2) == 1:
+                m = ms
+            else:
+                c = np.kron(v, w)
+                m = herm(c.conj().T @ ms @ c)
+            if min(v.shape[1], w.shape[1]) == 1:
+                flat.setdefault(m.shape, []).append(m)
+            else:
+                e, u = np.linalg.eigh(m)
+                sweeps.append((m, e[:, -1], u[:, :, -1], w.shape[1]))
+    for group in flat.values():
+        exact = np.maximum(exact, np.linalg.eigvalsh(np.stack(group))[..., -1].max(axis=0))
+    lhs = np.maximum.reduce([exact, *(top for _, top, _, _ in sweeps)])
+    rhs = exact.copy()
+    for m, top, psi, db in sweeps:
+        live = top > rhs
+        if live.any():
+            live = slice(None) if live.all() else live
+            pure = random_pure_vectors(rng, (len(top[live]), entropy._RESTARTS - 2), db)
+            rhs[live] = np.maximum(rhs[live], entropy._product_support(m[live], psi[live], pure))
+    return lhs, rhs, exact, sweeps
+
+
+def image_additivity_reports(t1, t2, n_directions, seed=0):
+    """``entropy.image_additivity_gap`` as it runs, and with
+    ``reference_block_supports`` in place of ``entropy._block_supports``."""
+    rep = entropy.image_additivity_gap(t1, t2, n_directions=n_directions, seed=seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(entropy, "_block_supports", reference_block_supports)
+        ref = entropy.image_additivity_gap(t1, t2, n_directions=n_directions, seed=seed)
+    return rep, ref
+
+
+def assert_same_report(rep, ref):
+    """The report fields that a bar on the sweep must leave bit-identical."""
+    assert (rep.max_gap, rep.lhs, rep.rhs, rep.certified) == \
+        (ref.max_gap, ref.lhs, ref.rhs, ref.certified)
+    assert np.array_equal(rep.direction, ref.direction)
+
+
+def qubit_pair_observables(r):
+    """The observables ``sum_kl R_kl sigma_k (x) sigma_l`` of real ``4 x 4``
+    matrices ``R`` (``sigma_0 = I``), whose sweep coordinates
+    (``entropy._coordinates``) are ``R`` itself: the product value of the
+    Bloch vectors ``x`` and ``y`` is ``(1, x) R (1, y)^T``."""
+    p = np.array([np.eye(2), SX, SY, SZ])
+    m = np.einsum("nkl,kab,lcd->nacbd", r, p, p)
+    return m.reshape(len(r), 4, 4)
 
 
 def vertex_product_support(h, states, s):

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     amplitude_damping,
     assembled_polytopic_fixture,
+    assert_same_report,
     blas_thread_outputs,
     bloch_state,
     constant_channel,
@@ -312,7 +313,8 @@ def test_image_additivity_draws_match_the_per_direction_loop(t1, t2, rerun, monk
     seen = []
     run = entropy._product_support
     monkeypatch.setattr(entropy, "_product_support",
-                        lambda ms, psi, pure: seen.append((ms, pure)) or run(ms, psi, pure))
+                        lambda ms, psi, pure, *bar: seen.append((ms, pure)) or run(ms, psi, pure,
+                                                                                   *bar))
     image_additivity_gap(t1, t2, n_directions=12, seed=5)
     # the same draws made one matrix at a time: directions, then u and v per frame
     rng = np.random.default_rng(5)
@@ -388,6 +390,64 @@ def test_product_support_at_the_round_cap(da, db, n, monkeypatch):
     assert got[1] == 20
 
 
+def test_product_support_bar_keeps_every_possible_tie():
+    # direction 0 is 0.5 I: all its starts stop in round 2 at 0.5, so its gap
+    # lhs - 0.5 = 0.25 is the bar from then on.  Every other direction gets a
+    # floor above anything its starts reach, so its gap is lhs - floor from
+    # the start, a few 1e-12 below the bar
+    ms, psi, pure = _sweep_input(2, 3, 24, 0)
+    ms[0] = 0.5 * np.eye(6)
+    full = _product_support(ms, psi, pure)
+    floor = full + 1.0
+    floor[0] = -np.inf
+
+    def barred(offsets, later=None):
+        lhs = floor + 0.25 - offsets
+        lhs[0] = 0.75
+        return _product_support(ms, psi, pure, lhs, floor, later)
+
+    # 3e-12 below the bar: every direction drops in round 2, with its best so far
+    early = barred(np.full(24, 3e-12))
+    slow = np.flatnonzero(early != full)
+    assert len(slow) >= 2 and np.all(early[slow] < full[slow])
+    # 1e-12 below, a direction could tie the witness: it keeps all its rounds
+    offsets = np.full(24, 3e-12)
+    offsets[slow[0]] = 1e-12
+    got = barred(offsets)
+    assert got[slow[0]] == full[slow[0]] and got[slow[1]] == early[slow[1]]
+    # a later block pair that could reach its best keeps a direction too, so
+    # that pair sweeps the same directions from the same draws
+    later = np.full(24, -np.inf)
+    later[slow[1]] = floor[slow[1]]
+    got = barred(np.full(24, 3e-12), later)
+    assert got[slow[1]] == full[slow[1]] and got[slow[0]] == early[slow[0]]
+
+
+def test_dual_bound_is_exact_at_most_sweep_optima():
+    # on 300 GUE directions on 2 (x) 2, at the best of 8 alternating runs of
+    # 500 exact half steps each, D is never below the value there and meets
+    # it within 1e-9 on at least 90 % of them (the rest sit at or near the
+    # hard case, where no multipliers of the point keep the dual concave)
+    rng = np.random.default_rng(1)
+    r = entropy._coordinates(random_directions(rng, 300, 4), 2, 2)
+    best, at = np.full(300, -np.inf), np.ones((2, 300, 4))
+    for _ in range(8):
+        x, y = np.ones((2, 300, 4))
+        g = rng.normal(size=(300, 3))
+        y[:, 1:] = g / np.linalg.norm(g, axis=1, keepdims=True)
+        for _ in range(500):
+            u = (r @ y[:, :, None])[:, 1:, 0]
+            x[:, 1:] = u / np.linalg.norm(u, axis=1, keepdims=True)
+            u = (x[:, None] @ r)[:, 0, 1:]
+            y[:, 1:] = u / np.linalg.norm(u, axis=1, keepdims=True)
+        f = np.einsum("ni,nij,nj->n", x, r, y)
+        up = f > best
+        best[up], at[0, up], at[1, up] = f[up], x[up], y[up]
+    bound = entropy._dual_bound(r, *at)
+    assert np.all(bound >= best - 1e-12)
+    assert np.mean(bound - best <= 1e-9) >= 0.9
+
+
 def _contracted_directions(monkeypatch, sweep):
     """Probe depolarizing 1/2 against the identity with ``sweep`` as the
     product-support solver.  Returns the report, the directions and half
@@ -401,9 +461,9 @@ def _contracted_directions(monkeypatch, sweep):
         held.append(np.isin(np.arange(len(op)), slot // s))
         return contract(op, slot, v, s)
 
-    def counted_sweep(ms, psi, pure):
+    def counted_sweep(ms, psi, pure, *bar):
         before = len(tops)
-        out = sweep(ms, psi, pure)
+        out = sweep(ms, psi, pure, *bar)
         calls.append((len(ms), len(tops) - before))
         return out
 
@@ -418,10 +478,16 @@ def _contracted_directions(monkeypatch, sweep):
 
 def test_product_support_contracts_only_live_directions(monkeypatch):
     rep, calls, held = _contracted_directions(monkeypatch, entropy._product_support)
-    ref, ref_calls, ref_held = _contracted_directions(monkeypatch, product_support_sweep_grid)
-    assert (rep.max_gap, rep.lhs, rep.rhs, rep.certified) == \
-        (ref.max_gap, ref.lhs, ref.rhs, ref.certified)
-    assert calls == ref_calls and ref_held == []
+    ref, ref_calls, ref_held = _contracted_directions(
+        monkeypatch, lambda ms, psi, pure, *bar: product_support_sweep_grid(ms, psi, pure))
+    assert_same_report(rep, ref)
+    assert [n for n, _ in calls] == [n for n, _ in ref_calls] and ref_held == []
+    # the bar: no more top eigenpairs than the full grid's, and the main
+    # sweep ends in round 2 (the first start's one, then two per round), once
+    # the 100 entangled directions, tied at gap 1/4, have stopped and every
+    # random direction falls below them
+    assert all(steps <= ref for (_, steps), (_, ref) in zip(calls, ref_calls))
+    assert calls[0][1] <= 1 + 2 * 2 < ref_calls[0][1]
     assert held and all(h.all() for h in held)
     # the full grid contracts every direction in each of its half steps
     assert 2 * sum(len(h) for h in held) <= sum(n * steps for n, steps in ref_calls)
@@ -552,10 +618,12 @@ def test_top_keeps_eigh_beyond_2x2(monkeypatch):
 
 
 def test_qubit_probe_sends_only_scalar_rows_from_top_to_eigh(monkeypatch):
-    # From the mixed start I/2, a maximally entangled direction gives the
-    # first half step T*(I/2)/2 = I/4 up to roundoff: the one degenerate row
-    # per entangled direction (100 here, and at most 1 in the rerun).  Every
-    # other row of the sweep is solved in closed form, with no warning.
+    # A maximally entangled direction gives two degenerate rows: its first
+    # start, the top of A* A with A the 2 x 2 matrix of the joint maximizer,
+    # read as the row of 2 A* A = I up to roundoff; and from the mixed start
+    # I/2, the first half step T*(I/2)/2 = I/4.  That is 100 of each here,
+    # and at most 1 of each in the rerun.  Every other row of the sweep is
+    # solved in closed form, with no warning.
     rows = []
     eigh = np.linalg.eigh
 
@@ -570,9 +638,10 @@ def test_qubit_probe_sends_only_scalar_rows_from_top_to_eigh(monkeypatch):
         rep = image_additivity_gap(depolarizing_channel(0.5), identity_channel(2),
                                    n_directions=400)
     assert rep.certified and rep.max_gap == pytest.approx(0.25, abs=1e-6)
-    assert 100 <= len(rows) <= 101
-    np.testing.assert_allclose(rows, np.broadcast_to(np.eye(2) / 4, (len(rows), 2, 2)),
-                               rtol=0, atol=1e-15)
+    first = [np.abs(k - np.eye(2)).max() <= 4e-15 for k in rows]  # 1e-15 relative to I/4
+    mixed = [np.abs(k - np.eye(2) / 4).max() <= 1e-15 for k in rows]
+    assert 100 <= sum(first) <= 101 and 100 <= sum(mixed) <= 101
+    assert all(np.logical_or(first, mixed))
 
 
 def test_build_hiding_channel_accepts_tetrahedron():
@@ -961,7 +1030,8 @@ def test_disc_counterexample_probe_needs_no_sweep_in_any_input_frame(frame, monk
     calls = []
     run = entropy._product_support
     monkeypatch.setattr(entropy, "_product_support",
-                        lambda ms, psi, pure: calls.append(len(ms)) or run(ms, psi, pure))
+                        lambda ms, psi, pure, *bar: calls.append(len(ms)) or run(ms, psi, pure,
+                                                                                 *bar))
     t = _input_frame(disc_counterexample(), frame)
     rep = image_additivity_gap(t, identity_channel(6), n_directions=24, seed=0)
     assert rep.max_gap == 0.0 and not rep.certified and rep.rhs_bound == "lower"

@@ -9,13 +9,16 @@ import pytest
 from conftest import (
     assembled_polytopic_fixture,
     assert_same_characters,
+    assert_same_report,
     bloch_state,
     channel_to_dict,
     ecq_fixture,
     haar_unitary,
+    image_additivity_reports,
     kraus_operators,
     outer,
     product_support_full_grid,
+    qubit_pair_observables,
     random_cptp,
     random_density,
     random_povm,
@@ -32,6 +35,7 @@ from chan_atlas.channels import (
     depolarizing_channel,
     direct_sum,
     ecq_channel,
+    identity_channel,
     kraus_channel,
     povm_channel,
     tensor,
@@ -521,3 +525,73 @@ def test_qubit_product_support_matches_the_eigh_full_grid_property(kinds, dims, 
     np.testing.assert_allclose(entropy._product_support(ms, psi, pure),
                                product_support_full_grid(ms, psi, pure),
                                rtol=0, atol=1e-12)
+
+
+def _probe_factor(rng, kind, d_out):
+    """One factor of an image-additivity probe: a random map on a qubit or a
+    qutrit, a direct sum of two or three random blocks of input dimension 2
+    or 3 in a Haar input frame (so every pair of its blocks is swept), the
+    identity, or depolarizing 1/2."""
+    if kind == "depolarizing":
+        return depolarizing_channel(0.5)
+    if kind == "identity":
+        return identity_channel(d_out)
+    if kind in ("qubit", "qutrit"):
+        return random_cptp(rng, 2 if kind == "qubit" else 3, d_out)
+    blocks = [random_cptp(rng, int(rng.integers(2, 4)), d_out)
+              for _ in range(int(rng.integers(2, 4)))]
+    u = haar_unitary(rng, sum(b.d_in for b in blocks))
+    return compose(kraus_channel([u]), direct_sum(*blocks))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(kinds=strategies.tuples(strategies.sampled_from(["qubit", "qutrit", "sum"]),
+                               strategies.sampled_from(["qubit", "qutrit", "sum", "identity"])),
+       d_outs=strategies.tuples(strategies.sampled_from([2, 3]), strategies.sampled_from([2, 3])),
+       n_directions=strategies.integers(4, 48), seed=seeds)
+@hypothesis.example(kinds=("depolarizing", "identity"), d_outs=(2, 2), n_directions=400, seed=0)
+def test_image_additivity_bar_drops_no_witness_property(kinds, d_outs, n_directions, seed):
+    # the sweep's bar against the unpruned reference: the report is
+    # bit-identical, direction included.  Direct sums sweep two or more block
+    # pairs, so a later pair's lambda_max bounds what it can add; the
+    # depolarizing example has 100 entangled directions tied at gap 1/4
+    rng = np.random.default_rng(seed)
+    t1, t2 = (_probe_factor(rng, k, d) for k, d in zip(kinds, d_outs))
+    rep, ref = image_additivity_reports(t1, t2, n_directions, seed=seed)
+    assert_same_report(rep, ref)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=strategies.sampled_from(["gaussian", "hard", "near_hard"]),
+       n=strategies.integers(1, 24), seed=seeds)
+def test_dual_bound_is_never_below_the_full_grid_property(kind, n, seed):
+    # D at any sweep point (the multipliers are read off it) is at least the
+    # product support, which the complex full grid bounds from below.  In
+    # the hard case, C = s O with O orthogonal and a = b = 0, every sweep
+    # point has lambda mu = s^2 = sigma_1(C)^2: D must be refused (+inf),
+    # not returned low
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(n, 4, 4))
+    if kind != "gaussian":
+        o = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        r[:, 1:, 1:] = rng.uniform(0.1, 2.0, size=(n, 1, 1)) * o
+        r[:, 1:, 0] = r[:, 0, 1:] = 0.0
+        if kind == "near_hard":
+            r[:, 1:, 0] += 1e-9 * rng.normal(size=(n, 3))
+            r[:, 0, 1:] += 1e-9 * rng.normal(size=(n, 3))
+    ms = qubit_pair_observables(r)
+    assert np.abs(entropy._coordinates(ms, 2, 2) - r).max() <= 1e-14
+    r = entropy._coordinates(ms, 2, 2)  # as the sweep reads it, with its roundoff
+    support = product_support_full_grid(ms, np.linalg.eigh(ms)[1][:, :, -1],
+                                        random_pure_vectors(rng, (n, 6), 2))
+    x, y = np.ones((2, n, 4))  # rows (1, Bloch vector)
+    for v in (x, y):
+        g = rng.normal(size=(n, 3))
+        v[:, 1:] = g / np.linalg.norm(g, axis=1, keepdims=True)
+    if kind != "gaussian":  # the hard case at its own optimum too: y = O^T x
+        y[: n // 2, 1:] = np.einsum("nji,nj->ni", r[: n // 2, 1:, 1:], x[: n // 2, 1:])
+        y[: n // 2, 1:] /= np.linalg.norm(y[: n // 2, 1:], axis=1, keepdims=True)
+    bound = entropy._dual_bound(r, x, y)
+    assert np.all(bound >= support - 1e-12)
+    if kind == "hard":
+        assert np.all(np.isinf(bound))
