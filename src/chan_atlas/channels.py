@@ -24,13 +24,16 @@ from .linalg import (
     TOL_PSD,
     TOL_TRACE,
     PAULIS,
+    _first_failure,
     check_density_matrix,
     check_povm,
     check_unitary,
     dag,
     herm,
     is_hermitian,
+    kron,
     op_norm,
+    outer,
     partial_trace,
     unvec,
     vec,
@@ -67,15 +70,17 @@ class EcqForm:
 
     The remainders satisfy ``Tr(Mt_i e_j e_j*) = 0`` for all i, j, which makes
     every effect attain operator norm one.  It is also the vertex certificate
-    of a CQ or eCQ map (:func:`~.classify.vertex_certificate`).
+    of a CQ or eCQ map (:func:`~.classify.vertex_certificate`).  ``checked``
+    is set by :func:`ecq_channel`, which checked all of this.
     """
 
     vectors: list
     tilde_effects: list
     states: list
+    checked: bool = False
 
     def effects(self):
-        return [np.outer(e, np.conj(e)) + m for e, m in zip(self.vectors, self.tilde_effects)]
+        return [outer(e, np.conj(e)) + m for e, m in zip(self.vectors, self.tilde_effects)]
 
 
 @dataclass
@@ -83,11 +88,13 @@ class CqForm:
     """Classical-quantum map: dephase in a basis, then prepare states.
 
     ``basis`` holds the orthonormal input basis as columns; ``states[i]`` is
-    prepared with probability ``<e_i, rho e_i>``.
+    prepared with probability ``<e_i, rho e_i>``.  ``checked`` is set by
+    :func:`cq_channel` when it checked the basis and the states.
     """
 
     basis: np.ndarray
     states: list
+    checked: bool = False
 
 
 @dataclass
@@ -180,7 +187,8 @@ class Channel:
         calls return the same frozen object.
         """
         j = self.to_choi()
-        defect = op_norm(j - dag(j)) / 2
+        skew = j - dag(j)  # zero unless the Choi matrix was beyond 1e-9 of Hermitian in to_choi
+        defect = op_norm(skew) / 2 if skew.any() else 0.0
         min_eig = float(np.linalg.eigvalsh(herm(j))[0]) - defect
         marg = partial_trace(j, (self.d_out, self.d_in), keep=1)
         dev = op_norm(marg - np.eye(self.d_in) / self.d_in)
@@ -256,7 +264,7 @@ def povm_channel(effects, states, validate=True):
     n = states[0].shape[0]
     if validate:
         effects = check_povm(effects, d=d)
-        states = [check_density_matrix(s, name=f"state {i}") for i, s in enumerate(states)]
+        states = check_density_matrix(states)
     return Channel(PovmForm(effects, states), d_in=d, d_out=n)
 
 
@@ -268,8 +276,8 @@ def cq_channel(basis, states, validate=True):
         raise ValueError("CQ form needs a full orthonormal basis and one state per basis vector")
     if validate:
         basis = check_unitary(basis)
-        states = [check_density_matrix(s, name=f"state {i}") for i, s in enumerate(states)]
-    return Channel(CqForm(basis, states), d_in=d, d_out=states[0].shape[0])
+        states = check_density_matrix(states)
+    return Channel(CqForm(basis, states, checked=validate), d_in=d, d_out=states[0].shape[0])
 
 
 def ecq_channel(vectors, tilde_effects, states):
@@ -279,22 +287,23 @@ def ecq_channel(vectors, tilde_effects, states):
     d = vectors[0].size
     if not len(vectors) == len(tilde_effects) == len(states):
         raise ValueError("vectors, remainders and states must align")
-    for i, e in enumerate(vectors):
-        for jj, f in enumerate(vectors):
-            want = 1.0 if i == jj else 0.0
-            if abs(np.vdot(e, f) - want) > 1e-9:
-                raise ValueError("the e_i are not orthonormal")
-    for i, m in enumerate(tilde_effects):
-        if np.linalg.eigvalsh(herm(m))[0] < -1e-8:
-            raise ValueError(f"remainder {i} is not positive semidefinite")
-        for jj, e in enumerate(vectors):
-            if abs(np.conj(e) @ m @ e) > 1e-8:
-                raise ValueError(f"remainder {i} is not supported away from the e_j")
-    total = sum(np.outer(e, np.conj(e)) + m for e, m in zip(vectors, tilde_effects))
+    e = np.stack(vectors)
+    if np.abs(e.conj() @ e.T - np.eye(len(e))).max() > 1e-9:
+        raise ValueError("the e_i are not orthonormal")
+    m = np.stack(tilde_effects)
+    # the PSD margin of every remainder, and |e_j* Mt_i e_j| over every pair
+    low = np.linalg.eigvalsh(herm(m))[:, 0]
+    leak = np.abs(np.einsum("ja,iab,jb->ij", e.conj(), m, e)).max(axis=1)
+    _first_failure("remainder", [
+        (low < -1e-8, lambda who, i: f"{who} is not positive semidefinite"),
+        (leak > 1e-8, lambda who, i: f"{who} is not supported away from the e_j"),
+    ])
+    total = sum(outer(v, np.conj(v)) + r for v, r in zip(vectors, tilde_effects))
     if op_norm(total - np.eye(d)) > 1e-8:
         raise ValueError("eCQ effects do not sum to the identity")
-    states = [check_density_matrix(s, name=f"state {i}") for i, s in enumerate(states)]
-    return Channel(EcqForm(vectors, tilde_effects, states), d_in=d, d_out=states[0].shape[0])
+    states = check_density_matrix(states)
+    return Channel(EcqForm(vectors, tilde_effects, states, checked=True), d_in=d,
+                   d_out=states[0].shape[0])
 
 
 def direct_sum(*channels):
@@ -319,7 +328,7 @@ def identity_channel(d):
 
 def dephasing_channel(d):
     eye = np.eye(d, dtype=complex)
-    return cq_channel(eye, [np.outer(eye[:, i], eye[:, i]) for i in range(d)], validate=False)
+    return cq_channel(eye, [outer(eye[:, i], eye[:, i]) for i in range(d)], validate=False)
 
 
 def depolarizing_channel(r):
@@ -346,9 +355,9 @@ def unital_qubit_diag(lams):
     """
     l1, l2, l3 = (float(x) for x in lams)
     eye = np.eye(2, dtype=complex)
-    j = np.kron(eye, eye).astype(complex)
+    j = kron(eye, eye)
     for lam, p in zip((l1, l2, l3), PAULIS):
-        j = j + lam * np.kron(p, p.T)
+        j = j + lam * kron(p, p.T)
     return Channel(ChoiForm(j / 4, 2, 2), d_in=2, d_out=2)
 
 
@@ -361,10 +370,10 @@ def trine_channel():
     for j in (1, 2, 3):
         a = 2 * np.pi * j / 3
         u = np.array([np.cos(a), np.sin(a)], dtype=complex)
-        effects.append((2 / 3) * np.outer(u, np.conj(u)))
+        effects.append((2 / 3) * outer(u, np.conj(u)))
         e = np.zeros(3, dtype=complex)
         e[j - 1] = 1.0
-        states.append(np.outer(e, np.conj(e)))
+        states.append(outer(e, np.conj(e)))
     return povm_channel(effects, states, validate=False)
 
 
@@ -410,7 +419,7 @@ def conjugate(t, u):
     u = check_unitary(u)
     if u.shape[0] != t.d_out:
         raise ValueError("unitary dimension does not match the output space")
-    return _natural_channel(np.kron(u, np.conj(u)) @ t.natural_matrix(), t.d_in, t.d_out)
+    return _natural_channel(kron(u, np.conj(u)) @ t.natural_matrix(), t.d_in, t.d_out)
 
 
 def _natural_channel(n, d_in, d_out):
@@ -427,7 +436,7 @@ def _natural_of(form, d_in, d_out):
     ``Tr(M rho) = vec(M^T) . vec(rho)``), a direct sum its blocks' ``N`` placed
     on their diagonal input blocks."""
     if isinstance(form, KrausForm):
-        return sum(np.kron(k, np.conj(k)) for k in form.operators)
+        return sum(kron(k, np.conj(k)) for k in form.operators)
     if isinstance(form, ChoiForm):
         j = form.matrix.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
         return d_in * j.reshape(d_out ** 2, d_in ** 2)
@@ -440,14 +449,14 @@ def _natural_of(form, d_in, d_out):
             off += blk.d_in
         return n.reshape(d_out ** 2, d_in ** 2)
     if isinstance(form, (PovmForm, EcqForm, CqForm)):
-        return sum(np.outer(vec(s), vec(m.T)) for m, s in zip(*_measure_prepare(form)))
+        return sum(outer(s, m.T) for m, s in zip(*_measure_prepare(form)))
     raise TypeError(f"unknown form {type(form).__name__}")
 
 
 def _measure_prepare(form):
     """Effects ``M_i`` and prepared states ``sigma_i`` of a measure-and-prepare form."""
     if isinstance(form, CqForm):
-        return [np.outer(b, np.conj(b)) for b in form.basis.T], form.states
+        return [outer(b, np.conj(b)) for b in form.basis.T], form.states
     return (form.effects() if isinstance(form, EcqForm) else form.effects), form.states
 
 
@@ -459,7 +468,7 @@ def _choi_from_natural(n, d_in, d_out):
 def _tensor_natural(n1, dims1, n2, dims2):
     m1, d1 = dims1
     m2, d2 = dims2
-    k = np.kron(n1, n2)
+    k = kron(n1, n2)
     t = k.reshape(m1, m1, m2, m2, d1, d1, d2, d2)
     t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     return t.reshape((m1 * m2) ** 2, (d1 * d2) ** 2)

@@ -10,10 +10,12 @@ commute, a reconstructed certificate, the image decomposition's checks);
 working tolerance.  Classification never guesses: a PPT Choi outside the
 dimensions where PPT is conclusive stays indeterminate unless a constructive
 separable decomposition is available from the representation or from the
-one :func:`vertex_certificate` that a CQ or eCQ "yes" carries: the map's
-eCQ form, an :class:`~.channels.EcqForm` (orthonormal ``e_i``, remainders
-``M_i - e_i e_i*`` and vertex states ``sigma_i``; a CQ map is the case of
-zero remainders).  CQ is decided algebraically, from the range of the
+one :func:`vertex_certificate` of a CQ or eCQ map: the map's eCQ form, an
+:class:`~.channels.EcqForm` (orthonormal ``e_i``, remainders ``M_i - e_i
+e_i*`` and vertex states ``sigma_i``; a CQ map is the case of zero
+remainders).  A map written in CQ or eCQ form is its own certificate when
+its constructor checked every claim of it; any other map takes the one its
+CQ or eCQ "yes" carries.  CQ is decided algebraically, from the range of the
 adjoint, and the image vertices that eCQ and universal image additivity rest
 on come from the common eigenvectors of that range; neither samples.  The CQ
 and universal-image-additivity verdicts are kept on the channel.  Every
@@ -51,11 +53,12 @@ from .linalg import (
     canonical_phase,
     herm,
     hvec,
+    kron,
     op_norm,
+    outer,
     partial_transpose,
     subspace_projector,
     unhvec,
-    vec,
 )
 
 YES = "yes"
@@ -152,18 +155,36 @@ def vertex_certificate(t):
 
     ``Im T = conv{states}`` and ``T(e_i e_i*) = states[i]`` for the
     certificate's ``vectors``, and ``T = ecq_channel(vectors, tilde_effects,
-    states)``.  It comes from the CQ "yes" (vectors the basis columns
-    ``b_i``, zero remainders) or, failing that, from the universal image
-    additivity "yes"; None for any other channel, a non-CPTP map included.
-    Outside the two verdicts, no other function reads either witness for it.
+    states)``.  None for any other channel, a non-CPTP map included.
 
-    A CQ or eCQ map ``sum_i Tr(M_i .) sigma_i`` has at most ``d_in`` effects,
-    one per orthonormal vector ``e_i``, so its natural matrix has rank at most
-    ``d_in``.  A larger rank, read off the kept range of the adjoint (one
-    SVD), answers None before any verdict is computed; that spares the
-    identity partner of the report's probe a CPTP check and an image
-    decomposition.
+    A map held in a CQ or eCQ form that its constructor checked (the form's
+    ``checked``) and that passes the CPTP check is its own certificate:
+    ``ecq_channel`` checked orthonormal ``e_i`` (within 1e-9), PSD
+    remainders and remainders off every ``e_j`` (within 1e-8) and
+    density-matrix states, and ``cq_channel`` a unitary basis and the
+    states; the CPTP check holds the effects' sum to ``I`` within ``d_in``
+    times 1e-9.  An eCQ form is returned as it is, and a CQ form as its
+    basis columns with zero remainders, so no verdict runs.  Its states may
+    differ from those of the verdicts' certificate by points inside the
+    hull.  An unchecked form (``cq_channel(..., validate=False)``, or a
+    form put into a :class:`~.channels.Channel` directly) goes through the
+    verdicts: a non-unit basis vector there can pass the CPTP check.
+
+    Any other map takes the certificate of the CQ "yes" (vectors the basis
+    columns ``b_i``, zero remainders) or, failing that, of the universal
+    image additivity "yes".  Outside the two verdicts, no other function
+    reads either witness for it.  A CQ or eCQ map ``sum_i Tr(M_i .)
+    sigma_i`` has at most ``d_in`` effects, one per orthonormal vector
+    ``e_i``, so its natural matrix has rank at most ``d_in``.  A larger
+    rank, read off the kept range of the adjoint (one SVD), answers None
+    before any verdict is computed; that spares the identity partner of the
+    report's probe a CPTP check and an image decomposition.
     """
+    f = t.form
+    if isinstance(f, (EcqForm, CqForm)) and f.checked:
+        if not t.verify_cptp().is_cptp:
+            return None
+        return f if isinstance(f, EcqForm) else _cq_certificate(f.basis, f.states)
     if len(_adjoint_range(t)[1]) > t.d_in or not t.verify_cptp().is_cptp:
         return None
     cq = is_cq(t)
@@ -280,7 +301,7 @@ def _dilation_obstruction(t, sigmas):
     # (1+eps) T(x) - eps Tr(x) I/n, with Tr(x) = vec(I_d) . vec(x)
     dilated = _natural_channel(
         (1.0 + eps) * t.natural_matrix()
-        - (eps / n) * np.outer(vec(np.eye(n)), vec(np.eye(d))), d, n)
+        - (eps / n) * outer(np.eye(n), np.eye(d)), d, n)
     j = herm(dilated.to_choi())
     choi_min = float(np.linalg.eigvalsh(j)[0])
     pt_min = float(np.linalg.eigvalsh(herm(partial_transpose(j, (n, d), which=1)))[0])
@@ -292,11 +313,18 @@ def _dilation_obstruction(t, sigmas):
 
 def retraction_channel(cert):
     """The dephasing-like map ``S(rho) = sum_i Tr(M_i rho) e_i e_i*`` of an eCQ form."""
-    states = [np.outer(e, np.conj(e)) for e in cert.vectors]
+    states = [outer(e, np.conj(e)) for e in cert.vectors]
     return povm_channel(cert.effects(), states, validate=False)
 
 
 # -- CQ decision --------------------------------------------------------
+
+
+def _cq_certificate(basis, states):
+    """The eCQ form of the CQ map of ``basis`` and ``states``: the basis
+    columns as the ``e_i``, with zero remainders."""
+    d = len(basis)
+    return EcqForm(list(basis.T), list(np.zeros((d, d, d), dtype=complex)), states)
 
 
 @kept
@@ -342,14 +370,14 @@ def is_cq(t):
                        "the range of the adjoint does not commute")
     b = np.concatenate(input_blocks(t), axis=1)
     # column i*d+j is vec T(b_i b_j*)
-    images = t.natural_matrix() @ np.kron(b, np.conj(b))
+    images = t.natural_matrix() @ kron(b, np.conj(b))
     offdiag = _max_column_op_norm(images[:, ~np.eye(d, dtype=bool).reshape(-1)], n)
     diag_states = list(herm(images[:, ::d + 1].T.reshape(d, n, n)))
     rebuilt = cq_channel(b, diag_states, validate=False)
     dist = map_distance(t, rebuilt)
     if offdiag <= 1e-9 and dist <= 1e-9:
-        cert = EcqForm(list(b.T), list(np.zeros((d, d, d), dtype=complex)), diag_states)
-        return Verdict(YES, {"certificate": cert, "effect_norms": [1.0] * d,
+        return Verdict(YES, {"certificate": _cq_certificate(b, diag_states),
+                             "effect_norms": [1.0] * d,
                              "offdiagonal_residual": offdiag, "map_deviation": dist})
     return Verdict(INDETERMINATE, {"commutator": worst, "offdiagonal_residual": offdiag,
                                    "map_deviation": dist},

@@ -2,9 +2,10 @@
 
 All entropies use the natural logarithm, and minimal output entropies are
 taken over pure inputs, where the minimum is attained.  Each value says what
-it is in ``bound``: ``"exact"`` from a vertex certificate (a CQ or eCQ "yes",
-whose image is ``conv{sigma_i}``; Fukuda, Nechita and Wolf,
-arXiv:1408.2340), for a qubit-to-qubit map from the Bloch-ball
+it is in ``bound``: ``"exact"`` from a vertex certificate (the map's own CQ
+or eCQ form, or a CQ or eCQ "yes", whose image is ``conv{sigma_i}``;
+Fukuda, Nechita and Wolf, arXiv:1408.2340), for a qubit-to-qubit map from
+the Bloch-ball
 trust-region solve (``_bloch_peak``), for a qubit-input map at p = 2 from
 the same solve on its purity (``_qubit_pencil``), or from the input blocks
 of a map that splits (:func:`~.geometry.input_blocks`) when every block is
@@ -38,7 +39,7 @@ import numpy as np
 from .channels import _natural_channel, cq_channel, direct_sum, kept, tensor, tensor_dual_apply
 from .classify import vertex_certificate
 from .geometry import VERDICT_TOL, block_restrictions, bloch_map, hull_containment, input_blocks
-from .linalg import (PAULIS, check_density_matrix, herm, hvec, random_directions,
+from .linalg import (PAULIS, check_density_matrix, herm, hvec, kron, outer, random_directions,
                      random_pure_vectors, unhvec)
 
 _P_MAX = 50.0
@@ -121,9 +122,11 @@ def _at_input(t, x, p):
 def min_output_entropy(t, p=1.0, seed=0, n_starts=64):
     """Minimal output Renyi entropy of ``t`` over pure inputs.
 
-    With a vertex certificate (a CQ or eCQ "yes") the answer is exact:
-    ``min_i H_p(sigma_i)`` over the vertex states, with that vertex as the
-    output state and its preimage vector as the minimizer.  A qubit-to-qubit
+    With a vertex certificate (:func:`~.classify.vertex_certificate`: a map
+    in CQ or eCQ form is its own, and any other takes that of a CQ or eCQ
+    "yes") the answer is exact: ``min_i H_p(sigma_i)`` over the
+    certificate's states, with that state as the output state and its
+    vector ``e_i`` as the minimizer.  A qubit-to-qubit
     map without one is exact too: ``H_p`` falls as the output Bloch radius
     grows, so the minimum is ``H_p`` at the largest ``|A x + b|`` over the
     Bloch ball, a trust-region subproblem solved by ``_bloch_peak``.  Both
@@ -355,9 +358,10 @@ def _product_grad_norm(g1, g2, p):
 
 
 def _additive_factor(t):
-    """A vertex certificate, or a unital qubit map: one whose Bloch shift is
-    within ``_UNITAL_BAND``, 16 eps, the roundoff band of a unital map in
-    any frame (200 depolarizing maps in Haar frames reach 3.25 eps)."""
+    """A vertex certificate (a CQ or eCQ form is its own, so no verdict runs
+    on one), or a unital qubit map: one whose Bloch shift is within
+    ``_UNITAL_BAND``, 16 eps, the roundoff band of a unital map in any frame
+    (200 depolarizing maps in Haar frames reach 3.25 eps)."""
     return vertex_certificate(t) is not None or (
         (t.d_in, t.d_out) == (2, 2) and np.linalg.norm(bloch_map(t).shift) <= _UNITAL_BAND)
 
@@ -383,14 +387,14 @@ def entropy_additivity_gap(t1, t2, p=1.0, seed=0):
     if _additive_factor(t1) or _additive_factor(t2):
         bound = EXACT if r1.bound == r2.bound == EXACT else UPPER
         rj = MinEntropyResult(value=r1.value + r2.value,
-                              minimizer=np.kron(r1.minimizer, r2.minimizer),
-                              output_state=np.kron(r1.output_state, r2.output_state), p=p,
+                              minimizer=outer(r1.minimizer, r2.minimizer).reshape(-1),
+                              output_state=kron(r1.output_state, r2.output_state), p=p,
                               converged=r1.converged and r2.converged,
                               grad_norm=_product_grad_norm(r1.grad_norm, r2.grad_norm, p),
                               n_starts=0, bound=bound)
         return EntropyAdditivityReport(gap=0.0, single_first=r1, single_second=r2, joint=rj,
                                        p=p)
-    seed_vec = np.kron(r1.minimizer, r2.minimizer)
+    seed_vec = outer(r1.minimizer, r2.minimizer).reshape(-1)
     rj = _minimize_entropy(tensor(t1, t2), p, seed + 2, 48, seed_vec)
     gap = r1.value + r2.value - rj.value
     return EntropyAdditivityReport(gap=float(gap), single_first=r1, single_second=r2,
@@ -479,12 +483,13 @@ def _top(v, d):
     if d == 2:
         k0 = v[:, 0]
         r = np.sqrt(np.einsum("ij,ij->i", v[:, 1:], v[:, 1:]))
-        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows go to eigh below
-            proj = v / r[:, None]
-        proj[:, 0] = 1.0
-        top = k0 + r
         kept = 2 * r > _GAP_FLOOR * (np.abs(k0) + r)
-        if kept.all():
+        top, every = k0 + r, kept.all()
+        # rows not kept, r = 0 among them, are filled from eigh below
+        proj = (v / r[:, None] if every
+                else np.divide(v, r[:, None], out=np.zeros_like(v), where=kept[:, None]))
+        proj[:, 0] = 1.0
+        if every:
             return top, proj
         v = v[~kept]
     k = v @ _sweep_basis(d)[1].view(float)  # the matrices, real and imaginary parts interleaved
@@ -669,7 +674,7 @@ def _block_supports(ms, blocks1, blocks2, rng):
             if len(blocks1) == len(blocks2) == 1:
                 m = ms
             else:
-                c = np.kron(v, w)
+                c = kron(v, w)
                 m = herm(c.conj().T @ ms @ c)
             if min(v.shape[1], w.shape[1]) == 1:
                 flat.setdefault(m.shape, []).append(m)
@@ -702,12 +707,13 @@ def image_additivity_gap(t1, t2, n_directions=40, seed=0):
     vectors when the output factors have equal dimension, since those expose
     non-product extreme points most sharply.
 
-    When either factor carries a vertex certificate (a CQ or eCQ "yes") it
-    is universally image additive (Fukuda, Nechita and Wolf), so
-    ``Im(T1 (x) T2) = conv(Im T1 (x) Im T2)`` and the product support is the
-    joint support in every direction: both sides are ``lambda_max`` of
-    ``(T1 (x) T2)*(H)``, ``max_gap`` is exactly 0, the first direction is
-    the witness, and ``rhs_bound`` is ``"exact"``.  Otherwise both sides
+    When either factor carries a vertex certificate (its own CQ or eCQ form,
+    or a CQ or eCQ "yes") it is universally image additive (Fukuda, Nechita
+    and Wolf), so ``Im(T1 (x) T2) = conv(Im T1 (x) Im T2)`` and the product
+    support is the joint support in every direction: both sides are
+    ``lambda_max`` of ``(T1 (x) T2)*(H)``, ``max_gap`` is exactly 0, the
+    first direction is the witness, and ``rhs_bound`` is ``"exact"``; a
+    factor in CQ or eCQ form runs no verdict for it.  Otherwise both sides
     are taken over the pairs of :func:`~.geometry.input_blocks` of the two
     factors (``_block_supports``), exactly: a pair with a 1-dim side is
     exact, and any other pair is swept by ``_product_support`` where its
@@ -792,8 +798,7 @@ def build_hiding_channel(vertex_states, inner):
     H_min(inner))``, because every pure input yields a convex mixture of
     block outputs and entropy is concave.
     """
-    states = [check_density_matrix(np.asarray(s, dtype=complex), name=f"vertex {i}")
-              for i, s in enumerate(vertex_states)]
+    states = check_density_matrix(vertex_states, name="vertex")
     n = states[0].shape[0]
     if inner.d_out != n:
         raise ValueError("inner channel must share the vertex output space")

@@ -38,7 +38,8 @@ from .classify import (
     is_entanglement_breaking,
     reconstruct_ecq,
 )
-from .linalg import align_frames, eig_clusters, generic, herm, join_coupled, partial_trace
+from .linalg import (align_frames, eig_clusters, generic, herm, join_coupled, kron, outer,
+                     partial_trace)
 
 
 CESARO_TOL = 1e-8     # bound on every identity the Cesaro projection must satisfy
@@ -180,7 +181,7 @@ def fixed_point_structure(t):
     # untwist to the honest algebra on the support, elements at unit norm;
     # q diagonalizes omega there, so omega_v^{1/2} is diag(root)
     root = np.sqrt(w_eigs[keep])
-    alg = herm((q.conj().T @ basis @ q) / np.outer(root, root))
+    alg = herm((q.conj().T @ basis @ q) / outer(root, root))
     norms = np.linalg.svd(alg, compute_uv=False)[:, 0]
     alg = alg / np.maximum(norms, 1e-12)[:, None, None]
 
@@ -225,7 +226,7 @@ def fixed_point_structure(t):
         a_fac = partial_trace(w_b, (d_b, s_b), keep=0)
         sigma = herm(partial_trace(w_b, (d_b, s_b), keep=1))
         sigma = sigma / float(np.real(np.trace(sigma)))
-        prod_dev = np.linalg.norm(w_b - np.kron(a_fac, sigma))
+        prod_dev = np.linalg.norm(w_b - kron(a_fac, sigma))
         if prod_dev > STRUCTURE_TOL * max(1.0, np.linalg.norm(w_b)):
             result.reason = f"fixed state is not a product on a block (dev {prod_dev:.3e})"
             return result
@@ -233,7 +234,7 @@ def fixed_point_structure(t):
         # conjugated so the twist by omega^{1/2} is restored
         lift = q @ (root[:, None] * cb)  # d x h_b, not isometric (twisted frame)
         iso = q @ cb        # d x h_b isometry in the untwisted frame
-        emb = lift @ np.kron(np.eye(d_b) / d_b, np.eye(s_b)) @ lift.conj().T
+        emb = lift @ kron(np.eye(d_b) / d_b, np.eye(s_b)) @ lift.conj().T
         emb = herm(emb) / float(np.real(np.trace(herm(emb))))
         blocks.append(FixedPointBlock(dimension=d_b, multiplicity=s_b, isometry=iso,
                                       state=sigma, embedded_state=emb))

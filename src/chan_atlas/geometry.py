@@ -36,6 +36,7 @@ from .linalg import (
     herm,
     hvec,
     join_coupled,
+    kron,
     op_norm,
     orthogonal_complement,
     unhvec,
@@ -264,7 +265,7 @@ def _multiplicity_split(frames, y, cut):
 def block_restrictions(t):
     """The restriction ``T_k(rho) = T(V_k rho V_k*)`` to each of :func:`input_blocks`."""
     n = t.natural_matrix()
-    return [_natural_channel(n @ np.kron(v, v.conj()), v.shape[1], t.d_out)
+    return [_natural_channel(n @ kron(v, v.conj()), v.shape[1], t.d_out)
             for v in input_blocks(t)]
 
 
@@ -446,13 +447,13 @@ def _decompose(t):
     effects = [np.diag(labels == i).astype(complex) for i in range(len(records))]
     t1 = Channel(PovmForm(effects, states), d_in=vbasis.shape[1], d_out=t.d_out)
     n = t.natural_matrix()
-    t2 = (_natural_channel(n @ np.kron(wbasis, wbasis.conj()), dim_w, t.d_out)
+    t2 = (_natural_channel(n @ kron(wbasis, wbasis.conj()), dim_w, t.d_out)
           if dim_w else None)
 
     # exact reconstruction T(e) = t1(V* e V) + t2(W* e W) on the matrix units
-    resid = n - t1.natural_matrix() @ np.kron(vbasis.conj().T, vbasis.T)
+    resid = n - t1.natural_matrix() @ kron(vbasis.conj().T, vbasis.T)
     if t2 is not None:
-        resid = resid - t2.natural_matrix() @ np.kron(wbasis.conj().T, wbasis.T)
+        resid = resid - t2.natural_matrix() @ kron(wbasis.conj().T, wbasis.T)
     checks["reconstruction_deviation"] = _max_column_op_norm(resid, t.d_out)
     checks["orthogonality_deviation"] = op_norm(vbasis.conj().T @ vbasis - np.eye(vbasis.shape[1]))
     margin, facet, _ = hull_containment(t2, states) if t2 is not None else (0.0, None, None)

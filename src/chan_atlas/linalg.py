@@ -17,6 +17,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 # Verification tolerances of states and of the CPTP check.
@@ -55,6 +58,20 @@ def unvec(v, d_out, d_in=None):
     return np.asarray(v).reshape(d_out, d_in)
 
 
+def kron(a, b):
+    """Kronecker product of two matrices: the products of ``np.kron``, made as
+    one broadcast without its set-up, so the bits are the same."""
+    a, b = np.asarray(a), np.asarray(b)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
+def outer(a, b):
+    """Outer product of two vectors, as ``np.outer`` makes it."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.reshape(-1)[:, None] * b.reshape(-1)[None, :]
+
+
 def op_norm(a):
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
     return float(s[0]) if s.size else 0.0
@@ -83,10 +100,19 @@ def partial_transpose(x, dims, which=1):
     return t.reshape(m * n, m * n)
 
 
+@functools.cache
+def _upper(d):
+    """The index pairs ``i < j`` of a ``d x d`` matrix, read-only."""
+    iu = np.triu_indices(d, k=1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def hvec(a):
     """Real coordinates of Hermitian matrices (Hilbert-Schmidt isometry), last axis."""
     a = np.asarray(a)
-    iu = np.triu_indices(a.shape[-1], k=1)
+    iu = _upper(a.shape[-1])
     return np.concatenate([
         np.real(np.diagonal(a, axis1=-2, axis2=-1)),
         np.sqrt(2.0) * np.real(a[..., iu[0], iu[1]]),
@@ -99,7 +125,7 @@ def unhvec(v, d):
     v = np.asarray(v)
     a = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
     a[..., np.arange(d), np.arange(d)] = v[..., :d]
-    iu = np.triu_indices(d, k=1)
+    iu = _upper(d)
     k = len(iu[0])
     a[..., iu[0], iu[1]] = (v[..., d:d + k] + 1j * v[..., d + k:d + 2 * k]) / np.sqrt(2.0)
     return a + np.swapaxes(np.triu(a, k=1).conj(), -1, -2)
@@ -151,8 +177,13 @@ def subspace_projector(b):
 def generic(stack, k=1):
     """``k`` fixed real combinations of a stack of matrices, by ``cos(j)`` then
     ``sin(j)`` of the index ``j = 1, 2, ...``: generic, with no random draw."""
-    j = np.arange(1, len(stack) + 1)
-    return np.array([np.tensordot(f(j), stack, axes=1) for f in (np.cos, np.sin)[:k]])
+    stack = np.asarray(stack)
+    n, shape = len(stack), stack.shape[1:]
+    j = np.arange(1, n + 1)
+    # one vector-matrix product per combination, as ``tensordot`` makes it: a
+    # single product of all k rows would round differently
+    flat = stack.reshape(n, math.prod(shape))
+    return np.array([f(j) @ flat for f in (np.cos, np.sin)[:k]]).reshape(k, *shape)
 
 
 def eig_clusters(w):
@@ -186,18 +217,55 @@ def align_frames(f, y):
     return f, sv[:, -1].min()
 
 
-def check_density_matrix(rho, name="state"):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    if not is_hermitian(rho, tol=1e-9):
-        raise ValueError(f"{name} is not Hermitian")
-    ev = np.linalg.eigvalsh(herm(rho))
-    if ev[0] < -TOL_PSD:
-        raise ValueError(f"{name} is not positive semidefinite (min eig {ev[0]:.3e})")
-    if abs(np.trace(rho).real - 1.0) > TOL_TRACE:
-        raise ValueError(f"{name} trace differs from one by {abs(np.trace(rho).real - 1.0):.3e}")
-    return herm(rho)
+def _first_failure(name, fails):
+    """Raise the message of the first failing item, ``f"{name} {i}"``, and its
+    first failing check, as checking one item after another would: ``fails``
+    is a list of (flags over the items, message of item ``i``)."""
+    bad = np.flatnonzero(np.any([f for f, _ in fails], axis=0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(next(msg(f"{name} {i}", i) for f, msg in fails if f[i]))
+
+
+def _hermitian_flags(a):
+    """Whether each matrix of the stack ``a`` is Hermitian within 1e-9."""
+    return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(1, 2)) <= 1e-9
+
+
+def _min_eigenvalues(h, ok):
+    """The smallest eigenvalue of each Hermitian matrix of ``h``, in one
+    ``eigvalsh``; a matrix whose ``ok`` is false counts as zero, so a
+    non-finite one never reaches LAPACK."""
+    return np.linalg.eigvalsh(np.where(ok[:, None, None], h, 0))[:, 0]
+
+
+def check_density_matrix(states, name="state"):
+    """Validate density matrices of one shape; returns their Hermitian parts.
+
+    Every item is first checked to be square and of the first item's
+    shape, one after another; then one stacked ``eigvalsh`` checks the whole
+    list.  A failure names the first failing item, ``f"{name} {i}"``, and
+    its first failing check: Hermitian within 1e-9, PSD within ``TOL_PSD``,
+    trace one within ``TOL_TRACE``.
+    """
+    mats = [np.asarray(s, dtype=complex) for s in states]
+    for i, m in enumerate(mats):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name} {i} must be a square matrix")
+        if m.shape != mats[0].shape:
+            raise ValueError(f"{name} {i} has shape {m.shape}, expected {mats[0].shape}")
+    rho = np.stack(mats)
+    h = herm(rho)
+    hermitian = _hermitian_flags(rho)
+    low = _min_eigenvalues(h, hermitian)
+    off = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+    _first_failure(name, [
+        (~hermitian, lambda who, i: f"{who} is not Hermitian"),
+        (low < -TOL_PSD, lambda who, i: f"{who} is not positive semidefinite "
+                                        f"(min eig {low[i]:.3e})"),
+        (off > TOL_TRACE, lambda who, i: f"{who} trace differs from one by {off[i]:.3e}"),
+    ])
+    return list(h)
 
 
 def check_unitary(u):
@@ -210,20 +278,27 @@ def check_unitary(u):
 
 
 def check_povm(effects, d=None):
-    """Validate a POVM: Hermitian PSD effects summing to the identity."""
+    """Validate a POVM: Hermitian PSD effects summing to the identity.
+
+    Every effect is first checked to be ``d x d``; then one stacked
+    ``eigvalsh`` checks them all, and a failure names the first failing
+    effect, as :func:`check_density_matrix` does.
+    """
     mats = [np.asarray(m, dtype=complex) for m in effects]
     if not mats:
         raise ValueError("empty POVM")
     dd = mats[0].shape[0] if d is None else d
-    total = np.zeros((dd, dd), dtype=complex)
     for k, m in enumerate(mats):
         if m.shape != (dd, dd):
             raise ValueError(f"effect {k} has shape {m.shape}, expected {(dd, dd)}")
-        if not is_hermitian(m, tol=1e-9):
-            raise ValueError(f"effect {k} is not Hermitian")
-        if np.linalg.eigvalsh(herm(m))[0] < -1e-8:
-            raise ValueError(f"effect {k} is not positive semidefinite")
-        total += m
-    if op_norm(total - np.eye(dd)) > 1e-8:
+    stack = np.stack(mats)
+    h = herm(stack)
+    hermitian = _hermitian_flags(stack)
+    _first_failure("effect", [
+        (~hermitian, lambda who, i: f"{who} is not Hermitian"),
+        (_min_eigenvalues(h, hermitian) < -1e-8,
+         lambda who, i: f"{who} is not positive semidefinite"),
+    ])
+    if op_norm(stack.sum(axis=0) - np.eye(dd)) > 1e-8:
         raise ValueError("effects do not sum to the identity")
-    return [herm(m) for m in mats]
+    return list(h)

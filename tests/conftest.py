@@ -122,7 +122,7 @@ def linear_map_channel(apply_fn, d_in, d_out):
 
 def constant_channel(sigma, d_in=None):
     """The channel ``rho -> Tr(rho) sigma`` as a one-outcome measure-and-prepare map."""
-    sigma = check_density_matrix(sigma, name="constant output")
+    sigma = check_density_matrix([sigma], name="constant output")[0]
     d = sigma.shape[0] if d_in is None else int(d_in)
     return povm_channel([np.eye(d, dtype=complex)], [sigma], validate=False)
 

@@ -322,6 +322,25 @@ def test_ecq_channel_validation():
         ecq_channel([e0, e1], [bad, z], sig)
 
 
+@pytest.mark.parametrize("place, value, message", [
+    (3, -0.25, "remainder 1 is not positive semidefinite"),
+    (1, 0.25, "remainder 1 is not supported away from the e_j"),
+], ids=["psd", "support"])
+def test_ecq_channel_names_the_first_failing_remainder(place, value, message):
+    # remainder 1 fails, and remainder 2 fails the PSD check, the first one
+    e = np.eye(4, dtype=complex)[:3]
+    fine, bad, worse = (np.zeros((4, 4), dtype=complex) for _ in range(3))
+    fine[3, 3] = 1.0
+    bad[place, place] = value
+    worse[3, 3] = -1.0
+    sig = [np.eye(2, dtype=complex) / 2] * 3
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ecq_channel(list(e), [fine, bad, worse], sig)
+    with pytest.raises(ValueError, match="^state 1 is not positive semidefinite"):
+        ecq_channel(list(e), [fine, np.zeros((4, 4)), np.zeros((4, 4))],
+                    [sig[0], np.diag([1.5, -0.5]), np.diag([2.0, 0.0])])
+
+
 def test_linear_map_channel_wraps_callables():
     t = linear_map_channel(lambda x: x.T, 2, 2)  # transpose map, not CP
     v = t.verify_cptp()

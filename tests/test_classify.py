@@ -41,6 +41,7 @@ from chan_atlas.classify import (
     retraction_channel,
     vertex_certificate,
 )
+from chan_atlas.entropy import min_output_entropy
 from chan_atlas.linalg import canonical_phase, herm, hvec, op_norm, partial_transpose, unhvec
 from chan_atlas.pipeline import classification_stage, run_pipeline
 
@@ -207,6 +208,48 @@ def test_vertex_certificate_answers_a_large_rank_from_the_svd_alone(monkeypatch,
     runs = [count_runs(monkeypatch, get) for get in bodies]
     assert vertex_certificate(t) is None
     assert runs == [[]] * len(bodies)
+
+
+def test_an_ecq_spec_is_its_own_certificate(monkeypatch):
+    # the form, checked when the spec was read, is the certificate: the
+    # entropy of an eCQ spec runs no CQ test, image decomposition or
+    # reconstruction, and a CQ spec gets its basis with zero remainders
+    t, vectors, tilde, sig = ecq_fixture(1, complement=2)
+    bodies = (classify.is_cq, classify.is_universally_image_additive, geometry._decompose)
+    runs = [count_runs(monkeypatch, get) for get in bodies]
+    r = min_output_entropy(t, p=1.0)
+    assert runs == [[]] * len(bodies)
+    assert vertex_certificate(t) is t.form and r.bound == "exact"
+    u = haar_unitary(np.random.default_rng(3), 3)
+    c = cq_channel(u, [bloch_state(0.5, 0, 0), bloch_state(0, 0.5, 0), bloch_state(0, 0, 0.5)])
+    cert = vertex_certificate(c)
+    assert runs == [[]] * len(bodies)
+    assert np.array_equal(np.array(cert.vectors).T, u) and cert.states is c.form.states
+    assert not np.any(cert.tilde_effects)
+
+
+def test_a_spec_form_that_is_not_cptp_has_no_certificate():
+    # a form that claims its check but prepares a non-PSD "state": the CPTP
+    # check turns it away
+    bad = np.diag([1.2, -0.2]).astype(complex)
+    t = channels.Channel(channels.CqForm(np.eye(2, dtype=complex), [bad, np.eye(2) / 2],
+                                         checked=True), 2, 2)
+    assert not t.verify_cptp().is_cptp
+    assert vertex_certificate(t) is None
+    e = channels.Channel(channels.EcqForm(list(np.eye(2, dtype=complex)),
+                                          [np.zeros((2, 2), dtype=complex)] * 2,
+                                          [bad, np.eye(2) / 2], checked=True), 2, 2)
+    assert vertex_certificate(e) is None
+
+
+def test_an_unchecked_form_goes_through_the_verdicts():
+    # sqrt(2) |0> and |1> with a half-trace state pass the CPTP check, but
+    # the form's states are not the map's outputs: T(|0><0|) = |0><0| is pure
+    t = cq_channel(np.diag([np.sqrt(2), 1]), [np.diag([0.5, 0]), np.eye(2) / 2], validate=False)
+    assert t.verify_cptp().is_cptp and not t.form.checked
+    cert = vertex_certificate(t)
+    assert cert is not t.form and is_cq(t).witness["certificate"] is cert
+    assert min_output_entropy(t, p=1.0).value == 0.0
 
 
 def test_report_makes_one_ecq_reconstruction(monkeypatch):

@@ -897,6 +897,56 @@ def test_validate_report_raises_what_jsonschema_validate_raises(path, value):
     assert errors[0] == errors[1]
 
 
+def _mutations(node, path=()):
+    """``(path, value)`` replacements of every node of a report: wrong types,
+    scalars and their pairs, and sections that look like ``not_run``."""
+    wrong = [None, "x", True, -1.5, [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b"],
+             {"status": "skipped", "reason": "r"}]
+    if path:
+        for value in wrong:
+            yield path, value
+        yield path, DELETE
+    if isinstance(node, dict):
+        yield path + ("extra",), {"status": "ok"}
+        for k, v in node.items():
+            yield from _mutations(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node[:2]):
+            yield from _mutations(v, path + (i,))
+
+
+DELETE = object()
+
+
+def test_flat_report_schema_accepts_what_the_nested_one_accepts():
+    # the shipped schema, with its scalar flattened, the matrix inlined and
+    # each section listed before not_run, against the nested one it replaced
+    jsonschema = pytest.importorskip("jsonschema")
+    nested = json.loads((Path(__file__).parent / "data" / "report_schema_nested.json").read_text())
+    flat = load_report_schema()
+    checks = [jsonschema.validators.validator_for(s)(s).is_valid for s in (nested, flat)]
+    reports = [run_pipeline(t, p_values=(2.0,)) for t in
+               (dephasing_channel(2), unital_qubit_diag((0.9, 0.9, 0.1)))]
+    reports[0]["fixed_points"] = {"status": "error", "reason": "r"}
+    count = 0
+    for rep in reports:
+        assert checks[0](rep) and checks[1](rep)
+        for path, value in _mutations(rep):
+            m = json.loads(json.dumps(rep))
+            *up, key = path
+            node = m
+            for k in up:
+                node = node[k]
+            if value is DELETE:
+                del node[key]
+            else:
+                node[key] = value
+            verdicts = [check(m) for check in checks]
+            assert verdicts[0] == verdicts[1], (path, value)
+            count += not verdicts[0]
+    assert count > 500  # the corpus rejects as well as accepts
+
+
 # -- pipeline internals -------------------------------------------------
 
 

@@ -19,10 +19,13 @@ from chan_atlas.linalg import (
     check_density_matrix,
     check_povm,
     dag,
+    generic,
     herm,
     hvec,
     is_hermitian,
+    kron,
     op_norm,
+    outer,
     orthogonal_complement,
     partial_trace,
     partial_transpose,
@@ -183,9 +186,79 @@ def test_null_space_relative_threshold():
 
 def test_check_density_matrix_raises():
     with pytest.raises(ValueError, match="trace"):
-        check_density_matrix(2 * np.eye(2))
+        check_density_matrix([2 * np.eye(2)])
     with pytest.raises(ValueError, match="positive"):
-        check_density_matrix(np.diag([1.5, -0.5]))
+        check_density_matrix([np.diag([1.5, -0.5])])
+
+
+def _signed(rng, *shape):
+    """Gaussian entries with signed zeros, infinities and NaN mixed in."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.3] *= -1.0
+    return x * np.where(rng.random(shape) < 0.05, np.inf, 1.0)
+
+
+@pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"),
+                                   ("complex", "real"), ("complex", "complex")])
+def test_kron_and_outer_are_numpy_bit_for_bit(kinds):
+    # the same products as np.kron and np.outer, signed zeros, infinities and
+    # NaN included, and empty operands keep their shapes
+    rng = np.random.default_rng(len(kinds[0]) + 3 * len(kinds[1]))
+
+    def draw(kind, *shape):
+        x = _signed(rng, *shape)
+        return x if kind == "real" else x - 1j * _signed(rng, *shape)
+
+    with np.errstate(invalid="ignore"):
+        for m, n, p, q in [(2, 2, 2, 2), (3, 1, 2, 4), (1, 3, 4, 1), (0, 2, 3, 3), (2, 0, 1, 2)]:
+            a, b = draw(kinds[0], m, n), draw(kinds[1], p, q)
+            got, want = kron(a, b), np.kron(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            got, want = outer(a, b), np.outer(a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_generic_is_tensordot_on_every_stack():
+    rng = np.random.default_rng(7)
+    for n, shape in [(5, (3, 3)), (1, (2, 2)), (4, (2, 3)), (0, (3, 3))]:
+        stack = rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))
+        j = np.arange(1, n + 1)
+        want = np.array([np.tensordot(f(j), stack, axes=1) for f in (np.cos, np.sin)])
+        got = generic(stack, 2)
+        assert got.shape == (2, *shape) and np.array_equal(got, want)
+
+
+def _third(first, second):
+    """Three items, ``first`` and ``second`` at 0 and 1 and a non-Hermitian third."""
+    return [first, second, np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)]
+
+
+_FINE = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("items, message", [
+    ([_FINE, np.ones((2, 3)), np.ones(2)], "state 1 must be a square matrix"),
+    ([_FINE, np.eye(3) / 3, np.ones(2)], r"state 1 has shape \(3, 3\), expected \(2, 2\)"),
+    (_third(_FINE, np.array([[0.5, 0.1], [0.0, 0.5]])), "state 1 is not Hermitian"),
+    (_third(_FINE, np.diag([1.5, -0.5])), r"state 1 is not positive semidefinite \(min eig"),
+    (_third(_FINE, np.eye(2)), "state 1 trace differs from one by 1.000e[+]00"),
+], ids=["square", "shape", "hermitian", "psd", "trace"])
+def test_check_density_matrix_names_the_first_failing_item(items, message):
+    # item 2 fails too, on an earlier check: the first failing item decides
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_density_matrix(items)
+
+
+@pytest.mark.parametrize("items, message", [
+    ([_FINE, np.eye(3), np.ones(2)], r"effect 1 has shape \(3, 3\), expected \(2, 2\)"),
+    (_third(_FINE, np.array([[0.5, 0.1], [0.0, 0.5]])), "effect 1 is not Hermitian"),
+    (_third(_FINE, np.diag([1.5, -0.5])), "effect 1 is not positive semidefinite"),
+], ids=["shape", "hermitian", "psd"])
+def test_check_povm_names_the_first_failing_effect(items, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_povm(items)
 
 
 def test_check_povm():

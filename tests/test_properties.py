@@ -51,10 +51,10 @@ from chan_atlas.classify import (
     is_universally_image_additive,
     vertex_certificate,
 )
-from chan_atlas.entropy import entropy_additivity_gap, min_output_entropy
+from chan_atlas.entropy import entropy_additivity_gap, image_additivity_gap, min_output_entropy
 from chan_atlas.fixed_points import fixed_point_structure
 from chan_atlas.formats import channel_from_dict, form_kind
-from chan_atlas.geometry import input_blocks, polytopic_decompose
+from chan_atlas.geometry import VERDICT_TOL, hull_containment, input_blocks, polytopic_decompose
 from chan_atlas.linalg import random_directions, random_pure_vectors
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -399,13 +399,15 @@ _CERTIFIED = ["dephasing3", "square0.8", "square1", "ecq0", "ecq2", "ecq1", "ass
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(name=strategies.sampled_from(_CERTIFIED), seed=seeds)
 def test_vertex_certificate_moves_with_the_frames_property(name, seed):
-    # V o T o U prepares V sigma_i V* on the inputs U* e_i: the certificate
-    # follows both frames, up to the order of the vertices and the phase of each vector
+    # V o T o U prepares V sigma_i V* on the inputs U* e_i: the certificate of
+    # the verdicts, read on the Choi rewrite of T, follows both frames, up to
+    # the order of the vertices and the phase of each vector
     t = _CLASSIFIED[name]()
     rng = np.random.default_rng(seed)
     u, v = haar_unitary(rng, t.d_in), haar_unitary(rng, t.d_out)
-    cert = vertex_certificate(t)
-    moved = vertex_certificate(conjugate(compose(kraus_channel([u]), t), v))
+    cert = vertex_certificate(channels._natural_channel(t.natural_matrix(), t.d_in, t.d_out))
+    tm = conjugate(compose(kraus_channel([u]), t), v)
+    moved = vertex_certificate(tm)
     assert cert is not None and moved is not None
     states = [v @ s @ v.conj().T for s in cert.states]
     dist = np.array([[np.linalg.norm(s - r) for r in moved.states] for s in states])
@@ -415,6 +417,45 @@ def test_vertex_certificate_moves_with_the_frames_property(name, seed):
     overlaps = [abs(np.vdot(u.conj().T @ e, moved.vectors[j]))
                 for e, j in zip(cert.vectors, match)]
     np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-8)
+    # a CQ or eCQ spec is its own certificate, whose states may differ from
+    # the verdicts' by points inside the hull: T(e_i e_i*) = sigma_i, and the
+    # moved map's image lies in the hull of the moved sigma_i, so that hull is
+    # its image, and the least entropy over the states is the same
+    own = vertex_certificate(t)
+    for e, s in zip(own.vectors, own.states):
+        np.testing.assert_allclose(t.pure_outputs(e), s, rtol=0, atol=1e-9)
+    assert hull_containment(tm, [v @ s @ v.conj().T for s in own.states])[0] <= VERDICT_TOL
+    for p in (1.0, 2.0):
+        assert (entropy._state_entropies(np.asarray(own.states), p).min()
+                == pytest.approx(entropy._state_entropies(np.asarray(moved.states), p).min(),
+                                 rel=0, abs=1e-12))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=strategies.sampled_from(["cq", "ecq"]), seed=seeds)
+def test_spec_form_certificate_agrees_with_the_verdicts_property(kind, seed):
+    # a CQ or eCQ spec in Haar input and output frames, and the Choi rewrite
+    # of its natural matrix, which goes through the verdicts: the same exact
+    # entropies, zero additivity gaps against a random qubit map, and UIA "yes"
+    rng = np.random.default_rng(seed)
+    if kind == "cq":
+        d, n = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        t = cq_channel(haar_unitary(rng, d), [random_density(rng, n) for _ in range(d)])
+    else:
+        _, vectors, tilde, sig = ecq_fixture(seed)
+        w, v = haar_unitary(rng, vectors[0].size), haar_unitary(rng, sig[0].shape[0])
+        t = ecq_channel([w @ e for e in vectors], [w @ m @ w.conj().T for m in tilde],
+                        [v @ s @ v.conj().T for s in sig])
+    bare = channels._natural_channel(t.natural_matrix(), t.d_in, t.d_out)
+    for p in (1.0, 2.0):
+        mine, theirs = min_output_entropy(t, p), min_output_entropy(bare, p)
+        assert mine.bound == theirs.bound == "exact"
+        assert mine.value == pytest.approx(theirs.value, rel=0, abs=1e-12)
+    partner = random_cptp(rng, 2, 2)
+    for c in (t, bare):
+        assert entropy_additivity_gap(c, partner).gap == 0.0
+        assert image_additivity_gap(c, partner, n_directions=8).max_gap == 0.0
+        assert is_universally_image_additive(c).status == YES
 
 
 _CERTIFIED_GROUPS = {
